@@ -22,18 +22,18 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .pose import OctahedronPose
-from .rotations import matrix_to_quat, quat_to_matrix, super_fibonacci_rotations
+from .rotations import _quats_to_matrices, matrix_to_quat, quat_to_matrix, super_fibonacci_rotations
 from .sphere import (
     DEFAULT_TOL,
     GeometryError,
     SphPolygon,
     SphTriangle,
     _as_unit,
-    _polygon_orientation,
+    _rotate_about,
     _tangent_towards,
     _walk,
     arc_distance,
-    hemisphere_axis,
+    hemisphere_axis,  # noqa: F401 - not called here, but the benchmark tracer wraps it
     polygon_area,
     polygon_diameter,
     vertex_angle,
@@ -111,11 +111,6 @@ _T3 = np.array(
 T0_TRIANGLE = SphTriangle(_T1, _T2, _T3)
 
 
-def _rotate_about_axis(axis: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return c * v + s * np.cross(axis, v) + (1.0 - c) * float(np.dot(axis, v)) * axis
-
-
 def angle_from_sides(opposite: float, b: float, c: float) -> float:
     """Spherical law of cosines: the vertex angle opposite a given side."""
     sb, sc = math.sin(b), math.sin(c)
@@ -153,9 +148,12 @@ class SolidAngle:
     """Apex plus the extreme rays of a salient, full-dimensional convex
     cone, stored in counterclockwise order around an interior axis.
 
-    Construction reorders the given edges into the canonical traversal
-    (keeping the first edge first) and rejects edge sets that are not in
-    strictly convex position.
+    Construction sorts the given edges by azimuth around their mean,
+    keeping the first edge first.  A positive combination of the edges
+    lies strictly inside any salient convex cone, so this is the cone's
+    counterclockwise cycle; a near-zero mean is rejected at once.
+    Salience, orientation and strict convexity are then checked by the
+    one `SphPolygon` built from the sorted edges.
     """
 
     __slots__ = ("apex", "edges", "axis", "_polygon")
@@ -163,22 +161,20 @@ class SolidAngle:
     def __init__(self, apex, edges, tol: float = DEFAULT_TOL):
         apex = np.asarray(apex, dtype=float).reshape(3)
         E = np.array([_as_unit(e) for e in edges])
-        n = len(E)
-        if n < 3:
+        if len(E) < 3:
             raise InvalidSolidAngle("a solid angle needs at least 3 edges")
         if np.linalg.matrix_rank(E, tol=1e-9) < 3:
             raise InvalidSolidAngle("edges do not span 3 dimensions")
-        axis = _salient_axis(E, tol)
-        order = _ccw_order(E, axis)
-        E = E[order]
-        if _polygon_orientation(E, tol) < 0:
-            E = np.vstack([E[:1], E[1:][::-1]])
+        mean = E.sum(axis=0)
+        nm = float(np.linalg.norm(mean))
+        if nm <= 1e-12:
+            raise InvalidSolidAngle("cone is not salient (the edges sum to nearly zero)")
+        E = E[_ccw_order(E, mean / nm)]
         try:
             poly = SphPolygon(E, tol=tol)
         except GeometryError as exc:
-            raise InvalidSolidAngle(f"edges are not in strictly convex position: {exc}") from exc
-        if arc_distance(poly.vertices[1].vec, E[1]) > 1e-12:
-            raise InvalidSolidAngle("edge ordering could not be canonicalized")
+            msg = f"edges are not a salient, strictly convex cycle: {exc}"
+            raise InvalidSolidAngle(msg) from exc
         self.apex = apex
         self.edges = E
         self.edges.flags.writeable = False
@@ -212,29 +208,8 @@ class SolidAngle:
             n = -n
         return n
 
-    def facet_frames(self) -> list:
-        """Per facet: (edge_i, edge_j, outward normal, inverse frame) where
-        the inverse frame maps apex-local points to (alpha, beta, gamma)
-        coordinates with x = alpha e_i + beta e_j + gamma n."""
-        out = []
-        E = self.edges
-        n = len(E)
-        for i in range(n):
-            ei, ej = E[i], E[(i + 1) % n]
-            nrm = self.facet_normal(i)
-            frame = np.column_stack([ei, ej, nrm])
-            out.append((ei, ej, nrm, np.linalg.inv(frame)))
-        return out
-
     def __repr__(self):
         return f"SolidAngle(apex={self.apex.tolist()}, n_edges={self.n_edges})"
-
-
-def _salient_axis(E: np.ndarray, tol: float) -> np.ndarray:
-    axis = hemisphere_axis(E, tol)
-    if axis is None:
-        raise InvalidSolidAngle("cone is not salient (edges span a closed halfspace)")
-    return axis
 
 
 def _ccw_order(E: np.ndarray, axis: np.ndarray) -> np.ndarray:
@@ -260,21 +235,27 @@ def normalize_ordering(tri: SphTriangle) -> SphTriangle:
 
     Returns the input object unchanged when it is already ordered.
     """
-    V = tri.matrix
-    s12, s13, s23 = tri.side_lengths()
-    if s12 >= s13 >= s23:
+    perm = _normalized_perm(tri)
+    if perm == (0, 1, 2):
         return tri
+    w1, w2, w3 = tri.matrix[list(perm)]
+    if float(np.linalg.det(np.array([w1, w2, w3]))) < 0:
+        nrm = _as_unit(np.cross(w1, w2))
+        w3 = w3 - 2.0 * float(np.dot(nrm, w3)) * nrm
+    return SphTriangle(w1, w2, w3)
+
+
+def _normalized_perm(tri: SphTriangle) -> tuple:
+    """Permutation (i, j, k) of the triangle's labels with
+    |v_i v_j| >= |v_i v_k| >= |v_j v_k|."""
+    s12, s13, s23 = tri.side_lengths()
     side = {frozenset((0, 1)): s12, frozenset((0, 2)): s13, frozenset((1, 2)): s23}
     for perm in permutations(range(3)):
         c = side[frozenset((perm[0], perm[1]))]
         b = side[frozenset((perm[0], perm[2]))]
         a = side[frozenset((perm[1], perm[2]))]
         if c >= b >= a:
-            w1, w2, w3 = V[perm[0]], V[perm[1]], V[perm[2]]
-            if float(np.linalg.det(np.array([w1, w2, w3]))) < 0:
-                nrm = _as_unit(np.cross(w1, w2))
-                w3 = w3 - 2.0 * float(np.dot(nrm, w3)) * nrm
-            return SphTriangle(w1, w2, w3)
+            return perm
     raise GeometryError("unreachable: some ordering always exists")
 
 
@@ -344,7 +325,7 @@ def _evaluate_labeling(V: np.ndarray, perm: tuple):
     tangent = _tangent_towards(_T1, _T2)
     best = None
     for sgn in (1.0, -1.0):
-        t_rot = _rotate_about_axis(_T1, tangent, sgn * theta)
+        t_rot = _rotate_about(_T1, tangent, sgn * theta)
         p3 = math.cos(b) * _T1 + math.sin(b) * t_rot
         margins3 = _margins_in_placed_triangle(p2, p3)
         m = min(m_len, float(margins3.min()))
@@ -383,20 +364,6 @@ def placement_test(tri: SphTriangle, tol: float = DEFAULT_TOL) -> AngleClass:
     if best_margin < -tol:
         return AngleClass(ClassTag.NON_SPECIAL, best_margin, None)
     return AngleClass(ClassTag.INDETERMINATE, best_margin, None)
-
-
-def _normalized_perm(tri: SphTriangle) -> tuple:
-    """Permutation (i, j, k) of the triangle's labels with
-    |v_i v_j| >= |v_i v_k| >= |v_j v_k|."""
-    s12, s13, s23 = tri.side_lengths()
-    side = {frozenset((0, 1)): s12, frozenset((0, 2)): s13, frozenset((1, 2)): s23}
-    for perm in permutations(range(3)):
-        c = side[frozenset((perm[0], perm[1]))]
-        b = side[frozenset((perm[0], perm[2]))]
-        a = side[frozenset((perm[1], perm[2]))]
-        if c >= b >= a:
-            return perm
-    raise GeometryError("unreachable: some ordering always exists")
 
 
 def classify_trihedral(angle: SolidAngle, tol: float = DEFAULT_TOL) -> AngleClass:
@@ -558,21 +525,6 @@ def _t0_margin_for_matrices(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
     rotated = np.einsum("kij,nj->kni", mats, V)
     dots = np.clip(np.einsum("si,kni->kns", _T0_NORMALS, rotated), -1.0, 1.0)
     return np.arcsin(dots).min(axis=(1, 2))
-
-
-def _quats_to_matrices(Q: np.ndarray) -> np.ndarray:
-    w, x, y, z = Q[:, 0], Q[:, 1], Q[:, 2], Q[:, 3]
-    m = np.empty((len(Q), 3, 3))
-    m[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    m[:, 0, 1] = 2 * (x * y - w * z)
-    m[:, 0, 2] = 2 * (x * z + w * y)
-    m[:, 1, 0] = 2 * (x * y + w * z)
-    m[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    m[:, 1, 2] = 2 * (y * z - w * x)
-    m[:, 2, 0] = 2 * (x * z - w * y)
-    m[:, 2, 1] = 2 * (y * z + w * x)
-    m[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return m
 
 
 def fits_in_T0(

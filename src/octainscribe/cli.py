@@ -9,7 +9,7 @@ Exit codes are a stable contract:
   1  NON_SPECIAL / IN_A0 / non-pathable input
   2  INDETERMINATE
   3  inscription or certification failure
-  64 malformed input
+  64 malformed input, command-line usage errors included
   70 internal error
 """
 
@@ -137,7 +137,6 @@ def cmd_inscribe(args) -> int:
             "certification": report.to_dict(),
             "final_report": final.to_dict(),
             "trace": trace.to_dict(),
-            "seed": args.seed,
         },
     )
     _emit(doc, args.json)
@@ -189,18 +188,16 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--vertex", type=int, help="vertex index used with --polytope")
     pc.add_argument("--tol", type=float, default=1e-9, help="classification tolerance band (rad)")
     pc.add_argument("--out", help="write the JSON report here instead of stdout")
-    pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--quiet", action="store_true")
     pc.set_defaults(func=cmd_classify)
 
-    pi = sub.add_parser("inscribe", help="find an inscribed regular octahedron")
+    # No prefix matching here, or the removed --seed would silently mean --seeds.
+    pi = sub.add_parser("inscribe", help="find an inscribed regular octahedron", allow_abbrev=False)
     pi.add_argument("polytope", help="polytope file (OFF or JSON)")
     pi.add_argument("--tol", type=float, default=1e-8, help="certification tolerance, relative to diameter")
     pi.add_argument("--eps0", type=float, default=None, help="initial smoothing (default 0.2 * inradius)")
     pi.add_argument("--seeds", type=int, default=60, help="rotation seeds per multistart")
     pi.add_argument("--json", help="write the pose/trace JSON here instead of stdout")
     pi.add_argument("--obj", help="also export the octahedron as OBJ")
-    pi.add_argument("--seed", type=int, default=0)
     pi.add_argument("--quiet", action="store_true")
     pi.set_defaults(func=cmd_inscribe)
 
@@ -208,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("sides", nargs=3, type=float, help="spherical triangle side lengths (rad)")
     pp.add_argument("--steps", type=int, default=60)
     pp.add_argument("--out", help="write the path JSON here instead of stdout")
-    pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--quiet", action="store_true")
     pp.set_defaults(func=cmd_path)
 
     pv = sub.add_parser("certify", help="re-certify a stored pose against a polytope")
@@ -217,16 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("pose", help="pose JSON written by inscribe")
     pv.add_argument("--tol", type=float, default=1e-8, help="tolerance, relative to diameter")
     pv.add_argument("--out", help="write the JSON report here instead of stdout")
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--quiet", action="store_true")
     pv.set_defaults(func=cmd_certify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as INDETERMINATE.
+        return EX_USAGE if exc.code else EX_OK
     try:
         return args.func(args)
     except (GeometryError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -20,7 +20,7 @@ from .angles import (
 from .oracle import inscribed_in_cone_check
 from .polytope import ConvexPolytope, Degenerate, build_from_halfspaces, is_simple
 from .rotations import quat_normalize, quat_to_matrix
-from .sphere import SphTriangle, _as_unit
+from .sphere import SphTriangle, _as_unit, _rotate_about
 
 __all__ = [
     "random_rotation_matrix",
@@ -114,11 +114,6 @@ def random_simple_polytope(rng, n_facets=None, max_tries: int = 200) -> ConvexPo
 
 # ---------------------------------------------------------------------------
 # Non-simple cones with a known inscribed octahedron.
-
-
-def _rotate_about(axis, v, angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return c * v + s * np.cross(axis, v) + (1.0 - c) * float(np.dot(axis, v)) * axis
 
 
 def _clip_spherical_polygon(E, m, tol=1e-12):

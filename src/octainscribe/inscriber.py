@@ -362,7 +362,6 @@ def continue_to_surface(p: ConvexPolytope, cfg: ContinuationConfig = Continuatio
     Returns (ContinuationTrace, final SolveReport); the final report has
     epsilon 0 and unsigned vertex-to-boundary distances as residuals.
     """
-    diam = p.diameter
     warnings = _precondition_warnings(p)
     eps0 = cfg.eps0 if cfg.eps0 is not None else 0.2 * p.inradius
     if not 0 < eps0 < p.inradius:

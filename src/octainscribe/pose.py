@@ -11,7 +11,6 @@ import numpy as np
 
 from .rotations import (
     OCTA_GROUP_QUATS,
-    matrix_to_quat,
     quat_canonical,
     quat_multiply,
     quat_normalize,
@@ -80,10 +79,6 @@ class OctahedronPose:
 
     def diameter(self) -> float:
         return 2.0 * self.scale
-
-    @classmethod
-    def from_matrix(cls, center, matrix, scale) -> "OctahedronPose":
-        return cls(center, matrix_to_quat(matrix), scale)
 
     def to_dict(self) -> dict:
         return {

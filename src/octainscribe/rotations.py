@@ -16,7 +16,6 @@ __all__ = [
     "quat_normalize",
     "quat_canonical",
     "quat_multiply",
-    "quat_conjugate",
     "quat_to_matrix",
     "matrix_to_quat",
     "quat_from_rotvec",
@@ -62,20 +61,27 @@ def quat_multiply(a, b) -> np.ndarray:
     )
 
 
-def quat_conjugate(q) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([w, -x, -y, -z])
+def _quats_to_matrices(Q) -> np.ndarray:
+    """Rotation matrices of quaternions taken as given (unit input gives
+    proper rotations): shape (4,) -> (3, 3), or (k, 4) -> (k, 3, 3).
 
-
-def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = quat_normalize(q)
-    return np.array(
+    A single quaternion is worked in numpy scalars, several times faster
+    than a batch of one, with the same floating-point operations.
+    """
+    w, x, y, z = Q.T
+    m = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+    # (3, 3, k) -> (k, 3, 3); a no-op for a single (3, 3) matrix.
+    return m.T.swapaxes(-1, -2)
+
+
+def quat_to_matrix(q) -> np.ndarray:
+    return _quats_to_matrices(quat_normalize(q))
 
 
 def matrix_to_quat(m) -> np.ndarray:

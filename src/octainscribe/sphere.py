@@ -63,7 +63,7 @@ class Containment(Enum):
     OUTSIDE = "OUTSIDE"
 
 
-def _as_unit(v, tol: float = 1e-12) -> np.ndarray:
+def _as_unit(v) -> np.ndarray:
     """Normalize to a unit vector, rejecting near-zero input."""
     a = np.asarray(v, dtype=float).reshape(3)
     n = float(np.linalg.norm(a))
@@ -82,13 +82,6 @@ class SpherePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "vec", _as_unit(self.vec))
-
-    @classmethod
-    def of(cls, x: float, y: float, z: float) -> "SpherePoint":
-        return cls(np.array([x, y, z], dtype=float))
-
-    def antipode(self) -> "SpherePoint":
-        return SpherePoint(-self.vec)
 
     def __repr__(self):
         x, y, z = self.vec
@@ -200,8 +193,11 @@ class SphTriangle:
 class SphPolygon:
     """Convex geodesic polygon, >= 3 vertices, positively oriented.
 
-    The constructor reverses the vertex order if it is given clockwise;
-    it rejects non-convex input rather than repairing it.
+    The constructor validates the vertex cycle: it reverses the order if
+    it is given clockwise, then rejects input that is not strictly convex
+    or not inside an open hemisphere (salience, one `hemisphere_axis`
+    call) rather than repairing it.  `SolidAngle` relies on this as its
+    only validation pass.
     """
 
     __slots__ = ("vertices",)
@@ -303,18 +299,14 @@ def _side_normals(mat: np.ndarray) -> np.ndarray:
     return nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
 
 
-def triangle_side_margins(tri: SphTriangle, p) -> np.ndarray:
-    """Signed angular distances of p to the triangle's three side planes,
-    positive towards the interior."""
-    x = _vec(p)
-    dots = np.clip(_side_normals(tri.matrix) @ x, -1.0, 1.0)
+def polygon_side_margins(poly, p) -> np.ndarray:
+    """Signed angular distances of p to the side planes of a triangle or
+    convex polygon, positive towards the interior."""
+    dots = np.clip(_side_normals(poly.matrix) @ _vec(p), -1.0, 1.0)
     return np.arcsin(dots)
 
 
-def polygon_side_margins(poly: SphPolygon, p) -> np.ndarray:
-    x = _vec(p)
-    dots = np.clip(_side_normals(poly.matrix) @ x, -1.0, 1.0)
-    return np.arcsin(dots)
+triangle_side_margins = polygon_side_margins
 
 
 def _classify_margins(margins: np.ndarray, tol: float) -> Containment:
@@ -326,14 +318,11 @@ def _classify_margins(margins: np.ndarray, tol: float) -> Containment:
     return Containment.INSIDE
 
 
-def contains(tri: SphTriangle, p, closed: bool = True, tol: float = DEFAULT_TOL) -> Containment:
+def contains(tri: SphTriangle, p, tol: float = DEFAULT_TOL) -> Containment:
     """Locate p relative to the triangle: INSIDE / BOUNDARY / OUTSIDE.
 
-    BOUNDARY is the +-tol band around the sides.  `closed` only matters
-    when coercing the answer to a boolean (BOUNDARY counts as inside for
-    a closed region); the three-way answer itself does not depend on it.
+    BOUNDARY is the +-tol band around the sides.
     """
-    del closed
     return _classify_margins(triangle_side_margins(tri, p), tol)
 
 

@@ -83,6 +83,42 @@ def test_solid_angle_rejects_nonextreme_edge():
         SolidAngle((0, 0, 0), [E1, inner, E2, E3])
 
 
+def test_solid_angle_accepts_cone_whose_lp_axis_lies_outside():
+    # A wide, flat, strictly convex four-edge cone: the LP of
+    # hemisphere_axis returns an axis outside the cone, so sorting around
+    # that axis gave a non-convex order.  The edge mean is always inside.
+    edges = [
+        [-0.6639, -0.7478, 0.001],
+        [0.9627, -0.2705, 0.0004],
+        [0.946, -0.324, 0.001],
+        [-0.9999, -0.0103, 0.0008],
+    ]
+    ang = SolidAngle((0, 0, 0), edges)
+    assert ang.n_edges == 4
+    assert np.allclose(ang.edges[0], normalize(edges[0]), atol=1e-15)
+    assert np.allclose(ang.polygon.matrix, ang.edges, atol=1e-15)
+
+
+def test_solid_angle_solves_hemisphere_axis_once(monkeypatch):
+    from octainscribe import angles, sphere
+
+    calls = []
+    real = sphere.hemisphere_axis
+
+    def counting(arr, tol=sphere.DEFAULT_TOL):
+        calls.append(len(arr))
+        return real(arr, tol)
+
+    # Both modules bind the name; count a call through either.
+    monkeypatch.setattr(sphere, "hemisphere_axis", counting)
+    monkeypatch.setattr(angles, "hemisphere_axis", counting)
+    flat = [normalize([1, 0, 0.01]), normalize([-0.5, 0.87, 0.01]), normalize([-0.5, -0.87, 0.01])]
+    for edges in ([E1, E3, E2], [E1, normalize([1, 1, -0.2]), E2, E3], flat):
+        calls.clear()
+        SolidAngle((0, 0, 0), edges)
+        assert calls == [len(edges)]
+
+
 def test_spherical_triangle_of_cube_corner():
     ang = SolidAngle((0, 0, 0), np.eye(3))
     tri = spherical_triangle_of(ang)

@@ -160,3 +160,20 @@ def test_path_special_exit_1(capsys):
     code = main(["path", "0.3", "0.3", "0.3"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "--bogus"], [], ["path", "a", "b", "c"], ["inscribe", "cube.off", "--seed", "0"]],
+    ids=["unknown-option", "no-subcommand", "non-numeric-sides", "removed-seed-flag"],
+)
+def test_usage_error_exit_64(argv, capsys):
+    code = main(argv)
+    assert "usage:" in capsys.readouterr().err
+    assert code == 64
+
+
+def test_help_exit_0(capsys):
+    code = main(["--help"])
+    assert "usage:" in capsys.readouterr().out
+    assert code == 0

@@ -3,11 +3,13 @@ import pytest
 
 from octainscribe.rotations import (
     OCTA_GROUP,
+    _quats_to_matrices,
     apply_rotvec,
     matrix_to_quat,
     octahedron_rotation_group,
     quat_canonical,
     quat_multiply,
+    quat_normalize,
     quat_to_matrix,
     super_fibonacci_rotations,
 )
@@ -72,3 +74,9 @@ def test_super_fibonacci_deterministic_and_unit():
     # reasonably spread: no two samples identical
     d = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=2) + np.eye(100)
     assert d.min() > 1e-3
+
+
+def test_batch_matrices_match_quat_to_matrix_bitwise():
+    Q = super_fibonacci_rotations(1000)
+    single = np.array([quat_to_matrix(q) for q in Q])
+    assert np.array_equal(_quats_to_matrices(np.array([quat_normalize(q) for q in Q])), single)
