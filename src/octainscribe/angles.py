@@ -166,10 +166,10 @@ class SolidAngle:
         if np.linalg.matrix_rank(E, tol=1e-9) < 3:
             raise InvalidSolidAngle("edges do not span 3 dimensions")
         mean = E.sum(axis=0)
-        nm = float(np.linalg.norm(mean))
-        if nm <= 1e-12:
+        if float(np.linalg.norm(mean)) <= 1e-12:
             raise InvalidSolidAngle("cone is not salient (the edges sum to nearly zero)")
-        E = E[_ccw_order(E, mean / nm)]
+        axis = _as_unit(mean)
+        E = E[_ccw_order(E, axis)]
         try:
             poly = SphPolygon(E, tol=tol)
         except GeometryError as exc:
@@ -178,7 +178,10 @@ class SolidAngle:
         self.apex = apex
         self.edges = E
         self.edges.flags.writeable = False
-        self.axis = _as_unit(E.sum(axis=0))
+        # The edge mean, not poly.axis: facet_normal's sign test needs a
+        # direction inside the cone, and the polygon's hemisphere axis,
+        # though positive against every edge, lies outside narrow cones.
+        self.axis = axis
         self._polygon = poly
 
     @classmethod

@@ -49,8 +49,9 @@ class DegenerateTriangle(GeometryError):
 
 
 class InvalidPolygon(GeometryError):
-    """Spherical polygon is not convex, not in an open hemisphere, or has
-    coincident consecutive vertices."""
+    """Spherical polygon is not strictly convex (which covers not lying in
+    an open hemisphere), or has coincident or antipodal consecutive
+    vertices."""
 
 
 class OutOfRange(GeometryError):
@@ -193,33 +194,52 @@ class SphTriangle:
 class SphPolygon:
     """Convex geodesic polygon, >= 3 vertices, positively oriented.
 
-    The constructor validates the vertex cycle: it reverses the order if
-    it is given clockwise, then rejects input that is not strictly convex
-    or not inside an open hemisphere (salience, one `hemisphere_axis`
-    call) rather than repairing it.  `SolidAngle` relies on this as its
-    only validation pass.
+    The constructor validates the vertex cycle in one pass over its sides
+    and rejects, rather than repairs, anything else: consecutive vertices
+    must be neither coincident nor antipodal, and every vertex off a side
+    must lie more than `tol` from that side's great circle (dot with the
+    side's unit normal), all on the same side.  A clockwise cycle is
+    reversed.  `SolidAngle` relies on this as its only validation pass.
+
+    Strict convexity implies salience, so there is no separate hemisphere
+    test: in the positive orientation a vertex has dot 0 with the inward
+    unit normals of its own two sides and dot > tol with the other n - 2,
+    so the sum of all inward unit side normals has dot >= (n - 2) tol
+    with every vertex.  `axis` is that sum, normalized (`hemisphere_axis`);
+    it need not lie inside the polygon.
+    Band decision: a cycle that is strictly convex at `tol` is accepted
+    even when no open hemisphere holds it with a margin above `tol`.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "axis")
 
     def __init__(self, points, tol: float = DEFAULT_TOL):
-        vs = [_vec(p) for p in points]
-        n = len(vs)
+        arr = np.array([_vec(p) for p in points])
+        n = len(arr)
         if n < 3:
             raise InvalidPolygon("a spherical polygon needs at least 3 vertices")
-        for i in range(n):
-            if arc_distance(vs[i], vs[(i + 1) % n]) < tol:
-                raise InvalidPolygon(f"consecutive vertices {i},{i+1} coincide")
-        arr = np.array(vs)
-        # Orientation from the signed hemisphere tests of the edges.
-        sign = _polygon_orientation(arr, tol)
-        if sign < 0:
+        nxt = np.roll(arr, -1, axis=0)
+        nrm = np.cross(arr, nxt)
+        lens = np.linalg.norm(nrm, axis=1)
+        sides = np.arctan2(lens, np.einsum("ij,ij->i", arr, nxt))
+        bad = np.flatnonzero(sides < tol)
+        if bad.size:
+            raise InvalidPolygon(f"consecutive vertices {bad[0]},{bad[0] + 1} coincide")
+        bad = np.flatnonzero(lens < 1e-12)
+        if bad.size:
+            raise InvalidPolygon(f"edge {bad[0]} joins antipodal or equal vertices")
+        # dots[i, j]: unit normal of side i (vertices i, i+1) against vertex j,
+        # leaving out the two vertices of the side itself.
+        dots = (nrm / lens[:, None]) @ arr.T
+        idx = np.arange(n)
+        off = np.ones((n, n), dtype=bool)
+        off[idx, idx] = off[idx, (idx + 1) % n] = False
+        dots = dots[off]
+        if dots.max() < -tol:
             arr = arr[::-1]
-        elif sign == 0:
+        elif dots.min() <= tol:
             raise InvalidPolygon("polygon is not strictly convex")
-        _check_polygon_convex(arr, tol)
-        if hemisphere_axis(arr, tol) is None:
-            raise InvalidPolygon("polygon is not contained in an open hemisphere")
+        self.axis = hemisphere_axis(arr, tol)
         self.vertices = tuple(SpherePoint(v) for v in arr)
 
     @property
@@ -230,65 +250,21 @@ class SphPolygon:
         return len(self.vertices)
 
 
-def _polygon_orientation(arr: np.ndarray, tol: float) -> int:
-    """+1 for counterclockwise (positive) vertex order, -1 for clockwise."""
-    n = len(arr)
-    pos = neg = 0
-    for i in range(n):
-        a, b = arr[i], arr[(i + 1) % n]
-        nrm = np.cross(a, b)
-        for j in range(n):
-            if j in (i, (i + 1) % n):
-                continue
-            s = float(np.dot(nrm, arr[j]))
-            if s > tol:
-                pos += 1
-            elif s < -tol:
-                neg += 1
-    if pos > 0 and neg == 0:
-        return 1
-    if neg > 0 and pos == 0:
-        return -1
-    return 0
+def hemisphere_axis(arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """A unit direction with positive dot against every vertex of a
+    positively oriented cycle that is strictly convex at `tol`, as
+    `SphPolygon` validates it: the normalized sum of the inward unit side
+    normals.
 
-
-def _check_polygon_convex(arr: np.ndarray, tol: float) -> None:
-    n = len(arr)
-    for i in range(n):
-        a, b = arr[i], arr[(i + 1) % n]
-        nrm = np.cross(a, b)
-        ln = float(np.linalg.norm(nrm))
-        if ln < 1e-12:
-            raise InvalidPolygon(f"edge {i} joins antipodal or equal vertices")
-        nrm = nrm / ln
-        others = [j for j in range(n) if j not in (i, (i + 1) % n)]
-        if any(float(np.dot(nrm, arr[j])) <= tol for j in others):
-            raise InvalidPolygon("polygon is not strictly convex in positive orientation")
-
-
-def hemisphere_axis(arr: np.ndarray, tol: float = DEFAULT_TOL):
-    """A unit direction with positive dot against every given unit vector,
-    or None if no open hemisphere contains them all.  The vector mean is
-    tried first; wide but valid configurations fall back to a small LP."""
-    mean = arr.sum(axis=0)
-    nm = float(np.linalg.norm(mean))
-    if nm > 1e-12:
-        u = mean / nm
-        if np.all(arr @ u > tol):
-            return u
-    from scipy.optimize import linprog
-
-    n = len(arr)
-    res = linprog(
-        c=[0.0, 0.0, 0.0, -1.0],
-        A_ub=np.hstack([-arr, np.ones((n, 1))]),
-        b_ub=np.zeros(n),
-        bounds=[(-1, 1)] * 3 + [(None, None)],
-        method="highs",
-    )
-    if not res.success or res.x[3] <= tol:
-        return None
-    return _as_unit(res.x[:3])
+    Convexity implies salience: each vertex has dot 0 with the normals of
+    its own two sides and dot > tol with the other n - 2, so the sum has
+    dot >= (n - 2) tol with every vertex, and no search is needed.  `tol`
+    enters only this bound; the cycle is not checked again.  Band
+    decision: a cycle strictly convex at `tol` gets an axis even when its
+    best hemisphere margin is <= tol.  The axis need not lie inside the
+    polygon; for a narrow one it lies far outside.
+    """
+    return _as_unit(_side_normals(arr).sum(axis=0))
 
 
 def _side_normals(mat: np.ndarray) -> np.ndarray:

@@ -83,10 +83,30 @@ def test_solid_angle_rejects_nonextreme_edge():
         SolidAngle((0, 0, 0), [E1, inner, E2, E3])
 
 
-def test_solid_angle_accepts_cone_whose_lp_axis_lies_outside():
-    # A wide, flat, strictly convex four-edge cone: the LP of
-    # hemisphere_axis returns an axis outside the cone, so sorting around
-    # that axis gave a non-convex order.  The edge mean is always inside.
+def test_solid_angle_accepts_narrow_cone():
+    # Convexity margins of about 1e-5 rad, while the unnormalized cross
+    # products of its edges are about 1e-10, below tol.
+    h = 1e-5
+    ang = SolidAngle((0, 0, 0), [(h, 0, 1), (0, h, 1), (-h, -h, 1)])
+    assert ang.n_edges == 3
+    assert np.all(ang.edges @ ang.polygon.axis > 0)
+    for i in range(3):
+        # Outward facet normals, although the polygon's hemisphere axis
+        # lies far outside so narrow a cone.
+        dots = ang.edges @ ang.facet_normal(i)
+        assert dots[(i + 2) % 3] < 0
+        assert np.all(dots < 1e-15)
+
+
+def _same_cycle(a, b):
+    return any(np.allclose(np.roll(a, k, axis=0), b, atol=1e-15) for k in range(len(a)))
+
+
+def test_solid_angle_accepts_cone_whose_lp_axis_lies_outside(no_lp):
+    # A wide, flat, strictly convex four-edge cone whose LP hemisphere axis
+    # lies outside the cone, so sorting around that axis would give a
+    # non-convex order.  The edge mean is always inside, and the side
+    # normals give a hemisphere axis without an LP.
     edges = [
         [-0.6639, -0.7478, 0.001],
         [0.9627, -0.2705, 0.0004],
@@ -97,6 +117,8 @@ def test_solid_angle_accepts_cone_whose_lp_axis_lies_outside():
     assert ang.n_edges == 4
     assert np.allclose(ang.edges[0], normalize(edges[0]), atol=1e-15)
     assert np.allclose(ang.polygon.matrix, ang.edges, atol=1e-15)
+    assert np.all(ang.edges @ ang.polygon.axis > 0)
+    assert _same_cycle(SolidAngle((0, 0, 0), edges[::-1]).edges, ang.edges)
 
 
 def test_solid_angle_solves_hemisphere_axis_once(monkeypatch):

@@ -210,6 +210,33 @@ def test_polygon_contains_quarter_lune():
     assert polygon_contains(quad, -centroid) is Containment.OUTSIDE
 
 
+def random_convex_cycle(rng, n):
+    """n points on an ellipse in the plane z = 1, counterclockwise seen from
+    +z, then rotated: a strictly convex cycle, often a wide, flat,
+    off-centre cone whose vertex mean is not a hemisphere axis."""
+    t = (np.arange(n) + rng.uniform(0, 0.5, n)) * (2 * math.pi / n)
+    a, b = 10 ** rng.uniform(0, 2), 10 ** rng.uniform(-1, 0)
+    c = rng.uniform(-2, 2, 2)
+    pts = np.column_stack([c[0] + a * np.cos(t), c[1] + b * np.sin(t), np.ones(n)])
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts @ random_rotation(rng).T
+
+
+def test_polygon_axis_is_closed_form(no_lp):
+    # Strict convexity alone certifies salience: the axis is the sum of the
+    # side normals, with no LP, and either orientation gives the same cycle.
+    rng = np.random.default_rng(11)
+    lune = np.array([normalize(v) for v in ([1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1])])
+    cycles = [lune] + [random_convex_cycle(rng, n) for n in range(3, 9) for _ in range(50)]
+    for k, pts in enumerate(cycles):
+        fwd, rev = SphPolygon(pts), SphPolygon(pts[::-1])
+        for poly in (fwd, rev):
+            assert np.all(poly.matrix @ poly.axis > 0)
+        assert np.array_equal(rev.matrix, fwd.matrix)
+        if k > 0:  # random cycles are generated counterclockwise
+            assert np.allclose(fwd.matrix, pts, atol=1e-15)
+
+
 def test_polygon_rejects_nonconvex():
     pts = [E1, normalize([1, 1, 0]), normalize([1, 0.1, 0.05]), normalize([1, 0, 1])]
     with pytest.raises(InvalidPolygon):
