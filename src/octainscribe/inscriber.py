@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .angles import GeneralKind, classify_general
-from .polytope import ConvexPolytope, SmoothedBody, is_simple, solid_angle_at
+from .polytope import FEATURE_KINDS, ConvexPolytope, Feature, SmoothedBody, is_simple, solid_angle_at
 from .pose import UNIT_VERTICES, OctahedronPose, pose_distance
 from .rotations import apply_rotvec, super_fibonacci_rotations
 from .sphere import GeometryError
@@ -250,11 +250,8 @@ def solve_at_epsilon(
 
 
 def _hugs_a_vertex(pose: OctahedronPose, body: ConvexPolytope, radius: float) -> bool:
-    X = pose.vertices()
-    for v in body.vertices:
-        if float(np.linalg.norm(X - v, axis=1).max()) < radius:
-            return True
-    return False
+    far = np.linalg.norm(pose.vertices() - body.vertices[:, None, :], axis=2).max(axis=1)
+    return bool(far.min() < radius)
 
 
 def _seed_poses(s: SmoothedBody, cfg: MultistartConfig):
@@ -436,13 +433,6 @@ def certify(p: ConvexPolytope, pose: OctahedronPose, tol: float) -> CertifyRepor
     """Re-evaluate the inscription claim: every generated vertex must lie
     within tol of the boundary surface.  Regularity of the octahedron
     holds by construction of the pose."""
-    from .polytope import distance_to_boundary
-
-    V = pose.vertices()
-    residuals = np.empty(6)
-    features = []
-    for j, x in enumerate(V):
-        d, feat = distance_to_boundary(p, x)
-        residuals[j] = d
-        features.append(feat)
-    return CertifyReport(bool(residuals.max() <= tol), residuals, tuple(features), float(tol))
+    residuals, _, kind, index = p.nearest_boundary(pose.vertices())
+    features = tuple(map(Feature, FEATURE_KINDS[kind], index.tolist()))
+    return CertifyReport(bool(residuals.max() <= tol), residuals, features, float(tol))

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+# Points per block of nearest_boundary; bounds its (points x features x 3) arrays.
+_POINT_BLOCK = 1024
 
 
 class Degenerate(GeometryError):
@@ -56,7 +58,8 @@ class Feature:
     index: int
 
 
-_KIND_RANK = {"facet": 0, "edge": 1, "vertex": 2}
+# Feature kind names by the kind code that nearest_boundary returns.
+FEATURE_KINDS = np.array(["facet", "edge", "vertex"], dtype=object)
 
 
 class ConvexPolytope:
@@ -128,12 +131,14 @@ class ConvexPolytope:
         tight_counts = (np.abs(slack) <= tol).sum(axis=1)
         if np.any(tight_counts < 3):
             raise Inconsistent("every vertex must have at least 3 tight halfspaces")
-        for fi, cyc in enumerate(self.facet_vertices):
-            if len(cyc) < 3:
-                raise Inconsistent(f"facet {fi} has fewer than 3 vertices")
-            plane_err = np.abs(self.vertices[list(cyc)] @ self.normals[fi] - self.offsets[fi])
-            if plane_err.max() > tol:
-                raise Inconsistent(f"facet {fi} vertex set is not coplanar with its halfspace")
+        sizes = np.array([len(cyc) for cyc in self.facet_vertices])
+        if np.any(sizes < 3):
+            raise Inconsistent(f"facet {np.argmax(sizes < 3)} has fewer than 3 vertices")
+        facet_of = np.repeat(np.arange(len(sizes)), sizes)
+        off_plane = np.abs(slack[np.concatenate(self.facet_vertices), facet_of]) > tol
+        if off_plane.any():
+            fi = facet_of[np.argmax(off_plane)]
+            raise Inconsistent(f"facet {fi} vertex set is not coplanar with its halfspace")
         if not self.inradius > 1e-6 * self.diameter:
             raise Degenerate("polytope is not full-dimensional (inradius too small)")
         for vi in range(len(self.vertices)):
@@ -146,65 +151,75 @@ class ConvexPolytope:
         return (P @ self.normals.T - self.offsets[None, :]).max(axis=1) <= tol
 
     def _projection_data(self):
+        """Built once: inward edge normals M of all facets, flat, with offsets
+        a . m and each facet's first row; edge origins, unit directions, lengths."""
         if self._proj is None:
-            facet_edges = []
-            for fi, cyc in enumerate(self.facet_vertices):
-                n = self.normals[fi]
-                pts = self.vertices[list(cyc)]
-                nxt = np.roll(pts, -1, axis=0)
-                inward = np.cross(n, nxt - pts)
-                inward /= np.linalg.norm(inward, axis=1, keepdims=True)
-                facet_edges.append((pts, inward))
-            A = self.vertices[[e[0] for e in self.edges]]
-            B = self.vertices[[e[1] for e in self.edges]]
-            T = B - A
+            cycles = self.facet_vertices
+            anchors = self.vertices[[i for cyc in cycles for i in cyc]]
+            ends = self.vertices[[i for cyc in cycles for i in cyc[1:] + cyc[:1]]]
+            sizes = [len(cyc) for cyc in cycles]
+            M = np.cross(np.repeat(self.normals, sizes, axis=0), ends - anchors)
+            M /= np.linalg.norm(M, axis=1, keepdims=True)
+            starts = np.cumsum([0] + sizes[:-1])
+            E = np.array(self.edges)
+            A = self.vertices[E[:, 0]]
+            T = self.vertices[E[:, 1]] - A
             L = np.linalg.norm(T, axis=1)
-            self._proj = (facet_edges, A, T / L[:, None], L)
+            self._proj = (M, np.einsum("ij,ij->i", anchors, M), starts, A, T / L[:, None], L)
         return self._proj
+
+    def _edge_feet(self, X):
+        """(n, E, 3) nearest points of every edge segment to each point."""
+        _, _, _, A, T, L = self._projection_data()
+        s = np.clip(np.einsum("nek,ek->ne", X[:, None, :] - A, T), 0.0, L)
+        return A + s[..., None] * T
 
     def nearest_boundary(self, points):
         """Nearest point of the boundary surface for each query point.
 
-        Returns (dist, proj, kind, index); ties resolve to facets before
-        edges before vertices, lowest index first.
+        Returns (dist, proj, kind, index), kind 0/1/2 for facet/edge/vertex,
+        with tol = 1e-12 * diameter.  Band rule: proj is the first candidate
+        (facet feet inside their polygon within tol, clamped edge feet, then
+        vertices, lowest index first) whose distance is within tol of the
+        smallest.  Feature rule: (kind, index) is the lowest-dimensional
+        feature holding proj, lowest index first: a vertex within tol of it,
+        else an edge within tol, else the chosen candidate (a facet, or an
+        edge whose band rounding misses far from the origin).
         """
         X = np.atleast_2d(np.asarray(points, dtype=float))
-        n_pts = len(X)
-        facet_edges, A, T, L = self._projection_data()
-        tie = 1e-12 * self.diameter
-        in_tol = 1e-12 * self.diameter
+        blocks = range(0, max(len(X), 1), _POINT_BLOCK)
+        parts = [self._nearest_in_block(X[i : i + _POINT_BLOCK]) for i in blocks]
+        return tuple(np.concatenate(a) for a in zip(*parts))
 
-        best_d = np.full(n_pts, np.inf)
-        best_p = np.zeros((n_pts, 3))
-        best_kind = np.full(n_pts, 3, dtype=int)
-        best_idx = np.full(n_pts, -1, dtype=int)
+    def _nearest_in_block(self, X):
+        M, Mc, starts, _, _, _ = self._projection_data()
+        tol = 1e-12 * self.diameter
+        n_f, n_e = len(self.normals), len(self.edges)
+        rows = np.arange(len(X))
 
-        def consider(dist, proj, kind, idx, mask=None):
-            better = dist < best_d - tie
-            if mask is not None:
-                better &= mask
-            best_d[better] = dist[better]
-            best_p[better] = proj[better]
-            best_kind[better] = kind
-            best_idx[better] = idx
+        t = X @ self.normals.T - self.offsets
+        held = np.minimum.reduceat(X @ M.T - Mc, starts, axis=1) >= -tol
+        feet = np.concatenate(
+            [
+                X[:, None, :] - t[..., None] * self.normals,
+                self._edge_feet(X),
+                np.broadcast_to(self.vertices, (len(X),) + self.vertices.shape),
+            ],
+            axis=1,
+        )
+        dist = np.linalg.norm(X[:, None, :] - feet, axis=2)
+        dist[:, :n_f] = np.where(held, np.abs(t), np.inf)
+        col = np.argmax(dist <= dist.min(axis=1, keepdims=True) + tol, axis=1)
+        best_d, proj = dist[rows, col], feet[rows, col]
 
-        for fi in range(len(self.normals)):
-            n = self.normals[fi]
-            t = X @ n - self.offsets[fi]
-            foot = X - t[:, None] * n
-            pts, inward = facet_edges[fi]
-            ok = np.ones(n_pts, dtype=bool)
-            for a, m in zip(pts, inward):
-                ok &= (foot - a) @ m >= -in_tol
-            consider(np.abs(t), foot, 0, fi, ok)
-        for ei in range(len(self.edges)):
-            s = np.clip((X - A[ei]) @ T[ei], 0.0, L[ei])
-            proj = A[ei] + s[:, None] * T[ei]
-            consider(np.linalg.norm(X - proj, axis=1), proj, 1, ei)
-        for vi in range(len(self.vertices)):
-            v = self.vertices[vi]
-            consider(np.linalg.norm(X - v, axis=1), np.broadcast_to(v, X.shape).copy(), 2, vi)
-        return best_d, best_p, best_kind, best_idx
+        on_vertex = np.linalg.norm(proj[:, None, :] - self.vertices, axis=2) <= tol
+        on_edge = np.linalg.norm(proj[:, None, :] - self._edge_feet(proj), axis=2) <= tol
+        own_kind = (col >= n_f).astype(int) + (col >= n_f + n_e)
+        hit = [on_vertex.any(axis=1), on_edge.any(axis=1)]
+        kind = np.select(hit, [2, 1], own_kind)
+        own_index = col - np.array([0, n_f, n_f + n_e])[own_kind]
+        index = np.select(hit, [on_vertex.argmax(axis=1), on_edge.argmax(axis=1)], own_index)
+        return best_d, proj, kind, index
 
     def distance_and_projection(self, points):
         """Euclidean distance to the solid body (0 inside) and the
@@ -346,11 +361,14 @@ def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
     hs = HalfspaceIntersection(np.hstack([N, -D[:, None]]), interior)
     pts = hs.intersections
     scale = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
-    keep = []
-    for p in pts:
-        if all(np.linalg.norm(p - q) > 1e-9 * scale for q in keep):
-            keep.append(p)
-    return build_from_vertices(np.array(keep))
+    # Keep each point unless it lies within 1e-9 * scale of an earlier kept one.
+    close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= 1e-9 * scale
+    close = np.triu(close, k=1)
+    keep = np.ones(len(pts), dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)):
+        if keep[i]:
+            keep &= ~close[i]
+    return build_from_vertices(pts[keep])
 
 
 def build(vertices=None, halfspaces=None) -> ConvexPolytope:
@@ -389,24 +407,10 @@ def solid_angle_at(p: ConvexPolytope, vi: int) -> SolidAngle:
 
 
 def distance_to_boundary(p: ConvexPolytope, x):
-    """Unsigned distance from x to the boundary surface, with the nearest
-    feature (the lowest-dimensional feature containing the projection;
-    ties resolve to the lowest feature index)."""
-    d, proj, kind, idx = p.nearest_boundary(np.asarray(x, dtype=float).reshape(1, 3))
-    y = proj[0]
-    tol = 1e-12 * p.diameter
-    for vi, v in enumerate(p.vertices):
-        if float(np.linalg.norm(y - v)) <= tol:
-            return float(d[0]), Feature("vertex", vi)
-    for ei, (i, j) in enumerate(p.edges):
-        a, b = p.vertices[i], p.vertices[j]
-        t = b - a
-        ln = float(np.linalg.norm(t))
-        s = float(np.dot(y - a, t)) / ln**2
-        if -1e-12 <= s <= 1 + 1e-12 and float(np.linalg.norm(a + s * t - y)) <= tol:
-            return float(d[0]), Feature("edge", ei)
-    kind_name = ("facet", "edge", "vertex")[int(kind[0])]
-    return float(d[0]), Feature(kind_name, int(idx[0]))
+    """Unsigned distance from x to the boundary surface, with the feature
+    that `ConvexPolytope.nearest_boundary` names for it."""
+    d, _, kind, index = p.nearest_boundary(np.asarray(x, dtype=float).reshape(1, 3))
+    return float(d[0]), Feature(FEATURE_KINDS[kind[0]], int(index[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ from octainscribe.inscriber import (
     solve_at_epsilon,
 )
 from octainscribe.inscriber import _apply_step, _exact_residual
-from octainscribe.polytope import SmoothedBody, build_from_vertices, cube, regular_tetrahedron
+from octainscribe.polytope import (
+    SmoothedBody,
+    build_from_vertices,
+    cube,
+    regular_octahedron,
+    regular_tetrahedron,
+)
 from octainscribe.pose import OctahedronPose, pose_distance
 from octainscribe.rotations import IDENTITY_QUAT
 
@@ -227,6 +233,45 @@ def test_certify_cases():
     assert certify(c, good, 1e-10).ok
     assert not certify(c, identity_pose(0.5), 1e-10).ok
     assert not certify(c, identity_pose(1.0, center=(3, 0, 0)), 1e-10).ok
+
+
+def test_certify_reports_lowest_dimensional_feature():
+    def facet_of(body, x):
+        return int(np.argmax(body.normals @ x))
+
+    def edge_through(body, x):
+        # the one edge whose open segment holds x
+        (ei,) = [
+            ei
+            for ei, (i, j) in enumerate(body.edges)
+            if np.linalg.norm(np.cross(body.vertices[j] - x, body.vertices[i] - x)) < 1e-12
+            and np.dot(body.vertices[i] - x, body.vertices[j] - x) < 0
+        ]
+        return ei
+
+    def vertex_at(body, x):
+        return int(np.argmin(np.linalg.norm(body.vertices - x, axis=1)))
+
+    def features(body, pose):
+        return [(f.kind, f.index) for f in certify(body, pose, 1e-10).features]
+
+    c = cube()
+    V = identity_pose(1.0).vertices()
+    assert features(c, identity_pose(1.0)) == [("facet", facet_of(c, x)) for x in V]
+
+    # Rotated 45 degrees about z: the four equatorial vertices sit at edge
+    # midpoints (+-1, +-1, 0), the two polar ones outside the z facets.
+    q = np.array([math.cos(math.pi / 8), 0.0, 0.0, math.sin(math.pi / 8)])
+    turned = OctahedronPose(np.zeros(3), q, math.sqrt(2))
+    V = turned.vertices()
+    expected = [("edge", edge_through(c, x)) for x in V[:4]]
+    expected += [("facet", facet_of(c, x)) for x in V[4:]]
+    assert len({i for _, i in expected[:4]}) == 4
+    assert features(c, turned) == expected
+
+    o = regular_octahedron()
+    V = identity_pose(1.0).vertices()
+    assert features(o, identity_pose(1.0)) == [("vertex", vertex_at(o, x)) for x in V]
 
 
 def test_certify_idempotent_on_final_reports():

@@ -242,6 +242,94 @@ def test_distance_to_boundary_edge_feature():
     assert feat.kind == "edge"
 
 
+def _reference_nearest_feature(p, x):
+    """The per-feature loop that nearest_boundary replaced: facets, edges
+    and vertices considered in turn, a later candidate winning only when
+    nearer by more than 1e-12 * diameter; the feature is then re-derived
+    from the projection.  Returns (dist, proj, kind, index)."""
+    tol = 1e-12 * p.diameter
+    best = (np.inf, None, None, None)
+
+    def consider(dist, proj, kind, idx):
+        nonlocal best
+        if dist < best[0] - tol:
+            best = (dist, proj, kind, idx)
+
+    for fi, cyc in enumerate(p.facet_vertices):
+        n = p.normals[fi]
+        t = x @ n - p.offsets[fi]
+        foot = x - t * n
+        pts = p.vertices[list(cyc)]
+        inward = np.cross(n, np.roll(pts, -1, axis=0) - pts)
+        inward /= np.linalg.norm(inward, axis=1, keepdims=True)
+        if all((foot - a) @ m >= -tol for a, m in zip(pts, inward)):
+            consider(abs(t), foot, "facet", fi)
+    for ei, (i, j) in enumerate(p.edges):
+        a, b = p.vertices[i], p.vertices[j]
+        u = (b - a) / np.linalg.norm(b - a)
+        proj = a + np.clip((x - a) @ u, 0.0, np.linalg.norm(b - a)) * u
+        consider(np.linalg.norm(x - proj), proj, "edge", ei)
+    for vi, v in enumerate(p.vertices):
+        consider(np.linalg.norm(x - v), v, "vertex", vi)
+
+    d, y, kind, idx = best
+    for vi, v in enumerate(p.vertices):
+        if np.linalg.norm(y - v) <= tol:
+            return d, y, "vertex", vi
+    for ei, (i, j) in enumerate(p.edges):
+        a, t = p.vertices[i], p.vertices[j] - p.vertices[i]
+        s = (y - a) @ t / (t @ t)
+        if -1e-12 <= s <= 1 + 1e-12 and np.linalg.norm(a + s * t - y) <= tol:
+            return d, y, "edge", ei
+    return d, y, kind, idx
+
+
+def test_nearest_boundary_matches_per_feature_reference():
+    rng = np.random.default_rng(41)
+    normals = rng.normal(size=(64, 3))
+    bodies = [cube(), regular_tetrahedron()]
+    bodies += [random_simple_polytope(rng) for _ in range(3)]
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    bodies.append(build_from_halfspaces(normals, np.ones(64)))
+    assert len(bodies[-1].normals) == 64
+    kinds = ("facet", "edge", "vertex")
+    for p in bodies:
+        V = p.vertices
+        mids = np.array([(V[i] + V[j]) / 2 for i, j in p.edges])
+        centroids = np.array([V[list(cyc)].mean(axis=0) for cyc in p.facet_vertices])
+        inner = rng.dirichlet(np.ones(len(V)), size=30) @ V
+        dirs = rng.normal(size=(30, 3))
+        outer = p.center + dirs / np.linalg.norm(dirs, axis=1)[:, None] * p.diameter
+        X = np.vstack([inner, outer, V, mids, centroids, p.center])
+        assert p.contains(inner).all() and not p.contains(outer).any()
+        dist, proj, kind, index = p.nearest_boundary(X)
+        tol = 1e-12 * p.diameter
+        for k, x in enumerate(X):
+            d_ref, y_ref, kind_ref, idx_ref = _reference_nearest_feature(p, x)
+            assert abs(dist[k] - d_ref) <= tol
+            assert np.linalg.norm(proj[k] - y_ref) <= tol
+            assert (kinds[kind[k]], index[k]) == (kind_ref, idx_ref)
+            _, feat = distance_to_boundary(p, x)
+            assert (feat.kind, feat.index) == (kind_ref, idx_ref)
+
+
+def test_nearest_boundary_names_the_chosen_edge_far_from_origin():
+    # A million diameters out, rounding exceeds the 1e-12 * diameter band,
+    # so proj on an edge can miss that edge's band; the chosen edge is named.
+    base = regular_tetrahedron()
+    p = build_from_vertices(base.vertices + 1e6 * base.diameter * np.array([0.6, -0.8, 0.3]))
+    dirs = np.random.default_rng(3).normal(size=(200, 3))
+    X = p.center + dirs / np.linalg.norm(dirs, axis=1)[:, None] * p.diameter
+    dist, proj, kind, index = p.nearest_boundary(X)
+    off_band = np.linalg.norm(proj[:, None] - p._edge_feet(proj), axis=2).min(axis=1)
+    assert np.any((kind == 1) & (off_band > 1e-12 * p.diameter))
+    for k, x in enumerate(X):
+        d_ref, y_ref, kind_ref, idx_ref = _reference_nearest_feature(p, x)
+        assert abs(dist[k] - d_ref) <= 1e-9 * p.diameter
+        assert np.linalg.norm(proj[k] - y_ref) <= 1e-9 * p.diameter
+        assert (("facet", "edge", "vertex")[kind[k]], index[k]) == (kind_ref, idx_ref)
+
+
 def test_random_polytopes_validate():
     rng = np.random.default_rng(20)
     for _ in range(5):
