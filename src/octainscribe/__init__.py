@@ -55,7 +55,6 @@ from .polytope import (
     Feature,
     Inconsistent,
     SmoothedBody,
-    build,
     build_from_halfspaces,
     build_from_vertices,
     cube,

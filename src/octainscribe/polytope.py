@@ -11,10 +11,11 @@ signed distances and gradients without ever meshing the rounded body.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .angles import SolidAngle
 from .sphere import GeometryError, _as_unit
@@ -25,7 +26,6 @@ __all__ = [
     "ConvexPolytope",
     "SmoothedBody",
     "Feature",
-    "build",
     "build_from_vertices",
     "build_from_halfspaces",
     "is_simple",
@@ -65,6 +65,9 @@ FEATURE_KINDS = np.array(["facet", "edge", "vertex"], dtype=object)
 class ConvexPolytope:
     """Immutable convex 3-polytope.
 
+    The constructor checks only that the representations agree; the
+    builders validate outside input (full-dimensional, valid vertex angles).
+
     Attributes
     ----------
     normals, offsets : minimal H-representation (unit outward normals,
@@ -75,21 +78,8 @@ class ConvexPolytope:
     vertex_facets : per vertex, sorted indices of incident facets.
     edges : sorted vertex-index pairs; edge_facets gives the two facets
         meeting at each edge.
+    center, inradius : the Chebyshev ball, solved on first read.
     """
-
-    __slots__ = (
-        "normals",
-        "offsets",
-        "vertices",
-        "facet_vertices",
-        "vertex_facets",
-        "edges",
-        "edge_facets",
-        "diameter",
-        "inradius",
-        "center",
-        "_proj",
-    )
 
     def __init__(self, normals, offsets, vertices, facet_vertices):
         self.normals = np.asarray(normals, dtype=float)
@@ -117,10 +107,6 @@ class ConvexPolytope:
 
         diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
         self.diameter = float(np.sqrt((diffs**2).sum(axis=2)).max())
-        center, inradius = _chebyshev(self.normals, self.offsets)
-        self.center = center
-        self.inradius = inradius
-        self._proj = None
         self._validate()
 
     def _validate(self):
@@ -139,38 +125,40 @@ class ConvexPolytope:
         if off_plane.any():
             fi = facet_of[np.argmax(off_plane)]
             raise Inconsistent(f"facet {fi} vertex set is not coplanar with its halfspace")
-        if not self.inradius > 1e-6 * self.diameter:
-            raise Degenerate("polytope is not full-dimensional (inradius too small)")
-        for vi in range(len(self.vertices)):
-            solid_angle_at(self, vi)
 
     # -- queries ----------------------------------------------------------
+
+    @cached_property
+    def _ball(self):
+        return _chebyshev(self.normals, self.offsets)
+
+    center = property(lambda self: self._ball[0])
+    inradius = property(lambda self: self._ball[1])
 
     def contains(self, points, tol: float = 0.0) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))
         return (P @ self.normals.T - self.offsets[None, :]).max(axis=1) <= tol
 
+    @cached_property
     def _projection_data(self):
-        """Built once: inward edge normals M of all facets, flat, with offsets
-        a . m and each facet's first row; edge origins, unit directions, lengths."""
-        if self._proj is None:
-            cycles = self.facet_vertices
-            anchors = self.vertices[[i for cyc in cycles for i in cyc]]
-            ends = self.vertices[[i for cyc in cycles for i in cyc[1:] + cyc[:1]]]
-            sizes = [len(cyc) for cyc in cycles]
-            M = np.cross(np.repeat(self.normals, sizes, axis=0), ends - anchors)
-            M /= np.linalg.norm(M, axis=1, keepdims=True)
-            starts = np.cumsum([0] + sizes[:-1])
-            E = np.array(self.edges)
-            A = self.vertices[E[:, 0]]
-            T = self.vertices[E[:, 1]] - A
-            L = np.linalg.norm(T, axis=1)
-            self._proj = (M, np.einsum("ij,ij->i", anchors, M), starts, A, T / L[:, None], L)
-        return self._proj
+        """Inward edge normals M of all facets, flat, with offsets a . m and
+        each facet's first row; edge origins, unit directions, lengths."""
+        cycles = self.facet_vertices
+        anchors = self.vertices[[i for cyc in cycles for i in cyc]]
+        ends = self.vertices[[i for cyc in cycles for i in cyc[1:] + cyc[:1]]]
+        sizes = [len(cyc) for cyc in cycles]
+        M = np.cross(np.repeat(self.normals, sizes, axis=0), ends - anchors)
+        M /= np.linalg.norm(M, axis=1, keepdims=True)
+        starts = np.cumsum([0] + sizes[:-1])
+        E = np.array(self.edges)
+        A = self.vertices[E[:, 0]]
+        T = self.vertices[E[:, 1]] - A
+        L = np.linalg.norm(T, axis=1)
+        return M, np.einsum("ij,ij->i", anchors, M), starts, A, T / L[:, None], L
 
     def _edge_feet(self, X):
         """(n, E, 3) nearest points of every edge segment to each point."""
-        _, _, _, A, T, L = self._projection_data()
+        _, _, _, A, T, L = self._projection_data
         s = np.clip(np.einsum("nek,ek->ne", X[:, None, :] - A, T), 0.0, L)
         return A + s[..., None] * T
 
@@ -192,7 +180,7 @@ class ConvexPolytope:
         return tuple(np.concatenate(a) for a in zip(*parts))
 
     def _nearest_in_block(self, X):
-        M, Mc, starts, _, _, _ = self._projection_data()
+        M, Mc, starts, _, _, _ = self._projection_data
         tol = 1e-12 * self.diameter
         n_f, n_e = len(self.normals), len(self.edges)
         rows = np.arange(len(X))
@@ -207,13 +195,14 @@ class ConvexPolytope:
             ],
             axis=1,
         )
-        dist = np.linalg.norm(X[:, None, :] - feet, axis=2)
-        dist[:, :n_f] = np.where(held, np.abs(t), np.inf)
+        dist = np.concatenate(
+            [np.where(held, np.abs(t), np.inf), _norm3(X[:, None, :] - feet[:, n_f:])], axis=1
+        )
         col = np.argmax(dist <= dist.min(axis=1, keepdims=True) + tol, axis=1)
         best_d, proj = dist[rows, col], feet[rows, col]
 
-        on_vertex = np.linalg.norm(proj[:, None, :] - self.vertices, axis=2) <= tol
-        on_edge = np.linalg.norm(proj[:, None, :] - self._edge_feet(proj), axis=2) <= tol
+        on_vertex = _norm3(proj[:, None, :] - self.vertices) <= tol
+        on_edge = _norm3(proj[:, None, :] - self._edge_feet(proj)) <= tol
         own_kind = (col >= n_f).astype(int) + (col >= n_f + n_e)
         hit = [on_vertex.any(axis=1), on_edge.any(axis=1)]
         kind = np.select(hit, [2, 1], own_kind)
@@ -245,6 +234,11 @@ class ConvexPolytope:
             f"ConvexPolytope({len(self.vertices)} vertices, "
             f"{len(self.normals)} facets, {len(self.edges)} edges)"
         )
+
+
+def _norm3(d):
+    """np.linalg.norm(d, axis=-1) for a last axis of length 3: same bits, faster."""
+    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +275,28 @@ def _assert_bounded(normals):
                 raise Degenerate("halfspace intersection is unbounded")
 
 
-def build_from_vertices(points) -> ConvexPolytope:
-    """Vertex input: convex hull, coplanar hull simplices merged into
+def _keep_first(close):
+    """Mask keeping item j unless close[i, j] for a kept item i < j."""
+    close = np.triu(close, k=1)
+    keep = np.ones(len(close), dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)):
+        if keep[i]:
+            keep &= ~close[i]
+    return keep
+
+
+def _vertices_of(N, D, interior):
+    """Vertices of {x : N x <= D} (unit normals) from the dual hull about a strictly
+    interior point, each kept unless within 1e-9 * scale of an earlier kept one."""
+    pts = HalfspaceIntersection(np.hstack([N, -D[:, None]]), interior).intersections
+    scale = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
+    close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= 1e-9 * scale
+    return pts[_keep_first(close)]
+
+
+def _hull_polytope(P):
+    """Convex hull of the points: coplanar hull simplices merged into
     polygonal facets, interior points dropped."""
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2 or P.shape[1] != 3 or len(P) < 4:
-        raise Degenerate("need at least 4 points in R^3")
     scale = float(np.linalg.norm(P - P.mean(axis=0), axis=1).max())
     if scale < 1e-12:
         raise Degenerate("points are coincident")
@@ -298,22 +308,15 @@ def build_from_vertices(points) -> ConvexPolytope:
         raise Degenerate("points do not span 3 dimensions")
 
     verts = P[hull.vertices]
-    order = np.lexsort((verts[:, 2], verts[:, 1], verts[:, 0]))
-    verts = verts[order]
+    verts = verts[np.lexsort(verts.T[::-1])]
 
-    # Cluster hull simplex planes into facets.
-    planes = []
-    tol_n, tol_d = 1e-9, 1e-9 * scale
-    for eq in hull.equations:
-        n, d = eq[:3], -eq[3]
-        n = n / np.linalg.norm(n)
-        for k, (pn, pd) in enumerate(planes):
-            if float(np.dot(pn, n)) > 1.0 - tol_n and abs(pd - d) < tol_d:
-                break
-        else:
-            planes.append((n, d))
-    normals = np.array([p[0] for p in planes])
-    offsets = np.array([p[1] for p in planes])
+    # One facet per hull plane: the first of each set of coplanar simplices.
+    N = hull.equations[:, :3]
+    N = N / np.sqrt(np.vecdot(N, N))[:, None]
+    D = -hull.equations[:, 3]
+    same = (N @ N.T > 1.0 - 1e-9) & (np.abs(D[:, None] - D) < 1e-9 * scale)
+    keep = _keep_first(same)
+    normals, offsets = N[keep], D[keep]
     key = np.round(np.column_stack([normals, offsets / scale]), 9)
     order = np.lexsort(key.T[::-1])
     normals, offsets = normals[order], offsets[order]
@@ -340,9 +343,23 @@ def _facet_cycles(verts, normals, offsets, scale):
     return cycles
 
 
+def build_from_vertices(points) -> ConvexPolytope:
+    """Vertex input: the convex hull, checked to be full-dimensional and to
+    have a valid solid angle at every vertex."""
+    P = np.asarray(points, dtype=float)
+    if P.ndim != 2 or P.shape[1] != 3 or len(P) < 4:
+        raise Degenerate("need at least 4 points in R^3")
+    p = _hull_polytope(P)
+    if not p.inradius > 1e-6 * p.diameter:
+        raise Degenerate("polytope is not full-dimensional (inradius too small)")
+    for vi in range(len(p.vertices)):
+        solid_angle_at(p, vi)
+    return p
+
+
 def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
-    """Halfspace input: vertex enumeration via the dual hull, redundant
-    halfspaces pruned, then the standard vertex build."""
+    """Halfspace input: checked to be bounded with a nonempty interior, vertices
+    enumerated via the dual hull (redundant halfspaces drop out), then the vertex build."""
     N = np.asarray(normals, dtype=float)
     D = np.asarray(offsets, dtype=float).reshape(-1)
     if N.ndim != 2 or N.shape[1] != 3 or len(N) < 4 or len(N) != len(D):
@@ -356,30 +373,7 @@ def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
     interior, r = _chebyshev(N, D)
     if r <= 0:
         raise Degenerate("halfspace intersection has empty interior")
-    from scipy.spatial import HalfspaceIntersection
-
-    hs = HalfspaceIntersection(np.hstack([N, -D[:, None]]), interior)
-    pts = hs.intersections
-    scale = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
-    # Keep each point unless it lies within 1e-9 * scale of an earlier kept one.
-    close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= 1e-9 * scale
-    close = np.triu(close, k=1)
-    keep = np.ones(len(pts), dtype=bool)
-    for i in np.flatnonzero(close.any(axis=1)):
-        if keep[i]:
-            keep &= ~close[i]
-    return build_from_vertices(pts[keep])
-
-
-def build(vertices=None, halfspaces=None) -> ConvexPolytope:
-    """Build from either representation; the other one is completed."""
-    if (vertices is None) == (halfspaces is None):
-        raise ValueError("provide exactly one of vertices= or halfspaces=")
-    if vertices is not None:
-        return build_from_vertices(vertices)
-    normals = [h[0] for h in halfspaces]
-    offsets = [h[1] for h in halfspaces]
-    return build_from_halfspaces(normals, offsets)
+    return build_from_vertices(_vertices_of(N, D, interior))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +413,9 @@ def distance_to_boundary(p: ConvexPolytope, x):
 
 class SmoothedBody:
     """The union of all eps-balls contained in the base polytope,
-    represented implicitly as inner parallel body + eps."""
+    represented implicitly as inner parallel body + eps.  The inner body is
+    built from the validated base: the base's centre lies inside it by its
+    inradius, base.inradius - eps, so no input check is repeated."""
 
     __slots__ = ("base", "epsilon", "inner_body")
 
@@ -430,7 +426,10 @@ class SmoothedBody:
             )
         self.base = base
         self.epsilon = float(epsilon)
-        self.inner_body = build_from_halfspaces(base.normals, base.offsets - epsilon)
+        verts = _vertices_of(base.normals, base.offsets - epsilon, base.center)
+        self.inner_body = _hull_polytope(verts)
+        if not base.inradius - epsilon > 1e-6 * self.inner_body.diameter:
+            raise Degenerate("inner parallel body is not full-dimensional (inradius too small)")
 
     def signed_distance(self, points):
         """r(x) = dist(x, inner body) - eps, whose zero set is exactly the

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
+from octainscribe.angles import SolidAngle
 from octainscribe.generators import random_simple_polytope
 from octainscribe.polytope import (
     ConvexPolytope,
     Degenerate,
     SmoothedBody,
-    build,
     build_from_halfspaces,
     build_from_vertices,
     cube,
@@ -63,13 +64,6 @@ def test_build_drops_interior_points():
     assert len(t.vertices) == 4
 
 
-def test_build_dispatcher():
-    c = build(halfspaces=[(n, 1.0) for n in AXES])
-    assert len(c.vertices) == 8
-    with pytest.raises(ValueError):
-        build()
-
-
 def test_build_rejects_degenerate():
     with pytest.raises(Degenerate):
         build_from_vertices(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]))  # flat
@@ -79,6 +73,34 @@ def test_build_rejects_degenerate():
         build_from_halfspaces(
             np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]), np.ones(4)
         )  # slab, unbounded in z
+
+
+def _reference_facet_planes(P):
+    """The per-plane loop that the keep-first matrix replaced: each hull plane
+    is kept unless it matches an earlier kept one; then the facet sort."""
+    hull = ConvexHull(P)
+    scale = float(np.linalg.norm(P - P.mean(axis=0), axis=1).max())
+    planes = []
+    for eq in hull.equations:
+        n, d = eq[:3] / np.linalg.norm(eq[:3]), -eq[3]
+        if not any(pn @ n > 1.0 - 1e-9 and abs(pd - d) < 1e-9 * scale for pn, pd in planes):
+            planes.append((n, d))
+    normals = np.array([n for n, _ in planes])
+    offsets = np.array([d for _, d in planes])
+    order = np.lexsort(np.round(np.column_stack([normals, offsets / scale]), 9).T[::-1])
+    return normals[order], offsets[order]
+
+
+def test_facet_planes_match_per_plane_reference():
+    rng = np.random.default_rng(12)
+    pyramid = np.array([[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0], [0, 0, 1.5]], float)
+    clouds = [cube().vertices, regular_octahedron().vertices, pyramid, rng.normal(size=(40, 3))]
+    clouds += [random_simple_polytope(rng).vertices for _ in range(3)]
+    for P in clouds:
+        p = build_from_vertices(P)
+        normals, offsets = _reference_facet_planes(P)
+        assert np.array_equal(p.normals, normals)
+        assert np.array_equal(p.offsets, offsets)
 
 
 def test_deterministic_output():
@@ -150,6 +172,72 @@ def test_smoothed_epsilon_bounds():
         SmoothedBody(cube(), 1.0)
     with pytest.raises(Degenerate):
         SmoothedBody(cube(), 0.0)
+
+
+def _count_solid_angles(monkeypatch):
+    """Count SolidAngle constructions from here on; returns the counter."""
+    made = [0]
+    init = SolidAngle.__init__
+
+    def counted(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SolidAngle, "__init__", counted)
+    return made
+
+
+def test_smoothed_body_solves_no_lp_and_builds_no_solid_angle(request, monkeypatch):
+    bases = [cube(), regular_tetrahedron(), random_simple_polytope(np.random.default_rng(4))]
+    radii = [p.inradius for p in bases]  # the base's own Chebyshev LP, solved here
+    request.getfixturevalue("no_lp")
+    made = _count_solid_angles(monkeypatch)
+    for p, r in zip(bases, radii):
+        for eps in (0.5 * r, 0.01 * r):
+            SmoothedBody(p, eps)
+    assert made[0] == 0
+
+
+def test_builders_build_one_solid_angle_per_vertex(monkeypatch):
+    corners = cube().vertices
+    made = _count_solid_angles(monkeypatch)
+    build_from_vertices(corners)
+    assert made[0] == 8
+    made[0] = 0
+    normals = np.vstack([AXES, [[1, 1, 1] / np.sqrt(3)]])
+    build_from_halfspaces(normals, np.concatenate([np.ones(6), [1.5]]))  # one corner cut
+    assert made[0] == 10
+
+
+def test_inner_body_matches_halfspace_build():
+    """The inner body equals the outside-input build of the pushed-in
+    halfspaces over the continuation's epsilon ladder, including where its
+    face lattice differs from the base's."""
+    rng = np.random.default_rng(2024)
+    bodies = [cube(), regular_tetrahedron()] + [random_simple_polytope(rng) for _ in range(20)]
+    lattice_changes = 0
+    for p in bodies:
+        eps = 0.2 * p.inradius
+        while eps > 1e-6 * p.diameter:
+            inner = SmoothedBody(p, eps).inner_body
+            ref = build_from_halfspaces(p.normals, p.offsets - eps)
+            tol = 1e-12 * p.diameter
+            assert inner.facet_vertices == ref.facet_vertices
+            assert inner.edges == ref.edges
+            assert np.abs(inner.normals - ref.normals).max() <= tol
+            assert np.abs(inner.offsets - ref.offsets).max() <= tol
+            assert np.abs(inner.vertices - ref.vertices).max() <= tol
+            lattice_changes += inner.facet_vertices != p.facet_vertices
+            eps *= 0.5
+    assert lattice_changes >= 1
+
+
+def test_smoothed_thin_box_near_inradius_is_degenerate():
+    half = np.array([1.0, 1.0, 0.01])
+    box = build_from_halfspaces(AXES, np.concatenate([half, half]))
+    SmoothedBody(box, box.inradius - 1e-5)
+    with pytest.raises(Degenerate):
+        SmoothedBody(box, box.inradius - 1e-7)
 
 
 def test_smoothed_membership_against_oracle():
