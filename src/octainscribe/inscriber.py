@@ -5,15 +5,20 @@ on the zero set of the smoothed signed distance.  Six equations in seven
 pose parameters leaves a one-dimensional solution set, so the damped
 least-squares steps are minimum-norm; the smoothing parameter is then
 halved repeatedly, each solution seeding the next, and the limit pose is
-polished directly against the polytope boundary.  Families that shrink
-towards a vertex are detected by the diameter diagnostic and replaced by
-a fresh multistart that excludes vertex-hugging poses.
+polished directly against the polytope boundary.  The continuation needs
+one start, so the initial seed loop runs lazily: it stops at the first
+converged pose in seed order that has not collapsed to a point, and runs
+on to the usual stop rule only if that track fails.  Families that shrink
+towards a vertex are detected by the same diameter diagnostic and replaced
+by a fresh multistart that excludes vertex-hugging poses.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -74,7 +79,10 @@ class MultistartConfig:
     scale_max_rel: float = 0.5
     vertex_pullback: float = 0.25   # seed centers: vertex + pullback * (center - vertex)
     max_solutions: Optional[int] = 12
-    stop_scale_rel: float = 0.05    # early stop only once a non-collapsed pose is in hand
+    # Stop once max_solutions are in hand and one has diameter at least
+    # min(stop_scale_rel * diameter, sqrt(3) * inradius): the second term
+    # is half the largest diameter an octahedron inside the body can have.
+    stop_scale_rel: float = 0.05
     dedup_tol_rel: float = 1e-6
     seed_max_iter: int = 80
 
@@ -121,6 +129,10 @@ class ContinuationTrace:
     diameter_history: tuple         # 2 * scale per step
     flags: tuple = ()
     warnings: tuple = ()
+    # The initial seed loop as far as it ran: seeds solved, converged solves,
+    # distinct solutions, and solutions passed over before the first start
+    # because they had collapsed.
+    initial_search: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -128,6 +140,7 @@ class ContinuationTrace:
             "diameter_history": [float(d) for d in self.diameter_history],
             "flags": list(self.flags),
             "warnings": list(self.warnings),
+            "initial_search": {k: int(v) for k, v in self.initial_search.items()},
         }
 
 
@@ -271,6 +284,41 @@ def _seed_poses(s: SmoothedBody, cfg: MultistartConfig):
                 yield OctahedronPose(center, q, float(scale))
 
 
+def _solutions(
+    s: SmoothedBody, cfg: MultistartConfig, solver: SolverConfig, exclude_vertex_radius, tally
+):
+    """Yield the distinct converged solutions of the seed grid in seed order,
+    solving each seed only when the next solution is asked for.  `tally`
+    (a Counter) counts the seeds solved, the converged solves and the
+    solutions yielded."""
+    base = s.base
+    diam = base.diameter
+    stop_diameter = min(cfg.stop_scale_rel * diam, math.sqrt(3.0) * base.inradius)
+    seed_solver = replace(solver, max_iter=min(solver.max_iter, cfg.seed_max_iter))
+    found = []
+    for seed in _seed_poses(s, cfg):
+        rep = solve_at_epsilon(s, seed, seed_solver)
+        tally["seeds"] += 1
+        if not rep.converged:
+            continue
+        tally["converged"] += 1
+        if exclude_vertex_radius is not None and _hugs_a_vertex(
+            rep.pose, base, exclude_vertex_radius
+        ):
+            continue
+        if any(pose_distance(rep.pose, r.pose) < cfg.dedup_tol_rel * diam for r in found):
+            continue
+        found.append(rep)
+        tally["solutions"] += 1
+        yield rep
+        if (
+            cfg.max_solutions is not None
+            and len(found) >= cfg.max_solutions
+            and max(r.pose.diameter() for r in found) >= stop_diameter
+        ):
+            return
+
+
 def multistart(
     s: SmoothedBody,
     cfg: MultistartConfig = MultistartConfig(),
@@ -285,30 +333,17 @@ def multistart(
     sits within that distance of a single polytope vertex are discarded
     (used by the collapse restart).
 
+    The search stops once `max_solutions` are in hand and the largest has
+    diameter at least min(stop_scale_rel * diameter, sqrt(3) * inradius).
+    An octahedron inside the body has inradius diameter / (2 sqrt(3)), so
+    no solution is larger than 2 sqrt(3) * inradius; the second term lets
+    thin bodies stop without running the whole grid.
+
     Solutions come back in seed order (the canonical reduction order), so
     identical inputs give an identical list regardless of how seeds would
     be scheduled across workers.
     """
-    diam = s.base.diameter
-    seed_solver = replace(solver, max_iter=min(solver.max_iter, cfg.seed_max_iter))
-    found = []
-    for seed in _seed_poses(s, cfg):
-        rep = solve_at_epsilon(s, seed, seed_solver)
-        if not rep.converged:
-            continue
-        if exclude_vertex_radius is not None and _hugs_a_vertex(
-            rep.pose, s.base, exclude_vertex_radius
-        ):
-            continue
-        if any(pose_distance(rep.pose, r.pose) < cfg.dedup_tol_rel * diam for r in found):
-            continue
-        found.append(rep)
-        if (
-            cfg.max_solutions is not None
-            and len(found) >= cfg.max_solutions
-            and max(r.pose.diameter() for r in found) >= cfg.stop_scale_rel * diam
-        ):
-            break
+    found = list(_solutions(s, cfg, solver, exclude_vertex_radius, Counter()))
     if not found:
         raise NoSolutionFound(f"no inscribed octahedron found at epsilon={s.epsilon:.6g}")
     return found
@@ -352,6 +387,33 @@ def _largest(reports) -> SolveReport:
     return max(reports, key=lambda r: (r.pose.scale, -r.max_residual()))
 
 
+def _collapsed(pose: OctahedronPose, diam: float, cfg: ContinuationConfig) -> bool:
+    """The diameter diagnostic: a pose this small has shrunk towards a point."""
+    return pose.diameter() < cfg.collapse_threshold_rel * diam
+
+
+def _starts(solutions, diam: float, cfg: ContinuationConfig, tally):
+    """Continuation starts in the order they are tried: the first solution
+    in seed order that has not collapsed, then the remaining ones by
+    decreasing scale.  The seed loop runs on past the first start only when
+    its track fails.  If every solution has collapsed, the first one
+    leads."""
+    found = []
+    for rep in solutions:
+        found.append(rep)
+        if not _collapsed(rep.pose, diam, cfg):
+            break
+    if not found:
+        return
+    start = found[-1]
+    if _collapsed(start.pose, diam, cfg):
+        start = found[0]
+    tally["collapsed_skipped"] = found.index(start)
+    yield start
+    found.extend(solutions)
+    yield from sorted((r for r in found if r is not start), key=lambda r: -r.pose.scale)
+
+
 def continue_to_surface(p: ConvexPolytope, cfg: ContinuationConfig = ContinuationConfig()):
     """Track inscribed octahedra of the smoothed body as the smoothing
     parameter is halved to zero, then certify against the polytope itself.
@@ -365,29 +427,27 @@ def continue_to_surface(p: ConvexPolytope, cfg: ContinuationConfig = Continuatio
         raise ValueError(f"eps0 must lie in (0, inradius={p.inradius:.6g})")
 
     s0 = SmoothedBody(p, eps0)
-    try:
-        initial = multistart(s0, cfg.multistart, cfg.solver)
-    except NoSolutionFound as exc:
-        raise InscriptionFailed(f"multistart failed at eps0={eps0:.6g}: {exc}") from exc
-    # Track the canonical (first-found) solution; fall back to the larger
-    # remaining ones if its continuation fails.
-    queue = [initial[0]] + sorted(initial[1:], key=lambda r: -r.pose.scale)
-    queue = queue[: cfg.max_restarts + 1]
-
+    search = Counter(seeds=0, converged=0, solutions=0, collapsed_skipped=0)
+    solutions = _solutions(s0, cfg.multistart, cfg.solver, None, search)
+    starts = _starts(solutions, p.diameter, cfg, search)
+    tried = 0
     last_error = None
-    for start in queue:
+    for start in islice(starts, cfg.max_restarts + 1):
+        tried += 1
         try:
-            return _track_from(p, start, eps0, cfg, warnings)
+            return _track_from(p, start, eps0, cfg, warnings, search)
         except (InscriptionFailed, NoSolutionFound) as exc:
             last_error = exc
+    if not tried:
+        raise InscriptionFailed(f"multistart found no inscribed octahedron at eps0={eps0:.6g}")
     raise InscriptionFailed(
-        f"all {len(queue)} continuation starts failed (numerical failure of the search, "
+        f"all {tried} continuation starts failed (numerical failure of the search, "
         f"not a counterexample): {last_error}",
         trace=getattr(last_error, "trace", None),
     )
 
 
-def _track_from(p, start: SolveReport, eps0, cfg: ContinuationConfig, warnings):
+def _track_from(p, start: SolveReport, eps0, cfg: ContinuationConfig, warnings, search):
     diam = p.diameter
     steps = [(eps0, start)]
     flags = []
@@ -401,7 +461,7 @@ def _track_from(p, start: SolveReport, eps0, cfg: ContinuationConfig, warnings):
         rep = solve_at_epsilon(s, pose, cfg.solver)
         if not rep.converged:
             rep = _largest(multistart(s, cfg.multistart, cfg.solver))
-        if rep.pose.diameter() < cfg.collapse_threshold_rel * diam:
+        if _collapsed(rep.pose, diam, cfg):
             flags.append(f"VERTEX_COLLAPSE at epsilon={eps:.6g}")
             rep = _largest(
                 multistart(
@@ -420,6 +480,7 @@ def _track_from(p, start: SolveReport, eps0, cfg: ContinuationConfig, warnings):
         diameter_history=tuple(r.pose.diameter() for _, r in steps),
         flags=tuple(flags),
         warnings=tuple(warnings),
+        initial_search=dict(search),
     )
     if not final.converged:
         raise InscriptionFailed(

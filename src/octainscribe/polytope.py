@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .angles import SolidAngle
 from .sphere import GeometryError, _as_unit
@@ -260,19 +260,14 @@ def _chebyshev(normals, offsets):
 
 
 def _assert_bounded(normals):
-    for j in range(3):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(3)
-            c[j] = -sgn
-            res = linprog(
-                c=c,
-                A_ub=normals,
-                b_ub=np.zeros(len(normals)),
-                bounds=[(-1, 1)] * 3,
-                method="highs",
-            )
-            if not res.success or -res.fun > 1e-9:
-                raise Degenerate("halfspace intersection is unbounded")
+    """{x : N x <= D} is bounded iff its unit normals positively span R^3,
+    that is iff the origin lies strictly inside their convex hull."""
+    try:
+        hull = ConvexHull(normals)
+    except QhullError as exc:
+        raise Degenerate("halfspace intersection is unbounded (coplanar normals)") from exc
+    if not hull.equations[:, 3].max() < -1e-9:
+        raise Degenerate("halfspace intersection is unbounded")
 
 
 def _keep_first(close):

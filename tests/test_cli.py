@@ -93,6 +93,7 @@ def test_inscribe_cube(cube_off, tmp_path, capsys):
     assert doc["certified"] is True
     assert doc["schema"] == "octa-inscribe/1"
     assert "diameter_history" in doc["trace"]
+    assert doc["trace"]["initial_search"]["seeds"] >= 1
     assert open(obj_file).read().count("\nf ") == 8
 
 

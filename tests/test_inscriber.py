@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import octainscribe.inscriber as inscriber
+from octainscribe.generators import random_simple_polytope
 from octainscribe.inscriber import (
     ContinuationConfig,
+    InscriptionFailed,
     MultistartConfig,
     NoSolutionFound,
     SolverConfig,
@@ -222,6 +225,96 @@ def test_needle_tetrahedron_keeps_positive_diameter():
     trace, final = continue_to_surface(body)
     assert final.converged
     assert min(trace.diameter_history) > 1e-3 * body.diameter
+
+
+def _count_solves(monkeypatch, bound=None):
+    """Record the smoothing parameter of every solve_at_epsilon call; past
+    `bound` calls, fail at once."""
+    epsilons = []
+    real = inscriber.solve_at_epsilon
+
+    def counted(s, *args, **kwargs):
+        epsilons.append(s.epsilon)
+        if bound is not None and len(epsilons) > bound:
+            raise AssertionError(f"more than {bound} solve_at_epsilon calls")
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(inscriber, "solve_at_epsilon", counted)
+    return epsilons
+
+
+def _pose_key(pose):
+    return (*pose.center.tolist(), *pose.rotation.tolist(), pose.scale)
+
+
+def test_continuation_skips_collapsed_starts():
+    cfg = ContinuationConfig()
+    rng = np.random.default_rng(2024)  # the bodies of acceptance criterion 3
+    moved = 0
+    for p in (random_simple_polytope(rng) for _ in range(20)):
+        first = multistart(SmoothedBody(p, 0.2 * p.inradius))[0]
+        if first.pose.diameter() >= cfg.collapse_threshold_rel * p.diameter:
+            continue
+        moved += 1
+        trace, _ = continue_to_surface(p, cfg)
+        start = trace.steps[0][1]
+        assert start.pose.diameter() >= cfg.collapse_threshold_rel * p.diameter
+        assert not any(f.startswith("VERTEX_COLLAPSE") for f in trace.flags)
+        assert trace.initial_search["collapsed_skipped"] >= 1
+    assert moved > 0
+
+
+@pytest.mark.parametrize("threshold", [1e-3, 10.0], ids=["default", "every_pose_collapsed"])
+def test_fallback_queue_puts_first_non_collapsed_start_first(monkeypatch, threshold):
+    # With threshold 10 no pose counts as uncollapsed, and the first
+    # solution in seed order leads.
+    p = random_simple_polytope(np.random.default_rng(2024))
+    cfg = ContinuationConfig(collapse_threshold_rel=threshold)
+    found = multistart(SmoothedBody(p, 0.2 * p.inradius), cfg.multistart, cfg.solver)
+    assert found[0].pose.diameter() < 1e-3 * p.diameter
+    big = [r for r in found if r.pose.diameter() >= threshold * p.diameter]
+    first = big[0] if big else found[0]
+    rest = sorted((r for r in found if r is not first), key=lambda r: -r.pose.scale)
+    expected = [_pose_key(r.pose) for r in [first] + rest][: cfg.max_restarts + 1]
+
+    tried = []
+
+    def failing(p, start, *args):
+        tried.append(_pose_key(start.pose))
+        raise InscriptionFailed("forced failure")
+
+    monkeypatch.setattr(inscriber, "_track_from", failing)
+    with pytest.raises(InscriptionFailed, match="all 4 continuation starts failed"):
+        continue_to_surface(p, cfg)
+    assert tried == expected
+
+
+def test_initial_search_counts_seeds(monkeypatch):
+    c = cube()
+    epsilons = _count_solves(monkeypatch)
+    trace, _ = continue_to_surface(c)
+    eps0 = trace.steps[0][0]
+    search = trace.to_dict()["initial_search"]
+    assert search["seeds"] == sum(e == eps0 for e in epsilons) >= 1
+    assert search["converged"] == search["solutions"] == 1
+    assert search["collapsed_skipped"] == 0
+
+
+def test_thin_body_finishes_in_bounded_solves(monkeypatch):
+    # Inradius 0.0077 * diameter: no inscribed octahedron reaches the
+    # 0.05 * diameter stop scale, so a seed loop stopped by that scale
+    # alone runs its whole grid of about 4500 seeds.
+    rng = np.random.default_rng(1)
+    p = [random_simple_polytope(rng, n) for n in range(6, 13)][-1]
+    assert p.inradius < 0.01 * p.diameter
+    solves = _count_solves(monkeypatch, bound=300)
+    assert multistart(SmoothedBody(p, 0.2 * p.inradius))
+    solves.clear()
+    try:
+        _, final = continue_to_surface(p)
+    except InscriptionFailed:
+        return
+    assert certify(p, final.pose, 1e-7 * p.diameter).ok
 
 
 # -- certify ----------------------------------------------------------------------

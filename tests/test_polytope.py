@@ -209,6 +209,41 @@ def test_builders_build_one_solid_angle_per_vertex(monkeypatch):
     assert made[0] == 10
 
 
+def test_halfspace_build_solves_two_lps(monkeypatch):
+    # The boundedness check is a hull of the normals; the two LPs are the
+    # Chebyshev ball of the input and that of the built body.
+    import octainscribe.polytope as polytope
+
+    calls = [0]
+    real = polytope.linprog
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "linprog", counted)
+    normals = np.vstack([AXES, [[1, 1, 1] / np.sqrt(3)]])
+    build_from_halfspaces(normals, np.concatenate([np.ones(6), [1.5]]))
+    assert calls[0] == 2
+
+
+@pytest.mark.parametrize(
+    "normals",
+    [
+        # closed hemisphere: the origin lies on a face of the normals' hull
+        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]],
+        # coplanar normals: an infinite prism
+        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [1, 1, 0]],
+        # open hemisphere: the intersection is a cone open towards -z
+        [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0.2, 0.3, 1]],
+    ],
+    ids=["closed_hemisphere", "coplanar", "open_cone"],
+)
+def test_unbounded_halfspaces_are_degenerate(normals):
+    with pytest.raises(Degenerate, match="unbounded"):
+        build_from_halfspaces(np.array(normals, dtype=float), np.ones(len(normals)))
+
+
 def test_inner_body_matches_halfspace_build():
     """The inner body equals the outside-input build of the pushed-in
     halfspaces over the continuation's epsilon ladder, including where its
