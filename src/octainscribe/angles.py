@@ -303,6 +303,10 @@ class AngleClass:
             raise GeometryError("SPECIAL classification requires a certificate")
 
 
+# Labelings whose margins differ by less than this count as tied.
+_TIE = 1e-12
+
+
 def _margins_in_placed_triangle(p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
     """Signed containment margins of p3 in the triangle (t1, p2, t3)."""
     out = np.empty(3)
@@ -345,18 +349,19 @@ def placement_test(tri: SphTriangle, tol: float = DEFAULT_TOL) -> AngleClass:
 
     All 6 labelings and both mirror images are tried; the reported margin
     is the best over all of them (positive = proper placement with room,
-    negative = best placement still violated by that much).
+    negative = best placement still violated by that much).  The
+    certificate comes from the first labeling, in permutation order,
+    within _TIE of that best: mirror-image labelings tie exactly when the
+    length term binds, and the last bit must not pick between them.
     """
     V = tri.matrix
-    best_margin = -math.inf
-    best_data = None
-    for perm in permutations(range(3)):
-        m, placed, margins3, mirrored = _evaluate_labeling(V, perm)
-        if m > best_margin:
-            best_margin = m
-            best_data = (perm, placed, margins3, mirrored)
+    perms = list(permutations(range(3)))
+    results = [_evaluate_labeling(V, perm) for perm in perms]
+    best_margin = max(r[0] for r in results)
     if best_margin > tol:
-        perm, placed, margins3, mirrored = best_data
+        k = next(i for i, r in enumerate(results) if r[0] >= best_margin - _TIE)
+        perm = perms[k]
+        _, placed, margins3, mirrored = results[k]
         cert = PlacementCertificate(
             labeling=tuple(perm),
             mirrored=mirrored,

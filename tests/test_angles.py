@@ -3,6 +3,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octainscribe.angles import (
     ClassTag,
@@ -29,6 +31,7 @@ from octainscribe.angles import (
 )
 from octainscribe.generators import (
     random_large_side_sides,
+    random_rotation_matrix,
     random_small_special_sides,
     random_triangle,
     random_trihedral_angle,
@@ -285,6 +288,37 @@ def test_classify_small_angle_special_with_certificate():
 def test_classify_tetrahedron_corner_indeterminate():
     ang = SolidAngle.from_triangle(triangle_from_sides(T0_SIDE, T0_SIDE, T0_SIDE))
     assert classify_trihedral(ang).tag is ClassTag.INDETERMINATE
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_classify_equivariant_under_rigid_motion(seed):
+    # The verdict moves with the angle: same tag and margin, and the
+    # witness is the moved witness (the same certificate labeling).
+    rng = np.random.default_rng(seed)
+    ang = random_trihedral_angle(rng, apex_spread=1.0)
+    R = random_rotation_matrix(rng)
+    t = 10.0 * rng.normal(size=3)
+    moved = SolidAngle(R @ ang.apex + t, ang.edges @ R.T)
+    a, b = classify_trihedral(ang), classify_trihedral(moved)
+    assert b.tag is a.tag
+    assert abs(b.margin - a.margin) <= 1e-12
+    if a.tag is ClassTag.SPECIAL:
+        pa = construct_inscribed_octahedron(ang, a.certificate)
+        pb = construct_inscribed_octahedron(moved, b.certificate)
+        assert np.abs(pb.vertices() - (pa.vertices() @ R.T + t)).max() <= 1e-9 * pa.scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(0, 2), st.booleans())
+def test_classify_invariant_under_edge_relabeling(seed, shift, reverse):
+    rng = np.random.default_rng(seed)
+    ang = random_trihedral_angle(rng)
+    E = np.roll(ang.edges, shift, axis=0)
+    other = SolidAngle(ang.apex, E[::-1] if reverse else E)
+    a, b = classify_trihedral(ang), classify_trihedral(other)
+    assert b.tag is a.tag
+    assert abs(b.margin - a.margin) <= 1e-12
 
 
 # -- construct_inscribed_octahedron -----------------------------------------
