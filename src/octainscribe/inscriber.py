@@ -232,14 +232,14 @@ def _levenberg_marquardt(fn, pose, tol_res, cfg: SolverConfig, diam: float):
             lam *= cfg.lambda_up
             if lam > cfg.lambda_max:
                 break
-    final_res, final_J = fn(pose)
-    converged = bool(np.abs(final_res).max() <= tol_res)
+    # res and J always belong to pose: a step is kept only with its own.
+    converged = bool(np.abs(res).max() <= tol_res)
     warnings = ()
     if converged:
-        sv = np.linalg.svd(final_J, compute_uv=False)
+        sv = np.linalg.svd(J, compute_uv=False)
         if sv[-1] < 1e-7 * max(sv[0], 1e-300):
             warnings = ("rank_deficient_jacobian",)
-    return pose, final_res, iters, converged, warnings
+    return pose, res, iters, converged, warnings
 
 
 def solve_at_epsilon(
@@ -376,10 +376,10 @@ def _precondition_warnings(p: ConvexPolytope) -> list:
 def _polish_exact(p: ConvexPolytope, seed: OctahedronPose, cfg: ContinuationConfig):
     diam = p.diameter
     tol = cfg.solver.tol_res_rel * diam
-    pose, _, iters, converged, warnings = _levenberg_marquardt(
+    pose, res, iters, converged, warnings = _levenberg_marquardt(
         lambda q: _exact_residual(p, q), seed, tol, cfg.solver, diam
     )
-    d, _, _, _ = p.nearest_boundary(pose.vertices())
+    d = np.abs(res)  # the exact residual is the signed distance to the boundary
     return SolveReport(pose, d, iters, bool(converged and d.max() <= tol), 0.0, tol, warnings)
 
 
