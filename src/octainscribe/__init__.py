@@ -71,14 +71,11 @@ from .sphere import (
     DegenerateTriangle,
     GeometryError,
     InvalidPolygon,
-    OutOfRange,
-    SpherePoint,
     SphPolygon,
     SphTriangle,
     arc_distance,
     area,
     contains,
-    point_on_arc,
     polygon_contains,
     vertex_angle,
 )

@@ -28,10 +28,10 @@ from .sphere import (
     GeometryError,
     SphPolygon,
     SphTriangle,
+    _arcs,
     _as_unit,
-    _rotate_about,
     _tangent_towards,
-    _walk,
+    _unit_rows,
     arc_distance,
     hemisphere_axis,  # noqa: F401 - not called here, but the benchmark tracer wraps it
     polygon_area,
@@ -110,14 +110,24 @@ _T3 = np.array(
 
 T0_TRIANGLE = SphTriangle(_T1, _T2, _T3)
 
+# Inward unit normals of the sides t1 t2, t2 t3 and t3 t1.
+_T0_NORMALS = np.array(
+    [
+        _as_unit(np.cross(_T1, _T2)),
+        _as_unit(np.cross(_T2, _T3)),
+        _as_unit(np.cross(_T3, _T1)),
+    ]
+)
 
-def angle_from_sides(opposite: float, b: float, c: float) -> float:
-    """Spherical law of cosines: the vertex angle opposite a given side."""
-    sb, sc = math.sin(b), math.sin(c)
-    if sb < 1e-12 or sc < 1e-12:
+
+def angle_from_sides(opposite, b, c):
+    """Spherical law of cosines: the vertex angle opposite a given side.
+    Takes scalars or arrays of one shape, elementwise."""
+    sb, sc = np.sin(b), np.sin(c)
+    if np.min(sb) < 1e-12 or np.min(sc) < 1e-12:
         raise GeometryError("adjacent sides too short to define a vertex angle")
-    x = (math.cos(opposite) - math.cos(b) * math.cos(c)) / (sb * sc)
-    return math.acos(min(1.0, max(-1.0, x)))
+    x = (np.cos(opposite) - np.cos(b) * np.cos(c)) / (sb * sc)
+    return np.arccos(np.clip(x, -1.0, 1.0))
 
 
 def triangle_from_sides(s12: float, s13: float, s23: float) -> SphTriangle:
@@ -148,23 +158,23 @@ class SolidAngle:
     """Apex plus the extreme rays of a salient, full-dimensional convex
     cone, stored in counterclockwise order around an interior axis.
 
-    Construction sorts the given edges by azimuth around their mean,
-    keeping the first edge first.  A positive combination of the edges
-    lies strictly inside any salient convex cone, so this is the cone's
-    counterclockwise cycle; a near-zero mean is rejected at once.
-    Salience, orientation and strict convexity are then checked by the
-    one `SphPolygon` built from the sorted edges.
+    Construction normalizes the edges once and sorts them by azimuth
+    around their mean, keeping the first edge first.  A positive
+    combination of the edges lies strictly inside any salient convex
+    cone, so this is the cone's counterclockwise cycle; a near-zero mean
+    is rejected at once.  Salience, orientation and strict convexity
+    (which also rules out edges that do not span R^3) are then checked
+    by the one `SphPolygon` built from the sorted edges, and `edges` is
+    that polygon's read-only `matrix`.
     """
 
     __slots__ = ("apex", "edges", "axis", "_polygon")
 
     def __init__(self, apex, edges, tol: float = DEFAULT_TOL):
         apex = np.asarray(apex, dtype=float).reshape(3)
-        E = np.array([_as_unit(e) for e in edges])
+        E = _unit_rows(edges)
         if len(E) < 3:
             raise InvalidSolidAngle("a solid angle needs at least 3 edges")
-        if np.linalg.matrix_rank(E, tol=1e-9) < 3:
-            raise InvalidSolidAngle("edges do not span 3 dimensions")
         mean = E.sum(axis=0)
         if float(np.linalg.norm(mean)) <= 1e-12:
             raise InvalidSolidAngle("cone is not salient (the edges sum to nearly zero)")
@@ -176,8 +186,7 @@ class SolidAngle:
             msg = f"edges are not a salient, strictly convex cycle: {exc}"
             raise InvalidSolidAngle(msg) from exc
         self.apex = apex
-        self.edges = E
-        self.edges.flags.writeable = False
+        self.edges = poly.matrix
         # The edge mean, not poly.axis: facet_normal's sign test needs a
         # direction inside the cone, and the polygon's hemisphere axis,
         # though positive against every edge, lies outside narrow cones.
@@ -199,9 +208,7 @@ class SolidAngle:
     def facet_angles(self) -> np.ndarray:
         """Planar opening angle of each flat facet (facet i spans edges
         i and i+1), equal to the side lengths of the spherical polygon."""
-        E = self.edges
-        n = len(E)
-        return np.array([arc_distance(E[i], E[(i + 1) % n]) for i in range(n)])
+        return _arcs(self.edges, np.roll(self.edges, -1, axis=0))
 
     def facet_normal(self, i: int) -> np.ndarray:
         """Outward unit normal of facet i (apex-local halfspace n.x <= 0)."""
@@ -229,8 +236,17 @@ def spherical_triangle_of(angle: SolidAngle) -> SphTriangle:
     sphere points.  Facet angles equal the triangle's side lengths."""
     if angle.n_edges != 3:
         raise NotTrihedral(f"expected 3 edges, got {angle.n_edges}")
-    E = angle.edges
-    return SphTriangle(E[0], E[1], E[2])
+    return SphTriangle(*angle.edges)
+
+
+# The 6 labelings (v1, v2, v3) = (V[i], V[j], V[k]) in permutation order.
+# For side lengths (|V0 V1|, |V0 V2|, |V1 V2|), the pair {x, y} sits at
+# index x + y - 1, which gives each labeling's c = |v1 v2|, b = |v1 v3|
+# and a = |v2 v3|.  A SphTriangle is positively oriented, so a labeling
+# mirrors it exactly when it is an odd permutation.
+_PERMS = tuple(permutations(range(3)))
+_C, _B, _A = (np.array([p[x] + p[y] - 1 for p in _PERMS]) for x, y in ((0, 1), (0, 2), (1, 2)))
+_ODD = (False, True, True, False, False, True)
 
 
 def normalize_ordering(tri: SphTriangle) -> SphTriangle:
@@ -238,28 +254,21 @@ def normalize_ordering(tri: SphTriangle) -> SphTriangle:
 
     Returns the input object unchanged when it is already ordered.
     """
-    perm = _normalized_perm(tri)
-    if perm == (0, 1, 2):
+    k = _normalized_perm(tri.side_lengths())
+    if k == 0:
         return tri
-    w1, w2, w3 = tri.matrix[list(perm)]
-    if float(np.linalg.det(np.array([w1, w2, w3]))) < 0:
+    w1, w2, w3 = tri.matrix[list(_PERMS[k])]
+    if _ODD[k]:
         nrm = _as_unit(np.cross(w1, w2))
         w3 = w3 - 2.0 * float(np.dot(nrm, w3)) * nrm
     return SphTriangle(w1, w2, w3)
 
 
-def _normalized_perm(tri: SphTriangle) -> tuple:
-    """Permutation (i, j, k) of the triangle's labels with
-    |v_i v_j| >= |v_i v_k| >= |v_j v_k|."""
-    s12, s13, s23 = tri.side_lengths()
-    side = {frozenset((0, 1)): s12, frozenset((0, 2)): s13, frozenset((1, 2)): s23}
-    for perm in permutations(range(3)):
-        c = side[frozenset((perm[0], perm[1]))]
-        b = side[frozenset((perm[0], perm[2]))]
-        a = side[frozenset((perm[1], perm[2]))]
-        if c >= b >= a:
-            return perm
-    raise GeometryError("unreachable: some ordering always exists")
+def _normalized_perm(sides: np.ndarray) -> int:
+    """Index of the first labeling with |v1 v2| >= |v1 v3| >= |v2 v3|.
+    One always exists: v1 is the vertex shared by the two longest sides."""
+    c, b, a = sides[_C], sides[_B], sides[_A]
+    return int(np.flatnonzero((c >= b) & (b >= a))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +296,7 @@ class PlacementCertificate:
         P = self.placed_triangle.matrix
         if arc_distance(P[0], _T1) > 1e-10:
             raise GeometryError("certificate: placed v1 does not coincide with t1")
-        off = abs(math.asin(min(1.0, max(-1.0, float(np.dot(_as_unit(np.cross(_T1, _T2)), P[1]))))))
+        off = abs(math.asin(min(1.0, max(-1.0, float(_T0_NORMALS[0] @ P[1])))))
         if off > 1e-10 or arc_distance(P[1], _T1) > T0_SIDE + 1e-10:
             raise GeometryError("certificate: placed v2 does not lie on the arc t1 t2")
 
@@ -306,40 +315,49 @@ class AngleClass:
 # Labelings whose margins differ by less than this count as tied.
 _TIE = 1e-12
 
-
-def _margins_in_placed_triangle(p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
-    """Signed containment margins of p3 in the triangle (t1, p2, t3)."""
-    out = np.empty(3)
-    for k, (a, b) in enumerate(((_T1, p2), (p2, _T3), (_T3, _T1))):
-        nrm = _as_unit(np.cross(a, b))
-        out[k] = math.asin(min(1.0, max(-1.0, float(np.dot(nrm, p3)))))
-    return out
+# Unit tangent at t1 towards t2; t1 x tangent is the side normal _T0_NORMALS[0].
+_TANGENT = _tangent_towards(_T1, _T2)
+_MIRROR = np.array([1.0, -1.0])
 
 
-def _evaluate_labeling(V: np.ndarray, perm: tuple):
-    """Try to place the triangle with labels (v1, v2, v3) = V[perm].
+def _placements(sides: np.ndarray):
+    """Best placement of every labeling in `_PERMS`, from the three side
+    lengths alone.
 
-    Returns (margin, placed_vertices, margins3, mirrored); both mirror
-    positions of v3 are evaluated and the better one kept.
+    For labels (v1, v2, v3) with c = |v1 v2|, b = |v1 v3|, a = |v2 v3|:
+    v1 sits at t1, v2 at p2 = cos c t1 + sin c u on the arc t1 t2 (u the
+    tangent towards t2), and v3 at cos b t1 + sin b (cos A u +- sin A n)
+    with A the vertex angle at v1 and n = t1 x u, one point per mirror
+    image.  Its margin is the smaller of T0_SIDE - c and v3's margins
+    inside the triangle (t1, p2, t3), whose sides t1 p2 and t3 t1 lie on
+    fixed great circles; the better mirror image (the first on a tie) is
+    kept.  Returns per labeling the margin, p2, v3's position and its
+    three side margins.
     """
-    v1, v2, v3 = V[perm[0]], V[perm[1]], V[perm[2]]
-    c = arc_distance(v1, v2)
-    b = arc_distance(v1, v3)
-    a = arc_distance(v2, v3)
-    m_len = T0_SIDE - c
-    p2 = _walk(_T1, _T2, c)
-    theta = angle_from_sides(a, b, c)
-    tangent = _tangent_towards(_T1, _T2)
-    best = None
-    for sgn in (1.0, -1.0):
-        t_rot = _rotate_about(_T1, tangent, sgn * theta)
-        p3 = math.cos(b) * _T1 + math.sin(b) * t_rot
-        margins3 = _margins_in_placed_triangle(p2, p3)
-        m = min(m_len, float(margins3.min()))
-        if best is None or m > best[0]:
-            best = (m, p3, margins3)
-    mirrored = float(np.linalg.det(np.array([v1, v2, v3]))) < 0
-    return best[0], (_T1.copy(), p2, best[1]), best[2], mirrored
+    c, b, a = sides[_C], sides[_B], sides[_A]
+    theta = angle_from_sides(a, b, c)[:, None, None]
+    p2 = np.cos(c)[:, None] * _T1 + np.sin(c)[:, None] * _TANGENT
+    turned = np.cos(theta) * _TANGENT + (_MIRROR[:, None] * np.sin(theta)) * _T0_NORMALS[0]
+    p3 = np.cos(b)[:, None, None] * _T1 + np.sin(b)[:, None, None] * turned
+    normals = np.repeat(_T0_NORMALS[None], len(c), axis=0)
+    n2 = np.cross(p2, _T3)
+    normals[:, 1] = n2 / np.linalg.norm(n2, axis=1, keepdims=True)
+    margins3 = np.arcsin(np.clip(np.einsum("lmi,lsi->lms", p3, normals), -1.0, 1.0))
+    m = np.minimum((T0_SIDE - c)[:, None], margins3.min(axis=2))
+    rows, side = np.arange(len(c)), m.argmax(axis=1)
+    return m[rows, side], p2, p3[rows, side], margins3[rows, side]
+
+
+def _special(margin: float, placements, k: int) -> AngleClass:
+    """SPECIAL verdict whose certificate is labeling k of `_placements`."""
+    _, p2, p3, margins3 = placements
+    cert = PlacementCertificate(
+        labeling=_PERMS[k],
+        mirrored=_ODD[k],
+        placed_triangle=SphTriangle(_T1, p2[k], p3[k]),
+        margins=margins3[k],
+    )
+    return AngleClass(ClassTag.SPECIAL, margin, cert)
 
 
 def placement_test(tri: SphTriangle, tol: float = DEFAULT_TOL) -> AngleClass:
@@ -347,31 +365,23 @@ def placement_test(tri: SphTriangle, tol: float = DEFAULT_TOL) -> AngleClass:
     spherical triangle of side pi/3: v1 at a corner, v2 on an adjacent
     side, v3 inside the triangle cut off by v2 and the opposite corner.
 
-    All 6 labelings and both mirror images are tried; the reported margin
-    is the best over all of them (positive = proper placement with room,
-    negative = best placement still violated by that much).  The
-    certificate comes from the first labeling, in permutation order,
-    within _TIE of that best: mirror-image labelings tie exactly when the
-    length term binds, and the last bit must not pick between them.
+    The condition depends only on the three side lengths, so all 6
+    labelings and both mirror images are evaluated at once from them
+    (`_placements`).  The reported margin is the best over all of them
+    (positive = proper placement with room, negative = best placement
+    still violated by that much).  The certificate comes from the first
+    labeling, in permutation order, within _TIE of that best:
+    mirror-image labelings tie exactly when the length term binds, and
+    the last bit must not pick between them.
     """
-    V = tri.matrix
-    perms = list(permutations(range(3)))
-    results = [_evaluate_labeling(V, perm) for perm in perms]
-    best_margin = max(r[0] for r in results)
-    if best_margin > tol:
-        k = next(i for i, r in enumerate(results) if r[0] >= best_margin - _TIE)
-        perm = perms[k]
-        _, placed, margins3, mirrored = results[k]
-        cert = PlacementCertificate(
-            labeling=tuple(perm),
-            mirrored=mirrored,
-            placed_triangle=SphTriangle(*placed),
-            margins=margins3,
-        )
-        return AngleClass(ClassTag.SPECIAL, best_margin, cert)
-    if best_margin < -tol:
-        return AngleClass(ClassTag.NON_SPECIAL, best_margin, None)
-    return AngleClass(ClassTag.INDETERMINATE, best_margin, None)
+    placements = _placements(tri.side_lengths())
+    margin = placements[0]
+    best = float(margin.max())
+    if best > tol:
+        return _special(best, placements, int(np.argmax(margin >= best - _TIE)))
+    if best < -tol:
+        return AngleClass(ClassTag.NON_SPECIAL, best, None)
+    return AngleClass(ClassTag.INDETERMINATE, best, None)
 
 
 def classify_trihedral(angle: SolidAngle, tol: float = DEFAULT_TOL) -> AngleClass:
@@ -384,19 +394,15 @@ def classify_trihedral(angle: SolidAngle, tol: float = DEFAULT_TOL) -> AngleClas
     """
     tri = spherical_triangle_of(angle)
     sides = tri.side_lengths()
-    if max(sides) > T0_SIDE + tol:
-        return AngleClass(ClassTag.NON_SPECIAL, T0_SIDE - max(sides), None)
-    if max(sides) < math.pi / 6.0 - tol:
-        perm = _normalized_perm(tri)
-        m, placed, margins3, mirrored = _evaluate_labeling(tri.matrix, perm)
+    top = float(sides.max())
+    if top > T0_SIDE + tol:
+        return AngleClass(ClassTag.NON_SPECIAL, T0_SIDE - top, None)
+    if top < math.pi / 6.0 - tol:
+        k = _normalized_perm(sides)
+        placements = _placements(sides)
+        m = float(placements[0][k])
         if m > tol:
-            cert = PlacementCertificate(
-                labeling=perm,
-                mirrored=mirrored,
-                placed_triangle=SphTriangle(*placed),
-                margins=margins3,
-            )
-            return AngleClass(ClassTag.SPECIAL, m, cert)
+            return _special(m, placements, k)
         # Cannot happen for all-small triangles; fall through defensively.
     return placement_test(tri, tol)
 
@@ -516,15 +522,6 @@ class T0FitResult:
     tag: FitTag
     margin: float
     rotation: Optional[np.ndarray]
-
-
-_T0_NORMALS = np.array(
-    [
-        _as_unit(np.cross(_T1, _T2)),
-        _as_unit(np.cross(_T2, _T3)),
-        _as_unit(np.cross(_T3, _T1)),
-    ]
-)
 
 
 def _t0_margin_for_matrices(mats: np.ndarray, V: np.ndarray) -> np.ndarray:

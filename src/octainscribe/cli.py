@@ -78,7 +78,7 @@ def _certificate_dict(cls: AngleClass):
     return {
         "labeling": list(cert.labeling),
         "mirrored": bool(cert.mirrored),
-        "placed_vertices": [[float(x) for x in p.vec] for p in cert.placed_triangle.vertices],
+        "placed_vertices": cert.placed_triangle.matrix.tolist(),
         "margins": [float(m) for m in cert.margins],
     }
 

@@ -1,15 +1,16 @@
-"""Spherical trigonometry kernel: points, geodesic triangles and convex
-polygons on the unit sphere, with tolerance-aware containment predicates.
+"""Spherical trigonometry kernel: geodesic triangles and convex polygons
+on the unit sphere, with tolerance-aware containment predicates.
 
-All angles are radians, all vectors are numpy arrays of shape (3,).
-Distances use the atan2 form and areas use l'Huilier's formula, both of
-which stay accurate for the small triangles this toolkit mostly deals in.
+All angles are radians.  Points are plain unit 3-vectors; a triangle or
+polygon holds its vertices as the rows of one read-only (n, 3) array,
+normalized and validated once, in one vectorized pass each.  Distances
+use the atan2 form, which stays accurate for the small triangles this
+toolkit mostly deals in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,9 +22,7 @@ __all__ = [
     "GeometryError",
     "DegenerateTriangle",
     "InvalidPolygon",
-    "OutOfRange",
     "Containment",
-    "SpherePoint",
     "SphTriangle",
     "SphPolygon",
     "arc_distance",
@@ -31,8 +30,6 @@ __all__ = [
     "area",
     "contains",
     "polygon_contains",
-    "point_on_arc",
-    "triangle_side_margins",
     "polygon_side_margins",
     "polygon_area",
     "polygon_diameter",
@@ -54,10 +51,6 @@ class InvalidPolygon(GeometryError):
     vertices."""
 
 
-class OutOfRange(GeometryError):
-    """A requested arc length falls outside the admissible interval."""
-
-
 class Containment(Enum):
     INSIDE = "INSIDE"
     BOUNDARY = "BOUNDARY"
@@ -75,35 +68,33 @@ def _as_unit(v) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class SpherePoint:
-    """A point on the unit sphere, stored as a unit 3-vector."""
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vec", _as_unit(self.vec))
-
-    def __repr__(self):
-        x, y, z = self.vec
-        return f"SpherePoint({x:.12g}, {y:.12g}, {z:.12g})"
+def _unit_rows(points) -> np.ndarray:
+    """The points as rows of an (n, 3) array, each normalized to unit
+    length in one pass, rejecting near-zero rows."""
+    a = np.array(points, dtype=float).reshape(-1, 3)
+    n = np.linalg.norm(a, axis=1)
+    if np.any(n < 1e-14):
+        raise GeometryError("cannot normalize a near-zero 3-vector")
+    return a / n[:, None]
 
 
-def _vec(p) -> np.ndarray:
-    """Accept SpherePoint or raw array-like; return a unit vector."""
-    if isinstance(p, SpherePoint):
-        return p.vec
-    return _as_unit(p)
-
-
-def arc_distance(p, q) -> float:
-    """Great-circle distance between two points, in [0, pi].
+def _arcs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise great-circle distances between unit vectors, in [0, pi].
 
     Uses atan2(|p x q|, p.q) rather than arccos(p.q): the arccos form
     loses half the significant digits near 0 and pi.
     """
-    u, v = _vec(p), _vec(q)
-    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+    return np.arctan2(np.linalg.norm(np.cross(p, q), axis=-1), np.einsum("...i,...i->...", p, q))
+
+
+# Row indices of the vertex pairs (1, 2), (1, 3) and (2, 3) of a triangle.
+_PAIRS = ([0, 0, 1], [1, 2, 2])
+
+
+def arc_distance(p, q) -> float:
+    """Great-circle distance between two points (any nonzero 3-vectors),
+    in [0, pi]."""
+    return float(_arcs(_as_unit(p), _as_unit(q)))
 
 
 def _tangent_towards(at: np.ndarray, towards: np.ndarray) -> np.ndarray:
@@ -115,76 +106,47 @@ def _tangent_towards(at: np.ndarray, towards: np.ndarray) -> np.ndarray:
     return t / n
 
 
-def point_on_arc(a, b, d: float, tol: float = DEFAULT_TOL) -> SpherePoint:
-    """Point at arc length d from a along the minor great-circle arc to b.
-
-    Requires 0 <= d <= arc_distance(a, b) (up to tol) and a, b not antipodal.
-    """
-    u, v = _vec(a), _vec(b)
-    full = arc_distance(u, v)
-    if full > math.pi - 1e-9:
-        raise OutOfRange("arc endpoints are antipodal; the minor arc is ambiguous")
-    if d < -tol or d > full + tol:
-        raise OutOfRange(f"arc length {d} outside [0, {full}]")
-    d = min(max(d, 0.0), full)
-    t = _tangent_towards(u, v)
-    return SpherePoint(math.cos(d) * u + math.sin(d) * t)
-
-
-def _walk(a: np.ndarray, b: np.ndarray, d: float) -> np.ndarray:
-    """Like point_on_arc but without range clamping (may pass beyond b)."""
-    t = _tangent_towards(a, b)
-    return math.cos(d) * a + math.sin(d) * t
-
-
 def _rotate_about(axis: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation of v about a unit axis."""
     c, s = math.cos(angle), math.sin(angle)
     return c * v + s * np.cross(axis, v) + (1.0 - c) * float(np.dot(axis, v)) * axis
 
 
-def _check_triangle_vertices(vs: np.ndarray, tol: float) -> None:
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = arc_distance(vs[i], vs[j])
-            if d < tol or d > math.pi - tol:
-                raise DegenerateTriangle(
-                    f"vertices {i},{j} at angular distance {d}: coincident or antipodal"
-                )
-
-
 class SphTriangle:
     """Geodesic triangle on the unit sphere, positively oriented.
 
-    The constructor normalizes orientation by swapping the last two
-    vertices when the vertex determinant is negative, so downstream
-    hemisphere tests never need a sign case split.
+    `matrix` is a read-only 3x3 array whose rows are the unit vertex
+    vectors.  The constructor normalizes the three vertices, rejects
+    any pair closer than `tol` or farther than pi - `tol` and any
+    triangle with |det| < 1e-12 (coplanar with the center), and swaps
+    the last two vertices when the determinant is negative, so
+    downstream hemisphere tests never need a sign case split.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("matrix",)
 
     def __init__(self, v1, v2, v3, tol: float = DEFAULT_TOL):
-        a, b, c = _vec(v1), _vec(v2), _vec(v3)
-        vs = np.array([a, b, c])
-        _check_triangle_vertices(vs, tol)
-        det = float(np.linalg.det(vs))
+        m = _unit_rows((v1, v2, v3))
+        d = _arcs(m[_PAIRS[0]], m[_PAIRS[1]])
+        bad = np.flatnonzero((d < tol) | (d > math.pi - tol))
+        if bad.size:
+            i, j = _PAIRS[0][bad[0]], _PAIRS[1][bad[0]]
+            raise DegenerateTriangle(
+                f"vertices {i},{j} at angular distance {d[bad[0]]}: coincident or antipodal"
+            )
+        det = float(np.linalg.det(m))
         if abs(det) < 1e-12:
             raise DegenerateTriangle(
                 "vertices are coplanar with the center: no open hemisphere contains the triangle"
             )
         if det < 0:
-            b, c = c, b
-        self.vertices = (SpherePoint(a), SpherePoint(b), SpherePoint(c))
+            m = m[[0, 2, 1]]
+        m.flags.writeable = False
+        self.matrix = m
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """3x3 array whose rows are the vertex vectors."""
-        return np.array([p.vec for p in self.vertices])
-
-    def side_lengths(self) -> tuple:
+    def side_lengths(self) -> np.ndarray:
         """(|v1 v2|, |v1 v3|, |v2 v3|)."""
-        a, b, c = (p.vec for p in self.vertices)
-        return (arc_distance(a, b), arc_distance(a, c), arc_distance(b, c))
+        return _arcs(self.matrix[_PAIRS[0]], self.matrix[_PAIRS[1]])
 
     def __repr__(self):
         s = self.side_lengths()
@@ -194,6 +156,8 @@ class SphTriangle:
 class SphPolygon:
     """Convex geodesic polygon, >= 3 vertices, positively oriented.
 
+    `matrix` is a read-only (n, 3) array whose rows are the unit vertex
+    vectors, normalized in one row-wise pass.
     The constructor validates the vertex cycle in one pass over its sides
     and rejects, rather than repairs, anything else: consecutive vertices
     must be neither coincident nor antipodal, and every vertex off a side
@@ -211,10 +175,10 @@ class SphPolygon:
     even when no open hemisphere holds it with a margin above `tol`.
     """
 
-    __slots__ = ("vertices", "axis")
+    __slots__ = ("matrix", "axis")
 
     def __init__(self, points, tol: float = DEFAULT_TOL):
-        arr = np.array([_vec(p) for p in points])
+        arr = _unit_rows(points)
         n = len(arr)
         if n < 3:
             raise InvalidPolygon("a spherical polygon needs at least 3 vertices")
@@ -236,18 +200,15 @@ class SphPolygon:
         off[idx, idx] = off[idx, (idx + 1) % n] = False
         dots = dots[off]
         if dots.max() < -tol:
-            arr = arr[::-1]
+            arr = arr[::-1].copy()
         elif dots.min() <= tol:
             raise InvalidPolygon("polygon is not strictly convex")
         self.axis = hemisphere_axis(arr, tol)
-        self.vertices = tuple(SpherePoint(v) for v in arr)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([p.vec for p in self.vertices])
+        arr.flags.writeable = False
+        self.matrix = arr
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self.matrix)
 
 
 def hemisphere_axis(arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -278,11 +239,8 @@ def _side_normals(mat: np.ndarray) -> np.ndarray:
 def polygon_side_margins(poly, p) -> np.ndarray:
     """Signed angular distances of p to the side planes of a triangle or
     convex polygon, positive towards the interior."""
-    dots = np.clip(_side_normals(poly.matrix) @ _vec(p), -1.0, 1.0)
+    dots = np.clip(_side_normals(poly.matrix) @ _as_unit(p), -1.0, 1.0)
     return np.arcsin(dots)
-
-
-triangle_side_margins = polygon_side_margins
 
 
 def _classify_margins(margins: np.ndarray, tol: float) -> Containment:
@@ -299,7 +257,7 @@ def contains(tri: SphTriangle, p, tol: float = DEFAULT_TOL) -> Containment:
 
     BOUNDARY is the +-tol band around the sides.
     """
-    return _classify_margins(triangle_side_margins(tri, p), tol)
+    return _classify_margins(polygon_side_margins(tri, p), tol)
 
 
 def polygon_contains(poly: SphPolygon, p, tol: float = DEFAULT_TOL) -> Containment:
@@ -352,9 +310,5 @@ def polygon_area(poly: SphPolygon) -> float:
 def polygon_diameter(poly: SphPolygon) -> float:
     """Angular diameter of a convex polygon: max pairwise vertex distance
     (the diameter of a convex spherical set is attained at vertices)."""
-    mat = poly.matrix
-    best = 0.0
-    for i in range(len(mat)):
-        for j in range(i + 1, len(mat)):
-            best = max(best, arc_distance(mat[i], mat[j]))
-    return best
+    i, j = np.triu_indices(len(poly), 1)
+    return float(_arcs(poly.matrix[i], poly.matrix[j]).max())

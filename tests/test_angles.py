@@ -260,6 +260,57 @@ def test_threshold_soundness_bulk():
         assert placement_test(triangle_from_sides(*s)).tag is ClassTag.NON_SPECIAL
 
 
+def _reference_labeling(V, perm):
+    """One labeling placed the way placement_test did before it became a
+    function of the side lengths: v1 at t1, v2 walked along t1 t2, v3
+    turned by the vertex angle both ways, the better image kept."""
+    t1, t2, t3 = T0_TRIANGLE.matrix
+    v1, v2, v3 = V[list(perm)]
+    c, b, a = arc_distance(v1, v2), arc_distance(v1, v3), arc_distance(v2, v3)
+    x = (math.cos(a) - math.cos(b) * math.cos(c)) / (math.sin(b) * math.sin(c))
+    theta = math.acos(min(1.0, max(-1.0, x)))
+    tangent = normalize(t2 - float(t1 @ t2) * t1)
+    p2 = math.cos(c) * t1 + math.sin(c) * tangent
+    best = None
+    for sgn in (1.0, -1.0):
+        turned = math.cos(theta) * tangent + sgn * math.sin(theta) * np.cross(t1, tangent)
+        p3 = math.cos(b) * t1 + math.sin(b) * turned
+        margins = np.array(
+            [
+                math.asin(min(1.0, max(-1.0, float(normalize(np.cross(p, q)) @ p3))))
+                for p, q in ((t1, p2), (p2, t3), (t3, t1))
+            ]
+        )
+        m = min(T0_SIDE - c, float(margins.min()))
+        if best is None or m > best[0]:
+            best = (m, np.array([t1, p2, p3]), margins)
+    return best + (bool(np.linalg.det(V[list(perm)]) < 0),)
+
+
+def test_placement_matches_per_labeling_reference():
+    # The criterion-5 triangles, then 2000 more in random orientations.
+    rng, turns = np.random.default_rng(505), np.random.default_rng(9)
+    for k in range(2600):
+        tri = random_triangle(rng)
+        if k >= 600:
+            tri = SphTriangle(*(tri.matrix @ random_rotation_matrix(turns).T))
+        got = placement_test(tri)
+        results = [(p,) + _reference_labeling(tri.matrix, p) for p in permutations(range(3))]
+        best = max(r[1] for r in results)
+        assert abs(got.margin - best) <= 1e-14
+        if best > 1e-9:
+            assert got.tag is ClassTag.SPECIAL
+        else:
+            assert got.tag is (ClassTag.NON_SPECIAL if best < -1e-9 else ClassTag.INDETERMINATE)
+        if got.tag is ClassTag.SPECIAL:
+            perm, _, placed, margins, mirrored = next(r for r in results if r[1] >= best - 1e-12)
+            cert = got.certificate
+            assert cert.labeling == perm
+            assert cert.mirrored == mirrored
+            assert np.abs(cert.placed_triangle.matrix - placed).max() <= 1e-14
+            assert np.abs(cert.margins - margins).max() <= 1e-14
+
+
 def test_placement_certificate_geometry():
     result = placement_test(triangle_from_sides(0.45, 0.4, 0.35))
     cert = result.certificate

@@ -9,14 +9,11 @@ from octainscribe.sphere import (
     Containment,
     DegenerateTriangle,
     InvalidPolygon,
-    OutOfRange,
-    SpherePoint,
     SphPolygon,
     SphTriangle,
     arc_distance,
     area,
     contains,
-    point_on_arc,
     polygon_area,
     polygon_contains,
     polygon_diameter,
@@ -206,7 +203,7 @@ def test_polygon_contains_quarter_lune():
     ])
     centroid = normalize(quad.matrix.sum(axis=0))
     assert polygon_contains(quad, centroid) is Containment.INSIDE
-    assert polygon_contains(quad, quad.vertices[0].vec) is Containment.BOUNDARY
+    assert polygon_contains(quad, quad.matrix[0]) is Containment.BOUNDARY
     assert polygon_contains(quad, -centroid) is Containment.OUTSIDE
 
 
@@ -249,43 +246,18 @@ def test_polygon_area_and_diameter():
     assert polygon_diameter(tri_poly) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
-# -- point_on_arc -----------------------------------------------------------
-
-
-def test_point_on_arc_endpoints_and_bisector():
-    assert np.allclose(point_on_arc(E1, E2, 0.0).vec, E1, atol=1e-15)
-    assert np.allclose(point_on_arc(E1, E2, math.pi / 2).vec, E2, atol=1e-15)
-    mid = point_on_arc(E1, E2, math.pi / 4)
-    assert np.allclose(mid.vec, normalize([1, 1, 0]), atol=1e-15)
-
-
-def test_point_on_arc_distance_exact():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        a, b = random_units(rng, 2)
-        full = arc_distance(a, b)
-        if full > math.pi - 1e-6 or full < 1e-6:
-            continue
-        d = rng.random() * full
-        p = point_on_arc(a, b, d)
-        assert arc_distance(a, p) == pytest.approx(d, abs=1e-12)
-        # geodesic: coplanar with the endpoints
-        assert abs(np.linalg.det(np.array([a, p.vec, b]))) <= 1e-12
-
-
-def test_point_on_arc_out_of_range():
-    with pytest.raises(OutOfRange):
-        point_on_arc(E1, E2, math.pi / 2 + 1e-3)
-    with pytest.raises(OutOfRange):
-        point_on_arc(E1, -E1, 0.1)
-
-
 # -- constructors and invariants --------------------------------------------
 
 
-def test_sphere_point_normalizes():
-    p = SpherePoint(np.array([3.0, 4.0, 0.0]))
-    assert np.linalg.norm(p.vec) == pytest.approx(1.0, abs=1e-12)
+def test_matrix_rows_are_unit_and_read_only():
+    tri = SphTriangle([3.0, 4.0, 0.0], [0.0, 0.0, 2.0], [0.0, 5.0, 0.0])
+    poly = SphPolygon([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
+    for m in (tri.matrix, poly.matrix):
+        assert m.shape == (3, 3)
+        assert np.allclose(np.linalg.norm(m, axis=1), 1.0, atol=1e-15)
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    assert np.allclose(tri.matrix[0], [0.6, 0.8, 0.0], atol=1e-15)
 
 
 def test_triangle_rejects_degenerate():
