@@ -35,13 +35,10 @@ from .angles import (
 )
 from .inscriber import (
     CertifyReport,
-    ContinuationConfig,
     ContinuationTrace,
     InscriptionFailed,
-    MultistartConfig,
     NoSolutionFound,
     SolveReport,
-    SolverConfig,
     certify,
     continue_to_surface,
     multistart,

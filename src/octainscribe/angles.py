@@ -442,9 +442,11 @@ _CONSTRUCT_ASSIGNMENT = (
 )
 
 
-def construct_inscribed_octahedron(
-    angle: SolidAngle, cert: PlacementCertificate, tol: float = 1e-9
-) -> OctahedronPose:
+# Relative tolerance of the witness construction's plane and sector checks.
+_CONSTRUCT_TOL = 1e-9
+
+
+def construct_inscribed_octahedron(angle: SolidAngle, cert: PlacementCertificate) -> OctahedronPose:
     """Realize the certificate as an actual octahedron with all six
     vertices on the angle's facets: one face on the facet shared by the
     placed v1 and v2, one edge on the facet of v1 and v3, one vertex on
@@ -487,9 +489,9 @@ def construct_inscribed_octahedron(
         raise ConstructionFailed("construction collapsed to the apex")
     t = 1.0 / radius
     scale = t
-    if plane_residual * t > tol * scale:
+    if plane_residual * t > _CONSTRUCT_TOL * scale:
         raise ConstructionFailed(
-            f"plane residual {plane_residual * t:.3e} exceeds {tol * scale:.3e}"
+            f"plane residual {plane_residual * t:.3e} exceeds {_CONSTRUCT_TOL * scale:.3e}"
         )
 
     # Sector membership of every vertex on its assigned facet.
@@ -497,7 +499,7 @@ def construct_inscribed_octahedron(
         ea, eb = facets[f]
         frame = np.column_stack([ea, eb, normals[f]])
         alpha, beta, gamma = np.linalg.solve(frame, x)
-        lim = tol * max(1.0, float(np.linalg.norm(x)))
+        lim = _CONSTRUCT_TOL * max(1.0, float(np.linalg.norm(x)))
         if alpha < -lim or beta < -lim or abs(gamma) > lim:
             raise ConstructionFailed(
                 f"vertex left its facet sector (alpha={alpha:.3e}, beta={beta:.3e}, gamma={gamma:.3e})"
@@ -532,12 +534,12 @@ def _t0_margin_for_matrices(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.arcsin(dots).min(axis=(1, 2))
 
 
-def fits_in_T0(
-    poly: SphPolygon,
-    tol: float = DEFAULT_TOL,
-    grid_size: int = 10_000,
-    refine_top: int = 12,
-) -> T0FitResult:
+# The rotation grid of fits_in_T0 and how many of its best rotations are refined.
+_T0_GRID_SIZE = 10_000
+_T0_REFINE_TOP = 12
+
+
+def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
     """Decide whether some rotation takes the convex polygon inside the
     regular spherical triangle of side pi/3 (containment of a convex set
     reduces to containment of its vertices).
@@ -554,9 +556,9 @@ def fits_in_T0(
         return T0FitResult(FitTag.NO_FIT, -0.5 * (diam - T0_SIDE), None)
 
     V = poly.matrix
-    quats = super_fibonacci_rotations(grid_size)
+    quats = super_fibonacci_rotations(_T0_GRID_SIZE)
     margins = _t0_margin_for_matrices(_quats_to_matrices(quats), V)
-    order = np.argsort(-margins, kind="stable")[: max(1, refine_top)]
+    order = np.argsort(-margins, kind="stable")[:_T0_REFINE_TOP]
 
     best_margin = -math.inf
     best_quat = None

@@ -31,13 +31,7 @@ from .angles import (
     placement_test,
     triangle_from_sides,
 )
-from .inscriber import (
-    ContinuationConfig,
-    InscriptionFailed,
-    MultistartConfig,
-    certify,
-    continue_to_surface,
-)
+from .inscriber import InscriptionFailed, certify, continue_to_surface
 from .polytope import solid_angle_at
 from .sphere import GeometryError
 
@@ -116,12 +110,8 @@ def cmd_classify(args) -> int:
 
 def cmd_inscribe(args) -> int:
     poly = oio.read_polytope(args.polytope)
-    cfg = ContinuationConfig(
-        eps0=args.eps0,
-        multistart=MultistartConfig(n_rotations=args.seeds),
-    )
     try:
-        trace, final = continue_to_surface(poly, cfg)
+        trace, final = continue_to_surface(poly, eps0=args.eps0, n_rotations=args.seeds)
     except InscriptionFailed as exc:
         print(f"inscription failed: {exc}", file=sys.stderr)
         return EX_FAILED

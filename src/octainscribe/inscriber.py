@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional
 
@@ -30,9 +30,6 @@ from .rotations import apply_rotvec, super_fibonacci_rotations
 from .sphere import GeometryError
 
 __all__ = [
-    "SolverConfig",
-    "MultistartConfig",
-    "ContinuationConfig",
     "SolveReport",
     "ContinuationTrace",
     "CertifyReport",
@@ -60,42 +57,37 @@ class InscriptionFailed(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol_res_rel: float = 1e-10      # convergence: max |residual| <= rel * diameter
-    max_iter: int = 200
-    lambda0: float = 1e-3
-    lambda_up: float = 3.0
-    lambda_down: float = 0.33
-    lambda_max: float = 1e10
-    step_tol_rel: float = 1e-15
+# Solver constants.  The only values a caller sets are eps0 and
+# n_rotations (continue_to_surface) and max_iter (solve_at_epsilon).
 
+# Damped least squares.
+_TOL_RES_REL = 1e-10      # convergence: max |residual| <= rel * diameter
+_MAX_ITER = 200
+_LAMBDA0 = 1e-3
+_LAMBDA_UP = 3.0
+_LAMBDA_DOWN = 0.33
+_LAMBDA_MAX = 1e10
+_STEP_TOL_REL = 1e-15
 
-@dataclass(frozen=True)
-class MultistartConfig:
-    n_rotations: int = 60
-    n_scales: int = 4
-    scale_min_rel: float = 0.01
-    scale_max_rel: float = 0.5
-    vertex_pullback: float = 0.25   # seed centers: vertex + pullback * (center - vertex)
-    max_solutions: Optional[int] = 12
-    # Stop once max_solutions are in hand and one has diameter at least
-    # min(stop_scale_rel * diameter, sqrt(3) * inradius): the second term
-    # is half the largest diameter an octahedron inside the body can have.
-    stop_scale_rel: float = 0.05
-    dedup_tol_rel: float = 1e-6
-    seed_max_iter: int = 80
+# Multistart seed grid.
+_N_ROTATIONS = 60
+_N_SCALES = 4
+_SCALE_MIN_REL = 0.01
+_SCALE_MAX_REL = 0.5
+_VERTEX_PULLBACK = 0.25   # seed centers: vertex + pullback * (center - vertex)
+_MAX_SOLUTIONS = 12
+# Stop once _MAX_SOLUTIONS are in hand and one has diameter at least
+# min(_STOP_SCALE_REL * diameter, sqrt(3) * inradius): the second term
+# is half the largest diameter an octahedron inside the body can have.
+_STOP_SCALE_REL = 0.05
+_DEDUP_TOL_REL = 1e-6
+_SEED_MAX_ITER = 80
 
-
-@dataclass(frozen=True)
-class ContinuationConfig:
-    eps0: Optional[float] = None    # default 0.2 * inradius
-    collapse_threshold_rel: float = 1e-3
-    exact_switch_rel: float = 1e-6
-    vertex_exclusion_rel: float = 0.05
-    max_restarts: int = 3
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    multistart: MultistartConfig = field(default_factory=MultistartConfig)
+# Continuation.
+_COLLAPSE_THRESHOLD_REL = 1e-3
+_EXACT_SWITCH_REL = 1e-6
+_VERTEX_EXCLUSION_REL = 0.05
+_MAX_RESTARTS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,28 +201,28 @@ def _apply_step(pose: OctahedronPose, delta: np.ndarray) -> OctahedronPose:
     return OctahedronPose(c, q, s)
 
 
-def _levenberg_marquardt(fn, pose, tol_res, cfg: SolverConfig, diam: float):
-    lam = cfg.lambda0
+def _levenberg_marquardt(fn, pose, tol_res, max_iter: int, diam: float):
+    lam = _LAMBDA0
     res, J = fn(pose)
     cost = float(res @ res)
     iters = 0
-    while iters < cfg.max_iter and np.abs(res).max() > tol_res:
+    while iters < max_iter and np.abs(res).max() > tol_res:
         iters += 1
         aug = np.vstack([J, math.sqrt(lam) * np.eye(7)])
         rhs = np.concatenate([-res, np.zeros(7)])
         delta, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
         step = float(np.linalg.norm(delta))
-        if step < cfg.step_tol_rel * diam:
+        if step < _STEP_TOL_REL * diam:
             break
         cand = _apply_step(pose, delta)
         cand_res, cand_J = fn(cand)
         cand_cost = float(cand_res @ cand_res)
         if cand_cost < cost:
             pose, res, J, cost = cand, cand_res, cand_J, cand_cost
-            lam = max(lam * cfg.lambda_down, 1e-14)
+            lam = max(lam * _LAMBDA_DOWN, 1e-14)
         else:
-            lam *= cfg.lambda_up
-            if lam > cfg.lambda_max:
+            lam *= _LAMBDA_UP
+            if lam > _LAMBDA_MAX:
                 break
     # res and J always belong to pose: a step is kept only with its own.
     converged = bool(np.abs(res).max() <= tol_res)
@@ -242,18 +234,16 @@ def _levenberg_marquardt(fn, pose, tol_res, cfg: SolverConfig, diam: float):
     return pose, res, iters, converged, warnings
 
 
-def solve_at_epsilon(
-    s: SmoothedBody, seed: OctahedronPose, cfg: SolverConfig = SolverConfig()
-) -> SolveReport:
+def solve_at_epsilon(s: SmoothedBody, seed: OctahedronPose, max_iter: int = _MAX_ITER) -> SolveReport:
     """Drive the six smoothed residuals to zero from a seed pose.
 
     Success means the recomputed residual at the returned pose is within
     tolerance; a non-converged report carries the best iterate and is
     never retried internally."""
     diam = s.base.diameter
-    tol = cfg.tol_res_rel * diam
+    tol = _TOL_RES_REL * diam
     pose, res, iters, converged, warnings = _levenberg_marquardt(
-        lambda q: residual(s, q), seed, tol, cfg, diam
+        lambda q: residual(s, q), seed, tol, max_iter, diam
     )
     return SolveReport(pose, res, iters, converged, s.epsilon, tol, warnings)
 
@@ -267,37 +257,32 @@ def _hugs_a_vertex(pose: OctahedronPose, body: ConvexPolytope, radius: float) ->
     return bool(far.min() < radius)
 
 
-def _seed_poses(s: SmoothedBody, cfg: MultistartConfig):
+def _seed_poses(s: SmoothedBody, n_rotations: int):
     """Deterministic seed grid.  The identity rotation at the body center
     leads, so symmetric bodies converge to their symmetric solution first
     (the solver's minimum-norm steps preserve a symmetry of the seed)."""
     base = s.base
     diam = base.diameter
-    quats = np.vstack([[[1.0, 0.0, 0.0, 0.0]], super_fibonacci_rotations(cfg.n_rotations - 1)])
-    centers = [base.center] + [
-        v + cfg.vertex_pullback * (base.center - v) for v in base.vertices
-    ]
-    scales = np.geomspace(cfg.scale_max_rel * diam, cfg.scale_min_rel * diam, cfg.n_scales)
+    quats = np.vstack([[[1.0, 0.0, 0.0, 0.0]], super_fibonacci_rotations(n_rotations - 1)])
+    centers = [base.center] + [v + _VERTEX_PULLBACK * (base.center - v) for v in base.vertices]
+    scales = np.geomspace(_SCALE_MAX_REL * diam, _SCALE_MIN_REL * diam, _N_SCALES)
     for scale in scales:
         for center in centers:
             for q in quats:
                 yield OctahedronPose(center, q, float(scale))
 
 
-def _solutions(
-    s: SmoothedBody, cfg: MultistartConfig, solver: SolverConfig, exclude_vertex_radius, tally
-):
+def _solutions(s: SmoothedBody, n_rotations: int, exclude_vertex_radius, tally):
     """Yield the distinct converged solutions of the seed grid in seed order,
     solving each seed only when the next solution is asked for.  `tally`
     (a Counter) counts the seeds solved, the converged solves and the
     solutions yielded."""
     base = s.base
     diam = base.diameter
-    stop_diameter = min(cfg.stop_scale_rel * diam, math.sqrt(3.0) * base.inradius)
-    seed_solver = replace(solver, max_iter=min(solver.max_iter, cfg.seed_max_iter))
+    stop_diameter = min(_STOP_SCALE_REL * diam, math.sqrt(3.0) * base.inradius)
     found = []
-    for seed in _seed_poses(s, cfg):
-        rep = solve_at_epsilon(s, seed, seed_solver)
+    for seed in _seed_poses(s, n_rotations):
+        rep = solve_at_epsilon(s, seed, _SEED_MAX_ITER)
         tally["seeds"] += 1
         if not rep.converged:
             continue
@@ -306,23 +291,18 @@ def _solutions(
             rep.pose, base, exclude_vertex_radius
         ):
             continue
-        if any(pose_distance(rep.pose, r.pose) < cfg.dedup_tol_rel * diam for r in found):
+        if any(pose_distance(rep.pose, r.pose) < _DEDUP_TOL_REL * diam for r in found):
             continue
         found.append(rep)
         tally["solutions"] += 1
         yield rep
-        if (
-            cfg.max_solutions is not None
-            and len(found) >= cfg.max_solutions
-            and max(r.pose.diameter() for r in found) >= stop_diameter
-        ):
+        if len(found) >= _MAX_SOLUTIONS and max(r.pose.diameter() for r in found) >= stop_diameter:
             return
 
 
 def multistart(
     s: SmoothedBody,
-    cfg: MultistartConfig = MultistartConfig(),
-    solver: SolverConfig = SolverConfig(),
+    n_rotations: int = _N_ROTATIONS,
     exclude_vertex_radius: Optional[float] = None,
 ) -> list:
     """Solve from a deterministic grid of poses (low-discrepancy rotations
@@ -333,8 +313,8 @@ def multistart(
     sits within that distance of a single polytope vertex are discarded
     (used by the collapse restart).
 
-    The search stops once `max_solutions` are in hand and the largest has
-    diameter at least min(stop_scale_rel * diameter, sqrt(3) * inradius).
+    The search stops once _MAX_SOLUTIONS are in hand and the largest has
+    diameter at least min(_STOP_SCALE_REL * diameter, sqrt(3) * inradius).
     An octahedron inside the body has inradius diameter / (2 sqrt(3)), so
     no solution is larger than 2 sqrt(3) * inradius; the second term lets
     thin bodies stop without running the whole grid.
@@ -343,7 +323,8 @@ def multistart(
     identical inputs give an identical list regardless of how seeds would
     be scheduled across workers.
     """
-    found = list(_solutions(s, cfg, solver, exclude_vertex_radius, Counter()))
+    _check_n_rotations(n_rotations)
+    found = list(_solutions(s, n_rotations, exclude_vertex_radius, Counter()))
     if not found:
         raise NoSolutionFound(f"no inscribed octahedron found at epsilon={s.epsilon:.6g}")
     return found
@@ -373,11 +354,11 @@ def _precondition_warnings(p: ConvexPolytope) -> list:
     return warnings
 
 
-def _polish_exact(p: ConvexPolytope, seed: OctahedronPose, cfg: ContinuationConfig):
+def _polish_exact(p: ConvexPolytope, seed: OctahedronPose):
     diam = p.diameter
-    tol = cfg.solver.tol_res_rel * diam
+    tol = _TOL_RES_REL * diam
     pose, res, iters, converged, warnings = _levenberg_marquardt(
-        lambda q: _exact_residual(p, q), seed, tol, cfg.solver, diam
+        lambda q: _exact_residual(p, q), seed, tol, _MAX_ITER, diam
     )
     d = np.abs(res)  # the exact residual is the signed distance to the boundary
     return SolveReport(pose, d, iters, bool(converged and d.max() <= tol), 0.0, tol, warnings)
@@ -387,12 +368,12 @@ def _largest(reports) -> SolveReport:
     return max(reports, key=lambda r: (r.pose.scale, -r.max_residual()))
 
 
-def _collapsed(pose: OctahedronPose, diam: float, cfg: ContinuationConfig) -> bool:
+def _collapsed(pose: OctahedronPose, diam: float) -> bool:
     """The diameter diagnostic: a pose this small has shrunk towards a point."""
-    return pose.diameter() < cfg.collapse_threshold_rel * diam
+    return pose.diameter() < _COLLAPSE_THRESHOLD_REL * diam
 
 
-def _starts(solutions, diam: float, cfg: ContinuationConfig, tally):
+def _starts(solutions, diam: float, tally):
     """Continuation starts in the order they are tried: the first solution
     in seed order that has not collapsed, then the remaining ones by
     decreasing scale.  The seed loop runs on past the first start only when
@@ -401,12 +382,12 @@ def _starts(solutions, diam: float, cfg: ContinuationConfig, tally):
     found = []
     for rep in solutions:
         found.append(rep)
-        if not _collapsed(rep.pose, diam, cfg):
+        if not _collapsed(rep.pose, diam):
             break
     if not found:
         return
     start = found[-1]
-    if _collapsed(start.pose, diam, cfg):
+    if _collapsed(start.pose, diam):
         start = found[0]
     tally["collapsed_skipped"] = found.index(start)
     yield start
@@ -414,28 +395,42 @@ def _starts(solutions, diam: float, cfg: ContinuationConfig, tally):
     yield from sorted((r for r in found if r is not start), key=lambda r: -r.pose.scale)
 
 
-def continue_to_surface(p: ConvexPolytope, cfg: ContinuationConfig = ContinuationConfig()):
+def _check_n_rotations(n_rotations: int) -> None:
+    # The identity leads the grid, so n_rotations <= 0 would silently run
+    # the one-rotation grid of n_rotations = 1.
+    if n_rotations < 1:
+        raise ValueError(f"n_rotations must be at least 1, got {n_rotations}")
+
+
+def continue_to_surface(
+    p: ConvexPolytope, eps0: Optional[float] = None, n_rotations: int = _N_ROTATIONS
+):
     """Track inscribed octahedra of the smoothed body as the smoothing
     parameter is halved to zero, then certify against the polytope itself.
+
+    `eps0` is the initial smoothing (default 0.2 * inradius); `n_rotations`
+    is the number of seed rotations per multistart.
 
     Returns (ContinuationTrace, final SolveReport); the final report has
     epsilon 0 and unsigned vertex-to-boundary distances as residuals.
     """
     warnings = _precondition_warnings(p)
-    eps0 = cfg.eps0 if cfg.eps0 is not None else 0.2 * p.inradius
+    if eps0 is None:
+        eps0 = 0.2 * p.inradius
     if not 0 < eps0 < p.inradius:
         raise ValueError(f"eps0 must lie in (0, inradius={p.inradius:.6g})")
+    _check_n_rotations(n_rotations)
 
     s0 = SmoothedBody(p, eps0)
     search = Counter(seeds=0, converged=0, solutions=0, collapsed_skipped=0)
-    solutions = _solutions(s0, cfg.multistart, cfg.solver, None, search)
-    starts = _starts(solutions, p.diameter, cfg, search)
+    solutions = _solutions(s0, n_rotations, None, search)
+    starts = _starts(solutions, p.diameter, search)
     tried = 0
     last_error = None
-    for start in islice(starts, cfg.max_restarts + 1):
+    for start in islice(starts, _MAX_RESTARTS + 1):
         tried += 1
         try:
-            return _track_from(p, start, eps0, cfg, warnings, search)
+            return _track_from(p, start, eps0, n_rotations, warnings, search)
         except (InscriptionFailed, NoSolutionFound) as exc:
             last_error = exc
     if not tried:
@@ -447,34 +442,29 @@ def continue_to_surface(p: ConvexPolytope, cfg: ContinuationConfig = Continuatio
     )
 
 
-def _track_from(p, start: SolveReport, eps0, cfg: ContinuationConfig, warnings, search):
+def _track_from(p, start: SolveReport, eps0, n_rotations: int, warnings, search):
     diam = p.diameter
     steps = [(eps0, start)]
     flags = []
     pose = start.pose
     eps = eps0
-    while eps > cfg.exact_switch_rel * diam:
+    while eps > _EXACT_SWITCH_REL * diam:
         eps *= 0.5
-        if eps <= cfg.exact_switch_rel * diam:
+        if eps <= _EXACT_SWITCH_REL * diam:
             break
         s = SmoothedBody(p, eps)
-        rep = solve_at_epsilon(s, pose, cfg.solver)
+        rep = solve_at_epsilon(s, pose)
         if not rep.converged:
-            rep = _largest(multistart(s, cfg.multistart, cfg.solver))
-        if _collapsed(rep.pose, diam, cfg):
+            rep = _largest(multistart(s, n_rotations))
+        if _collapsed(rep.pose, diam):
             flags.append(f"VERTEX_COLLAPSE at epsilon={eps:.6g}")
             rep = _largest(
-                multistart(
-                    s,
-                    cfg.multistart,
-                    cfg.solver,
-                    exclude_vertex_radius=cfg.vertex_exclusion_rel * diam,
-                )
+                multistart(s, n_rotations, exclude_vertex_radius=_VERTEX_EXCLUSION_REL * diam)
             )
         steps.append((eps, rep))
         pose = rep.pose
 
-    final = _polish_exact(p, pose, cfg)
+    final = _polish_exact(p, pose)
     trace = ContinuationTrace(
         steps=tuple(steps),
         diameter_history=tuple(r.pose.diameter() for _, r in steps),

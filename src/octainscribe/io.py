@@ -21,7 +21,6 @@ __all__ = [
     "write_polytope_json",
     "parse_off",
     "pose_to_document",
-    "pose_from_document",
     "write_pose_json",
     "read_pose_json",
     "write_obj_octahedron",
@@ -82,16 +81,12 @@ def pose_to_document(pose: OctahedronPose, extra: dict = None) -> dict:
     return doc
 
 
-def pose_from_document(doc: dict) -> OctahedronPose:
-    return OctahedronPose.from_dict(doc)
-
-
 def write_pose_json(path, pose: OctahedronPose, extra: dict = None) -> None:
     Path(path).write_text(json.dumps(pose_to_document(pose, extra), indent=2) + "\n")
 
 
 def read_pose_json(path) -> OctahedronPose:
-    return pose_from_document(json.loads(Path(path).read_text()))
+    return OctahedronPose.from_dict(json.loads(Path(path).read_text()))
 
 
 def write_obj_octahedron(path, pose: OctahedronPose) -> None:

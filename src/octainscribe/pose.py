@@ -74,9 +74,6 @@ class OctahedronPose:
         """6 x 3 array of vertex positions in the fixed label order."""
         return self.center + self.scale * (UNIT_VERTICES @ self.matrix.T)
 
-    def edge_length(self) -> float:
-        return self.scale * np.sqrt(2.0)
-
     def diameter(self) -> float:
         return 2.0 * self.scale
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import octainscribe.inscriber as inscriber
 from octainscribe.cli import main
 from octainscribe.io import write_polytope_json
 from octainscribe.polytope import cube, regular_octahedron
@@ -95,6 +96,45 @@ def test_inscribe_cube(cube_off, tmp_path, capsys):
     assert "diameter_history" in doc["trace"]
     assert doc["trace"]["initial_search"]["seeds"] >= 1
     assert open(obj_file).read().count("\nf ") == 8
+
+
+def test_inscribe_eps0_sets_first_smoothing(cube_off, tmp_path, capsys):
+    pose_file = str(tmp_path / "pose.json")
+    assert main(["inscribe", cube_off, "--eps0", "0.1", "--json", pose_file]) == 0
+    capsys.readouterr()
+    doc = json.loads(open(pose_file).read())
+    assert doc["certified"] is True
+    assert doc["trace"]["steps"][0]["epsilon"] == 0.1
+
+
+def test_inscribe_seeds_sets_rotation_count(cube_off, tmp_path, capsys, monkeypatch):
+    counts = []
+    real = inscriber._seed_poses
+
+    def recorded(s, n_rotations):
+        counts.append(n_rotations)
+        return real(s, n_rotations)
+
+    monkeypatch.setattr(inscriber, "_seed_poses", recorded)
+    pose_file = str(tmp_path / "pose.json")
+    assert main(["inscribe", cube_off, "--seeds", "1", "--json", pose_file]) == 0
+    capsys.readouterr()
+    doc = json.loads(open(pose_file).read())
+    assert doc["certified"] is True
+    # one rotation x (center + 8 vertex centers) x 4 scales
+    assert 1 <= doc["trace"]["initial_search"]["seeds"] <= 36
+    assert counts and set(counts) == {1}
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--seeds", "0"], ["--seeds", "-5"], ["--eps0", "5"]],
+    ids=["zero-seeds", "negative-seeds", "eps0-beyond-inradius"],
+)
+def test_inscribe_rejects_out_of_range_option(cube_off, option, capsys):
+    code = main(["inscribe", cube_off, *option])
+    assert "error:" in capsys.readouterr().err
+    assert code == 64
 
 
 def test_inscribe_then_certify_roundtrip(cube_off, tmp_path, capsys):

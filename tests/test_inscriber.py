@@ -7,11 +7,8 @@ import pytest
 import octainscribe.inscriber as inscriber
 from octainscribe.generators import random_simple_polytope
 from octainscribe.inscriber import (
-    ContinuationConfig,
     InscriptionFailed,
-    MultistartConfig,
     NoSolutionFound,
-    SolverConfig,
     certify,
     continue_to_surface,
     multistart,
@@ -123,9 +120,7 @@ def test_solve_cube_face_center():
 def test_solve_reports_failure_honestly():
     s = SmoothedBody(cube(), 0.1)
     # a hopeless seed far outside with a tiny iteration budget
-    rep = solve_at_epsilon(
-        s, identity_pose(0.05, center=(50, 50, 50)), SolverConfig(max_iter=3)
-    )
+    rep = solve_at_epsilon(s, identity_pose(0.05, center=(50, 50, 50)), max_iter=3)
     assert not rep.converged
     assert rep.max_residual() > rep.tol
 
@@ -154,10 +149,20 @@ def test_multistart_cube_finds_face_center_first():
             assert pose_distance(reports[i].pose, reports[j].pose) >= 1e-6 * s.base.diameter
 
 
-def test_multistart_empty_seed_grid():
+def test_multistart_empty_seed_grid(monkeypatch):
     s = SmoothedBody(cube(), 0.1)
+    monkeypatch.setattr(inscriber, "_seed_poses", lambda s, n_rotations: iter(()))
     with pytest.raises(NoSolutionFound):
-        multistart(s, MultistartConfig(n_rotations=0, n_scales=0))
+        multistart(s)
+
+
+@pytest.mark.parametrize("n_rotations", [0, -5])
+def test_non_positive_rotation_count_rejected(n_rotations):
+    c = cube()
+    with pytest.raises(ValueError, match="n_rotations"):
+        multistart(SmoothedBody(c, 0.1), n_rotations)
+    with pytest.raises(ValueError, match="n_rotations"):
+        continue_to_surface(c, n_rotations=n_rotations)
 
 
 # -- continuation ----------------------------------------------------------------
@@ -248,17 +253,17 @@ def _pose_key(pose):
 
 
 def test_continuation_skips_collapsed_starts():
-    cfg = ContinuationConfig()
+    threshold = inscriber._COLLAPSE_THRESHOLD_REL
     rng = np.random.default_rng(2024)  # the bodies of acceptance criterion 3
     moved = 0
     for p in (random_simple_polytope(rng) for _ in range(20)):
         first = multistart(SmoothedBody(p, 0.2 * p.inradius))[0]
-        if first.pose.diameter() >= cfg.collapse_threshold_rel * p.diameter:
+        if first.pose.diameter() >= threshold * p.diameter:
             continue
         moved += 1
-        trace, _ = continue_to_surface(p, cfg)
+        trace, _ = continue_to_surface(p)
         start = trace.steps[0][1]
-        assert start.pose.diameter() >= cfg.collapse_threshold_rel * p.diameter
+        assert start.pose.diameter() >= threshold * p.diameter
         assert not any(f.startswith("VERTEX_COLLAPSE") for f in trace.flags)
         assert trace.initial_search["collapsed_skipped"] >= 1
     assert moved > 0
@@ -269,13 +274,13 @@ def test_fallback_queue_puts_first_non_collapsed_start_first(monkeypatch, thresh
     # With threshold 10 no pose counts as uncollapsed, and the first
     # solution in seed order leads.
     p = random_simple_polytope(np.random.default_rng(2024))
-    cfg = ContinuationConfig(collapse_threshold_rel=threshold)
-    found = multistart(SmoothedBody(p, 0.2 * p.inradius), cfg.multistart, cfg.solver)
+    monkeypatch.setattr(inscriber, "_COLLAPSE_THRESHOLD_REL", threshold)
+    found = multistart(SmoothedBody(p, 0.2 * p.inradius))
     assert found[0].pose.diameter() < 1e-3 * p.diameter
     big = [r for r in found if r.pose.diameter() >= threshold * p.diameter]
     first = big[0] if big else found[0]
     rest = sorted((r for r in found if r is not first), key=lambda r: -r.pose.scale)
-    expected = [_pose_key(r.pose) for r in [first] + rest][: cfg.max_restarts + 1]
+    expected = [_pose_key(r.pose) for r in [first] + rest][: inscriber._MAX_RESTARTS + 1]
 
     tried = []
 
@@ -285,7 +290,7 @@ def test_fallback_queue_puts_first_non_collapsed_start_first(monkeypatch, thresh
 
     monkeypatch.setattr(inscriber, "_track_from", failing)
     with pytest.raises(InscriptionFailed, match="all 4 continuation starts failed"):
-        continue_to_surface(p, cfg)
+        continue_to_surface(p)
     assert tried == expected
 
 

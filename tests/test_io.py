@@ -6,7 +6,6 @@ import pytest
 from octainscribe.io import (
     SCHEMA,
     parse_off,
-    pose_from_document,
     pose_to_document,
     read_polytope,
     read_pose_json,
@@ -79,7 +78,7 @@ def test_pose_json_roundtrip(tmp_path):
     pose = OctahedronPose([0.1, -0.2, 0.3], [0.5, 0.5, 0.5, 0.5], 1.25)
     doc = pose_to_document(pose)
     assert doc["schema"] == SCHEMA
-    back = pose_from_document(doc)
+    back = OctahedronPose.from_dict(doc)
     assert np.allclose(back.center, pose.center)
     assert np.allclose(back.rotation, pose.rotation)
     assert back.scale == pose.scale
