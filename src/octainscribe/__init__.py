@@ -73,7 +73,6 @@ from .sphere import (
     arc_distance,
     area,
     contains,
-    polygon_contains,
     vertex_angle,
 )
 

@@ -164,13 +164,15 @@ class SolidAngle:
     cone, so this is the cone's counterclockwise cycle; a near-zero mean
     is rejected at once.  Salience, orientation and strict convexity
     (which also rules out edges that do not span R^3) are then checked
-    by the one `SphPolygon` built from the sorted edges, and `edges` is
-    that polygon's read-only `matrix`.
+    by the one `SphPolygon` built from the sorted edges: `edges` is that
+    polygon's read-only `matrix`, and the facet normals are its side
+    normals, negated.  `axis` is the edge mean, a direction inside the
+    cone; the polygon's hemisphere axis lies outside narrow cones.
     """
 
-    __slots__ = ("apex", "edges", "axis", "_polygon")
+    __slots__ = ("apex", "edges", "axis", "polygon")
 
-    def __init__(self, apex, edges, tol: float = DEFAULT_TOL):
+    def __init__(self, apex, edges):
         apex = np.asarray(apex, dtype=float).reshape(3)
         E = _unit_rows(edges)
         if len(E) < 3:
@@ -179,19 +181,15 @@ class SolidAngle:
         if float(np.linalg.norm(mean)) <= 1e-12:
             raise InvalidSolidAngle("cone is not salient (the edges sum to nearly zero)")
         axis = _as_unit(mean)
-        E = E[_ccw_order(E, axis)]
         try:
-            poly = SphPolygon(E, tol=tol)
+            poly = SphPolygon(E[_ccw_order(E, axis)])
         except GeometryError as exc:
             msg = f"edges are not a salient, strictly convex cycle: {exc}"
             raise InvalidSolidAngle(msg) from exc
         self.apex = apex
         self.edges = poly.matrix
-        # The edge mean, not poly.axis: facet_normal's sign test needs a
-        # direction inside the cone, and the polygon's hemisphere axis,
-        # though positive against every edge, lies outside narrow cones.
         self.axis = axis
-        self._polygon = poly
+        self.polygon = poly
 
     @classmethod
     def from_triangle(cls, tri: SphTriangle, apex=(0.0, 0.0, 0.0)) -> "SolidAngle":
@@ -201,10 +199,6 @@ class SolidAngle:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def polygon(self) -> SphPolygon:
-        return self._polygon
-
     def facet_angles(self) -> np.ndarray:
         """Planar opening angle of each flat facet (facet i spans edges
         i and i+1), equal to the side lengths of the spherical polygon."""
@@ -212,20 +206,20 @@ class SolidAngle:
 
     def facet_normal(self, i: int) -> np.ndarray:
         """Outward unit normal of facet i (apex-local halfspace n.x <= 0)."""
-        E = self.edges
-        n = _as_unit(np.cross(E[i], E[(i + 1) % len(E)]))
-        if float(np.dot(n, self.axis)) > 0:
-            n = -n
-        return n
+        return -self.polygon.normals[i]
 
     def __repr__(self):
         return f"SolidAngle(apex={self.apex.tolist()}, n_edges={self.n_edges})"
 
 
 def _ccw_order(E: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Edge order by azimuth counterclockwise around `axis`, first edge
+    first.  The frame (x = ref x axis, y = ref projected off axis) comes
+    from the coordinate axis farthest from `axis`, so it stays orthogonal
+    to `axis` to rounding even when the edges lie within 1e-8 of it."""
     ref = np.eye(3)[int(np.argmin(np.abs(axis)))]
-    x = _as_unit(np.cross(axis, ref))
-    y = np.cross(axis, x)
+    x = _as_unit(np.cross(ref, axis))
+    y = _as_unit(ref - float(ref @ axis) * axis)
     az = np.arctan2(E @ y, E @ x)
     az = np.mod(az - az[0], 2 * math.pi)
     return np.argsort(az, kind="stable")
@@ -374,7 +368,12 @@ def placement_test(tri: SphTriangle, tol: float = DEFAULT_TOL) -> AngleClass:
     mirror-image labelings tie exactly when the length term binds, and
     the last bit must not pick between them.
     """
-    placements = _placements(tri.side_lengths())
+    return _placement_verdict(tri.side_lengths(), tol)
+
+
+def _placement_verdict(sides: np.ndarray, tol: float) -> AngleClass:
+    """`placement_test` from the sides (|v1 v2|, |v1 v3|, |v2 v3|)."""
+    placements = _placements(sides)
     margin = placements[0]
     best = float(margin.max())
     if best > tol:
@@ -389,11 +388,15 @@ def classify_trihedral(angle: SolidAngle, tol: float = DEFAULT_TOL) -> AngleClas
     every facet angle below pi/6 is special, any facet angle above pi/3
     is not; everything else goes through the placement test.
 
-    Certificate labelings index the angle's own edges, so a SPECIAL
-    result feeds the witness construction directly.
+    The sides are the angle's facet angles; its edges are already a
+    positively oriented cycle.  Certificate labelings index the angle's
+    own edges, so a SPECIAL result feeds the witness construction
+    directly.
     """
-    tri = spherical_triangle_of(angle)
-    sides = tri.side_lengths()
+    if angle.n_edges != 3:
+        raise NotTrihedral(f"expected 3 edges, got {angle.n_edges}")
+    # Facet angles (|E0 E1|, |E1 E2|, |E2 E0|) in triangle side order.
+    sides = angle.facet_angles()[[0, 2, 1]]
     top = float(sides.max())
     if top > T0_SIDE + tol:
         return AngleClass(ClassTag.NON_SPECIAL, T0_SIDE - top, None)
@@ -404,7 +407,7 @@ def classify_trihedral(angle: SolidAngle, tol: float = DEFAULT_TOL) -> AngleClas
         if m > tol:
             return _special(m, placements, k)
         # Cannot happen for all-small triangles; fall through defensively.
-    return placement_test(tri, tol)
+    return _placement_verdict(sides, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +473,9 @@ def construct_inscribed_octahedron(angle: SolidAngle, cert: PlacementCertificate
     R_lab = Q.T @ _S_MODEL
 
     facets = ((W[0], W[1]), (W[0], W[2]), (W[1], W[2]))
-    opposite = (W[2], W[1], W[0])
-    normals = []
-    for (ea, eb), opp in zip(facets, opposite):
-        nrm = _as_unit(np.cross(ea, eb))
-        if float(np.dot(nrm, opp)) > 0:
-            nrm = -nrm
-        normals.append(nrm)
+    # The facet spanned by two labelled edges is the one that does not
+    # touch the third: facet (k + 1) % 3 of the angle for its edge k.
+    normals = [angle.facet_normal((cert.labeling[third] + 1) % 3) for third in (2, 1, 0)]
 
     A = np.array([normals[f] for _, f in _CONSTRUCT_ASSIGNMENT])
     rhs = np.array([-float(np.dot(normals[f], R_lab @ u)) for u, f in _CONSTRUCT_ASSIGNMENT])
@@ -636,7 +635,7 @@ def classify_general(angle: SolidAngle, tol: float = DEFAULT_TOL) -> GeneralClas
 # Deformation paths through the non-special set.
 
 
-def deformation_path(tri: SphTriangle, steps: int = 60, tol: float = DEFAULT_TOL) -> list:
+def deformation_path(tri: SphTriangle, steps: int = 60) -> list:
     """Discrete path of non-special triangles from `tri` to a triangle
     with a side safely above pi/3.
 
@@ -646,12 +645,12 @@ def deformation_path(tri: SphTriangle, steps: int = 60, tol: float = DEFAULT_TOL
     """
     if steps < 2:
         raise ValueError("a deformation path needs at least 2 steps")
-    start = placement_test(tri, tol)
+    start = placement_test(tri)
     if start.tag is not ClassTag.NON_SPECIAL:
         raise NotNonSpecial(f"input triangle classifies {start.tag.value}")
     ordered = normalize_ordering(tri)
     c, b, _a = ordered.side_lengths()
-    if c > T0_SIDE + tol:
+    if c > T0_SIDE + DEFAULT_TOL:
         return [tri]
     theta = vertex_angle(ordered, 0)
     target = T0_SIDE + 0.02
@@ -676,7 +675,7 @@ def deformation_path(tri: SphTriangle, steps: int = 60, tol: float = DEFAULT_TOL
             )
         )
         step_tri = triangle_from_sides(l2, l3, s23)
-        verdict = placement_test(step_tri, tol)
+        verdict = placement_test(step_tri)
         if verdict.tag is not ClassTag.NON_SPECIAL:
             raise PathVerificationFailed(
                 f"intermediate triangle at f={f:.4f} classified {verdict.tag.value} "

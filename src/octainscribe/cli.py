@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import io as oio
@@ -41,6 +42,14 @@ EX_INDETERMINATE = 2
 EX_FAILED = 3
 EX_USAGE = 64
 EX_SOFTWARE = 70
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of every --tol: a finite, non-negative float."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
+    return value
 
 
 def _emit(doc: dict, out_path):
@@ -176,14 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("angle", nargs="?", help="angle JSON file: {apex: [...], edges: [[...], ...]}")
     pc.add_argument("--polytope", help="polytope file (OFF or JSON); classify one of its vertices")
     pc.add_argument("--vertex", type=int, help="vertex index used with --polytope")
-    pc.add_argument("--tol", type=float, default=1e-9, help="classification tolerance band (rad)")
+    pc.add_argument("--tol", type=_tolerance, default=1e-9, help="classification tolerance band (rad)")
     pc.add_argument("--out", help="write the JSON report here instead of stdout")
     pc.set_defaults(func=cmd_classify)
 
     # No prefix matching here, or the removed --seed would silently mean --seeds.
     pi = sub.add_parser("inscribe", help="find an inscribed regular octahedron", allow_abbrev=False)
     pi.add_argument("polytope", help="polytope file (OFF or JSON)")
-    pi.add_argument("--tol", type=float, default=1e-8, help="certification tolerance, relative to diameter")
+    pi.add_argument("--tol", type=_tolerance, default=1e-8, help="certification tolerance, relative to diameter")
     pi.add_argument("--eps0", type=float, default=None, help="initial smoothing (default 0.2 * inradius)")
     pi.add_argument("--seeds", type=int, default=60, help="rotation seeds per multistart")
     pi.add_argument("--json", help="write the pose/trace JSON here instead of stdout")
@@ -200,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("certify", help="re-certify a stored pose against a polytope")
     pv.add_argument("polytope")
     pv.add_argument("pose", help="pose JSON written by inscribe")
-    pv.add_argument("--tol", type=float, default=1e-8, help="tolerance, relative to diameter")
+    pv.add_argument("--tol", type=_tolerance, default=1e-8, help="tolerance, relative to diameter")
     pv.add_argument("--out", help="write the JSON report here instead of stdout")
     pv.set_defaults(func=cmd_certify)
 

@@ -1,9 +1,11 @@
 """Spherical trigonometry kernel: geodesic triangles and convex polygons
-on the unit sphere, with tolerance-aware containment predicates.
+on the unit sphere, with containment predicates.
 
 All angles are radians.  Points are plain unit 3-vectors; a triangle or
 polygon holds its vertices as the rows of one read-only (n, 3) array,
-normalized and validated once, in one vectorized pass each.  Distances
+normalized and validated once, in one vectorized pass each, and a
+polygon also keeps the unit side normals of that pass.  Every geometric
+tolerance is the fixed DEFAULT_TOL.  Distances
 use the atan2 form, which stays accurate for the small triangles this
 toolkit mostly deals in.
 """
@@ -29,7 +31,6 @@ __all__ = [
     "vertex_angle",
     "area",
     "contains",
-    "polygon_contains",
     "polygon_side_margins",
     "polygon_area",
     "polygon_diameter",
@@ -117,18 +118,18 @@ class SphTriangle:
 
     `matrix` is a read-only 3x3 array whose rows are the unit vertex
     vectors.  The constructor normalizes the three vertices, rejects
-    any pair closer than `tol` or farther than pi - `tol` and any
-    triangle with |det| < 1e-12 (coplanar with the center), and swaps
-    the last two vertices when the determinant is negative, so
+    any pair closer than DEFAULT_TOL or farther than pi - DEFAULT_TOL
+    and any triangle with |det| < 1e-12 (coplanar with the center), and
+    swaps the last two vertices when the determinant is negative, so
     downstream hemisphere tests never need a sign case split.
     """
 
     __slots__ = ("matrix",)
 
-    def __init__(self, v1, v2, v3, tol: float = DEFAULT_TOL):
+    def __init__(self, v1, v2, v3):
         m = _unit_rows((v1, v2, v3))
         d = _arcs(m[_PAIRS[0]], m[_PAIRS[1]])
-        bad = np.flatnonzero((d < tol) | (d > math.pi - tol))
+        bad = np.flatnonzero((d < DEFAULT_TOL) | (d > math.pi - DEFAULT_TOL))
         if bad.size:
             i, j = _PAIRS[0][bad[0]], _PAIRS[1][bad[0]]
             raise DegenerateTriangle(
@@ -161,23 +162,17 @@ class SphPolygon:
     The constructor validates the vertex cycle in one pass over its sides
     and rejects, rather than repairs, anything else: consecutive vertices
     must be neither coincident nor antipodal, and every vertex off a side
-    must lie more than `tol` from that side's great circle (dot with the
-    side's unit normal), all on the same side.  A clockwise cycle is
-    reversed.  `SolidAngle` relies on this as its only validation pass.
-
-    Strict convexity implies salience, so there is no separate hemisphere
-    test: in the positive orientation a vertex has dot 0 with the inward
-    unit normals of its own two sides and dot > tol with the other n - 2,
-    so the sum of all inward unit side normals has dot >= (n - 2) tol
-    with every vertex.  `axis` is that sum, normalized (`hemisphere_axis`);
-    it need not lie inside the polygon.
-    Band decision: a cycle that is strictly convex at `tol` is accepted
-    even when no open hemisphere holds it with a margin above `tol`.
+    must lie more than DEFAULT_TOL from that side's great circle (dot
+    with the side's unit normal), all on the same side.  A clockwise
+    cycle is reversed.  `SolidAngle` relies on this as its only
+    validation pass.  `normals` keeps that pass's read-only inward unit
+    side normals (row i: the side from vertex i to i + 1), and `axis` is
+    their sum, normalized (`hemisphere_axis`).
     """
 
-    __slots__ = ("matrix", "axis")
+    __slots__ = ("matrix", "normals", "axis")
 
-    def __init__(self, points, tol: float = DEFAULT_TOL):
+    def __init__(self, points):
         arr = _unit_rows(points)
         n = len(arr)
         if n < 3:
@@ -186,83 +181,70 @@ class SphPolygon:
         nrm = np.cross(arr, nxt)
         lens = np.linalg.norm(nrm, axis=1)
         sides = np.arctan2(lens, np.einsum("ij,ij->i", arr, nxt))
-        bad = np.flatnonzero(sides < tol)
+        bad = np.flatnonzero(sides < DEFAULT_TOL)
         if bad.size:
             raise InvalidPolygon(f"consecutive vertices {bad[0]},{bad[0] + 1} coincide")
         bad = np.flatnonzero(lens < 1e-12)
         if bad.size:
             raise InvalidPolygon(f"edge {bad[0]} joins antipodal or equal vertices")
+        unit = nrm / lens[:, None]
         # dots[i, j]: unit normal of side i (vertices i, i+1) against vertex j,
         # leaving out the two vertices of the side itself.
-        dots = (nrm / lens[:, None]) @ arr.T
+        dots = unit @ arr.T
         idx = np.arange(n)
         off = np.ones((n, n), dtype=bool)
         off[idx, idx] = off[idx, (idx + 1) % n] = False
         dots = dots[off]
-        if dots.max() < -tol:
+        if dots.max() < -DEFAULT_TOL:
+            # Side i of the reversed cycle joins old vertices n-1-i and
+            # n-2-i: old side n-2-i, traversed backwards.
             arr = arr[::-1].copy()
-        elif dots.min() <= tol:
+            unit = -np.roll(unit[::-1], -1, axis=0)
+        elif dots.min() <= DEFAULT_TOL:
             raise InvalidPolygon("polygon is not strictly convex")
-        self.axis = hemisphere_axis(arr, tol)
+        self.axis = hemisphere_axis(unit)
         arr.flags.writeable = False
+        unit.flags.writeable = False
         self.matrix = arr
+        self.normals = unit
 
     def __len__(self):
         return len(self.matrix)
 
 
-def hemisphere_axis(arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hemisphere_axis(normals: np.ndarray) -> np.ndarray:
     """A unit direction with positive dot against every vertex of a
-    positively oriented cycle that is strictly convex at `tol`, as
-    `SphPolygon` validates it: the normalized sum of the inward unit side
-    normals.
+    strictly convex cycle, as `SphPolygon` validates it: the normalized
+    sum of its inward unit side normals.
 
     Convexity implies salience: each vertex has dot 0 with the normals of
-    its own two sides and dot > tol with the other n - 2, so the sum has
-    dot >= (n - 2) tol with every vertex, and no search is needed.  `tol`
-    enters only this bound; the cycle is not checked again.  Band
-    decision: a cycle strictly convex at `tol` gets an axis even when its
-    best hemisphere margin is <= tol.  The axis need not lie inside the
-    polygon; for a narrow one it lies far outside.
+    its own two sides and dot > DEFAULT_TOL with the other n - 2, so the
+    sum has dot >= (n - 2) DEFAULT_TOL with every vertex, and no search
+    is needed, even when no hemisphere holds the cycle with a margin
+    above DEFAULT_TOL.  The axis need not lie inside the polygon; for a
+    narrow one it lies far outside.
     """
-    return _as_unit(_side_normals(arr).sum(axis=0))
-
-
-def _side_normals(mat: np.ndarray) -> np.ndarray:
-    """Inward unit normals of the directed sides of a positively oriented
-    vertex cycle (interior has positive dot with every normal)."""
-    nxt = np.roll(mat, -1, axis=0)
-    nrm = np.cross(mat, nxt)
-    return nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
+    return _as_unit(normals.sum(axis=0))
 
 
 def polygon_side_margins(poly, p) -> np.ndarray:
     """Signed angular distances of p to the side planes of a triangle or
     convex polygon, positive towards the interior."""
-    dots = np.clip(_side_normals(poly.matrix) @ _as_unit(p), -1.0, 1.0)
-    return np.arcsin(dots)
+    nrm = np.cross(poly.matrix, np.roll(poly.matrix, -1, axis=0))
+    dots = (nrm / np.linalg.norm(nrm, axis=1, keepdims=True)) @ _as_unit(p)
+    return np.arcsin(np.clip(dots, -1.0, 1.0))
 
 
-def _classify_margins(margins: np.ndarray, tol: float) -> Containment:
-    worst = float(margins.min())
-    if worst < -tol:
+def contains(region, p) -> Containment:
+    """Locate p relative to a `SphTriangle` or `SphPolygon`: INSIDE /
+    BOUNDARY / OUTSIDE.  BOUNDARY is the +-DEFAULT_TOL band around the
+    sides."""
+    worst = float(polygon_side_margins(region, p).min())
+    if worst < -DEFAULT_TOL:
         return Containment.OUTSIDE
-    if worst <= tol:
+    if worst <= DEFAULT_TOL:
         return Containment.BOUNDARY
     return Containment.INSIDE
-
-
-def contains(tri: SphTriangle, p, tol: float = DEFAULT_TOL) -> Containment:
-    """Locate p relative to the triangle: INSIDE / BOUNDARY / OUTSIDE.
-
-    BOUNDARY is the +-tol band around the sides.
-    """
-    return _classify_margins(polygon_side_margins(tri, p), tol)
-
-
-def polygon_contains(poly: SphPolygon, p, tol: float = DEFAULT_TOL) -> Containment:
-    """Three-way point location relative to a convex spherical polygon."""
-    return _classify_margins(polygon_side_margins(poly, p), tol)
 
 
 def vertex_angle(tri: SphTriangle, i: int) -> float:

@@ -130,9 +130,9 @@ def test_solid_angle_solves_hemisphere_axis_once(monkeypatch):
     calls = []
     real = sphere.hemisphere_axis
 
-    def counting(arr, tol=sphere.DEFAULT_TOL):
-        calls.append(len(arr))
-        return real(arr, tol)
+    def counting(normals):
+        calls.append(len(normals))
+        return real(normals)
 
     # Both modules bind the name; count a call through either.
     monkeypatch.setattr(sphere, "hemisphere_axis", counting)

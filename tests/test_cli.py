@@ -128,13 +128,37 @@ def test_inscribe_seeds_sets_rotation_count(cube_off, tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize(
     "option",
-    [["--seeds", "0"], ["--seeds", "-5"], ["--eps0", "5"]],
-    ids=["zero-seeds", "negative-seeds", "eps0-beyond-inradius"],
+    [
+        ["--seeds", "0"],
+        ["--seeds", "-5"],
+        ["--eps0", "5"],
+        ["--tol", "-1"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+    ],
+    ids=["zero-seeds", "negative-seeds", "eps0-beyond-inradius", "negative-tol", "nan-tol", "inf-tol"],
 )
 def test_inscribe_rejects_out_of_range_option(cube_off, option, capsys):
     code = main(["inscribe", cube_off, *option])
     assert "error:" in capsys.readouterr().err
     assert code == 64
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-0.0001"])
+@pytest.mark.parametrize("command", ["classify", "certify"])
+def test_classify_and_certify_reject_out_of_range_tol(cube_off, tmp_path, command, tol, capsys):
+    args = {
+        "classify": ["classify", "--polytope", cube_off, "--vertex", "0"],
+        "certify": ["certify", cube_off, str(tmp_path / "pose.json")],
+    }[command]
+    code = main([*args, "--tol", tol])
+    assert "error:" in capsys.readouterr().err
+    assert code == 64
+
+
+def test_zero_tol_is_allowed(cube_off, capsys):
+    # The cube corner is NON_SPECIAL at any band.
+    assert main(["classify", "--polytope", cube_off, "--vertex", "0", "--tol", "0"]) == 1
 
 
 def test_inscribe_then_certify_roundtrip(cube_off, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from octainscribe.angles import ClassTag, SolidAngle, placement_test, triangle_from_sides
+import octainscribe.oracle
 from octainscribe.generators import random_triangle
 from octainscribe.oracle import (
     DirectSearchConfig,
@@ -95,3 +98,58 @@ def test_mc_matches_lhuilier_on_T0():
     ang = SolidAngle.from_triangle(tri)
     a, se = mc_solid_angle_area(ang, samples=400_000, seed=2)
     assert abs(a - area(tri)) <= 3 * se
+
+
+# -- independence from production code ------------------------------------
+
+ORACLE_TREE = ast.parse(Path(octainscribe.oracle.__file__).read_text())
+
+# What the reference implementation may use of the package: geometry it
+# shares would let a production bug cancel out in the cross-check.
+ORACLE_IMPORTS = {
+    ("angles", "SolidAngle"),
+    ("polytope", "ConvexPolytope"),
+    ("pose", "UNIT_VERTICES"),
+    ("pose", "OctahedronPose"),
+    ("pose", "pose_distance"),
+    ("rotations", "OCTA_GROUP"),
+    ("rotations", "matrix_to_quat"),
+    ("rotations", "quat_to_matrix"),
+    ("rotations", "super_fibonacci_rotations"),
+}
+SOLID_ANGLE_READS = {"edges", "axis", "apex", "n_edges"}
+
+
+def test_oracle_imports_only_its_known_names():
+    imported = set()
+    for node in ast.walk(ORACLE_TREE):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "octainscribe" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                imported |= {(module, a.name) for a in node.names}
+            else:
+                assert module.split(".")[0] != "octainscribe", f"absolute import of {module}"
+    assert imported == ORACLE_IMPORTS
+
+
+def test_oracle_reads_only_edges_axis_apex_of_a_solid_angle():
+    reads = set()
+    for fn in ast.walk(ORACLE_TREE):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        names = {
+            a.arg
+            for a in fn.args.args
+            if a.arg == "angle" or (isinstance(a.annotation, ast.Name) and a.annotation.id == "SolidAngle")
+        }
+        reads |= {
+            node.attr
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in names
+        }
+    assert reads and reads <= SOLID_ANGLE_READS
+    # Nor under another name: the derived quantities appear nowhere.
+    attrs = {node.attr for node in ast.walk(ORACLE_TREE) if isinstance(node, ast.Attribute)}
+    assert not attrs & {"facet_normal", "facet_angles", "polygon"}

@@ -15,7 +15,6 @@ from octainscribe.sphere import (
     area,
     contains,
     polygon_area,
-    polygon_contains,
     polygon_diameter,
     vertex_angle,
 )
@@ -202,9 +201,9 @@ def test_polygon_contains_quarter_lune():
         normalize([1, 0, 1]),
     ])
     centroid = normalize(quad.matrix.sum(axis=0))
-    assert polygon_contains(quad, centroid) is Containment.INSIDE
-    assert polygon_contains(quad, quad.matrix[0]) is Containment.BOUNDARY
-    assert polygon_contains(quad, -centroid) is Containment.OUTSIDE
+    assert contains(quad, centroid) is Containment.INSIDE
+    assert contains(quad, quad.matrix[0]) is Containment.BOUNDARY
+    assert contains(quad, -centroid) is Containment.OUTSIDE
 
 
 def random_convex_cycle(rng, n):
