@@ -174,7 +174,8 @@ class SolidAngle:
 
     def __init__(self, apex, edges):
         apex = np.asarray(apex, dtype=float).reshape(3)
-        E = _unit_rows(edges)
+        raw = np.array(edges, dtype=float).reshape(-1, 3)
+        E = _unit_rows(raw)
         if len(E) < 3:
             raise InvalidSolidAngle("a solid angle needs at least 3 edges")
         mean = E.sum(axis=0)
@@ -182,7 +183,10 @@ class SolidAngle:
             raise InvalidSolidAngle("cone is not salient (the edges sum to nearly zero)")
         axis = _as_unit(mean)
         try:
-            poly = SphPolygon(E[_ccw_order(E, axis)])
+            # The polygon normalizes the raw edges itself: a unit edge
+            # normalized a second time can move a convexity dot across
+            # DEFAULT_TOL.
+            poly = SphPolygon(raw[_ccw_order(E, axis)])
         except GeometryError as exc:
             msg = f"edges are not a salient, strictly convex cycle: {exc}"
             raise InvalidSolidAngle(msg) from exc

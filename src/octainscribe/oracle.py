@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .angles import SolidAngle
 from .polytope import ConvexPolytope
@@ -39,7 +39,7 @@ __all__ = [
 class DirectSearchConfig:
     n_rotations: int = 400          # rotation samples per assignment
     refine_top: int = 4             # local refinements per assignment
-    max_nfev: int = 150             # budget of each local refinement
+    max_nfev: int = 150             # residual evaluations per refined candidate
     plane_tol: float = 1e-9         # vertex-to-plane acceptance (relative)
     sector_tol: float = 1e-9        # sector membership slack (relative)
     dedup_tol: float = 1e-6
@@ -115,6 +115,16 @@ def _sector_frames(angle: SolidAngle):
     return frames
 
 
+@lru_cache(maxsize=4)
+def _rotation_grid(n: int):
+    """The search grid's n rotation matrices (n, 3, 3) and the unit
+    vertices each one turns to (n, 6, 3)."""
+    mats = np.array([quat_to_matrix(q) for q in super_fibonacci_rotations(n)]).reshape(n, 3, 3)
+    ru = np.einsum("kab,jb->kja", mats, UNIT_VERTICES)
+    mats.flags.writeable = ru.flags.writeable = False
+    return mats, ru
+
+
 def direct_angle_search(
     angle: SolidAngle, cfg: DirectSearchConfig = DirectSearchConfig()
 ) -> DirectSearchResult:
@@ -125,51 +135,50 @@ def direct_angle_search(
     For every assignment the scale is fixed to 1 (inscribed octahedra of
     a cone come in homothety families) and the apex-relative center that
     best satisfies the six plane conditions is a linear least-squares
-    solve per rotation; rotation space is scanned on a deterministic grid
-    and the best candidates polished by a local simplex search, then
-    verified against plane and sector-membership tolerances.  An empty
-    result is resolution-limited evidence of absence, quantified in the
-    metadata, not a proof.
+    solve per rotation.  Rotation space is scanned on a deterministic
+    grid, and each assignment's `refine_top` best rotations are polished
+    together, all assignments at once, by one batched Levenberg-Marquardt
+    solve (`least_squares`) in which each candidate may spend `max_nfev`
+    residual evaluations.  The candidates are then verified against
+    plane and sector-membership tolerances in scan order: assignment,
+    then grid rank.  An empty result is resolution-limited evidence of
+    absence, quantified in the metadata, not a proof.
     """
     if angle.n_edges != 3:
         raise ValueError("direct search handles trihedral angles only")
     frames = _sector_frames(angle)
     normals = np.array([f[1] for f in frames])
-    quats = super_fibonacci_rotations(cfg.n_rotations)
-    mats = np.array([quat_to_matrix(q) for q in quats])
-    RU = np.einsum("kab,jb->kja", mats, UNIT_VERTICES)
+    inverses = np.array([f[0] for f in frames])
+    mats, RU = _rotation_grid(cfg.n_rotations)
+
+    starts, systems = [], []
+    for sigma in _ASSIGNMENTS:
+        system = _plane_system(normals[list(sigma)], inverses[list(sigma)])
+        r = _residuals(RU, *system)[0]
+        starts.append(np.argsort(np.einsum("ki,ki->k", r, r), kind="stable")[: cfg.refine_top])
+        systems.append(system)
+    owner = np.repeat(np.arange(len(_ASSIGNMENTS)), [len(s) for s in starts])
+    system = [np.array(parts)[owner] for parts in zip(*systems)]
+    rotations = least_squares(mats[np.concatenate(starts)], system, cfg.max_nfev).rotations
+
+    _, c, X = _residuals(_turned_vertices(rotations), *system)
+    span = np.linalg.norm(X, axis=2).max(axis=1)
+    alpha, beta, gamma = np.einsum("kjab,kjb->akj", system[3], X)
+    lim = span[:, None]
+    plane_ok = np.abs(gamma) <= cfg.plane_tol * lim
+    sector_ok = (alpha >= -cfg.sector_tol * lim) & (beta >= -cfg.sector_tol * lim)
+    verified = (span >= 1e-9) & (plane_ok & sector_ok).all(axis=1)
 
     found = []
-    tested = 0
-    for sigma in _ASSIGNMENTS:
-        tested += 1
-        A = normals[list(sigma)]
-        pinv = np.linalg.pinv(A)
-        proj = np.eye(6) - A @ pinv
-
-        NsRU = np.einsum("ja,kja->kj", A, RU)
-        rho = np.einsum("ij,kj->ki", proj, -NsRU)
-        plane_sq = (rho**2).sum(axis=1)
-
-        centers = np.einsum("ij,kj->ki", pinv, -NsRU)
-        X = centers[:, None, :] + RU
-        hinge_sq = np.zeros(len(mats))
-        for j, f in enumerate(sigma):
-            ab = np.einsum("ab,kb->ka", frames[f][0], X[:, j, :])[:, :2]
-            hinge_sq += (np.minimum(ab, 0.0) ** 2).sum(axis=1)
-        objective = plane_sq + hinge_sq
-
-        order = np.argsort(objective, kind="stable")[: cfg.refine_top]
-        for idx in order:
-            pose = _refine_assignment(angle, sigma, quats[idx], frames, A, pinv, proj, cfg)
-            if pose is None:
-                continue
-            if any(pose_distance(pose, p) < cfg.dedup_tol for p in found):
-                continue
-            found.append(pose)
-            if cfg.stop_at_first:
-                return DirectSearchResult(found, _metadata(cfg, tested, early=True))
-    return DirectSearchResult(found, _metadata(cfg, tested, early=False))
+    for k in np.flatnonzero(verified):
+        t = 1.0 / span[k]
+        pose = OctahedronPose(angle.apex + t * c[k], matrix_to_quat(rotations[k]), t)
+        if any(pose_distance(pose, p) < cfg.dedup_tol for p in found):
+            continue
+        found.append(pose)
+        if cfg.stop_at_first:
+            return DirectSearchResult(found, _metadata(cfg, int(owner[k]) + 1, early=True))
+    return DirectSearchResult(found, _metadata(cfg, len(_ASSIGNMENTS), early=False))
 
 
 def _metadata(cfg: DirectSearchConfig, tested: int, early: bool) -> dict:
@@ -185,49 +194,132 @@ def _metadata(cfg: DirectSearchConfig, tested: int, early: bool) -> dict:
     }
 
 
-def _solve_center(sigma, R, frames, A, pinv, proj):
-    ru = UNIT_VERTICES @ R.T
-    b = -np.einsum("ja,ja->j", A, ru)
-    plane = proj @ b
-    c = pinv @ b
-    X = c[None, :] + ru
-    hinges = np.empty(12)
-    for j, f in enumerate(sigma):
-        hinges[2 * j : 2 * j + 2] = np.minimum((frames[f][0] @ X[j])[:2], 0.0)
-    return plane, hinges, c, X
+def _plane_system(A, inverses):
+    """What one assignment fixes: the facet normal of each vertex (A, 6 x 3),
+    its pseudo-inverse, the projector onto the residual of the six plane
+    conditions, and each vertex's inverse sector frame (6 x 3 x 3)."""
+    pinv = np.linalg.pinv(A)
+    return A, pinv, np.eye(6) - A @ pinv, inverses
 
 
-def _refine_assignment(angle, sigma, q0, frames, A, pinv, proj, cfg):
-    R0 = quat_to_matrix(q0)
+def _turned_vertices(R):
+    """R u_j for every unit vertex u_j, (K, 6, 3)."""
+    return (R @ UNIT_VERTICES.T).transpose(0, 2, 1)
 
-    def residuals(w):
-        R = quat_to_matrix(np.concatenate([[1.0], 0.5 * w])) @ R0
-        plane, hinges, _, _ = _solve_center(sigma, R, frames, A, pinv, proj)
-        return np.concatenate([plane, hinges])
 
-    sol = least_squares(
-        residuals,
-        np.zeros(3),
-        method="lm",
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-        max_nfev=cfg.max_nfev,
-    )
-    R = quat_to_matrix(np.concatenate([[1.0], 0.5 * sol.x])) @ R0
-    _, _, c, X = _solve_center(sigma, R, frames, A, pinv, proj)
+def _residuals(ru, A, pinv, proj, inverses):
+    """Residuals at scale 1 of K rotations, given as the vertices they
+    turn the unit vertices to (ru, K x 6 x 3): the 6 plane rows, then the
+    12 hinge rows min(alpha, 0), min(beta, 0) of each vertex's sector
+    coordinates, (K, 18).  The center c (K, 3) is the least-squares solve
+    of the plane conditions; X (K, 6, 3) are the vertices.  The
+    assignment arrays are one assignment's or one per rotation."""
+    b = -(A * ru).sum(axis=2)[..., None]
+    plane = (proj @ b)[..., 0]
+    c = (pinv @ b)[..., 0]
+    X = c[:, None, :] + ru
+    hinge = np.minimum((inverses[..., :2, :] @ X[..., None])[..., 0], 0.0)
+    return np.concatenate([plane, hinge.reshape(len(ru), 12)], axis=1), c, X
 
-    span = float(np.linalg.norm(X, axis=1).max())
-    if span < 1e-9:
-        return None
-    plane_lim = cfg.plane_tol * span
-    sector_lim = cfg.sector_tol * span
-    for j, f in enumerate(sigma):
-        alpha, beta, gamma = frames[f][0] @ X[j]
-        if abs(gamma) > plane_lim or alpha < -sector_lim or beta < -sector_lim:
-            return None
-    t = 1.0 / span
-    return OctahedronPose(angle.apex + t * c, matrix_to_quat(R), t)
+
+def _jacobian(ru, A, pinv, proj, inverses, r):
+    """d r / d w (K, 18, 3) for the left update R <- Q(w) R at w = 0.
+
+    d(R u_j) / d w_i = e_i x R u_j, so b_j = -A_j . R u_j moves by
+    (A_j x R u_j)_i, which reaches the plane rows through `proj` and the
+    center through `pinv`.  A hinge row H . X_j moves by
+    H . d c / d w_i + (R u_j x H)_i while it is active (r < 0)."""
+    G = _cross(A, ru)
+    rows = inverses[:, :, :2, :]
+    dh = rows @ (pinv @ G)[:, None] + _cross(ru[:, :, None, :], rows)
+    dh *= (r[:, 6:] < 0.0).reshape(-1, 6, 2, 1)
+    return np.concatenate([proj @ G, dh.reshape(len(ru), 12, 3)], axis=1)
+
+
+def _cross(a, b):
+    """Cross product over the last axis, with broadcasting."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _turn(w, R):
+    """Q(w) R (K, 3, 3) for the unit quaternions [1, w/2] / norm: each
+    column x of R goes to x + s (v x x + v x (v x x)) with v = w/2 and
+    s = 2 / (1 + |v|^2), which is x + w x x to first order."""
+    v = 0.5 * w[:, None, :]
+    s = 2.0 / (1.0 + np.einsum("kai,kai->k", v, v))[:, None, None]
+    cols = R.transpose(0, 2, 1)
+    u = _cross(v, cols)
+    return (cols + s * (u + _cross(v, u))).transpose(0, 2, 1)
+
+
+@dataclass(frozen=True, eq=False)
+class BatchSolution:
+    rotations: np.ndarray   # (K, 3, 3), in the order of the starts
+    nfev: int               # residual evaluations, summed over candidates
+
+
+# A candidate stops once its residual norm is below 1e-15 (the octahedron
+# has scale 1, so every span is at least 1) or its step below _STEP_FLOOR
+# radians.
+_COST_FLOOR = 1e-30
+_STEP_FLOOR = 1e-15
+
+
+def least_squares(R, system, max_nfev: int) -> BatchSolution:
+    """Levenberg-Marquardt on K rotation problems at once, each with its
+    own damping lam (Madsen, Nielsen and Tingleff, *Methods for
+    Non-Linear Least Squares Problems*, 2004, algorithm 3.16, with
+    Marquardt's diagonal scaling).
+
+    R (K, 3, 3) are the starting rotations and `system` the per-candidate
+    arrays of `_plane_system`.  The unknown is each candidate's rotation
+    update, re-centred after every accepted step (R <- Q(delta) R).  Every
+    live candidate solves its 3 x 3 system
+    (J^T J + lam diag(J^T J)) delta = -J^T r, and accepts or rejects its
+    step on its own gain ratio.  A candidate is frozen, and leaves the
+    batch, once its cost or its step is negligible or it has spent
+    `max_nfev` residual evaluations, counting the one at its start.
+    """
+    R = np.array(R, dtype=float)
+    out = np.empty_like(R)
+    todo = np.arange(len(R))
+    ru = _turned_vertices(R)
+    r = _residuals(ru, *system)[0]
+    J = _jacobian(ru, *system, r)
+    cost = np.einsum("ki,ki->k", r, r)
+    lam = np.full(len(R), 1e-3)
+    nu = np.full(len(R), 2.0)
+    spent = np.ones(len(R), dtype=int)
+    nfev = len(R)
+    live = (cost > _COST_FLOOR) & (spent < max_nfev)
+    while True:
+        if not live.all():
+            out[todo[~live]] = R[~live]
+            todo, R, r, J, cost, lam, nu, spent = (a[live] for a in (todo, R, r, J, cost, lam, nu, spent))
+            system = [a[live] for a in system]
+        if not len(todo):
+            return BatchSolution(out, nfev)
+        Jt = J.transpose(0, 2, 1)
+        JtJ = Jt @ J
+        g = (Jt @ r[..., None])[..., 0]
+        d = lam[:, None] * np.maximum(np.diagonal(JtJ, axis1=1, axis2=2), 1e-300)
+        step = np.linalg.solve(JtJ + d[:, :, None] * np.eye(3), -g[..., None])[..., 0]
+        trial = _turn(step, R)
+        ru = _turned_vertices(trial)
+        r_try = _residuals(ru, *system)[0]
+        J_try = _jacobian(ru, *system, r_try)
+        cost_try = np.einsum("ki,ki->k", r_try, r_try)
+        spent += 1
+        nfev += len(todo)
+        rho = (cost - cost_try) / np.maximum(np.einsum("ki,ki->k", step, d * step - g), 1e-300)
+        good = cost_try < cost
+        R[good], r[good], J[good], cost[good] = trial[good], r_try[good], J_try[good], cost_try[good]
+        lam = np.where(good, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), lam * nu)
+        nu = np.where(good, 2.0, 2.0 * nu)
+        small = np.einsum("ki,ki->k", step, step) <= _STEP_FLOOR**2
+        live = (cost > _COST_FLOOR) & ~small & (spent < max_nfev)
 
 
 def inscribed_in_cone_check(angle: SolidAngle, pose: OctahedronPose, tol: float = 1e-8) -> bool:

@@ -119,9 +119,13 @@ class SphTriangle:
     `matrix` is a read-only 3x3 array whose rows are the unit vertex
     vectors.  The constructor normalizes the three vertices, rejects
     any pair closer than DEFAULT_TOL or farther than pi - DEFAULT_TOL
-    and any triangle with |det| < 1e-12 (coplanar with the center), and
-    swaps the last two vertices when the determinant is negative, so
-    downstream hemisphere tests never need a sign case split.
+    and any triangle coplanar with the center, and swaps the last two
+    vertices when the determinant is negative, so downstream hemisphere
+    tests never need a sign case split.  The coplanarity test is
+    |det| < 1e-12 sin(a) sin(b) sin(c) over the sides a, b, c.  Since
+    det = sin(b) sin(c) sin(A), that is the law-of-sines ratio
+    sin(A) / sin(a) below 1e-12: zero only for vertices on one great
+    circle, and not driven to zero by the triangle's size.
     """
 
     __slots__ = ("matrix",)
@@ -135,8 +139,9 @@ class SphTriangle:
             raise DegenerateTriangle(
                 f"vertices {i},{j} at angular distance {d[bad[0]]}: coincident or antipodal"
             )
-        det = float(np.linalg.det(m))
-        if abs(det) < 1e-12:
+        # det = m0 . ((m1 - m0) x (m2 - m0)) stays accurate for tiny triangles.
+        det = float(m[0] @ np.cross(m[1] - m[0], m[2] - m[0]))
+        if abs(det) < 1e-12 * float(np.prod(np.sin(d))):
             raise DegenerateTriangle(
                 "vertices are coplanar with the center: no open hemisphere contains the triangle"
             )

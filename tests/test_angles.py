@@ -101,6 +101,19 @@ def test_solid_angle_accepts_narrow_cone():
         assert np.all(dots < 1e-15)
 
 
+@pytest.mark.parametrize("h", [1e-5, 1e-6, 1e-7])
+def test_narrow_trihedral_angle_classifies_or_is_rejected(h):
+    # The placed triangle of the certificate is as narrow as the angle; its
+    # coplanarity test must not reject it for being small.
+    try:
+        ang = SolidAngle((0, 0, 0), [(h, 0, 1), (0, h, 1), (-h, -h, 1)])
+    except InvalidSolidAngle:
+        return
+    cls = classify_trihedral(ang)
+    assert cls.tag is ClassTag.SPECIAL and cls.margin > 0
+    assert cls.certificate is not None and np.min(cls.certificate.margins) > 0
+
+
 def _same_cycle(a, b):
     return any(np.allclose(np.roll(a, k, axis=0), b, atol=1e-15) for k in range(len(a)))
 

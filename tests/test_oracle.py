@@ -17,6 +17,8 @@ from octainscribe.oracle import (
     membership_oracle_batch,
 )
 from octainscribe.polytope import SmoothedBody, cube, regular_tetrahedron
+from octainscribe.pose import UNIT_VERTICES, pose_distance
+from octainscribe.rotations import quat_to_matrix
 from octainscribe.sphere import area
 
 
@@ -64,6 +66,131 @@ def test_search_agrees_with_placement_minibatch():
             continue
         res = direct_angle_search(SolidAngle.from_triangle(tri), cfg)
         assert bool(res.poses) == (cls.tag is ClassTag.SPECIAL)
+
+
+def criterion_5_triangles(count):
+    """The first `count` triangles of acceptance criterion 5: seed 505,
+    skipping placement margins below 1e-6."""
+    rng = np.random.default_rng(505)
+    tris = []
+    while len(tris) < count:
+        tri = random_triangle(rng)
+        if abs(placement_test(tri).margin) >= 1e-6:
+            tris.append(tri)
+    return tris
+
+
+# Full-search pose counts on the first 24 criterion-5 triangles, as found
+# by the per-candidate solver the batched one replaced.  Fewer poses from
+# a faster oracle would be a regression.
+FULL_SEARCH_POSES = [0, 0, 0, 2, 2, 0, 0, 6, 2, 0, 2, 0, 0, 2, 8, 2, 0, 2, 0, 0, 0, 2, 2, 0]
+
+
+def test_full_search_pose_counts_are_pinned():
+    counts = [len(direct_angle_search(SolidAngle.from_triangle(t)).poses) for t in criterion_5_triangles(24)]
+    assert counts == FULL_SEARCH_POSES
+
+
+def on_facets(angle, pose, sigma, tol=1e-8):
+    """Vertex j of the pose lies on the sector of facet sigma[j]."""
+    frames = octainscribe.oracle._sector_frames(angle)
+    for x, f in zip(pose.vertices() - angle.apex, sigma):
+        alpha, beta, gamma = frames[f][0] @ x
+        lim = tol * np.linalg.norm(x)
+        if abs(gamma) > lim or alpha < -lim or beta < -lim:
+            return False
+    return True
+
+
+def test_stop_at_first_returns_the_first_pose_of_the_full_search():
+    special = [t for t, n in zip(criterion_5_triangles(24), FULL_SEARCH_POSES) if n][:5]
+    for tri in special:
+        ang = SolidAngle.from_triangle(tri)
+        full = direct_angle_search(ang)
+        first = direct_angle_search(ang, DirectSearchConfig(stop_at_first=True))
+        assert len(first.poses) == 1 and first.metadata["stopped_at_first"]
+        assert pose_distance(first.poses[0], full.poses[0]) < 1e-12
+        tested = first.metadata["assignments_tested"]
+        earlier = octainscribe.oracle._ASSIGNMENTS[: tested - 1]
+        assert on_facets(ang, first.poses[0], octainscribe.oracle._ASSIGNMENTS[tested - 1])
+        assert not any(on_facets(ang, p, s) for p in full.poses for s in earlier)
+
+
+def random_candidates(per, seed):
+    """`per` random rotations for each assignment of one trihedral angle,
+    with the per-candidate arrays that `least_squares` takes."""
+    oracle = octainscribe.oracle
+    ang = SolidAngle.from_triangle(triangle_from_sides(0.9, 0.7, 0.6))
+    frames = oracle._sector_frames(ang)
+    normals = np.array([f[1] for f in frames])
+    inverses = np.array([f[0] for f in frames])
+    quats = np.random.default_rng(seed).normal(size=(per * len(oracle._ASSIGNMENTS), 4))
+    R = np.array([quat_to_matrix(q) for q in quats])
+    systems = [oracle._plane_system(normals[list(s)], inverses[list(s)]) for s in oracle._ASSIGNMENTS]
+    system = [np.repeat(np.array(parts), per, axis=0) for parts in zip(*systems)]
+    return frames, R, system
+
+
+def reference_residuals(sigma, R, frames, A, pinv, proj):
+    """The per-vertex loop the batched residuals replaced."""
+    ru = UNIT_VERTICES @ R.T
+    b = -np.einsum("ja,ja->j", A, ru)
+    c = pinv @ b
+    X = c[None, :] + ru
+    hinges = np.empty(12)
+    for j, f in enumerate(sigma):
+        hinges[2 * j : 2 * j + 2] = np.minimum((frames[f][0] @ X[j])[:2], 0.0)
+    return np.concatenate([proj @ b, hinges]), c, X
+
+
+def test_batched_residuals_match_per_vertex_reference():
+    oracle = octainscribe.oracle
+    per = 6
+    frames, R, system = random_candidates(per, seed=10)
+    r, c, X = oracle._residuals(oracle._turned_vertices(R), *system)
+    for k in range(len(R)):
+        sigma = oracle._ASSIGNMENTS[k // per]
+        ref = reference_residuals(sigma, R[k], frames, *[a[k] for a in system[:3]])
+        for got, want in zip((r[k], c[k], X[k]), ref):
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def turned_residuals(R, w, system):
+    oracle = octainscribe.oracle
+    return oracle._residuals(oracle._turned_vertices(oracle._turn(w, R)), *system)[0]
+
+
+def test_batched_jacobian_matches_central_differences():
+    oracle = octainscribe.oracle
+    _, R, system = random_candidates(6, seed=11)
+    r = oracle._residuals(oracle._turned_vertices(R), *system)[0]
+    assert (r[:, 6:] < 0).sum() > 2 * len(R)  # the hinge rows take part
+    J = oracle._jacobian(oracle._turned_vertices(R), *system, r)
+    h = 1e-6
+    fd = np.empty_like(J)
+    for i, e in enumerate(np.eye(3)):
+        w = np.broadcast_to(h * e, (len(R), 3))
+        fd[:, :, i] = (turned_residuals(R, w, system) - turned_residuals(R, -w, system)) / (2 * h)
+    err = np.linalg.norm(J - fd, axis=(1, 2)) / np.linalg.norm(J, axis=(1, 2))
+    assert err.max() <= 1e-6
+
+
+def test_search_refines_in_one_batched_solve(monkeypatch):
+    # The benchmark traces `oracle.least_squares` by name and reads `nfev`.
+    calls = []
+    solve = octainscribe.oracle.least_squares
+
+    def spy(*args):
+        calls.append(solve(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(octainscribe.oracle, "least_squares", spy)
+    cfg = DirectSearchConfig()
+    direct_angle_search(SolidAngle((0, 0, 0), np.eye(3)), cfg)
+    assert len(calls) == 1
+    candidates = cfg.refine_top * len(octainscribe.oracle._ASSIGNMENTS)
+    assert calls[0].rotations.shape == (candidates, 3, 3)
+    assert isinstance(calls[0].nfev, int) and candidates <= calls[0].nfev <= candidates * cfg.max_nfev
 
 
 def test_membership_examples():

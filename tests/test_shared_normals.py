@@ -162,11 +162,36 @@ def test_thin_cones_keep_their_cycle():
         t = np.sort(rng.uniform(0, 2 * math.pi, n))
         E = np.column_stack([1e-8 * np.cos(t), 1e-8 * np.sin(t), np.ones(n)]) @ random_rotation_matrix(rng).T
         try:
-            # Normalized first, as SolidAngle does before it builds the polygon.
-            cycle = SphPolygon(_unit_rows(E)).matrix
+            # From the raw edges, as SolidAngle builds its polygon.
+            cycle = SphPolygon(E).matrix
         except ValueError:
             continue  # not strictly convex at DEFAULT_TOL
         shuffled = np.concatenate([[0], rng.permutation(np.arange(1, n))])
         assert np.allclose(SolidAngle((0, 0, 0), E[shuffled]).edges, cycle, rtol=0, atol=1e-15)
         kept += 1
     assert kept > 50
+
+
+def test_solid_angle_normalizes_its_edges_once():
+    # A unit edge normalized again moves in its last bits, and for cones this
+    # thin that can move a convexity dot across DEFAULT_TOL.  SolidAngle must
+    # accept exactly the cones its polygon accepts from the raw edges.
+    rng = np.random.default_rng(4)
+    accepted = renormalized_rejects = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 6))
+        t = np.sort(rng.uniform(0, 2 * math.pi, n))
+        E = np.column_stack([1e-8 * np.cos(t), 1e-8 * np.sin(t), np.ones(n)]) @ random_rotation_matrix(rng).T
+        try:
+            cycle = SphPolygon(E).matrix
+        except ValueError:
+            with pytest.raises(ValueError):
+                SolidAngle((0, 0, 0), E)
+            continue
+        assert np.array_equal(SolidAngle((0, 0, 0), E).edges, cycle)
+        accepted += 1
+        try:
+            SphPolygon(_unit_rows(E))
+        except ValueError:
+            renormalized_rejects += 1
+    assert accepted > 50 and renormalized_rejects > 0

@@ -268,6 +268,20 @@ def test_triangle_rejects_degenerate():
         SphTriangle(E1, E2, normalize([1, 1, 0]))  # coplanar with center
 
 
+@pytest.mark.parametrize("size", [1.0, 1e-3, 1e-7])
+def test_triangle_coplanarity_test_is_scale_free(size):
+    # Points (x, y, 1) of one shape at every size: accepted, oriented the
+    # same way; on the line y = 0 they lie on one great circle.
+    rot = random_rotation(np.random.default_rng(7))
+    shape = size * np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+    pts = np.column_stack([shape, np.ones(3)]) @ rot.T
+    tri = SphTriangle(*pts)  # counterclockwise seen from outside: no swap
+    assert np.allclose(tri.matrix, pts / np.linalg.norm(pts, axis=1, keepdims=True), rtol=0, atol=1e-15)
+    line = size * np.array([[0.0, 0.0], [1.0, 0.0], [0.4, 0.0]])
+    with pytest.raises(DegenerateTriangle):
+        SphTriangle(*np.column_stack([line, np.ones(3)]))
+
+
 def test_triangle_orientation_fixed():
     t1 = SphTriangle(E1, E2, E3)
     t2 = SphTriangle(E1, E3, E2)  # negative orientation, constructor swaps
