@@ -237,7 +237,9 @@ def _jacobian(ru, A, pinv, proj, inverses, r):
 
 
 def _cross(a, b):
-    """Cross product over the last axis, with broadcasting."""
+    """Cross product over the last axis, with broadcasting.  On these
+    small arrays np.cross spends more on its axis handling than on the
+    products, and the LM loop takes four per iteration."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
