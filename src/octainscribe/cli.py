@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("polytope", help="polytope file (OFF or JSON)")
     pi.add_argument("--tol", type=_tolerance, default=1e-8, help="certification tolerance, relative to diameter")
     pi.add_argument("--eps0", type=float, default=None, help="initial smoothing (default 0.2 * inradius)")
-    pi.add_argument("--seeds", type=int, default=60, help="rotation seeds per multistart")
+    pi.add_argument("--seeds", type=int, default=60, help="rotation seeds in the initial seed grid")
     pi.add_argument("--json", help="write the pose/trace JSON here instead of stdout")
     pi.add_argument("--obj", help="also export the octahedron as OBJ")
     pi.add_argument("--quiet", action="store_true")

@@ -8,9 +8,12 @@ halved repeatedly, each solution seeding the next, and the limit pose is
 polished directly against the polytope boundary.  The continuation needs
 one start, so the initial seed loop runs lazily: it stops at the first
 converged pose in seed order that has not collapsed to a point, and runs
-on to the usual stop rule only if that track fails.  Families that shrink
-towards a vertex are detected by the same diameter diagnostic and replaced
-by a fresh multistart that excludes vertex-hugging poses.
+on to the usual stop rule only if that track fails.
+
+A ladder step that does not converge, or whose pose has collapsed, ends
+the track, and the next start is tracked.  An inner body that cannot be
+built ends the ladder, and the last pose goes to the polish: every start
+would reach the same epsilon, so a restart would not help.
 """
 
 from __future__ import annotations
@@ -86,7 +89,6 @@ _SEED_MAX_ITER = 80
 # Continuation.
 _COLLAPSE_THRESHOLD_REL = 1e-3
 _EXACT_SWITCH_REL = 1e-6
-_VERTEX_EXCLUSION_REL = 0.05
 _MAX_RESTARTS = 3
 
 
@@ -119,7 +121,7 @@ class SolveReport:
 class ContinuationTrace:
     steps: tuple                    # ((epsilon, SolveReport), ...)
     diameter_history: tuple         # 2 * scale per step
-    flags: tuple = ()
+    flags: tuple = ()               # reasons earlier tracks ended, then this ladder's early exit
     warnings: tuple = ()
     # The initial seed loop as far as it ran: seeds solved, converged solves,
     # distinct solutions, and solutions passed over before the first start
@@ -252,11 +254,6 @@ def solve_at_epsilon(s: SmoothedBody, seed: OctahedronPose, max_iter: int = _MAX
 # Multistart.
 
 
-def _hugs_a_vertex(pose: OctahedronPose, body: ConvexPolytope, radius: float) -> bool:
-    far = np.linalg.norm(pose.vertices() - body.vertices[:, None, :], axis=2).max(axis=1)
-    return bool(far.min() < radius)
-
-
 def _seed_poses(s: SmoothedBody, n_rotations: int):
     """Deterministic seed grid.  The identity rotation at the body center
     leads, so symmetric bodies converge to their symmetric solution first
@@ -272,7 +269,7 @@ def _seed_poses(s: SmoothedBody, n_rotations: int):
                 yield OctahedronPose(center, q, float(scale))
 
 
-def _solutions(s: SmoothedBody, n_rotations: int, exclude_vertex_radius, tally):
+def _solutions(s: SmoothedBody, n_rotations: int, tally):
     """Yield the distinct converged solutions of the seed grid in seed order,
     solving each seed only when the next solution is asked for.  `tally`
     (a Counter) counts the seeds solved, the converged solves and the
@@ -287,10 +284,6 @@ def _solutions(s: SmoothedBody, n_rotations: int, exclude_vertex_radius, tally):
         if not rep.converged:
             continue
         tally["converged"] += 1
-        if exclude_vertex_radius is not None and _hugs_a_vertex(
-            rep.pose, base, exclude_vertex_radius
-        ):
-            continue
         if any(pose_distance(rep.pose, r.pose) < _DEDUP_TOL_REL * diam for r in found):
             continue
         found.append(rep)
@@ -300,18 +293,11 @@ def _solutions(s: SmoothedBody, n_rotations: int, exclude_vertex_radius, tally):
             return
 
 
-def multistart(
-    s: SmoothedBody,
-    n_rotations: int = _N_ROTATIONS,
-    exclude_vertex_radius: Optional[float] = None,
-) -> list:
+def multistart(s: SmoothedBody, n_rotations: int = _N_ROTATIONS) -> list:
     """Solve from a deterministic grid of poses (low-discrepancy rotations
     x centers x log-spaced scales) and return the distinct converged
     solutions, deduplicated modulo the octahedron's rotation group.
-
-    With `exclude_vertex_radius`, converged poses whose entire vertex set
-    sits within that distance of a single polytope vertex are discarded
-    (used by the collapse restart).
+    `continue_to_surface` runs the same seed loop lazily, for its starts.
 
     The search stops once _MAX_SOLUTIONS are in hand and the largest has
     diameter at least min(_STOP_SCALE_REL * diameter, sqrt(3) * inradius).
@@ -324,7 +310,7 @@ def multistart(
     be scheduled across workers.
     """
     _check_n_rotations(n_rotations)
-    found = list(_solutions(s, n_rotations, exclude_vertex_radius, Counter()))
+    found = list(_solutions(s, n_rotations, Counter()))
     if not found:
         raise NoSolutionFound(f"no inscribed octahedron found at epsilon={s.epsilon:.6g}")
     return found
@@ -362,10 +348,6 @@ def _polish_exact(p: ConvexPolytope, seed: OctahedronPose):
     )
     d = np.abs(res)  # the exact residual is the signed distance to the boundary
     return SolveReport(pose, d, iters, bool(converged and d.max() <= tol), 0.0, tol, warnings)
-
-
-def _largest(reports) -> SolveReport:
-    return max(reports, key=lambda r: (r.pose.scale, -r.max_residual()))
 
 
 def _collapsed(pose: OctahedronPose, diam: float) -> bool:
@@ -409,7 +391,11 @@ def continue_to_surface(
     parameter is halved to zero, then certify against the polytope itself.
 
     `eps0` is the initial smoothing (default 0.2 * inradius); `n_rotations`
-    is the number of seed rotations per multistart.
+    is the number of seed rotations in the initial seed grid.
+
+    A track that fails is abandoned and the next start is tracked, up to
+    _MAX_RESTARTS times; each abandoned track's reason leads the returned
+    trace's flags.
 
     Returns (ContinuationTrace, final SolveReport); the final report has
     epsilon 0 and unsigned vertex-to-boundary distances as residuals.
@@ -423,61 +409,68 @@ def continue_to_surface(
 
     s0 = SmoothedBody(p, eps0)
     search = Counter(seeds=0, converged=0, solutions=0, collapsed_skipped=0)
-    solutions = _solutions(s0, n_rotations, None, search)
-    starts = _starts(solutions, p.diameter, search)
-    tried = 0
-    last_error = None
+    starts = _starts(_solutions(s0, n_rotations, search), p.diameter, search)
+    restarts = []
+    failure = None
     for start in islice(starts, _MAX_RESTARTS + 1):
-        tried += 1
         try:
-            return _track_from(p, start, eps0, n_rotations, warnings, search)
-        except (InscriptionFailed, NoSolutionFound) as exc:
-            last_error = exc
-    if not tried:
+            return _track_from(p, start, eps0, warnings, search, restarts)
+        except InscriptionFailed as exc:
+            failure = exc
+            restarts.append(str(exc))
+    if failure is None:
         raise InscriptionFailed(f"multistart found no inscribed octahedron at eps0={eps0:.6g}")
     raise InscriptionFailed(
-        f"all {tried} continuation starts failed (numerical failure of the search, "
-        f"not a counterexample): {last_error}",
-        trace=getattr(last_error, "trace", None),
+        f"all {len(restarts)} continuation starts failed (numerical failure of the search, "
+        f"not a counterexample): {failure}",
+        trace=failure.trace,
     )
 
 
-def _track_from(p, start: SolveReport, eps0, n_rotations: int, warnings, search):
+def _track_from(p, start: SolveReport, eps0, warnings, search, restarts):
+    """One track down the epsilon ladder.  A step that does not converge or
+    has collapsed ends the track with InscriptionFailed, whose message is
+    its flag; `restarts` holds the flags of the tracks abandoned before."""
     diam = p.diameter
     steps = [(eps0, start)]
-    flags = []
+    flags = list(restarts)
+
+    def trace():
+        return ContinuationTrace(
+            steps=tuple(steps),
+            diameter_history=tuple(r.pose.diameter() for _, r in steps),
+            flags=tuple(flags),
+            warnings=tuple(warnings),
+            initial_search=dict(search),
+        )
+
+    def failed(reason):
+        flags.append(reason)
+        return InscriptionFailed(reason, trace=trace())
+
     pose = start.pose
     eps = eps0
     while eps > _EXACT_SWITCH_REL * diam:
         eps *= 0.5
         if eps <= _EXACT_SWITCH_REL * diam:
             break
-        s = SmoothedBody(p, eps)
+        try:
+            s = SmoothedBody(p, eps)
+        except GeometryError:
+            flags.append(f"INNER_BODY_DEGENERATE at epsilon={eps:.6g}")
+            break
         rep = solve_at_epsilon(s, pose)
         if not rep.converged:
-            rep = _largest(multistart(s, n_rotations))
+            raise failed(f"NO_CONVERGENCE at epsilon={eps:.6g}")
         if _collapsed(rep.pose, diam):
-            flags.append(f"VERTEX_COLLAPSE at epsilon={eps:.6g}")
-            rep = _largest(
-                multistart(s, n_rotations, exclude_vertex_radius=_VERTEX_EXCLUSION_REL * diam)
-            )
+            raise failed(f"VERTEX_COLLAPSE at epsilon={eps:.6g}")
         steps.append((eps, rep))
         pose = rep.pose
 
     final = _polish_exact(p, pose)
-    trace = ContinuationTrace(
-        steps=tuple(steps),
-        diameter_history=tuple(r.pose.diameter() for _, r in steps),
-        flags=tuple(flags),
-        warnings=tuple(warnings),
-        initial_search=dict(search),
-    )
     if not final.converged:
-        raise InscriptionFailed(
-            f"final polish residual {final.max_residual():.3e} exceeds {final.tol:.3e}",
-            trace=trace,
-        )
-    return trace, final
+        raise failed(f"final polish residual {final.max_residual():.3e} exceeds {final.tol:.3e}")
+    return trace(), final
 
 
 def certify(p: ConvexPolytope, pose: OctahedronPose, tol: float) -> CertifyReport:

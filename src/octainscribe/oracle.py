@@ -26,7 +26,7 @@ __all__ = [
     "DirectSearchResult",
     "direct_angle_search",
     "inscribed_in_cone_check",
-    "membership_oracle",
+    "membership_oracle_batch",
     "mc_solid_angle_area",
 ]
 
@@ -346,31 +346,6 @@ def inscribed_in_cone_check(angle: SolidAngle, pose: OctahedronPose, tol: float 
 # Definitional membership test for the smoothed body.
 
 
-def membership_oracle(
-    p: ConvexPolytope,
-    epsilon: float,
-    x,
-    samples: int = 0,
-    max_cycles: int = 400,
-    seed: int = 0,
-) -> bool:
-    """x is in the smoothed body iff some center c within epsilon of x has
-    its whole epsilon-ball inside P.  The best candidate center is the
-    projection of x onto the inner parallel body, computed here by cyclic
-    Dykstra iteration over the raw shifted halfspaces (no pruning, no
-    face-lattice code shared with the production projection).
-
-    `samples` optionally re-checks the ball condition at random boundary
-    points of the candidate ball; for a convex polytope the halfspace
-    check is already exact, so 0 skips it.
-    """
-    return bool(
-        membership_oracle_batch(
-            p, epsilon, np.asarray(x, dtype=float).reshape(1, 3), samples, max_cycles, seed
-        )[0]
-    )
-
-
 def membership_oracle_batch(
     p: ConvexPolytope,
     epsilon: float,
@@ -379,6 +354,17 @@ def membership_oracle_batch(
     max_cycles: int = 400,
     seed: int = 0,
 ) -> np.ndarray:
+    """Whether each point of X is in the smoothed body: x is iff some
+    center c within epsilon of x has its whole epsilon-ball inside P.  The
+    best candidate center is the projection of x onto the inner parallel
+    body, computed here by cyclic Dykstra iteration over the raw shifted
+    halfspaces (no pruning, no face-lattice code shared with the
+    production projection).
+
+    `samples` optionally re-checks the ball condition at random boundary
+    points of the candidate ball; for a convex polytope the halfspace
+    check is already exact, so 0 skips it.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N = p.normals
     D = p.offsets - epsilon

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import scipy.optimize
 
@@ -14,3 +15,22 @@ def no_lp(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", refuse)
     monkeypatch.setattr(octainscribe.polytope, "linprog", refuse)
+
+
+@pytest.fixture
+def spiky_body():
+    """Draw 3 of a family of flattened point clouds with 1-3 far spikes: a
+    non-simple body of 7 vertices and 10 facets whose inner parallel body
+    cannot be built at some small epsilon of the continuation ladder."""
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        pts = rng.normal(size=(rng.integers(5, 12), 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        k = rng.integers(1, 4)
+        spikes = rng.normal(size=(k, 3))
+        spikes /= np.linalg.norm(spikes, axis=1, keepdims=True)
+        spikes *= rng.uniform(2, 12, size=(k, 1))
+        flat = np.diag([1.0, 1.0, rng.uniform(0.1, 1)])
+    body = octainscribe.polytope.build_from_vertices(np.vstack([pts @ flat, spikes]))
+    assert (len(body.vertices), len(body.normals)) == (7, 10)
+    return body

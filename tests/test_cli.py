@@ -188,6 +188,18 @@ def test_inscribe_nonsimple_warns_but_runs(tmp_path, capsys):
         assert json.loads(open(pose_file).read())["certified"] is True
 
 
+def test_inscribe_survives_degenerate_inner_body(spiky_body, tmp_path, capsys):
+    # The ladder reaches an epsilon whose inner body cannot be built; the
+    # valid polytope still inscribes instead of exiting as malformed input.
+    f = tmp_path / "spiky.json"
+    write_polytope_json(f, spiky_body)
+    pose_file = tmp_path / "pose.json"
+    assert main(["inscribe", str(f), "--json", str(pose_file), "--quiet"]) == 0
+    doc = json.loads(pose_file.read_text())
+    assert doc["certified"] is True
+    assert [flag.split(" at ")[0] for flag in doc["trace"]["flags"]] == ["INNER_BODY_DEGENERATE"]
+
+
 def test_certify_rejects_shifted_pose(cube_off, tmp_path, capsys):
     pose_file = tmp_path / "pose.json"
     pose_file.write_text(

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from octainscribe.polytope import (
 )
 from octainscribe.pose import OctahedronPose, pose_distance
 from octainscribe.rotations import IDENTITY_QUAT
+from octainscribe.sphere import GeometryError
 
 AXES = np.vstack([np.eye(3), -np.eye(3)])
 
@@ -294,6 +296,63 @@ def test_fallback_queue_puts_first_non_collapsed_start_first(monkeypatch, thresh
     assert tried == expected
 
 
+def _forbid_multistart(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("continue_to_surface called multistart")
+
+    monkeypatch.setattr(inscriber, "multistart", forbidden)
+
+
+def _not_converged(rep):
+    return replace(rep, converged=False)
+
+
+def _shrunk(rep):
+    pose = rep.pose
+    return replace(rep, pose=OctahedronPose(pose.center, pose.rotation, 1e-9 * pose.scale))
+
+
+@pytest.mark.parametrize(
+    "step, spoil, reason",
+    [(3, _not_converged, "NO_CONVERGENCE"), (2, _shrunk, "VERTEX_COLLAPSE")],
+    ids=["no_convergence", "collapse"],
+)
+def test_failed_step_ends_the_track(monkeypatch, step, spoil, reason):
+    # Spoil one ladder step of the first track: the call certifies from the
+    # next start, and the abandoned track's reason is in the flags.
+    c = cube()
+    eps0 = 0.2 * c.inradius
+    ladder = []
+    real = inscriber.solve_at_epsilon
+
+    def solve(s, *args, **kwargs):
+        rep = real(s, *args, **kwargs)
+        if s.epsilon < eps0:
+            ladder.append(s.epsilon)
+            if len(ladder) == step:
+                return spoil(rep)
+        return rep
+
+    monkeypatch.setattr(inscriber, "solve_at_epsilon", solve)
+    _forbid_multistart(monkeypatch)
+    trace, final = continue_to_surface(c, eps0)
+    assert trace.flags == (f"{reason} at epsilon={ladder[step - 1]:.6g}",)
+    assert trace.initial_search["solutions"] >= 2
+    assert certify(c, final.pose, 1e-7 * c.diameter).ok
+
+
+def test_degenerate_inner_body_ends_the_ladder(monkeypatch, spiky_body):
+    p = spiky_body
+    _forbid_multistart(monkeypatch)
+    trace, final = continue_to_surface(p)
+    stop = trace.steps[-1][0] / 2
+    with pytest.raises(GeometryError):
+        SmoothedBody(p, stop)
+    assert trace.flags == (f"INNER_BODY_DEGENERATE at epsilon={stop:.6g}",)
+    assert stop > inscriber._EXACT_SWITCH_REL * p.diameter
+    assert certify(p, final.pose, 1e-7 * p.diameter).ok
+
+
 def test_initial_search_counts_seeds(monkeypatch):
     c = cube()
     epsilons = _count_solves(monkeypatch)
@@ -315,10 +374,7 @@ def test_thin_body_finishes_in_bounded_solves(monkeypatch):
     solves = _count_solves(monkeypatch, bound=300)
     assert multistart(SmoothedBody(p, 0.2 * p.inradius))
     solves.clear()
-    try:
-        _, final = continue_to_surface(p)
-    except InscriptionFailed:
-        return
+    _, final = continue_to_surface(p)
     assert certify(p, final.pose, 1e-7 * p.diameter).ok
 
 

@@ -13,7 +13,6 @@ from octainscribe.oracle import (
     direct_angle_search,
     inscribed_in_cone_check,
     mc_solid_angle_area,
-    membership_oracle,
     membership_oracle_batch,
 )
 from octainscribe.polytope import SmoothedBody, cube, regular_tetrahedron
@@ -195,12 +194,11 @@ def test_search_refines_in_one_batched_solve(monkeypatch):
 
 def test_membership_examples():
     c = cube()
-    assert membership_oracle(c, 0.1, [0, 0, 0])
-    # corner region excluded by smoothing: the corner of the inner cube is
-    # 0.09 * sqrt(3) ~ 0.156 > 0.1 away
-    assert not membership_oracle(c, 0.1, [0.99, 0.99, 0.99])
-    assert membership_oracle(c, 0.1, [1.0, 0.0, 0.0])
-    assert membership_oracle(c, 0.1, [1.0, 0.0, 0.0], samples=64)
+    # The middle point is in the corner region excluded by smoothing: the
+    # corner of the inner cube is 0.09 * sqrt(3) ~ 0.156 > 0.1 away.
+    X = [[0, 0, 0], [0.99, 0.99, 0.99], [1.0, 0.0, 0.0]]
+    assert membership_oracle_batch(c, 0.1, X).tolist() == [True, False, True]
+    assert membership_oracle_batch(c, 0.1, X, samples=64).tolist() == [True, False, True]
 
 
 def test_membership_agrees_with_signed_distance():
