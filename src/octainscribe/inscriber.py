@@ -8,12 +8,23 @@ halved repeatedly, each solution seeding the next, and the limit pose is
 polished directly against the polytope boundary.  The continuation needs
 one start, so the initial seed loop runs lazily: it stops at the first
 converged pose in seed order that has not collapsed to a point, and runs
-on to the usual stop rule only if that track fails.
+on, to at most _MAX_SOLUTIONS solutions, only if that track fails.
 
 A ladder step that does not converge, or whose pose has collapsed, ends
 the track, and the next start is tracked.  An inner body that cannot be
 built ends the ladder, and the last pose goes to the polish: every start
 would reach the same epsilon, so a restart would not help.
+
+The ladder also ends, before a halving, once every vertex of the pose is
+nearest to a facet of the inner body, and the pose goes to the polish:
+every later step would be a no-op.  Say vertex x lies at distance eps from
+the inner body P_eps = {y : n_j . y <= d_j - eps}, with its foot
+x - eps n_i on facet i, so n_i . x = d_i.  The foot lies in P_eps, so
+n_j . x <= d_j - eps (1 - n_j . n_i) for every j, and as 1 - n_j . n_i >= 0
+the foot x - eps' n_i lies in P_eps' for every eps' < eps.  So x stays at
+distance eps' from P_eps', on the smoothed boundary, down to eps' = 0,
+where it lies on facet i of the polytope: each step the full ladder would
+take starts at a converged pose and makes no iteration.
 """
 
 from __future__ import annotations
@@ -121,7 +132,9 @@ class SolveReport:
 class ContinuationTrace:
     steps: tuple                    # ((epsilon, SolveReport), ...)
     diameter_history: tuple         # 2 * scale per step
-    flags: tuple = ()               # reasons earlier tracks ended, then this ladder's early exit
+    # Reasons earlier tracks ended, then this ladder's early exit:
+    # FLAT_CONTACT (every contact facet-interior) or INNER_BODY_DEGENERATE.
+    flags: tuple = ()
     warnings: tuple = ()
     # The initial seed loop as far as it ran: seeds solved, converged solves,
     # distinct solutions, and solutions passed over before the first start
@@ -359,8 +372,9 @@ def _starts(solutions, diam: float, tally):
     """Continuation starts in the order they are tried: the first solution
     in seed order that has not collapsed, then the remaining ones by
     decreasing scale.  The seed loop runs on past the first start only when
-    its track fails.  If every solution has collapsed, the first one
-    leads."""
+    its track fails, and only until _MAX_SOLUTIONS solutions are in hand:
+    at most _MAX_RESTARTS of them are ever tracked.  If every solution has
+    collapsed, the first one leads."""
     found = []
     for rep in solutions:
         found.append(rep)
@@ -373,7 +387,7 @@ def _starts(solutions, diam: float, tally):
         start = found[0]
     tally["collapsed_skipped"] = found.index(start)
     yield start
-    found.extend(solutions)
+    found.extend(islice(solutions, max(_MAX_SOLUTIONS - len(found), 0)))
     yield from sorted((r for r in found if r is not start), key=lambda r: -r.pose.scale)
 
 
@@ -388,7 +402,8 @@ def continue_to_surface(
     p: ConvexPolytope, eps0: Optional[float] = None, n_rotations: int = _N_ROTATIONS
 ):
     """Track inscribed octahedra of the smoothed body as the smoothing
-    parameter is halved to zero, then certify against the polytope itself.
+    parameter is halved towards zero, until every contact is
+    facet-interior, then polish against the polytope itself.
 
     `eps0` is the initial smoothing (default 0.2 * inradius); `n_rotations`
     is the number of seed rotations in the initial seed grid.
@@ -414,7 +429,7 @@ def continue_to_surface(
     failure = None
     for start in islice(starts, _MAX_RESTARTS + 1):
         try:
-            return _track_from(p, start, eps0, warnings, search, restarts)
+            return _track_from(p, start, s0, warnings, search, restarts)
         except InscriptionFailed as exc:
             failure = exc
             restarts.append(str(exc))
@@ -427,12 +442,23 @@ def continue_to_surface(
     )
 
 
-def _track_from(p, start: SolveReport, eps0, warnings, search, restarts):
-    """One track down the epsilon ladder.  A step that does not converge or
-    has collapsed ends the track with InscriptionFailed, whose message is
-    its flag; `restarts` holds the flags of the tracks abandoned before."""
+def _on_facets(s: SmoothedBody, pose: OctahedronPose) -> bool:
+    """Every vertex of the pose is nearest to a facet of the inner body."""
+    return bool((s.inner_body.nearest_boundary(pose.vertices())[2] == 0).all())
+
+
+def _track_from(p, start: SolveReport, s0: SmoothedBody, warnings, search, restarts):
+    """One track down the epsilon ladder from `start`, a solution on the
+    smoothed body `s0`.  A step that does not converge or has collapsed
+    ends the track with InscriptionFailed, whose message is its flag;
+    `restarts` holds the flags of the tracks abandoned before.
+
+    Before each halving, from the start on, the ladder ends with the flag
+    FLAT_CONTACT once every vertex is nearest to a facet of the current
+    inner body: every later step would keep the pose (see the module
+    docstring), so the pose goes straight to the polish."""
     diam = p.diameter
-    steps = [(eps0, start)]
+    steps = [(s0.epsilon, start)]
     flags = list(restarts)
 
     def trace():
@@ -448,10 +474,9 @@ def _track_from(p, start: SolveReport, eps0, warnings, search, restarts):
         flags.append(reason)
         return InscriptionFailed(reason, trace=trace())
 
-    pose = start.pose
-    eps = eps0
-    while eps > _EXACT_SWITCH_REL * diam:
-        eps *= 0.5
+    s, pose = s0, start.pose
+    while not _on_facets(s, pose):
+        eps = 0.5 * s.epsilon
         if eps <= _EXACT_SWITCH_REL * diam:
             break
         try:
@@ -466,6 +491,8 @@ def _track_from(p, start: SolveReport, eps0, warnings, search, restarts):
             raise failed(f"VERTEX_COLLAPSE at epsilon={eps:.6g}")
         steps.append((eps, rep))
         pose = rep.pose
+    else:
+        flags.append(f"FLAT_CONTACT at epsilon={s.epsilon:.6g}")
 
     final = _polish_exact(p, pose)
     if not final.converged:

@@ -188,9 +188,11 @@ def test_inscribe_nonsimple_warns_but_runs(tmp_path, capsys):
         assert json.loads(open(pose_file).read())["certified"] is True
 
 
-def test_inscribe_survives_degenerate_inner_body(spiky_body, tmp_path, capsys):
-    # The ladder reaches an epsilon whose inner body cannot be built; the
-    # valid polytope still inscribes instead of exiting as malformed input.
+def test_inscribe_survives_degenerate_inner_body(spiky_body, tmp_path, capsys, monkeypatch):
+    # With the flat-contact exit off, the ladder reaches an epsilon whose
+    # inner body cannot be built; the valid polytope still inscribes
+    # instead of exiting as malformed input.
+    monkeypatch.setattr(inscriber, "_on_facets", lambda s, pose: False)
     f = tmp_path / "spiky.json"
     write_polytope_json(f, spiky_body)
     pose_file = tmp_path / "pose.json"
@@ -198,6 +200,18 @@ def test_inscribe_survives_degenerate_inner_body(spiky_body, tmp_path, capsys):
     doc = json.loads(pose_file.read_text())
     assert doc["certified"] is True
     assert [flag.split(" at ")[0] for flag in doc["trace"]["flags"]] == ["INNER_BODY_DEGENERATE"]
+
+
+def test_inscribe_cube_reports_flat_contact(cube_off, tmp_path, capsys):
+    # Every contact of the start pose is facet-interior: the ladder ends at
+    # its first step, and the JSON trace says so.
+    pose_file = tmp_path / "pose.json"
+    assert main(["inscribe", cube_off, "--json", str(pose_file)]) == 0
+    capsys.readouterr()
+    doc = json.loads(pose_file.read_text())
+    assert doc["certified"] is True
+    assert doc["trace"]["flags"] == ["FLAT_CONTACT at epsilon=0.2"]
+    assert len(doc["trace"]["steps"]) == 1
 
 
 def test_certify_rejects_shifted_pose(cube_off, tmp_path, capsys):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import octainscribe.inscriber as inscriber
 from octainscribe.generators import random_simple_polytope
@@ -19,6 +20,7 @@ from octainscribe.inscriber import (
 from octainscribe.inscriber import _apply_step, _exact_residual
 from octainscribe.polytope import (
     SmoothedBody,
+    build_from_halfspaces,
     build_from_vertices,
     cube,
     regular_octahedron,
@@ -318,9 +320,10 @@ def _shrunk(rep):
     ids=["no_convergence", "collapse"],
 )
 def test_failed_step_ends_the_track(monkeypatch, step, spoil, reason):
-    # Spoil one ladder step of the first track: the call certifies from the
-    # next start, and the abandoned track's reason is in the flags.
-    c = cube()
+    # Spoil one ladder step of the first track on the tetrahedron, whose
+    # track never reaches the flat-contact exit: the call certifies from
+    # the next start, and the abandoned track's reason leads the flags.
+    c = regular_tetrahedron()
     eps0 = 0.2 * c.inradius
     ladder = []
     real = inscriber.solve_at_epsilon
@@ -336,14 +339,23 @@ def test_failed_step_ends_the_track(monkeypatch, step, spoil, reason):
     monkeypatch.setattr(inscriber, "solve_at_epsilon", solve)
     _forbid_multistart(monkeypatch)
     trace, final = continue_to_surface(c, eps0)
-    assert trace.flags == (f"{reason} at epsilon={ladder[step - 1]:.6g}",)
+    assert trace.flags[0] == f"{reason} at epsilon={ladder[step - 1]:.6g}"
+    assert all(f.startswith("FLAT_CONTACT") for f in trace.flags[1:])
     assert trace.initial_search["solutions"] >= 2
     assert certify(c, final.pose, 1e-7 * c.diameter).ok
 
 
+def _never_flat(monkeypatch):
+    # The flat-contact exit off: the ladder runs down to the exact switch.
+    monkeypatch.setattr(inscriber, "_on_facets", lambda s, pose: False)
+
+
 def test_degenerate_inner_body_ends_the_ladder(monkeypatch, spiky_body):
+    # The flat-contact exit ends this body's ladder before the epsilon
+    # where its inner body breaks, so the exit is turned off.
     p = spiky_body
     _forbid_multistart(monkeypatch)
+    _never_flat(monkeypatch)
     trace, final = continue_to_surface(p)
     stop = trace.steps[-1][0] / 2
     with pytest.raises(GeometryError):
@@ -351,6 +363,116 @@ def test_degenerate_inner_body_ends_the_ladder(monkeypatch, spiky_body):
     assert trace.flags == (f"INNER_BODY_DEGENERATE at epsilon={stop:.6g}",)
     assert stop > inscriber._EXACT_SWITCH_REL * p.diameter
     assert certify(p, final.pose, 1e-7 * p.diameter).ok
+
+
+def _pose_bits(pose):
+    return np.concatenate([pose.center, pose.rotation, [pose.scale]]).tobytes()
+
+
+def _ladder_bodies():
+    """The 20 bodies of acceptance criterion 3, then the shapes of the
+    inscribe_facets benchmark: 8, 16, 32 and 64 halfspaces tangent to the
+    unit sphere."""
+    rng = np.random.default_rng(2024)
+    bodies = [random_simple_polytope(rng) for _ in range(20)]
+    shapes = np.random.default_rng(2024)
+    for f in (8, 16, 32, 64):
+        while True:
+            N = shapes.normal(size=(f, 3))
+            N /= np.linalg.norm(N, axis=1, keepdims=True)
+            if ConvexHull(N).equations[:, 3].max() < -0.2:
+                bodies.append(build_from_halfspaces(N, np.ones(f)))
+                break
+    return bodies
+
+
+def test_flat_contact_exit_keeps_the_full_ladder_pose(monkeypatch):
+    for p in _ladder_bodies():
+        trace, final = continue_to_surface(p)
+        assert [f for f in trace.flags if f.startswith("FLAT_CONTACT")] == [
+            f"FLAT_CONTACT at epsilon={trace.steps[-1][0]:.6g}"
+        ]
+        with monkeypatch.context() as m:
+            _never_flat(m)
+            full_trace, full = continue_to_surface(p)
+        assert len(full_trace.steps) > len(trace.steps)
+        assert [_pose_bits(r.pose) for _, r in full_trace.steps[: len(trace.steps)]] == [
+            _pose_bits(r.pose) for _, r in trace.steps
+        ]
+        assert _pose_bits(full.pose) == _pose_bits(final.pose)
+
+
+@pytest.mark.parametrize("body", [regular_tetrahedron, regular_octahedron])
+def test_vertex_contacts_run_the_full_ladder(monkeypatch, body):
+    # The edge midpoints of the tetrahedron and the vertices of the
+    # octahedron are never facet-interior, so the exit test says no before
+    # every halving and the ladder runs down to the exact switch.
+    answers = []
+    real = inscriber._on_facets
+
+    def recorded(s, pose):
+        answers.append(real(s, pose))
+        return answers[-1]
+
+    monkeypatch.setattr(inscriber, "_on_facets", recorded)
+    trace, _ = continue_to_surface(body())
+    assert len(trace.steps) == 16
+    assert answers == [False] * 16
+    assert not any(f.startswith("FLAT_CONTACT") for f in trace.flags)
+
+
+def test_cube_exits_at_the_start():
+    c = cube()
+    trace, final = continue_to_surface(c)
+    assert trace.flags == ("FLAT_CONTACT at epsilon=0.2",)
+    assert len(trace.steps) == 1
+    assert certify(c, final.pose, 1e-10).ok
+
+
+def test_exit_at_step_k_builds_k_plus_one_smoothed_bodies(monkeypatch):
+    builds = []
+
+    class Counted(SmoothedBody):
+        def __init__(self, base, epsilon):
+            builds.append(epsilon)
+            super().__init__(base, epsilon)
+
+    monkeypatch.setattr(inscriber, "SmoothedBody", Counted)
+    exits = []
+    for p in [cube()] + _ladder_bodies()[:6]:
+        builds.clear()
+        trace, _ = continue_to_surface(p)
+        assert trace.flags == (f"FLAT_CONTACT at epsilon={trace.steps[-1][0]:.6g}",)
+        assert builds == [e for e, _ in trace.steps]
+        exits.append(len(trace.steps) - 1)
+    assert exits[0] == 0 and max(exits) > 0
+
+
+def test_fallback_queue_draws_at_most_max_solutions(monkeypatch):
+    # The thin body of test_thin_body_finishes_in_bounded_solves has 26
+    # solutions at eps0, and only the last has not collapsed.  With no pose
+    # counted as collapsed the first solution is the start, and with every
+    # track failing the queue draws no more than _MAX_SOLUTIONS in total.
+    rng = np.random.default_rng(1)
+    p = [random_simple_polytope(rng, n) for n in range(6, 13)][-1]
+    assert len(multistart(SmoothedBody(p, 0.2 * p.inradius))) > inscriber._MAX_SOLUTIONS
+    monkeypatch.setattr(inscriber, "_COLLAPSE_THRESHOLD_REL", 0.0)
+    pulled = []
+    real = inscriber._solutions
+
+    def counted(*args):
+        for rep in real(*args):
+            pulled.append(rep)
+            yield rep
+
+    def failing(p, start, *args):
+        raise InscriptionFailed("forced failure")
+
+    monkeypatch.setattr(inscriber, "_solutions", counted)
+    monkeypatch.setattr(inscriber, "_track_from", failing)
+    with pytest.raises(InscriptionFailed, match="all 4 continuation starts failed"):
+        continue_to_surface(p)
+    assert len(pulled) == inscriber._MAX_SOLUTIONS
 
 
 def test_initial_search_counts_seeds(monkeypatch):
