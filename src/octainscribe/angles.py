@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from itertools import permutations, product
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .pose import OctahedronPose
-from .rotations import _quats_to_matrices, matrix_to_quat, quat_to_matrix, super_fibonacci_rotations
+from .rotations import _quats_to_matrices, matrix_to_quat
 from .sphere import (
     DEFAULT_TOL,
     GeometryError,
@@ -449,7 +448,7 @@ _CONSTRUCT_ASSIGNMENT = (
 )
 
 
-# Relative tolerance of the witness construction's plane and sector checks.
+# Relative tolerance of the witness construction's sector check.
 _CONSTRUCT_TOL = 1e-9
 
 
@@ -484,20 +483,14 @@ def construct_inscribed_octahedron(angle: SolidAngle, cert: PlacementCertificate
     A = np.array([normals[f] for _, f in _CONSTRUCT_ASSIGNMENT])
     rhs = np.array([-float(np.dot(normals[f], R_lab @ u)) for u, f in _CONSTRUCT_ASSIGNMENT])
     center_local, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    plane_residual = float(np.abs(A @ center_local - rhs).max())
 
     verts_local = np.array([center_local + R_lab @ u for u, _ in _CONSTRUCT_ASSIGNMENT])
     radius = float(np.linalg.norm(verts_local, axis=1).max())
     if radius < 1e-12:
         raise ConstructionFailed("construction collapsed to the apex")
     t = 1.0 / radius
-    scale = t
-    if plane_residual * t > _CONSTRUCT_TOL * scale:
-        raise ConstructionFailed(
-            f"plane residual {plane_residual * t:.3e} exceeds {_CONSTRUCT_TOL * scale:.3e}"
-        )
 
-    # Sector membership of every vertex on its assigned facet.
+    # Sector membership of every vertex on its assigned facet, gamma = n.x.
     for (u, f), x in zip(_CONSTRUCT_ASSIGNMENT, verts_local * t):
         ea, eb = facets[f]
         frame = np.column_stack([ea, eb, normals[f]])
@@ -509,7 +502,7 @@ def construct_inscribed_octahedron(angle: SolidAngle, cert: PlacementCertificate
             )
 
     R = R_lab if np.linalg.det(R_lab) > 0 else R_lab @ np.diag([-1.0, 1.0, 1.0])
-    return OctahedronPose(angle.apex + t * center_local, matrix_to_quat(R), scale)
+    return OctahedronPose(angle.apex + t * center_local, matrix_to_quat(R), t)
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +530,16 @@ def _t0_margin_for_matrices(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.arcsin(dots).min(axis=(1, 2))
 
 
-# The rotation grid of fits_in_T0 and how many of its best rotations are refined.
-_T0_GRID_SIZE = 10_000
-_T0_REFINE_TOP = 12
+_T0_MIN_HALF_SIDE = 1e-7
+_T0_MAX_LIVE = 4096
+_CELL_CORNERS = np.array(list(product((-1.0, 1.0), repeat=3)))
+
+
+def _rotvec_matrices(W: np.ndarray) -> np.ndarray:
+    """Rotation matrices of rotation vectors (k x 3 -> k x 3 x 3)."""
+    theta = np.linalg.norm(W, axis=1)[:, None]
+    quats = np.hstack([np.cos(0.5 * theta), 0.5 * np.sinc(theta / (2 * math.pi)) * W])
+    return _quats_to_matrices(quats)
 
 
 def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
@@ -547,9 +547,23 @@ def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
     regular spherical triangle of side pi/3 (containment of a convex set
     reduces to containment of its vertices).
 
-    Sound with tolerance; complete only up to the resolution of the
-    deterministic rotation grid plus local refinement, so a NO_FIT for
-    margins within the grid resolution is reported as INDETERMINATE.
+    After the area and diameter prefilters, a branch-and-bound searches
+    cubic cells of rotation-vector space level by level, from the 64 cells
+    of half-side pi/4 that tile the cube |w_i| <= pi (it covers SO(3)):
+
+    - FITS as soon as a cell centre's margin exceeds `tol`; the level's
+      best centre is the witness rotation, and its margin is reported.
+    - A cell of half-side h is discarded once its centre margin + sqrt(3) h
+      < -tol; every other cell is split into 8.  NO_FIT, when no cell is
+      left, is certified: the margin is 1-Lipschitz in rotation angle, and
+      the angle between R(a) and R(b) is at most |a - b| (Hartley and Kahl,
+      Global Optimization through Rotation Space Search, IJCV 2009).
+    - INDETERMINATE when the half-side falls below `_T0_MIN_HALF_SIDE`, or
+      when more than `_T0_MAX_LIVE` cells survive a level (a bound on the
+      next level's batch).
+
+    NO_FIT and INDETERMINATE report the best centre margin seen and its
+    rotation.
     """
     total_area = polygon_area(poly)
     if total_area > T0_AREA + 1e-12:
@@ -558,41 +572,24 @@ def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
     if diam > T0_SIDE + tol:
         return T0FitResult(FitTag.NO_FIT, -0.5 * (diam - T0_SIDE), None)
 
-    V = poly.matrix
-    quats = super_fibonacci_rotations(_T0_GRID_SIZE)
-    margins = _t0_margin_for_matrices(_quats_to_matrices(quats), V)
-    order = np.argsort(-margins, kind="stable")[:_T0_REFINE_TOP]
-
-    best_margin = -math.inf
-    best_quat = None
-    for idx in order:
-        q0 = quats[idx]
-
-        def neg_margin(w, q0=q0):
-            m = quat_to_matrix(q0) @ quat_to_matrix(np.concatenate([[1.0], 0.5 * w]))
-            return -float(_t0_margin_for_matrices(m[None], V)[0])
-
-        res = minimize(
-            neg_margin,
-            np.zeros(3),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400},
-        )
-        m = -float(res.fun)
-        if m > best_margin:
-            best_margin = m
-            w = res.x
-            best_quat = matrix_to_quat(
-                quat_to_matrix(q0) @ quat_to_matrix(np.concatenate([[1.0], 0.5 * w]))
-            )
+    h = math.pi / 4
+    centres = (2 * h * _CELL_CORNERS[:, None] + h * _CELL_CORNERS).reshape(-1, 3)
+    best_margin, best_rot = -math.inf, None
+    while True:
+        mats = _rotvec_matrices(centres)
+        margins = _t0_margin_for_matrices(mats, poly.matrix)
+        k = int(np.argmax(margins))
+        if margins[k] > best_margin:
+            best_margin, best_rot = float(margins[k]), mats[k]
         if best_margin > tol:
-            break
-
-    if best_margin > tol:
-        return T0FitResult(FitTag.FITS, best_margin, best_quat)
-    if best_margin < -tol:
-        return T0FitResult(FitTag.NO_FIT, best_margin, best_quat)
-    return T0FitResult(FitTag.INDETERMINATE, best_margin, best_quat)
+            return T0FitResult(FitTag.FITS, best_margin, matrix_to_quat(best_rot))
+        centres = centres[margins + math.sqrt(3.0) * h >= -tol]
+        if len(centres) == 0:
+            return T0FitResult(FitTag.NO_FIT, best_margin, matrix_to_quat(best_rot))
+        if h < _T0_MIN_HALF_SIDE or len(centres) > _T0_MAX_LIVE:
+            return T0FitResult(FitTag.INDETERMINATE, best_margin, matrix_to_quat(best_rot))
+        h *= 0.5
+        centres = (centres[:, None, :] + h * _CELL_CORNERS).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

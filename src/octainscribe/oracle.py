@@ -35,14 +35,16 @@ __all__ = [
 # Direct search for octahedra inscribed in a trihedral angle's boundary.
 
 
+_N_ROTATIONS = 400      # rotation samples per assignment
+_REFINE_TOP = 4         # local refinements per assignment
+_MAX_NFEV = 150         # residual evaluations per refined candidate
+_PLANE_TOL = 1e-9       # vertex-to-plane acceptance (relative)
+_SECTOR_TOL = 1e-9      # sector membership slack (relative)
+_DEDUP_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class DirectSearchConfig:
-    n_rotations: int = 400          # rotation samples per assignment
-    refine_top: int = 4             # local refinements per assignment
-    max_nfev: int = 150             # residual evaluations per refined candidate
-    plane_tol: float = 1e-9         # vertex-to-plane acceptance (relative)
-    sector_tol: float = 1e-9        # sector membership slack (relative)
-    dedup_tol: float = 1e-6
     stop_at_first: bool = False     # stop after one verified pose
 
 
@@ -115,11 +117,11 @@ def _sector_frames(angle: SolidAngle):
     return frames
 
 
-@lru_cache(maxsize=4)
-def _rotation_grid(n: int):
-    """The search grid's n rotation matrices (n, 3, 3) and the unit
-    vertices each one turns to (n, 6, 3)."""
-    mats = np.array([quat_to_matrix(q) for q in super_fibonacci_rotations(n)]).reshape(n, 3, 3)
+@lru_cache(maxsize=1)
+def _rotation_grid():
+    """The search grid's n = _N_ROTATIONS rotation matrices (n, 3, 3) and
+    the unit vertices each one turns to (n, 6, 3)."""
+    mats = np.array([quat_to_matrix(q) for q in super_fibonacci_rotations(_N_ROTATIONS)])
     ru = np.einsum("kab,jb->kja", mats, UNIT_VERTICES)
     mats.flags.writeable = ru.flags.writeable = False
     return mats, ru
@@ -136,9 +138,9 @@ def direct_angle_search(
     a cone come in homothety families) and the apex-relative center that
     best satisfies the six plane conditions is a linear least-squares
     solve per rotation.  Rotation space is scanned on a deterministic
-    grid, and each assignment's `refine_top` best rotations are polished
+    grid, and each assignment's `_REFINE_TOP` best rotations are polished
     together, all assignments at once, by one batched Levenberg-Marquardt
-    solve (`least_squares`) in which each candidate may spend `max_nfev`
+    solve (`least_squares`) in which each candidate may spend `_MAX_NFEV`
     residual evaluations.  The candidates are then verified against
     plane and sector-membership tolerances in scan order: assignment,
     then grid rank.  An empty result is resolution-limited evidence of
@@ -149,46 +151,46 @@ def direct_angle_search(
     frames = _sector_frames(angle)
     normals = np.array([f[1] for f in frames])
     inverses = np.array([f[0] for f in frames])
-    mats, RU = _rotation_grid(cfg.n_rotations)
+    mats, RU = _rotation_grid()
 
     starts, systems = [], []
     for sigma in _ASSIGNMENTS:
         system = _plane_system(normals[list(sigma)], inverses[list(sigma)])
         r = _residuals(RU, *system)[0]
-        starts.append(np.argsort(np.einsum("ki,ki->k", r, r), kind="stable")[: cfg.refine_top])
+        starts.append(np.argsort(np.einsum("ki,ki->k", r, r), kind="stable")[:_REFINE_TOP])
         systems.append(system)
     owner = np.repeat(np.arange(len(_ASSIGNMENTS)), [len(s) for s in starts])
     system = [np.array(parts)[owner] for parts in zip(*systems)]
-    rotations = least_squares(mats[np.concatenate(starts)], system, cfg.max_nfev).rotations
+    rotations = least_squares(mats[np.concatenate(starts)], system, _MAX_NFEV).rotations
 
     _, c, X = _residuals(_turned_vertices(rotations), *system)
     span = np.linalg.norm(X, axis=2).max(axis=1)
     alpha, beta, gamma = np.einsum("kjab,kjb->akj", system[3], X)
     lim = span[:, None]
-    plane_ok = np.abs(gamma) <= cfg.plane_tol * lim
-    sector_ok = (alpha >= -cfg.sector_tol * lim) & (beta >= -cfg.sector_tol * lim)
+    plane_ok = np.abs(gamma) <= _PLANE_TOL * lim
+    sector_ok = (alpha >= -_SECTOR_TOL * lim) & (beta >= -_SECTOR_TOL * lim)
     verified = (span >= 1e-9) & (plane_ok & sector_ok).all(axis=1)
 
     found = []
     for k in np.flatnonzero(verified):
         t = 1.0 / span[k]
         pose = OctahedronPose(angle.apex + t * c[k], matrix_to_quat(rotations[k]), t)
-        if any(pose_distance(pose, p) < cfg.dedup_tol for p in found):
+        if any(pose_distance(pose, p) < _DEDUP_TOL for p in found):
             continue
         found.append(pose)
         if cfg.stop_at_first:
-            return DirectSearchResult(found, _metadata(cfg, int(owner[k]) + 1, early=True))
-    return DirectSearchResult(found, _metadata(cfg, len(_ASSIGNMENTS), early=False))
+            return DirectSearchResult(found, _metadata(int(owner[k]) + 1, early=True))
+    return DirectSearchResult(found, _metadata(len(_ASSIGNMENTS), early=False))
 
 
-def _metadata(cfg: DirectSearchConfig, tested: int, early: bool) -> dict:
+def _metadata(tested: int, early: bool) -> dict:
     return {
         "assignments_tested": tested,
         "assignments_total": len(_ASSIGNMENTS),
-        "n_rotations": cfg.n_rotations,
-        "refine_top": cfg.refine_top,
-        "plane_tol": cfg.plane_tol,
-        "sector_tol": cfg.sector_tol,
+        "n_rotations": _N_ROTATIONS,
+        "refine_top": _REFINE_TOP,
+        "plane_tol": _PLANE_TOL,
+        "sector_tol": _SECTOR_TOL,
         "stopped_at_first": early,
         "note": "empty result is resolution-limited, not a nonexistence proof",
     }

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+from octainscribe import angles
 from octainscribe.angles import (
     ClassTag,
     ConstructionFailed,
@@ -19,6 +21,8 @@ from octainscribe.angles import (
     T0_SIDE,
     T0_TRIANGLE,
     T0_VERTEX_ANGLE,
+    _rotvec_matrices,
+    _t0_margin_for_matrices,
     classify_general,
     classify_trihedral,
     construct_inscribed_octahedron,
@@ -30,6 +34,7 @@ from octainscribe.angles import (
     triangle_from_sides,
 )
 from octainscribe.generators import (
+    nonsimple_inscribed_cone,
     random_large_side_sides,
     random_rotation_matrix,
     random_small_special_sides,
@@ -37,7 +42,17 @@ from octainscribe.generators import (
     random_trihedral_angle,
 )
 from octainscribe.oracle import inscribed_in_cone_check
-from octainscribe.sphere import SphPolygon, SphTriangle, area, arc_distance, vertex_angle
+from octainscribe.rotations import _quats_to_matrices, quat_to_matrix, super_fibonacci_rotations
+from octainscribe.sphere import (
+    GeometryError,
+    SphPolygon,
+    SphTriangle,
+    area,
+    arc_distance,
+    polygon_area,
+    polygon_diameter,
+    vertex_angle,
+)
 
 E1, E2, E3 = np.eye(3)
 
@@ -408,6 +423,17 @@ def test_construct_random_special_angles():
         assert inscribed_in_cone_check(ang, pose, tol=1e-8)
 
 
+@pytest.mark.parametrize("h", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_construct_narrow_special_angle(h):
+    # The pose shrinks with h while rounding of the unit edges does not, so
+    # only checks relative to the unit-distance vertices can pass here.
+    ang = SolidAngle((0, 0, 0), [(h, 0, 1), (0, h, 1), (-h, -h, 1)])
+    cls = classify_trihedral(ang)
+    assert cls.tag is ClassTag.SPECIAL
+    pose = construct_inscribed_octahedron(ang, cls.certificate)
+    assert inscribed_in_cone_check(ang, pose, tol=1e-8)
+
+
 def test_construct_rejects_missing_certificate():
     ang = SolidAngle((0, 0, 0), np.eye(3))
     cls = classify_trihedral(ang)
@@ -436,16 +462,135 @@ def test_construct_consistent_with_placement():
 # -- fits_in_T0 --------------------------------------------------------------
 
 
+def _reference_fits_in_T0(poly, tol=1e-9):
+    """The former search, kept as a reference: score a 10 000-rotation
+    super-Fibonacci grid, then refine its 12 best rotations by
+    Nelder-Mead.  Its NO_FIT is not certified."""
+    total_area = polygon_area(poly)
+    if total_area > T0_AREA + 1e-12:
+        return FitTag.NO_FIT
+    if polygon_diameter(poly) > T0_SIDE + tol:
+        return FitTag.NO_FIT
+    V = poly.matrix
+    quats = super_fibonacci_rotations(10_000)
+    margins = _t0_margin_for_matrices(_quats_to_matrices(quats), V)
+    best = -math.inf
+    for idx in np.argsort(-margins, kind="stable")[:12]:
+        q0 = quats[idx]
+
+        def neg_margin(w, q0=q0):
+            m = quat_to_matrix(q0) @ quat_to_matrix(np.concatenate([[1.0], 0.5 * w]))
+            return -float(_t0_margin_for_matrices(m[None], V)[0])
+
+        res = minimize(
+            neg_margin,
+            np.zeros(3),
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400},
+        )
+        best = max(best, -float(res.fun))
+        if best > tol:
+            return FitTag.FITS
+    return FitTag.NO_FIT if best < -tol else FitTag.INDETERMINATE
+
+
+def _random_quadrilateral(rng, lo, hi):
+    """Four vertices at random azimuths and at distances in [lo, hi] from
+    a random centre, redrawn until the polygon is strictly convex."""
+    while True:
+        c = normalize(rng.normal(size=3))
+        u = normalize(np.cross(c, rng.normal(size=3)))
+        v = np.cross(c, u)
+        az = np.sort(rng.uniform(0, 2 * math.pi, 4))
+        r = rng.uniform(lo, hi, 4)
+        P = np.cos(r)[:, None] * c + np.sin(r)[:, None] * (
+            np.cos(az)[:, None] * u + np.sin(az)[:, None] * v
+        )
+        try:
+            return SphPolygon(P)
+        except GeometryError:
+            pass
+
+
+def _assert_witness_rechecks(poly, fit):
+    m = _t0_margin_for_matrices(quat_to_matrix(fit.rotation)[None], poly.matrix)[0]
+    assert m == pytest.approx(fit.margin, abs=1e-12)
+    assert m > 1e-9
+
+
+def _assert_matches_reference(polys):
+    """Equal tags, except that a FITS whose witness re-checks overrides a
+    reference NO_FIT: the witness proves that the reference missed a fit.
+    Returns the number of NO_FITs the search decided."""
+    searched_no_fit = 0
+    for poly in polys:
+        fit = fits_in_T0(poly)
+        if fit.tag is FitTag.FITS:
+            _assert_witness_rechecks(poly, fit)
+            assert _reference_fits_in_T0(poly) in (FitTag.FITS, FitTag.NO_FIT)
+        else:
+            assert fit.tag is _reference_fits_in_T0(poly)
+        searched_no_fit += fit.tag is FitTag.NO_FIT and fit.rotation is not None
+    return searched_no_fit
+
+
+def test_fits_matches_reference_on_criterion_8_cones():
+    rng = np.random.default_rng(808)
+    cones = [nonsimple_inscribed_cone(rng)[0].polygon for _ in range(50)]
+    assert _assert_matches_reference(cones) == 0
+    assert all(fits_in_T0(p).tag is FitTag.FITS for p in cones)
+
+
+def test_fits_matches_reference_on_quadrilaterals():
+    # Vertices 0.50-0.52 rad from a centre: the diameter prefilter never
+    # fires, and about a third of the family cannot be placed.
+    rng = np.random.default_rng(31)
+    polys = [_random_quadrilateral(rng, 0.5, 0.52) for _ in range(30)]
+    assert _assert_matches_reference(polys) >= 10
+
+
+def test_fits_finds_the_fit_the_reference_missed():
+    # Grid plus Nelder-Mead ends at margin -1.7e-4 and reports NO_FIT; the
+    # cell search finds a rotation with margin 4.4e-5.
+    poly = SphPolygon(
+        [
+            [0.3419402851768703, 0.9278394825879674, 0.1489655528102173],
+            [-0.23535372190165743, 0.7832073794062819, 0.5754952879308238],
+            [-0.06652749299452772, 0.6330137899317675, 0.7712766264007249],
+            [0.5806272078735764, 0.6403984076616902, 0.5027543385604011],
+        ]
+    )
+    assert _reference_fits_in_T0(poly) is FitTag.NO_FIT
+    fit = fits_in_T0(poly)
+    assert fit.tag is FitTag.FITS
+    _assert_witness_rechecks(poly, fit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    st.integers(-8, 0),
+    st.integers(0, 2**32 - 1),
+)
+def test_t0_margin_is_1_lipschitz_in_rotation_vector(a, d, exponent, seed):
+    # The bound behind every discarded cell of fits_in_T0.
+    poly = _random_quadrilateral(np.random.default_rng(seed), 0.05, 0.6)
+    W = np.array([a, np.add(a, np.multiply(d, 10.0**exponent))])
+    m = _t0_margin_for_matrices(_rotvec_matrices(W), poly.matrix)
+    assert abs(m[0] - m[1]) <= np.linalg.norm(W[0] - W[1]) + 1e-12
+
+
 def test_fits_tiny_polygon():
     c = normalize([0.2, 0.1, 1.0])
     pts = []
     for az in np.linspace(0, 2 * math.pi, 5)[:-1]:
         offset = 0.025 * np.array([math.cos(az), math.sin(az), 0.0])
         pts.append(normalize(c + offset))
-    fit = fits_in_T0(SphPolygon(pts))
+    poly = SphPolygon(pts)
+    fit = fits_in_T0(poly)
     assert fit.tag is FitTag.FITS
-    assert fit.margin > 0
-    assert fit.rotation is not None
+    _assert_witness_rechecks(poly, fit)
 
 
 def test_fits_octant_rejected_by_diameter():
@@ -453,10 +598,20 @@ def test_fits_octant_rejected_by_diameter():
     assert fit.tag is FitTag.NO_FIT
 
 
-def test_fits_T0_itself_boundary():
+def test_fits_T0_itself_boundary(monkeypatch):
+    evaluated = []
+    margins = angles._t0_margin_for_matrices
+
+    def counting(mats, V):
+        evaluated.append(len(mats))
+        return margins(mats, V)
+
+    monkeypatch.setattr(angles, "_t0_margin_for_matrices", counting)
     fit = fits_in_T0(SphPolygon(T0_TRIANGLE.matrix))
-    assert fit.tag in (FitTag.INDETERMINATE, FitTag.FITS)
+    assert fit.tag is not FitTag.NO_FIT
     assert abs(fit.margin) < 1e-6
+    # 5216 cells over 24 levels when measured.
+    assert sum(evaluated) <= 6000
 
 
 # -- classify_general --------------------------------------------------------

@@ -184,12 +184,12 @@ def test_search_refines_in_one_batched_solve(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(octainscribe.oracle, "least_squares", spy)
-    cfg = DirectSearchConfig()
-    direct_angle_search(SolidAngle((0, 0, 0), np.eye(3)), cfg)
+    direct_angle_search(SolidAngle((0, 0, 0), np.eye(3)))
     assert len(calls) == 1
-    candidates = cfg.refine_top * len(octainscribe.oracle._ASSIGNMENTS)
+    candidates = octainscribe.oracle._REFINE_TOP * len(octainscribe.oracle._ASSIGNMENTS)
     assert calls[0].rotations.shape == (candidates, 3, 3)
-    assert isinstance(calls[0].nfev, int) and candidates <= calls[0].nfev <= candidates * cfg.max_nfev
+    max_nfev = octainscribe.oracle._MAX_NFEV
+    assert isinstance(calls[0].nfev, int) and candidates <= calls[0].nfev <= candidates * max_nfev
 
 
 def test_membership_examples():
