@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .pose import OctahedronPose
-from .rotations import _quats_to_matrices, matrix_to_quat
+from .rotations import _quats_to_matrices, matrix_to_quat, quat_from_rotvec
 from .sphere import (
     DEFAULT_TOL,
     GeometryError,
@@ -448,8 +448,9 @@ _CONSTRUCT_ASSIGNMENT = (
 )
 
 
-# Relative tolerance of the witness construction's sector check.
+# The construction's relative plane and sector tolerance, and its plane checks.
 _CONSTRUCT_TOL = 1e-9
+_CONSTRUCT_CHECKS = 6
 
 
 def construct_inscribed_octahedron(angle: SolidAngle, cert: PlacementCertificate) -> OctahedronPose:
@@ -481,10 +482,24 @@ def construct_inscribed_octahedron(angle: SolidAngle, cert: PlacementCertificate
     normals = [angle.facet_normal((cert.labeling[third] + 1) % 3) for third in (2, 1, 0)]
 
     A = np.array([normals[f] for _, f in _CONSTRUCT_ASSIGNMENT])
-    rhs = np.array([-float(np.dot(normals[f], R_lab @ u)) for u, f in _CONSTRUCT_ASSIGNMENT])
-    center_local, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    U = np.array([u for u, _ in _CONSTRUCT_ASSIGNMENT])
+    X = U @ R_lab.T
+    center_local, *_ = np.linalg.lstsq(A, -np.einsum("ij,ij->i", A, X), rcond=None)
+    # Plane residuals n.(c + R u), relative to the pose scale.  A narrow
+    # angle's placed rotation carries rounding with a lever arm of about
+    # 1/width; Gauss-Newton steps in c and a left rotation update remove it.
+    for _ in range(_CONSTRUCT_CHECKS):
+        plane_residual = A @ center_local + np.einsum("ij,ij->i", A, X)
+        if np.abs(plane_residual).max() <= _CONSTRUCT_TOL:
+            break
+        step, *_ = np.linalg.lstsq(np.hstack([A, np.cross(X, A)]), -plane_residual, rcond=None)
+        center_local = center_local + step[:3]
+        R_lab = _quats_to_matrices(quat_from_rotvec(step[3:])) @ R_lab
+        X = U @ R_lab.T
+    else:
+        raise ConstructionFailed(f"plane residual {np.abs(plane_residual).max():.3e} x scale")
 
-    verts_local = np.array([center_local + R_lab @ u for u, _ in _CONSTRUCT_ASSIGNMENT])
+    verts_local = center_local + X
     radius = float(np.linalg.norm(verts_local, axis=1).max())
     if radius < 1e-12:
         raise ConstructionFailed("construction collapsed to the apex")
@@ -535,35 +550,23 @@ _T0_MAX_LIVE = 4096
 _CELL_CORNERS = np.array(list(product((-1.0, 1.0), repeat=3)))
 
 
-def _rotvec_matrices(W: np.ndarray) -> np.ndarray:
-    """Rotation matrices of rotation vectors (k x 3 -> k x 3 x 3)."""
-    theta = np.linalg.norm(W, axis=1)[:, None]
-    quats = np.hstack([np.cos(0.5 * theta), 0.5 * np.sinc(theta / (2 * math.pi)) * W])
-    return _quats_to_matrices(quats)
-
-
 def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
     """Decide whether some rotation takes the convex polygon inside the
-    regular spherical triangle of side pi/3 (containment of a convex set
-    reduces to containment of its vertices).
+    regular spherical triangle T0 of side pi/3 (it suffices for its vertices).
 
-    After the area and diameter prefilters, a branch-and-bound searches
-    cubic cells of rotation-vector space level by level, from the 64 cells
-    of half-side pi/4 that tile the cube |w_i| <= pi (it covers SO(3)):
+    After the area and diameter prefilters, a branch-and-bound splits cubic
+    cells of rotation-vector space, from the 64 cells of half-side pi/4
+    that tile |w_i| <= pi (which covers SO(3)).  Every result carries the
+    best centre margin seen and its rotation:
 
-    - FITS as soon as a cell centre's margin exceeds `tol`; the level's
-      best centre is the witness rotation, and its margin is reported.
+    - FITS as soon as a cell centre's margin exceeds `tol`.
     - A cell of half-side h is discarded once its centre margin + sqrt(3) h
       < -tol; every other cell is split into 8.  NO_FIT, when no cell is
       left, is certified: the margin is 1-Lipschitz in rotation angle, and
       the angle between R(a) and R(b) is at most |a - b| (Hartley and Kahl,
       Global Optimization through Rotation Space Search, IJCV 2009).
     - INDETERMINATE when the half-side falls below `_T0_MIN_HALF_SIDE`, or
-      when more than `_T0_MAX_LIVE` cells survive a level (a bound on the
-      next level's batch).
-
-    NO_FIT and INDETERMINATE report the best centre margin seen and its
-    rotation.
+      when more than `_T0_MAX_LIVE` cells survive a level.
     """
     total_area = polygon_area(poly)
     if total_area > T0_AREA + 1e-12:
@@ -576,7 +579,7 @@ def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
     centres = (2 * h * _CELL_CORNERS[:, None] + h * _CELL_CORNERS).reshape(-1, 3)
     best_margin, best_rot = -math.inf, None
     while True:
-        mats = _rotvec_matrices(centres)
+        mats = _quats_to_matrices(quat_from_rotvec(centres))
         margins = _t0_margin_for_matrices(mats, poly.matrix)
         k = int(np.argmax(margins))
         if margins[k] > best_margin:

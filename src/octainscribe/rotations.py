@@ -106,14 +106,11 @@ def matrix_to_quat(m) -> np.ndarray:
 
 
 def quat_from_rotvec(w) -> np.ndarray:
-    """Exponential map: rotation vector (axis * angle) to quaternion."""
-    w = np.asarray(w, dtype=float).reshape(3)
-    theta = float(np.linalg.norm(w))
-    if theta < 1e-12:
-        return quat_normalize(np.array([1.0, 0.5 * w[0], 0.5 * w[1], 0.5 * w[2]]))
-    axis = w / theta
-    half = 0.5 * theta
-    return np.concatenate([[math.cos(half)], math.sin(half) * axis])
+    """Exponential map, rotation vector w -> unit quaternion, (3,) -> (4,) or (k, 3) -> (k, 4):
+    [cos(theta/2), sin(theta/2) w / theta], through sinc so with no small-angle branch."""
+    w = np.asarray(w, dtype=float)
+    theta = np.linalg.norm(w, axis=-1, keepdims=True)
+    return np.concatenate([np.cos(0.5 * theta), 0.5 * np.sinc(theta / (2 * math.pi)) * w], axis=-1)
 
 
 def apply_rotvec(q, w) -> np.ndarray:

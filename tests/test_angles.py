@@ -21,7 +21,6 @@ from octainscribe.angles import (
     T0_SIDE,
     T0_TRIANGLE,
     T0_VERTEX_ANGLE,
-    _rotvec_matrices,
     _t0_margin_for_matrices,
     classify_general,
     classify_trihedral,
@@ -42,7 +41,7 @@ from octainscribe.generators import (
     random_trihedral_angle,
 )
 from octainscribe.oracle import inscribed_in_cone_check
-from octainscribe.rotations import _quats_to_matrices, quat_to_matrix, super_fibonacci_rotations
+from octainscribe.rotations import _quats_to_matrices, quat_from_rotvec, quat_to_matrix, super_fibonacci_rotations
 from octainscribe.sphere import (
     GeometryError,
     SphPolygon,
@@ -425,13 +424,16 @@ def test_construct_random_special_angles():
 
 @pytest.mark.parametrize("h", [1e-5, 1e-6, 1e-7, 1e-8])
 def test_construct_narrow_special_angle(h):
-    # The pose shrinks with h while rounding of the unit edges does not, so
-    # only checks relative to the unit-distance vertices can pass here.
+    # The placed rotation's rounding has a lever arm of about 1/h; the
+    # witness must still meet the criterion-4 plane bound of its own scale.
     ang = SolidAngle((0, 0, 0), [(h, 0, 1), (0, h, 1), (-h, -h, 1)])
     cls = classify_trihedral(ang)
     assert cls.tag is ClassTag.SPECIAL
     pose = construct_inscribed_octahedron(ang, cls.certificate)
     assert inscribed_in_cone_check(ang, pose, tol=1e-8)
+    normals = np.array([ang.facet_normal(i) for i in range(3)])
+    plane_residual = np.abs(pose.vertices() @ normals.T).min(axis=1).max()
+    assert plane_residual <= 1e-8 * pose.scale
 
 
 def test_construct_rejects_missing_certificate():
@@ -577,7 +579,7 @@ def test_t0_margin_is_1_lipschitz_in_rotation_vector(a, d, exponent, seed):
     # The bound behind every discarded cell of fits_in_T0.
     poly = _random_quadrilateral(np.random.default_rng(seed), 0.05, 0.6)
     W = np.array([a, np.add(a, np.multiply(d, 10.0**exponent))])
-    m = _t0_margin_for_matrices(_rotvec_matrices(W), poly.matrix)
+    m = _t0_margin_for_matrices(_quats_to_matrices(quat_from_rotvec(W)), poly.matrix)
     assert abs(m[0] - m[1]) <= np.linalg.norm(W[0] - W[1]) + 1e-12
 
 

@@ -8,6 +8,7 @@ from octainscribe.rotations import (
     matrix_to_quat,
     octahedron_rotation_group,
     quat_canonical,
+    quat_from_rotvec,
     quat_multiply,
     quat_normalize,
     quat_to_matrix,
@@ -64,6 +65,20 @@ def test_apply_rotvec_small_angle():
     w = np.array([0.0, 0.0, 1e-3])
     m = quat_to_matrix(apply_rotvec(q, w))
     assert m[1, 0] == pytest.approx(1e-3, rel=1e-5)
+
+
+def test_quat_from_rotvec_batch_matches_axis_angle():
+    rng = np.random.default_rng(7)
+    W = np.vstack([rng.normal(size=(20, 3)) * 10.0 ** rng.integers(-9, 1, size=(20, 1)), np.zeros(3)])
+    Q = quat_from_rotvec(W)
+    assert Q.shape == (21, 4)
+    assert np.allclose(np.linalg.norm(Q, axis=1), 1.0, atol=1e-15)
+    for w, q in zip(W, Q):
+        assert np.array_equal(quat_from_rotvec(w), q)
+        theta = np.linalg.norm(w)
+        if theta > 0:
+            axis_angle = np.concatenate([[np.cos(theta / 2)], np.sin(theta / 2) * w / theta])
+            assert np.allclose(q, axis_angle, rtol=0, atol=1e-15)
 
 
 def test_super_fibonacci_deterministic_and_unit():
