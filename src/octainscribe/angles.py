@@ -552,7 +552,7 @@ _CELL_CORNERS = np.array(list(product((-1.0, 1.0), repeat=3)))
 
 def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
     """Decide whether some rotation takes the convex polygon inside the
-    regular spherical triangle T0 of side pi/3 (it suffices for its vertices).
+    regular spherical triangle T0 of side pi/3 (checked on its vertices).
 
     After the area and diameter prefilters, a branch-and-bound splits cubic
     cells of rotation-vector space, from the 64 cells of half-side pi/4
@@ -566,7 +566,7 @@ def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
       the angle between R(a) and R(b) is at most |a - b| (Hartley and Kahl,
       Global Optimization through Rotation Space Search, IJCV 2009).
     - INDETERMINATE when the half-side falls below `_T0_MIN_HALF_SIDE`, or
-      when more than `_T0_MAX_LIVE` cells survive a level.
+      when more than `_T0_MAX_LIVE` cells (a memory bound) survive a level.
     """
     total_area = polygon_area(poly)
     if total_area > T0_AREA + 1e-12:
