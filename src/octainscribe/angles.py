@@ -173,6 +173,8 @@ class SolidAngle:
 
     def __init__(self, apex, edges):
         apex = np.asarray(apex, dtype=float).reshape(3)
+        if not np.isfinite(apex).all():
+            raise InvalidSolidAngle("apex coordinates must be finite")
         raw = np.array(edges, dtype=float).reshape(-1, 3)
         E = _unit_rows(raw)
         if len(E) < 3:

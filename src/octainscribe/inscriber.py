@@ -194,13 +194,8 @@ def residual(s: SmoothedBody, pose: OctahedronPose):
 def _exact_residual(p: ConvexPolytope, pose: OctahedronPose):
     """Signed distance to the polytope boundary itself (negative inside),
     used for the final polish once smoothing has shrunk below resolution."""
-    V = pose.vertices()
-    d, proj, _, _ = p.nearest_boundary(V)
-    sign = np.where(p.contains(V), -1.0, 1.0)
-    grad = np.zeros_like(V)
-    ok = d > 1e-300
-    grad[ok] = sign[ok, None] * (V[ok] - proj[ok]) / d[ok, None]
-    return sign * d, _assemble_jacobian(pose, grad)
+    r, grad = p.signed_distance(pose.vertices())
+    return r, _assemble_jacobian(pose, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +413,6 @@ def continue_to_surface(
     warnings = _precondition_warnings(p)
     if eps0 is None:
         eps0 = 0.2 * p.inradius
-    if not 0 < eps0 < p.inradius:
-        raise ValueError(f"eps0 must lie in (0, inradius={p.inradius:.6g})")
     _check_n_rotations(n_rotations)
 
     s0 = SmoothedBody(p, eps0)

@@ -65,8 +65,8 @@ FEATURE_KINDS = np.array(["facet", "edge", "vertex"], dtype=object)
 class ConvexPolytope:
     """Immutable convex 3-polytope.
 
-    The constructor checks only that the representations agree; the
-    builders validate outside input (full-dimensional, valid vertex angles).
+    The constructor checks that the representations agree and that the body
+    is full-dimensional; the builders validate outside input.
 
     Attributes
     ----------
@@ -78,15 +78,17 @@ class ConvexPolytope:
     vertex_facets : per vertex, sorted indices of incident facets.
     edges : sorted vertex-index pairs; edge_facets gives the two facets
         meeting at each edge.
-    center, inradius : the Chebyshev ball, solved on first read.
+    center, inradius : the Chebyshev ball (largest ball inside), from the builder.
     """
 
-    def __init__(self, normals, offsets, vertices, facet_vertices):
+    def __init__(self, normals, offsets, vertices, facet_vertices, center, inradius):
         self.normals = np.asarray(normals, dtype=float)
         self.offsets = np.asarray(offsets, dtype=float)
         self.vertices = np.asarray(vertices, dtype=float)
         self.facet_vertices = tuple(tuple(int(i) for i in cyc) for cyc in facet_vertices)
-        for arr in (self.normals, self.offsets, self.vertices):
+        self.center = np.asarray(center, dtype=float)
+        self.inradius = float(inradius)
+        for arr in (self.normals, self.offsets, self.vertices, self.center):
             arr.flags.writeable = False
 
         vf = [[] for _ in range(len(self.vertices))]
@@ -125,15 +127,10 @@ class ConvexPolytope:
         if off_plane.any():
             fi = facet_of[np.argmax(off_plane)]
             raise Inconsistent(f"facet {fi} vertex set is not coplanar with its halfspace")
+        if not self.inradius > 1e-6 * self.diameter:
+            raise Degenerate("polytope is not full-dimensional (inradius too small)")
 
     # -- queries ----------------------------------------------------------
-
-    @cached_property
-    def _ball(self):
-        return _chebyshev(self.normals, self.offsets)
-
-    center = property(lambda self: self._ball[0])
-    inradius = property(lambda self: self._ball[1])
 
     def contains(self, points, tol: float = 0.0) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))
@@ -210,15 +207,16 @@ class ConvexPolytope:
         index = np.select(hit, [on_vertex.argmax(axis=1), on_edge.argmax(axis=1)], own_index)
         return best_d, proj, kind, index
 
-    def distance_and_projection(self, points):
-        """Euclidean distance to the solid body (0 inside) and the
-        projection onto it (the point itself when inside)."""
+    def signed_distance(self, points):
+        """Signed distance to the boundary surface (negative inside) and its
+        gradient, 0 where the distance is below 1e-300, for a batch of points."""
         X = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = self.contains(X)
-        d, p, _, _ = self.nearest_boundary(X)
-        d = np.where(inside, 0.0, d)
-        p = np.where(inside[:, None], X, p)
-        return d, p
+        d, proj, _, _ = self.nearest_boundary(X)
+        sign = np.where(self.contains(X), -1.0, 1.0)
+        grad = np.zeros_like(X)
+        ok = d > 1e-300
+        grad[ok] = sign[ok, None] * (X[ok] - proj[ok]) / d[ok, None]
+        return sign * d, grad
 
     def to_dict(self) -> dict:
         return {
@@ -289,9 +287,10 @@ def _vertices_of(N, D, interior):
     return pts[_keep_first(close)]
 
 
-def _hull_polytope(P):
+def _hull_polytope(P, ball=None):
     """Convex hull of the points: coplanar hull simplices merged into
-    polygonal facets, interior points dropped."""
+    polygonal facets, interior points dropped.  ball is the Chebyshev
+    (center, inradius) if the caller knows it, else one LP on the hull planes."""
     scale = float(np.linalg.norm(P - P.mean(axis=0), axis=1).max())
     if scale < 1e-12:
         raise Degenerate("points are coincident")
@@ -317,7 +316,9 @@ def _hull_polytope(P):
     normals, offsets = normals[order], offsets[order]
 
     cycles = _facet_cycles(verts, normals, offsets, scale)
-    return ConvexPolytope(normals, offsets, verts, cycles)
+    if ball is None:
+        ball = _chebyshev(normals, offsets)
+    return ConvexPolytope(normals, offsets, verts, cycles, *ball)
 
 
 def _facet_cycles(verts, normals, offsets, scale):
@@ -338,27 +339,32 @@ def _facet_cycles(verts, normals, offsets, scale):
     return cycles
 
 
-def build_from_vertices(points) -> ConvexPolytope:
-    """Vertex input: the convex hull, checked to be full-dimensional and to
-    have a valid solid angle at every vertex."""
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2 or P.shape[1] != 3 or len(P) < 4:
-        raise Degenerate("need at least 4 points in R^3")
-    p = _hull_polytope(P)
-    if not p.inradius > 1e-6 * p.diameter:
-        raise Degenerate("polytope is not full-dimensional (inradius too small)")
+def _checked_hull(P, ball=None) -> ConvexPolytope:
+    """The hull polytope of outside input, with a valid solid angle at every vertex."""
+    p = _hull_polytope(P, ball)
     for vi in range(len(p.vertices)):
         solid_angle_at(p, vi)
     return p
 
 
+def build_from_vertices(points) -> ConvexPolytope:
+    """Vertex input: the convex hull, checked to be finite, full-dimensional
+    and to have a valid solid angle at every vertex."""
+    P = np.asarray(points, dtype=float)
+    if P.ndim != 2 or P.shape[1] != 3 or len(P) < 4 or not np.isfinite(P).all():
+        raise Degenerate("need at least 4 points in R^3, all finite")
+    return _checked_hull(P)
+
+
 def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
-    """Halfspace input: checked to be bounded with a nonempty interior, vertices
-    enumerated via the dual hull (redundant halfspaces drop out), then the vertex build."""
+    """Halfspace input: checked to be finite and bounded with a nonempty interior
+    (one LP, whose ball the body keeps), then the vertices via the dual hull."""
     N = np.asarray(normals, dtype=float)
     D = np.asarray(offsets, dtype=float).reshape(-1)
     if N.ndim != 2 or N.shape[1] != 3 or len(N) < 4 or len(N) != len(D):
         raise Degenerate("need at least 4 halfspaces (normal, offset)")
+    if not np.isfinite(np.column_stack([N, D])).all():
+        raise Degenerate("halfspace coefficients must be finite")
     norms = np.linalg.norm(N, axis=1)
     if norms.min() < 1e-14:
         raise Degenerate("zero normal in halfspace list")
@@ -368,7 +374,7 @@ def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
     interior, r = _chebyshev(N, D)
     if r <= 0:
         raise Degenerate("halfspace intersection has empty interior")
-    return build_from_vertices(_vertices_of(N, D, interior))
+    return _checked_hull(_vertices_of(N, D, interior), (interior, r))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +415,8 @@ def distance_to_boundary(p: ConvexPolytope, x):
 class SmoothedBody:
     """The union of all eps-balls contained in the base polytope,
     represented implicitly as inner parallel body + eps.  The inner body is
-    built from the validated base: the base's centre lies inside it by its
-    inradius, base.inradius - eps, so no input check is repeated."""
+    built from the validated base with no LP and no input check: its
+    Chebyshev ball is the base's, shrunk by eps about the same centre."""
 
     __slots__ = ("base", "epsilon", "inner_body")
 
@@ -422,20 +428,15 @@ class SmoothedBody:
         self.base = base
         self.epsilon = float(epsilon)
         verts = _vertices_of(base.normals, base.offsets - epsilon, base.center)
-        self.inner_body = _hull_polytope(verts)
-        if not base.inradius - epsilon > 1e-6 * self.inner_body.diameter:
-            raise Degenerate("inner parallel body is not full-dimensional (inradius too small)")
+        self.inner_body = _hull_polytope(verts, (base.center, base.inradius - epsilon))
 
     def signed_distance(self, points):
         """r(x) = dist(x, inner body) - eps, whose zero set is exactly the
         smoothed boundary, and its gradient (unit outward away from the
         inner body, zero inside it).  Returns (r, grad) for a batch."""
-        X = np.atleast_2d(np.asarray(points, dtype=float))
-        d, proj = self.inner_body.distance_and_projection(X)
-        grad = np.zeros_like(X)
+        d, grad = self.inner_body.signed_distance(points)
         out = d > 0
-        grad[out] = (X[out] - proj[out]) / d[out, None]
-        return d - self.epsilon, grad
+        return np.where(out, d, 0.0) - self.epsilon, np.where(out[:, None], grad, 0.0)
 
 
 def signed_distance_smoothed(s: SmoothedBody, x):

@@ -86,7 +86,10 @@ class OctahedronPose:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OctahedronPose":
-        return cls(np.array(d["center"], float), quat_normalize(d["rotation"]), float(d["scale"]))
+        c, q = np.array(d["center"], float), np.array(d["rotation"], float)
+        if not (np.isfinite(c).all() and np.isfinite(q).all()):
+            raise ValueError("pose center and rotation must be finite")
+        return cls(c, quat_normalize(q), float(d["scale"]))
 
     def __repr__(self):
         c = ", ".join(f"{x:.6g}" for x in self.center)

@@ -71,11 +71,11 @@ def _as_unit(v) -> np.ndarray:
 
 def _unit_rows(points) -> np.ndarray:
     """The points as rows of an (n, 3) array, each normalized to unit
-    length in one pass, rejecting near-zero rows."""
+    length in one pass, rejecting non-finite and near-zero rows."""
     a = np.array(points, dtype=float).reshape(-1, 3)
     n = np.linalg.norm(a, axis=1)
-    if np.any(n < 1e-14):
-        raise GeometryError("cannot normalize a near-zero 3-vector")
+    if not np.all((n >= 1e-14) & (n < np.inf)):
+        raise GeometryError("cannot normalize a near-zero or non-finite 3-vector")
     return a / n[:, None]
 
 

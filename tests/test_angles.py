@@ -94,6 +94,14 @@ def test_solid_angle_rejects_flat_and_nonsalient():
         SolidAngle((0, 0, 0), [E1, E2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solid_angle_rejects_non_finite_edge_or_apex(bad):
+    with pytest.raises(GeometryError, match="finite"):
+        SolidAngle((0, 0, 0), [E1, [bad, 1.0, 0.0], E3])
+    with pytest.raises(InvalidSolidAngle, match="finite"):
+        SolidAngle((0, bad, 0), [E1, E2, E3])
+
+
 def test_solid_angle_rejects_nonextreme_edge():
     inner = normalize([1, 1, 0.05])
     with pytest.raises(InvalidSolidAngle):

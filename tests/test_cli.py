@@ -231,6 +231,28 @@ def test_certify_rejects_shifted_pose(cube_off, tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["edge", "apex"])
+def test_classify_rejects_non_finite_angle(tmp_path, where, bad, capsys):
+    # NaN used to pass every validation check and print "margin": NaN.
+    apex, edge = ("0", bad) if where == "edge" else (bad, "0")
+    f = tmp_path / "angle.json"
+    f.write_text(f'{{"apex": [0, {apex}, 0], "edges": [[1, 0, 0], [0, 1, {edge}], [0, 0, 1]]}}')
+    code = main(["classify", str(f)])
+    assert "finite" in capsys.readouterr().err
+    assert code == 64
+
+
+def test_certify_rejects_non_finite_pose(cube_off, tmp_path, capsys):
+    pose_file = tmp_path / "pose.json"
+    pose_file.write_text(
+        '{"schema": "octa-inscribe/1", "center": [NaN, 0, 0], "rotation": [1, 0, 0, 0], "scale": 1}'
+    )
+    code = main(["certify", cube_off, str(pose_file)])
+    assert "finite" in capsys.readouterr().err
+    assert code == 64
+
+
 def test_path_single_step(capsys):
     code = main(["path", "1.2", "1.0", "0.8"])
     out = json.loads(capsys.readouterr().out)

@@ -104,3 +104,13 @@ def test_obj_export(tmp_path):
         a, b, c = V[i], V[j], V[k]
         normal = np.cross(b - a, c - a)
         assert np.dot(normal, (a + b + c) / 3) > 0  # outward winding
+
+
+@pytest.mark.parametrize("field, value", [("center", [0.0, "nan", 0.0]), ("rotation", [1.0, 0.0, "inf", 0.0])])
+def test_read_pose_rejects_non_finite(tmp_path, field, value):
+    doc = pose_to_document(OctahedronPose(np.zeros(3), IDENTITY_QUAT, 1.0))
+    doc[field] = [float(x) for x in value]
+    path = tmp_path / "pose.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="finite"):
+        read_pose_json(path)

@@ -75,6 +75,20 @@ def test_build_rejects_degenerate():
         )  # slab, unbounded in z
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_builders_reject_non_finite_input(bad):
+    corners = cube().vertices.copy()
+    corners[3, 1] = bad
+    normals = AXES.copy()
+    normals[2, 0] = bad
+    with pytest.raises(Degenerate, match="finite"):
+        build_from_vertices(corners)
+    with pytest.raises(Degenerate, match="finite"):
+        build_from_halfspaces(normals, np.ones(6))
+    with pytest.raises(Degenerate, match="finite"):
+        build_from_halfspaces(AXES, np.r_[np.ones(5), bad])
+
+
 def _reference_facet_planes(P):
     """The per-plane loop that the keep-first matrix replaced: each hull plane
     is kept unless it matches an earlier kept one; then the facet sort."""
@@ -189,7 +203,7 @@ def _count_solid_angles(monkeypatch):
 
 def test_smoothed_body_solves_no_lp_and_builds_no_solid_angle(request, monkeypatch):
     bases = [cube(), regular_tetrahedron(), random_simple_polytope(np.random.default_rng(4))]
-    radii = [p.inradius for p in bases]  # the base's own Chebyshev LP, solved here
+    radii = [p.inradius for p in bases]  # each base solved its own LP when built
     request.getfixturevalue("no_lp")
     made = _count_solid_angles(monkeypatch)
     for p, r in zip(bases, radii):
@@ -209,9 +223,9 @@ def test_builders_build_one_solid_angle_per_vertex(monkeypatch):
     assert made[0] == 10
 
 
-def test_halfspace_build_solves_two_lps(monkeypatch):
-    # The boundedness check is a hull of the normals; the two LPs are the
-    # Chebyshev ball of the input and that of the built body.
+def test_halfspace_build_solves_one_lp(monkeypatch):
+    # The boundedness check is a hull of the normals; the one LP is the
+    # Chebyshev ball of the input, which the built body keeps.
     import octainscribe.polytope as polytope
 
     calls = [0]
@@ -224,7 +238,7 @@ def test_halfspace_build_solves_two_lps(monkeypatch):
     monkeypatch.setattr(polytope, "linprog", counted)
     normals = np.vstack([AXES, [[1, 1, 1] / np.sqrt(3)]])
     build_from_halfspaces(normals, np.concatenate([np.ones(6), [1.5]]))
-    assert calls[0] == 2
+    assert calls[0] == 1
 
 
 @pytest.mark.parametrize(
@@ -262,6 +276,8 @@ def test_inner_body_matches_halfspace_build():
             assert np.abs(inner.normals - ref.normals).max() <= tol
             assert np.abs(inner.offsets - ref.offsets).max() <= tol
             assert np.abs(inner.vertices - ref.vertices).max() <= tol
+            assert np.abs(inner.center - ref.center).max() <= tol
+            assert abs(inner.inradius - ref.inradius) <= tol
             lattice_changes += inner.facet_vertices != p.facet_vertices
             eps *= 0.5
     assert lattice_changes >= 1
@@ -296,7 +312,8 @@ def test_smoothed_subset_of_base():
     X = rng.normal(size=(10_000, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     X = X * body.diameter
-    _, proj = s.inner_body.distance_and_projection(X)
+    assert not s.inner_body.contains(X).any()  # so the nearest boundary point is the projection
+    _, proj, _, _ = s.inner_body.nearest_boundary(X)
     boundary = proj + 0.15 * (X - proj) / np.linalg.norm(X - proj, axis=1, keepdims=True)
     slack = boundary @ body.normals.T - body.offsets[None, :]
     assert slack.max() <= 1e-9
@@ -337,6 +354,64 @@ def test_smoothed_gradient_finite_difference():
                 ) / (2 * h)
             assert np.abs(fd - g).max() <= 1e-5
             checked += 1
+
+
+def _reference_exact_signed_distance(p, X):
+    """The polish residual's formula before ConvexPolytope.signed_distance:
+    the distance to the nearest boundary point, negative inside, and the
+    signed unit vector from that point."""
+    d, proj, _, _ = p.nearest_boundary(X)
+    sign = np.where(p.contains(X), -1.0, 1.0)
+    grad = np.zeros_like(X)
+    ok = d > 1e-300
+    grad[ok] = sign[ok, None] * (X[ok] - proj[ok]) / d[ok, None]
+    return sign * d, grad
+
+
+def _reference_smoothed_signed_distance(s, X):
+    """The smoothed residual's formula before it was built on the inner
+    body's signed_distance: the distance to the solid inner body (0 inside)
+    and the projection onto it, then r = d - eps."""
+    inside = s.inner_body.contains(X)
+    d, proj, _, _ = s.inner_body.nearest_boundary(X)
+    d = np.where(inside, 0.0, d)
+    proj = np.where(inside[:, None], X, proj)
+    grad = np.zeros_like(X)
+    out = d > 0
+    grad[out] = (X[out] - proj[out]) / d[out, None]
+    return d - s.epsilon, grad
+
+
+def _probe_points(p, rng):
+    """Points inside p, outside it, and on its boundary: vertices, edge
+    midpoints and facet centroids."""
+    V = p.vertices
+    mids = np.array([(V[i] + V[j]) / 2 for i, j in p.edges])
+    centroids = np.array([V[list(cyc)].mean(axis=0) for cyc in p.facet_vertices])
+    inner = rng.dirichlet(np.ones(len(V)), size=50) @ V
+    dirs = rng.normal(size=(50, 3))
+    dirs *= rng.uniform(1.0, 1.5, size=(50, 1)) * p.diameter / np.linalg.norm(dirs, axis=1)[:, None]
+    return np.vstack([inner, p.center + dirs, V, mids, centroids, p.center])
+
+
+def _same_bits(got, want):
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_signed_distance_matches_reference_formulas():
+    rng = np.random.default_rng(43)
+    normals = rng.normal(size=(64, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    bodies = [cube(), regular_tetrahedron(), regular_octahedron(), random_simple_polytope(rng)]
+    bodies.append(build_from_halfspaces(normals, np.ones(64)))
+    for p in bodies:
+        X = _probe_points(p, rng)
+        inside = p.contains(X)
+        assert inside.any() and not inside.all()
+        assert _same_bits(p.signed_distance(X), _reference_exact_signed_distance(p, X))
+        s = SmoothedBody(p, 0.2 * p.inradius)
+        Y = np.vstack([X, _probe_points(s.inner_body, rng)])
+        assert _same_bits(s.signed_distance(Y), _reference_smoothed_signed_distance(s, Y))
 
 
 # -- distance_to_boundary ------------------------------------------------------

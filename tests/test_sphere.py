@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from octainscribe.sphere import (
     Containment,
     DegenerateTriangle,
+    GeometryError,
     InvalidPolygon,
     SphPolygon,
     SphTriangle,
@@ -266,6 +267,16 @@ def test_triangle_rejects_degenerate():
         SphTriangle(E1, -E1, E2)
     with pytest.raises(DegenerateTriangle):
         SphTriangle(E1, E2, normalize([1, 1, 0]))  # coplanar with center
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_triangle_and_polygon_reject_non_finite_rows(bad):
+    # NaN compares False everywhere, so it used to pass every check.
+    row = np.array([1.0, bad, 0.2])
+    with pytest.raises(GeometryError, match="finite"):
+        SphTriangle(row, E2, E3)
+    with pytest.raises(GeometryError, match="finite"):
+        SphPolygon([E1, E2, row, normalize([1, 1, 1])])
 
 
 @pytest.mark.parametrize("size", [1.0, 1e-3, 1e-7])
