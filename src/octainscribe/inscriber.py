@@ -183,18 +183,11 @@ def _assemble_jacobian(pose: OctahedronPose, grad: np.ndarray) -> np.ndarray:
     return J
 
 
-def residual(s: SmoothedBody, pose: OctahedronPose):
-    """Per-vertex signed distance to the smoothed boundary, plus the pose
-    Jacobian.  All six components vanish exactly when the octahedron is
-    inscribed in the smoothed surface."""
-    r, grad = s.signed_distance(pose.vertices())
-    return r, _assemble_jacobian(pose, grad)
-
-
-def _exact_residual(p: ConvexPolytope, pose: OctahedronPose):
-    """Signed distance to the polytope boundary itself (negative inside),
-    used for the final polish once smoothing has shrunk below resolution."""
-    r, grad = p.signed_distance(pose.vertices())
+def residual(body: SmoothedBody | ConvexPolytope, pose: OctahedronPose):
+    """Per-vertex signed distance to the boundary of a SmoothedBody or a
+    ConvexPolytope, plus the pose Jacobian.  All six components vanish
+    exactly when the octahedron is inscribed in that boundary."""
+    r, grad = body.signed_distance(pose.vertices())
     return r, _assemble_jacobian(pose, grad)
 
 
@@ -352,7 +345,7 @@ def _polish_exact(p: ConvexPolytope, seed: OctahedronPose):
     diam = p.diameter
     tol = _TOL_RES_REL * diam
     pose, res, iters, converged, warnings = _levenberg_marquardt(
-        lambda q: _exact_residual(p, q), seed, tol, _MAX_ITER, diam
+        lambda q: residual(p, q), seed, tol, _MAX_ITER, diam
     )
     d = np.abs(res)  # the exact residual is the signed distance to the boundary
     return SolveReport(pose, d, iters, bool(converged and d.max() <= tol), 0.0, tol, warnings)

@@ -347,25 +347,18 @@ def inscribed_in_cone_check(angle: SolidAngle, pose: OctahedronPose, tol: float 
 # ---------------------------------------------------------------------------
 # Definitional membership test for the smoothed body.
 
+_MAX_CYCLES = 400       # Dykstra sweeps over the shifted halfspaces
 
-def membership_oracle_batch(
-    p: ConvexPolytope,
-    epsilon: float,
-    X,
-    samples: int = 0,
-    max_cycles: int = 400,
-    seed: int = 0,
-) -> np.ndarray:
+
+def membership_oracle_batch(p: ConvexPolytope, epsilon: float, X) -> np.ndarray:
     """Whether each point of X is in the smoothed body: x is iff some
     center c within epsilon of x has its whole epsilon-ball inside P.  The
     best candidate center is the projection of x onto the inner parallel
     body, computed here by cyclic Dykstra iteration over the raw shifted
     halfspaces (no pruning, no face-lattice code shared with the
-    production projection).
-
-    `samples` optionally re-checks the ball condition at random boundary
-    points of the candidate ball; for a convex polytope the halfspace
-    check is already exact, so 0 skips it.
+    production projection).  The ball about c lies in P exactly when c
+    satisfies every halfspace shifted in by epsilon, since
+    n . (c + epsilon u) <= n . c + epsilon for every unit u.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N = p.normals
@@ -373,7 +366,7 @@ def membership_oracle_batch(
     scale = max(p.diameter, 1.0)
     Y = X.copy()
     corrections = np.zeros((len(N), len(X), 3))
-    for _ in range(max_cycles):
+    for _ in range(_MAX_CYCLES):
         prev = Y.copy()
         for i in range(len(N)):
             Z = Y + corrections[i]
@@ -386,16 +379,7 @@ def membership_oracle_batch(
             break
     feasible = (Y @ N.T - D[None, :]).max(axis=1) <= 1e-9 * scale
     dist = np.linalg.norm(X - Y, axis=1)
-    inside = feasible & (dist <= epsilon)
-    if samples > 0:
-        rng = np.random.default_rng(seed)
-        dirs = rng.normal(size=(samples, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        for k in np.where(inside)[0]:
-            pts = Y[k] + epsilon * dirs
-            if (pts @ p.normals.T - p.offsets[None, :]).max() > 1e-9 * scale:
-                inside[k] = False
-    return inside
+    return feasible & (dist <= epsilon)
 
 
 # ---------------------------------------------------------------------------

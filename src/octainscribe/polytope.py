@@ -65,8 +65,13 @@ FEATURE_KINDS = np.array(["facet", "edge", "vertex"], dtype=object)
 class ConvexPolytope:
     """Immutable convex 3-polytope.
 
-    The constructor checks that the representations agree and that the body
-    is full-dimensional; the builders validate outside input.
+    The constructor takes the vertex-facet incidence (a boolean vertices x
+    facets matrix) and derives the cycles and edges from it.  On one slack
+    matrix at 1e-9 * diameter it checks that no vertex lies outside a plane,
+    that every incident vertex lies on its plane, that each vertex and each
+    facet has at least 3 incidences, and that every edge bounds exactly 2
+    facets; then that the body is full-dimensional.  The builders validate
+    outside input.
 
     Attributes
     ----------
@@ -74,59 +79,47 @@ class ConvexPolytope:
         n . x <= offset), facets sorted lexicographically.
     vertices : V x 3 array, sorted lexicographically.
     facet_vertices : per facet, the vertex cycle ordered counterclockwise
-        as seen from outside.
+        as seen from outside, starting at its lowest vertex index.
     vertex_facets : per vertex, sorted indices of incident facets.
-    edges : sorted vertex-index pairs; edge_facets gives the two facets
-        meeting at each edge.
+    edges : sorted vertex-index pairs.
     center, inradius : the Chebyshev ball (largest ball inside), from the builder.
     """
 
-    def __init__(self, normals, offsets, vertices, facet_vertices, center, inradius):
+    def __init__(self, normals, offsets, vertices, incidence, center, inradius):
         self.normals = np.asarray(normals, dtype=float)
         self.offsets = np.asarray(offsets, dtype=float)
         self.vertices = np.asarray(vertices, dtype=float)
-        self.facet_vertices = tuple(tuple(int(i) for i in cyc) for cyc in facet_vertices)
         self.center = np.asarray(center, dtype=float)
         self.inradius = float(inradius)
         for arr in (self.normals, self.offsets, self.vertices, self.center):
             arr.flags.writeable = False
-
-        vf = [[] for _ in range(len(self.vertices))]
-        for fi, cyc in enumerate(self.facet_vertices):
-            for vi in cyc:
-                vf[vi].append(fi)
-        self.vertex_facets = tuple(tuple(sorted(s)) for s in vf)
-
-        edge_map = {}
-        for fi, cyc in enumerate(self.facet_vertices):
-            for k in range(len(cyc)):
-                key = tuple(sorted((cyc[k], cyc[(k + 1) % len(cyc)])))
-                edge_map.setdefault(key, []).append(fi)
-        self.edges = tuple(sorted(edge_map))
-        self.edge_facets = tuple(tuple(sorted(edge_map[e])) for e in self.edges)
-        if any(len(fs) != 2 for fs in self.edge_facets):
-            raise Inconsistent("every edge of a closed polytope must bound exactly 2 facets")
+        inc = np.asarray(incidence, dtype=bool)
 
         diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
         self.diameter = float(np.sqrt((diffs**2).sum(axis=2)).max())
-        self._validate()
-
-    def _validate(self):
         tol = _REL_TOL * self.diameter
-        slack = self.offsets[None, :] - self.vertices @ self.normals.T
+        slack = self.offsets - self.vertices @ self.normals.T
         if slack.min() < -tol:
             raise Inconsistent("a vertex violates a halfspace beyond tolerance")
-        tight_counts = (np.abs(slack) <= tol).sum(axis=1)
-        if np.any(tight_counts < 3):
-            raise Inconsistent("every vertex must have at least 3 tight halfspaces")
-        sizes = np.array([len(cyc) for cyc in self.facet_vertices])
-        if np.any(sizes < 3):
-            raise Inconsistent(f"facet {np.argmax(sizes < 3)} has fewer than 3 vertices")
-        facet_of = np.repeat(np.arange(len(sizes)), sizes)
-        off_plane = np.abs(slack[np.concatenate(self.facet_vertices), facet_of]) > tol
+        off_plane = inc & (np.abs(slack) > tol)
         if off_plane.any():
-            fi = facet_of[np.argmax(off_plane)]
-            raise Inconsistent(f"facet {fi} vertex set is not coplanar with its halfspace")
+            raise Inconsistent(f"facet {np.nonzero(off_plane)[1][0]} has a vertex off its plane")
+        per_facet, per_vertex = inc.sum(axis=0), inc.sum(axis=1)
+        if per_facet.min() < 3:
+            raise Inconsistent(f"facet {np.argmin(per_facet)} has fewer than 3 vertices")
+        if per_vertex.min() < 3:
+            raise Inconsistent(f"vertex {np.argmin(per_vertex)} lies on fewer than 3 facets")
+
+        self.vertex_facets = tuple(tuple(np.flatnonzero(row).tolist()) for row in inc)
+        cycles, starts = _facet_cycles(self.vertices, self.normals, inc)
+        self.facet_vertices = tuple(tuple(c.tolist()) for c in np.split(cycles, starts[1:]))
+        following = np.arange(1, len(cycles) + 1)
+        following[starts + per_facet - 1] = starts
+        sides = np.sort(np.column_stack([cycles, cycles[following]]), axis=1)
+        edges, uses = np.unique(sides, axis=0, return_counts=True)
+        if np.any(uses != 2):
+            raise Inconsistent("every edge of a closed polytope must bound exactly 2 facets")
+        self.edges = tuple(map(tuple, edges.tolist()))
         if not self.inradius > 1e-6 * self.diameter:
             raise Degenerate("polytope is not full-dimensional (inradius too small)")
 
@@ -289,8 +282,9 @@ def _vertices_of(N, D, interior):
 
 def _hull_polytope(P, ball=None):
     """Convex hull of the points: coplanar hull simplices merged into
-    polygonal facets, interior points dropped.  ball is the Chebyshev
-    (center, inradius) if the caller knows it, else one LP on the hull planes."""
+    polygonal facets, interior points dropped, each facet's vertices those
+    of its simplices.  ball is the Chebyshev (center, inradius) if the
+    caller knows it, else one LP on the hull planes."""
     scale = float(np.linalg.norm(P - P.mean(axis=0), axis=1).max())
     if scale < 1e-12:
         raise Degenerate("points are coincident")
@@ -301,42 +295,40 @@ def _hull_polytope(P, ball=None):
     if hull.volume < 1e-12 * scale**3:
         raise Degenerate("points do not span 3 dimensions")
 
-    verts = P[hull.vertices]
-    verts = verts[np.lexsort(verts.T[::-1])]
+    rows = hull.vertices[np.lexsort(P[hull.vertices].T[::-1])]
 
-    # One facet per hull plane: the first of each set of coplanar simplices.
+    # One facet per hull plane: the first of each set of coplanar simplices,
+    # which every simplex of its set joins.
     N = hull.equations[:, :3]
     N = N / np.sqrt(np.vecdot(N, N))[:, None]
     D = -hull.equations[:, 3]
     same = (N @ N.T > 1.0 - 1e-9) & (np.abs(D[:, None] - D) < 1e-9 * scale)
     keep = _keep_first(same)
+    incidence = np.zeros((len(P), keep.sum()), dtype=bool)
+    incidence[hull.simplices, np.argmax(same[keep], axis=0)[:, None]] = True
     normals, offsets = N[keep], D[keep]
     key = np.round(np.column_stack([normals, offsets / scale]), 9)
     order = np.lexsort(key.T[::-1])
-    normals, offsets = normals[order], offsets[order]
+    normals, offsets, incidence = normals[order], offsets[order], incidence[np.ix_(rows, order)]
 
-    cycles = _facet_cycles(verts, normals, offsets, scale)
     if ball is None:
         ball = _chebyshev(normals, offsets)
-    return ConvexPolytope(normals, offsets, verts, cycles, *ball)
+    return ConvexPolytope(normals, offsets, P[rows], incidence, *ball)
 
 
-def _facet_cycles(verts, normals, offsets, scale):
-    tol = _REL_TOL * scale
-    cycles = []
-    for n, d in zip(normals, offsets):
-        idx = np.where(np.abs(verts @ n - d) <= tol)[0]
-        if len(idx) < 3:
-            raise Inconsistent("a facet plane is tight at fewer than 3 vertices")
-        pts = verts[idx]
-        centroid = pts.mean(axis=0)
-        ref = pts[0] - centroid
-        ref -= float(np.dot(ref, n)) * n
-        ref = ref / np.linalg.norm(ref)
-        up = np.cross(n, ref)
-        ang = np.arctan2((pts - centroid) @ up, (pts - centroid) @ ref)
-        cycles.append(tuple(idx[np.argsort(ang, kind="stable")]))
-    return cycles
+def _facet_cycles(V, N, incidence):
+    """Every facet's vertex cycle, counterclockwise seen from outside and
+    starting at its lowest vertex index, by angle about the facet centroid
+    from that vertex: (cycles end to end, each cycle's start in them)."""
+    facet, vertex = np.nonzero(incidence.T)
+    sizes = np.bincount(facet, minlength=len(N))
+    starts = np.cumsum(sizes) - sizes
+    rel = V[vertex] - (np.add.reduceat(V[vertex], starts) / sizes[:, None])[facet]
+    ref = rel[starts]
+    up = np.cross(N, ref)
+    ang = np.arctan2(np.vecdot(rel, up[facet]), np.vecdot(rel, ref[facet])) % (2 * np.pi)
+    ang[starts] = -1.0
+    return vertex[np.lexsort((ang, facet))], starts
 
 
 def _checked_hull(P, ball=None) -> ConvexPolytope:

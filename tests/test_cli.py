@@ -188,11 +188,14 @@ def test_inscribe_nonsimple_warns_but_runs(tmp_path, capsys):
         assert json.loads(open(pose_file).read())["certified"] is True
 
 
-def test_inscribe_survives_degenerate_inner_body(spiky_body, tmp_path, capsys, monkeypatch):
+def test_inscribe_survives_degenerate_inner_body(
+    spiky_body, tmp_path, capsys, monkeypatch, inner_bodies_fail_below
+):
     # With the flat-contact exit off, the ladder reaches an epsilon whose
-    # inner body cannot be built; the valid polytope still inscribes
-    # instead of exiting as malformed input.
+    # inner body cannot be built (below 0.01 * inradius); the valid
+    # polytope still inscribes instead of exiting as malformed input.
     monkeypatch.setattr(inscriber, "_on_facets", lambda s, pose: False)
+    inner_bodies_fail_below(0.01 * spiky_body.inradius)
     f = tmp_path / "spiky.json"
     write_polytope_json(f, spiky_body)
     pose_file = tmp_path / "pose.json"

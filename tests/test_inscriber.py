@@ -17,7 +17,7 @@ from octainscribe.inscriber import (
     residual,
     solve_at_epsilon,
 )
-from octainscribe.inscriber import _apply_step, _exact_residual
+from octainscribe.inscriber import _apply_step
 from octainscribe.polytope import (
     SmoothedBody,
     build_from_halfspaces,
@@ -28,7 +28,6 @@ from octainscribe.polytope import (
 )
 from octainscribe.pose import OctahedronPose, pose_distance
 from octainscribe.rotations import IDENTITY_QUAT
-from octainscribe.sphere import GeometryError
 
 AXES = np.vstack([np.eye(3), -np.eye(3)])
 
@@ -101,11 +100,11 @@ def test_jacobian_matches_finite_differences():
 
 def test_exact_residual_sign_convention():
     c = cube()
-    r, _ = _exact_residual(c, identity_pose(0.5))
+    r, _ = residual(c, identity_pose(0.5))
     assert np.all(r < 0)  # strictly inside
-    r, _ = _exact_residual(c, identity_pose(1.0))
+    r, _ = residual(c, identity_pose(1.0))
     assert np.allclose(r, 0.0, atol=1e-14)
-    r, _ = _exact_residual(c, identity_pose(1.5))
+    r, _ = residual(c, identity_pose(1.5))
     assert np.all(r > 0)
 
 
@@ -350,19 +349,38 @@ def _never_flat(monkeypatch):
     monkeypatch.setattr(inscriber, "_on_facets", lambda s, pose: False)
 
 
-def test_degenerate_inner_body_ends_the_ladder(monkeypatch, spiky_body):
-    # The flat-contact exit ends this body's ladder before the epsilon
-    # where its inner body breaks, so the exit is turned off.
+def test_degenerate_inner_body_ends_the_ladder(monkeypatch, spiky_body, inner_bodies_fail_below):
+    # The flat-contact exit would end this body's ladder first, so it is
+    # turned off; the fifth halving is the first rung that cannot be built.
     p = spiky_body
+    eps0 = 0.2 * p.inradius
     _forbid_multistart(monkeypatch)
     _never_flat(monkeypatch)
+    inner_bodies_fail_below(eps0 / 20)
     trace, final = continue_to_surface(p)
-    stop = trace.steps[-1][0] / 2
-    with pytest.raises(GeometryError):
-        SmoothedBody(p, stop)
-    assert trace.flags == (f"INNER_BODY_DEGENERATE at epsilon={stop:.6g}",)
-    assert stop > inscriber._EXACT_SWITCH_REL * p.diameter
+    assert [e for e, _ in trace.steps] == [eps0 / 2**k for k in range(5)]
+    assert trace.flags == (f"INNER_BODY_DEGENERATE at epsilon={eps0 / 32:.6g}",)
     assert certify(p, final.pose, 1e-7 * p.diameter).ok
+
+
+def test_spiky_inner_bodies_build_down_the_ladder(monkeypatch, spiky_body):
+    # With the flat-contact exit off, the ladder runs every rung down to
+    # the exact switch, and each inner body equals the outside-input build
+    # of the pushed-in halfspaces.
+    p = spiky_body
+    _never_flat(monkeypatch)
+    trace, final = continue_to_surface(p)
+    assert len(trace.steps) == 14
+    assert trace.flags == ()
+    assert certify(p, final.pose, 1e-7 * p.diameter).ok
+    tol = 1e-12 * p.diameter
+    for eps, _ in trace.steps:
+        inner = SmoothedBody(p, eps).inner_body
+        ref = build_from_halfspaces(p.normals, p.offsets - eps)
+        assert (inner.facet_vertices, inner.edges) == (ref.facet_vertices, ref.edges)
+        assert np.abs(inner.vertices - ref.vertices).max() <= tol
+        assert np.abs(inner.normals - ref.normals).max() <= tol
+        assert np.abs(inner.offsets - ref.offsets).max() <= tol
 
 
 def _pose_bits(pose):

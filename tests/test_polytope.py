@@ -6,9 +6,11 @@ from scipy.spatial import ConvexHull
 
 from octainscribe.angles import SolidAngle
 from octainscribe.generators import random_simple_polytope
+from octainscribe.inscriber import certify, continue_to_surface
 from octainscribe.polytope import (
     ConvexPolytope,
     Degenerate,
+    Inconsistent,
     SmoothedBody,
     build_from_halfspaces,
     build_from_vertices,
@@ -115,6 +117,105 @@ def test_facet_planes_match_per_plane_reference():
         normals, offsets = _reference_facet_planes(P)
         assert np.array_equal(p.normals, normals)
         assert np.array_equal(p.offsets, offsets)
+
+
+def _reference_facet_cycles(p):
+    """The per-facet loop that the incidence from the hull's triangles
+    replaced: each facet's vertices are those within 1e-9 * scale of its
+    plane, sorted by angle about their centroid, here rotated to start at
+    the lowest vertex index."""
+    scale = float(np.linalg.norm(p.vertices - p.vertices.mean(axis=0), axis=1).max())
+    cycles = []
+    for n, d in zip(p.normals, p.offsets):
+        idx = np.where(np.abs(p.vertices @ n - d) <= 1e-9 * scale)[0]
+        pts = p.vertices[idx]
+        centroid = pts.mean(axis=0)
+        ref = pts[0] - centroid
+        ref -= float(np.dot(ref, n)) * n
+        ref = ref / np.linalg.norm(ref)
+        up = np.cross(n, ref)
+        ang = np.arctan2((pts - centroid) @ up, (pts - centroid) @ ref)
+        cyc = idx[np.argsort(ang, kind="stable")].tolist()
+        k = cyc.index(min(cyc))
+        cycles.append(tuple(cyc[k:] + cyc[:k]))
+    return tuple(cycles)
+
+
+def test_facet_cycles_match_per_facet_reference():
+    rng = np.random.default_rng(2024)
+    pyramid = np.array([[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0], [0, 0, 1.5]], float)
+    bodies = [cube(), regular_tetrahedron(), regular_octahedron(), build_from_vertices(pyramid)]
+    bodies.append(build_from_vertices(np.random.default_rng(12).normal(size=(40, 3))))
+    simple = [random_simple_polytope(rng) for _ in range(20)]
+    bodies += simple + [SmoothedBody(p, 0.2 * p.inradius).inner_body for p in simple]
+    for p in bodies:
+        assert p.facet_vertices == _reference_facet_cycles(p)
+        assert all(cyc[0] == min(cyc) for cyc in p.facet_vertices)
+
+
+def test_dented_cube_builds_and_inscribes():
+    # One corner moved in by 2.5e-9: between 1e-9 * scale (1.7e-9) and
+    # 1e-9 * diameter (3.5e-9), so a tightness test at the first tolerance
+    # drops the corner from its facet, while the facet's own triangles keep it.
+    corners = cube().vertices.copy()
+    corners[7, 0] -= 2.5e-9
+    p = build_from_vertices(corners)
+    assert (len(p.vertices), len(p.normals), len(p.edges)) == (8, 6, 12)
+    assert is_simple(p) == (True, [])
+    assert all(len(cyc) == 4 for cyc in p.facet_vertices)
+    _, final = continue_to_surface(p)
+    assert certify(p, final.pose, 1e-7 * p.diameter).ok
+
+
+def _parts(p):
+    """The constructor arguments that rebuild p."""
+    incidence = np.zeros((len(p.vertices), len(p.normals)), dtype=bool)
+    for vi, facets in enumerate(p.vertex_facets):
+        incidence[vi, list(facets)] = True
+    return [p.normals, p.offsets, p.vertices.copy(), incidence, p.center, p.inradius]
+
+
+def _outside(parts):
+    parts[2][7] *= 1 + 1e-6
+
+
+def _inside(parts):
+    parts[2][7] *= 1 - 1e-6
+
+
+def _facet_on_two(parts):
+    # Every octahedron vertex lies on 4 facets, so taking one from facet 5
+    # leaves it on 3 and the facet with 2.
+    parts[3][parts[3][:, 5].argmax(), 5] = False
+
+
+def _vertex_on_two(parts):
+    parts[3][0, parts[3][0].argmax()] = False
+
+
+def _duplicate_facet(parts):
+    parts[0] = np.vstack([parts[0], parts[0][:1]])
+    parts[1] = np.append(parts[1], parts[1][0])
+    parts[3] = np.hstack([parts[3], parts[3][:, :1]])
+
+
+@pytest.mark.parametrize(
+    "body, spoil, message",
+    [
+        (cube, _outside, "a vertex violates a halfspace beyond tolerance"),
+        (cube, _inside, "facet 3 has a vertex off its plane"),
+        (regular_octahedron, _facet_on_two, "facet 5 has fewer than 3 vertices"),
+        (cube, _vertex_on_two, "vertex 0 lies on fewer than 3 facets"),
+        (cube, _duplicate_facet, "every edge of a closed polytope must bound exactly 2 facets"),
+    ],
+    ids=["outside", "off_plane", "facet_on_two", "vertex_on_two", "duplicate_facet"],
+)
+def test_constructor_rejects_inconsistent_incidence(body, spoil, message):
+    ConvexPolytope(*_parts(body()))
+    parts = _parts(body())
+    spoil(parts)
+    with pytest.raises(Inconsistent, match=f"^{message}$"):
+        ConvexPolytope(*parts)
 
 
 def test_deterministic_output():
