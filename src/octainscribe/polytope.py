@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .angles import SolidAngle
-from .sphere import GeometryError, _as_unit
+from .angles import InvalidSolidAngle, SolidAngle
+from .sphere import DEFAULT_TOL, GeometryError
 
 __all__ = [
     "Degenerate",
@@ -71,7 +72,8 @@ class ConvexPolytope:
     that every incident vertex lies on its plane, that each vertex and each
     facet has at least 3 incidences, and that every edge bounds exactly 2
     facets; then that the body is full-dimensional.  The builders validate
-    outside input.
+    outside input.  The array arguments are copied on entry, so the caller's
+    arrays stay writeable and writing to them does not change the polytope.
 
     Attributes
     ----------
@@ -86,10 +88,10 @@ class ConvexPolytope:
     """
 
     def __init__(self, normals, offsets, vertices, incidence, center, inradius):
-        self.normals = np.asarray(normals, dtype=float)
-        self.offsets = np.asarray(offsets, dtype=float)
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.center = np.asarray(center, dtype=float)
+        self.normals = np.array(normals, dtype=float)
+        self.offsets = np.array(offsets, dtype=float)
+        self.vertices = np.array(vertices, dtype=float)
+        self.center = np.array(center, dtype=float)
         self.inradius = float(inradius)
         for arr in (self.normals, self.offsets, self.vertices, self.center):
             arr.flags.writeable = False
@@ -331,11 +333,67 @@ def _facet_cycles(V, N, incidence):
     return vertex[np.lexsort((ang, facet))], starts
 
 
+def _check_vertex_cones(p: ConvexPolytope):
+    """Raise InvalidSolidAngle unless the cone at every vertex is a valid
+    solid angle, as `SolidAngle` would judge it, in one array pass.
+
+    A corner is a vertex v on a facet f, between its neighbours u and w on
+    f's cycle; the edges vu and vw are two consecutive edges of v's cone.
+    Band rule, as `SphPolygon` draws it: a corner is degenerate when
+    unit(u - v) and unit(w - v) lie less than DEFAULT_TOL apart or their
+    cross product has norm below 1e-12 (its "coincide" and "antipodal"
+    tests), and the cone is strictly convex only when, at every corner,
+    every other neighbour x of v has margin -n_f . (x - v) / |x - v| above
+    DEFAULT_TOL (its side-normal dot, with f's outward normal n_f in place
+    of the cross product of the two unit edges).  Strict convexity implies
+    salience (see `hemisphere_axis`)."""
+    V, N = p.vertices, p.normals
+    # Corner c: vertex at[c] on facet facet[c], between prev[c] and nxt[c].
+    sizes = np.fromiter(map(len, p.facet_vertices), int, len(N))
+    at = np.fromiter(chain.from_iterable(p.facet_vertices), int, sizes.sum())
+    facet = np.repeat(np.arange(len(N)), sizes)
+    start = (np.cumsum(sizes) - sizes)[facet]
+    pos = np.arange(len(at)) - start
+    prev = at[start + (pos - 1) % sizes[facet]]
+    nxt = at[start + (pos + 1) % sizes[facet]]
+    a, b = V[prev] - V[at], V[nxt] - V[at]
+    a /= np.sqrt(np.vecdot(a, a))[:, None]
+    b /= np.sqrt(np.vecdot(b, b))[:, None]
+
+    lens = _norm3(np.cross(a, b))
+    angle = np.arctan2(lens, np.vecdot(a, b))
+    bad = np.flatnonzero((angle < DEFAULT_TOL) | (lens < 1e-12))
+    if bad.size:
+        c = bad[0]
+        raise InvalidSolidAngle(
+            f"vertex {at[c]}: its edges along facet {facet[c]} coincide or are "
+            f"antipodal (angle {angle[c]:.3g})"
+        )
+
+    # Every ordered pair (c, d) of corners at one vertex.  Each neighbour of
+    # the vertex is nxt of exactly one corner there, so nxt[d] runs over the
+    # off-side neighbours of corner c when d != c and nxt[d] != prev[c].
+    per_vertex = np.bincount(at, minlength=len(V))
+    reps = per_vertex[at]
+    c = np.repeat(np.arange(len(at)), reps)
+    first = (np.cumsum(per_vertex) - per_vertex)[at] - (np.cumsum(reps) - reps)
+    d = np.argsort(at, kind="stable")[np.arange(len(c)) + np.repeat(first, reps)]
+    off = (d != c) & (nxt[d] != prev[c])
+    c, d = c[off], d[off]
+    margin = -np.vecdot(N[facet[c]], b[d])
+    worst = np.argmin(margin)
+    if margin[worst] <= DEFAULT_TOL:
+        raise InvalidSolidAngle(
+            f"vertex {at[c[worst]]}: cone is not strictly convex at facet "
+            f"{facet[c[worst]]} (margin {margin[worst]:.3g} to vertex {nxt[d[worst]]})"
+        )
+
+
 def _checked_hull(P, ball=None) -> ConvexPolytope:
-    """The hull polytope of outside input, with a valid solid angle at every vertex."""
+    """The hull polytope of outside input, with a valid solid angle at
+    every vertex (`_check_vertex_cones`)."""
     p = _hull_polytope(P, ball)
-    for vi in range(len(p.vertices)):
-        solid_angle_at(p, vi)
+    _check_vertex_cones(p)
     return p
 
 
@@ -384,13 +442,14 @@ def solid_angle_at(p: ConvexPolytope, vi: int) -> SolidAngle:
     """The solid angle of the polytope at a vertex: apex at the vertex,
     edges towards the adjacent vertices."""
     v = p.vertices[vi]
-    neighbors = sorted(
-        {e[0] if e[1] == vi else e[1] for e in p.edges if vi in e}
-    )
+    E = np.array(p.edges)
+    # Edges are sorted pairs in sorted order, so the neighbours come out sorted.
+    neighbors = E[:, ::-1][E == vi]
     if len(neighbors) < 3:
         raise Inconsistent(f"vertex {vi} has fewer than 3 incident edges")
-    dirs = [_as_unit(p.vertices[nb] - v) for nb in neighbors]
-    return SolidAngle(v, dirs)
+    dirs = p.vertices[neighbors] - v
+    # Unit rows with the bits of `_as_unit`, which np.vecdot's norms give.
+    return SolidAngle(v, dirs / np.sqrt(np.vecdot(dirs, dirs))[:, None])
 
 
 def distance_to_boundary(p: ConvexPolytope, x):

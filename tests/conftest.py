@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -18,15 +20,11 @@ def no_lp(monkeypatch):
     monkeypatch.setattr(octainscribe.polytope, "linprog", refuse)
 
 
-@pytest.fixture
-def spiky_body():
-    """The fourth draw of a family of flattened point clouds with 1-3 far
-    spikes: a non-simple body of 7 vertices and 10 facets.  Its inner
-    parallel bodies split the non-simple vertices into clusters whose
-    vertices lie as little as 5e-8 diameters apart at the last rung of the
-    continuation ladder; every rung still builds."""
+def _spiky_clouds():
+    """The spiky family, drawn in turn from default_rng(5): flattened point
+    clouds on the unit sphere with 1-3 far spikes."""
     rng = np.random.default_rng(5)
-    for _ in range(4):
+    while True:
         pts = rng.normal(size=(rng.integers(5, 12), 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         k = rng.integers(1, 4)
@@ -34,7 +32,22 @@ def spiky_body():
         spikes /= np.linalg.norm(spikes, axis=1, keepdims=True)
         spikes *= rng.uniform(2, 12, size=(k, 1))
         flat = np.diag([1.0, 1.0, rng.uniform(0.1, 1)])
-    body = octainscribe.polytope.build_from_vertices(np.vstack([pts @ flat, spikes]))
+        yield np.vstack([pts @ flat, spikes])
+
+
+@pytest.fixture
+def spiky_cloud():
+    """Call with i: the point cloud of draw i of the spiky family."""
+    return lambda i: next(itertools.islice(_spiky_clouds(), i, None))
+
+
+@pytest.fixture
+def spiky_body(spiky_cloud):
+    """The fourth draw of the spiky family: a non-simple body of 7 vertices
+    and 10 facets.  Its inner parallel bodies split the non-simple vertices
+    into clusters whose vertices lie as little as 5e-8 diameters apart at
+    the last rung of the continuation ladder; every rung still builds."""
+    body = octainscribe.polytope.build_from_vertices(spiky_cloud(3))
     assert (len(body.vertices), len(body.normals)) == (7, 10)
     return body
 

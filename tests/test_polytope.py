@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from octainscribe.angles import SolidAngle
+import octainscribe.polytope as polytope
+from octainscribe.angles import InvalidSolidAngle, SolidAngle
 from octainscribe.generators import random_simple_polytope
 from octainscribe.inscriber import certify, continue_to_surface
 from octainscribe.polytope import (
@@ -22,6 +24,7 @@ from octainscribe.polytope import (
     signed_distance_smoothed,
     solid_angle_at,
 )
+from octainscribe.sphere import GeometryError, _as_unit
 
 AXES = np.vstack([np.eye(3), -np.eye(3)])
 
@@ -218,6 +221,19 @@ def test_constructor_rejects_inconsistent_incidence(body, spoil, message):
         ConvexPolytope(*parts)
 
 
+def test_constructor_copies_its_arrays():
+    normals, offsets, vertices, incidence, center, inradius = _parts(cube())
+    args = [np.array(normals), np.array(offsets), vertices, incidence, np.array(center)]
+    p = ConvexPolytope(*args, inradius)
+    kept = [p.normals.copy(), p.offsets.copy(), p.vertices.copy(), p.center.copy()]
+    for arr in args[:3] + args[4:]:
+        assert arr.flags.writeable
+        arr[...] = 7.0
+    for arr, before in zip([p.normals, p.offsets, p.vertices, p.center], kept):
+        assert np.array_equal(arr, before)
+        assert not arr.flags.writeable
+
+
 def test_deterministic_output():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(30, 3))
@@ -313,15 +329,179 @@ def test_smoothed_body_solves_no_lp_and_builds_no_solid_angle(request, monkeypat
     assert made[0] == 0
 
 
-def test_builders_build_one_solid_angle_per_vertex(monkeypatch):
+def test_builders_build_no_solid_angle(monkeypatch):
     corners = cube().vertices
     made = _count_solid_angles(monkeypatch)
     build_from_vertices(corners)
-    assert made[0] == 8
-    made[0] = 0
     normals = np.vstack([AXES, [[1, 1, 1] / np.sqrt(3)]])
     build_from_halfspaces(normals, np.concatenate([np.ones(6), [1.5]]))  # one corner cut
-    assert made[0] == 10
+    assert made[0] == 0
+
+
+def _reference_solid_angles(p):
+    """The per-vertex check the array pass replaced: one SolidAngle per
+    vertex, its neighbours found by a scan over the edges."""
+    angles = []
+    for vi, v in enumerate(p.vertices):
+        neighbors = sorted({e[0] if e[1] == vi else e[1] for e in p.edges if vi in e})
+        angles.append(SolidAngle(v, [_as_unit(p.vertices[nb] - v) for nb in neighbors]))
+    return angles
+
+
+def _reference_accepts(p):
+    try:
+        _reference_solid_angles(p)
+    except GeometryError:
+        return False
+    return True
+
+
+def _cone_check_accepts(p):
+    try:
+        polytope._check_vertex_cones(p)
+    except InvalidSolidAngle:
+        return False
+    return True
+
+
+def _tangent_bodies():
+    """The inscribe_facets benchmark bodies: 8, 16, 32 and 64 halfspaces
+    tangent to the unit sphere, normals from seed 2024."""
+    shapes = np.random.default_rng(2024)
+    for f in (8, 16, 32, 64):
+        while True:
+            N = shapes.normal(size=(f, 3))
+            N /= np.linalg.norm(N, axis=1, keepdims=True)
+            if ConvexHull(N).equations[:, 3].max() < -0.2:
+                yield build_from_halfspaces(N, np.ones(f))
+                break
+
+
+def _boxes(rng, count):
+    """Boxes with random half-widths in [0.01, 10], rotated and moved at random."""
+    for _ in range(count):
+        half = rng.uniform(0.01, 10, size=3)
+        A = AXES @ np.linalg.qr(rng.normal(size=(3, 3)))[0].T
+        yield build_from_halfspaces(A, np.concatenate([half, half]) + A @ rng.normal(size=3))
+
+
+def test_cone_check_matches_per_vertex_reference(spiky_body):
+    rng = np.random.default_rng(2024)
+    bodies = [cube(), regular_tetrahedron(), regular_octahedron()]
+    bodies += [random_simple_polytope(rng) for _ in range(20)]
+    bodies += list(_tangent_bodies()) + list(_boxes(np.random.default_rng(77), 30))
+    p = spiky_body
+    eps = 0.2 * p.inradius
+    while eps > 1e-6 * p.diameter:
+        bodies.append(SmoothedBody(p, eps).inner_body)  # built without the check
+        eps *= 0.5
+    assert len(bodies) == 3 + 20 + 4 + 30 + 14
+    for body in bodies:
+        assert _cone_check_accepts(body) == _reference_accepts(body)
+
+
+# Far from the origin, the split triangles' offsets differ by about
+# delta * 1e3, so the hull keeps them as separate facets and the cone check,
+# not the facet merge, decides.
+_FAR = np.array([1e3, 2e3, 0.0])
+
+
+def _pyramid_on_top(delta):
+    """A cube whose top face carries a pyramid of height delta."""
+    return build_from_vertices(np.vstack([cube().vertices, [0.3, 0.2, 1 + delta]]) + _FAR)
+
+
+def _corner_cut(delta):
+    """A cube with the plane through points delta from its corner (1, 1, 1)."""
+    A = np.vstack([AXES, np.ones(3) / np.sqrt(3)])
+    return build_from_halfspaces(A, np.append(np.ones(6), np.sqrt(3) - delta) + A @ _FAR)
+
+
+@pytest.mark.parametrize("build", [_pyramid_on_top, _corner_cut])
+def test_cone_check_matches_reference_across_the_band(monkeypatch, build):
+    checked = polytope._check_vertex_cones
+    reference = []
+
+    def both(p):
+        reference.append(_reference_accepts(p))
+        checked(p)
+
+    monkeypatch.setattr(polytope, "_check_vertex_cones", both)
+    accepted = []
+    for delta in 10.0 ** np.arange(-6, -12.5, -0.5):
+        try:
+            build(delta)
+            accepted.append(True)
+        except InvalidSolidAngle as exc:
+            assert re.match(r"vertex \d+: cone is not strictly convex at facet \d+", str(exc))
+            accepted.append(False)
+        assert accepted[-1] == reference[-1]
+    # Accepted above the band, rejected in it (margins of about delta).
+    assert accepted[0] and not accepted[8]
+
+
+def _roof(h):
+    """A cube whose top is a roof of height h over the ridge y = 0, built from
+    its incidence.  Each ridge end is a corner of 180 degrees less O(h) on
+    its side facet, and the roof's two facets meet at a dihedral of O(h)."""
+    V = np.vstack([cube().vertices, [[-1, 0, 1 + h], [1, 0, 1 + h]]])
+    N = np.vstack([AXES[[0, 1, 3, 4, 5]], [[0, -h, 1], [0, h, 1]]])
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    x, y, z = V.T
+    top = z >= 1
+    incidence = np.column_stack([x == 1, y == 1, x == -1, y == -1, z == -1, top & (y <= 0), top & (y >= 0)])
+    D = np.array([N[f] @ V[incidence[:, f]][0] for f in range(len(N))])
+    return ConvexPolytope(N, D, V, incidence, np.zeros(3), 1.0)
+
+
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        (1e-6, None),
+        (1e-9, None),
+        (1e-10, r"^vertex 9: cone is not strictly convex at facet 5 \(margin 2e-10 "),
+        (1e-13, r"^vertex 9: its edges along facet 0 coincide or are antipodal"),
+    ],
+    ids=["convex_1e-6", "convex_1e-9", "not_convex_1e-10", "antipodal_1e-13"],
+)
+def test_cone_check_on_a_roof_across_the_band(h, message):
+    p = _roof(h)
+    assert _reference_accepts(p) == (message is None)
+    if message is None:
+        polytope._check_vertex_cones(p)
+    else:
+        with pytest.raises(InvalidSolidAngle, match=message):
+            polytope._check_vertex_cones(p)
+
+
+def test_spiky_rung_inside_the_cone_band_is_rejected(spiky_cloud):
+    # Draw 108 of the spiky family pushed in by 0.2 * inradius / 2**14
+    # (1.55e-6 diameters).  Two vertices of its inner body lie 1.2e-9
+    # diameters apart, and the cone at vertex 27 has margin 5.2e-10 <
+    # DEFAULT_TOL against facet 11: a verdict at the stated tolerance,
+    # which the per-vertex SolidAngle check gives too.
+    p = build_from_vertices(spiky_cloud(108))
+    eps = 0.2 * p.inradius / 2**14
+    inner = SmoothedBody(p, eps).inner_body
+    V = inner.vertices
+    gaps = np.linalg.norm(V[:, None] - V[None], axis=2) + np.diag(np.full(len(V), np.inf))
+    assert gaps.min() < 2e-9 * p.diameter
+    assert not _reference_accepts(inner)
+    with pytest.raises(
+        InvalidSolidAngle,
+        match=r"^vertex 27: cone is not strictly convex at facet 11 \(margin 5\.2e-10 ",
+    ):
+        build_from_halfspaces(p.normals, p.offsets - eps)
+
+
+def test_solid_angle_at_matches_edge_scan_reference(spiky_body):
+    bodies = [cube(), regular_octahedron(), spiky_body]
+    bodies.append(random_simple_polytope(np.random.default_rng(3)))
+    for p in bodies:
+        for vi, ref in enumerate(_reference_solid_angles(p)):
+            got = solid_angle_at(p, vi)
+            assert got.edges.tobytes() == ref.edges.tobytes()
+            assert got.apex.tobytes() == ref.apex.tobytes()
 
 
 def test_halfspace_build_solves_one_lp(monkeypatch):
