@@ -59,7 +59,6 @@ from .polytope import (
     is_simple,
     regular_octahedron,
     regular_tetrahedron,
-    signed_distance_smoothed,
     solid_angle_at,
 )
 from .pose import OctahedronPose, pose_distance

@@ -157,6 +157,7 @@ class CertifyReport:
     residuals: np.ndarray
     features: tuple
     tol: float
+    diameter_ratio: float  # octahedron diameter / body diameter
 
     def to_dict(self) -> dict:
         return {
@@ -164,6 +165,7 @@ class CertifyReport:
             "residuals": [float(r) for r in self.residuals],
             "features": [{"kind": f.kind, "index": f.index} for f in self.features],
             "tol": float(self.tol),
+            "diameter_ratio": float(self.diameter_ratio),
         }
 
 
@@ -435,8 +437,9 @@ def _on_facets(s: SmoothedBody, pose: OctahedronPose) -> bool:
 
 def _track_from(p, start: SolveReport, s0: SmoothedBody, warnings, search, restarts):
     """One track down the epsilon ladder from `start`, a solution on the
-    smoothed body `s0`.  A step that does not converge or has collapsed
-    ends the track with InscriptionFailed, whose message is its flag;
+    smoothed body `s0`.  A step that does not converge or has collapsed,
+    and a polished pose that has collapsed, end the track with
+    InscriptionFailed, whose message is its flag;
     `restarts` holds the flags of the tracks abandoned before.
 
     Before each halving, from the start on, the ladder ends with the flag
@@ -483,13 +486,17 @@ def _track_from(p, start: SolveReport, s0: SmoothedBody, warnings, search, resta
     final = _polish_exact(p, pose)
     if not final.converged:
         raise failed(f"final polish residual {final.max_residual():.3e} exceeds {final.tol:.3e}")
+    if _collapsed(final.pose, diam):
+        raise failed("VERTEX_COLLAPSE in the final polish")
     return trace(), final
 
 
 def certify(p: ConvexPolytope, pose: OctahedronPose, tol: float) -> CertifyReport:
     """Re-evaluate the inscription claim: every generated vertex must lie
-    within tol of the boundary surface.  Regularity of the octahedron
+    within tol of the boundary surface, and the octahedron must not have
+    collapsed towards a point (`_collapsed`).  Regularity of the octahedron
     holds by construction of the pose."""
     residuals, _, kind, index = p.nearest_boundary(pose.vertices())
     features = tuple(map(Feature, FEATURE_KINDS[kind], index.tolist()))
-    return CertifyReport(bool(residuals.max() <= tol), residuals, features, float(tol))
+    ok = bool(residuals.max() <= tol) and not _collapsed(pose, p.diameter)
+    return CertifyReport(ok, residuals, features, float(tol), pose.diameter() / p.diameter)

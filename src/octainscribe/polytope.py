@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import product
 
 import numpy as np
 from scipy.optimize import linprog
@@ -31,7 +31,6 @@ __all__ = [
     "build_from_halfspaces",
     "is_simple",
     "solid_angle_at",
-    "signed_distance_smoothed",
     "distance_to_boundary",
     "cube",
     "regular_tetrahedron",
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
-# Points per block of nearest_boundary; bounds its (points x features x 3) arrays.
+# Points per block of the distance kernel; bounds its (points x features x 3) arrays.
 _POINT_BLOCK = 1024
 
 
@@ -67,7 +66,7 @@ class ConvexPolytope:
     """Immutable convex 3-polytope.
 
     The constructor takes the vertex-facet incidence (a boolean vertices x
-    facets matrix) and derives the cycles and edges from it.  On one slack
+    facets matrix) and derives the corner table from it.  On one slack
     matrix at 1e-9 * diameter it checks that no vertex lies outside a plane,
     that every incident vertex lies on its plane, that each vertex and each
     facet has at least 3 incidences, and that every edge bounds exactly 2
@@ -80,11 +79,16 @@ class ConvexPolytope:
     normals, offsets : minimal H-representation (unit outward normals,
         n . x <= offset), facets sorted lexicographically.
     vertices : V x 3 array, sorted lexicographically.
-    facet_vertices : per facet, the vertex cycle ordered counterclockwise
-        as seen from outside, starting at its lowest vertex index.
-    vertex_facets : per vertex, sorted indices of incident facets.
-    edges : sorted vertex-index pairs.
     center, inradius : the Chebyshev ball (largest ball inside), from the builder.
+    cycles, corner_facet, starts, following, preceding : the corner table,
+        read-only.  Corner c is vertex cycles[c] on facet corner_facet[c];
+        facet f's cycle starts at corner starts[f], at its lowest vertex
+        index, and runs counterclockwise seen from outside by following
+        (back by preceding).
+    edge_array : read-only E x 2 array of sorted vertex-index pairs, sorted.
+    facet_vertices, vertex_facets, edges : tuple views, built on first use:
+        per facet its vertex cycle, per vertex its sorted facets, and the
+        rows of edge_array.
     """
 
     def __init__(self, normals, offsets, vertices, incidence, center, inradius):
@@ -93,8 +97,6 @@ class ConvexPolytope:
         self.vertices = np.array(vertices, dtype=float)
         self.center = np.array(center, dtype=float)
         self.inradius = float(inradius)
-        for arr in (self.normals, self.offsets, self.vertices, self.center):
-            arr.flags.writeable = False
         inc = np.asarray(incidence, dtype=bool)
 
         diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
@@ -112,18 +114,34 @@ class ConvexPolytope:
         if per_vertex.min() < 3:
             raise Inconsistent(f"vertex {np.argmin(per_vertex)} lies on fewer than 3 facets")
 
-        self.vertex_facets = tuple(tuple(np.flatnonzero(row).tolist()) for row in inc)
-        cycles, starts = _facet_cycles(self.vertices, self.normals, inc)
-        self.facet_vertices = tuple(tuple(c.tolist()) for c in np.split(cycles, starts[1:]))
+        cycles, facet, starts = _facet_cycles(self.vertices, self.normals, inc)
         following = np.arange(1, len(cycles) + 1)
         following[starts + per_facet - 1] = starts
         sides = np.sort(np.column_stack([cycles, cycles[following]]), axis=1)
         edges, uses = np.unique(sides, axis=0, return_counts=True)
         if np.any(uses != 2):
             raise Inconsistent("every edge of a closed polytope must bound exactly 2 facets")
-        self.edges = tuple(map(tuple, edges.tolist()))
         if not self.inradius > 1e-6 * self.diameter:
             raise Degenerate("polytope is not full-dimensional (inradius too small)")
+        self.cycles, self.corner_facet, self.starts, self.edge_array = cycles, facet, starts, edges
+        self.following, self.preceding = following, np.argsort(following)
+        for arr in (self.normals, self.offsets, self.vertices, self.center, cycles, facet,
+                    starts, following, self.preceding, edges):
+            arr.flags.writeable = False
+
+    @cached_property
+    def facet_vertices(self):
+        return tuple(tuple(c.tolist()) for c in np.split(self.cycles, self.starts[1:]))
+
+    @cached_property
+    def vertex_facets(self):
+        by_vertex = np.argsort(self.cycles, kind="stable")  # facets stay ascending
+        ends = np.cumsum(np.bincount(self.cycles))[:-1]
+        return tuple(tuple(fs.tolist()) for fs in np.split(self.corner_facet[by_vertex], ends))
+
+    @cached_property
+    def edges(self):
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     # -- queries ----------------------------------------------------------
 
@@ -133,66 +151,53 @@ class ConvexPolytope:
 
     @cached_property
     def _projection_data(self):
-        """Inward edge normals M of all facets, flat, with offsets a . m and
-        each facet's first row; edge origins, unit directions, lengths."""
-        cycles = self.facet_vertices
-        anchors = self.vertices[[i for cyc in cycles for i in cyc]]
-        ends = self.vertices[[i for cyc in cycles for i in cyc[1:] + cyc[:1]]]
-        sizes = [len(cyc) for cyc in cycles]
-        M = np.cross(np.repeat(self.normals, sizes, axis=0), ends - anchors)
+        """Inward edge normals M of all facets, one per corner, with offsets
+        a . m; edge origins, unit directions, lengths."""
+        anchors = self.vertices[self.cycles]
+        ends = self.vertices[self.cycles[self.following]]
+        M = np.cross(self.normals[self.corner_facet], ends - anchors)
         M /= np.linalg.norm(M, axis=1, keepdims=True)
-        starts = np.cumsum([0] + sizes[:-1])
-        E = np.array(self.edges)
-        A = self.vertices[E[:, 0]]
-        T = self.vertices[E[:, 1]] - A
+        A = self.vertices[self.edge_array[:, 0]]
+        T = self.vertices[self.edge_array[:, 1]] - A
         L = np.linalg.norm(T, axis=1)
-        return M, np.einsum("ij,ij->i", anchors, M), starts, A, T / L[:, None], L
+        return M, np.einsum("ij,ij->i", anchors, M), A, T / L[:, None], L
 
     def _edge_feet(self, X):
         """(n, E, 3) nearest points of every edge segment to each point."""
-        _, _, _, A, T, L = self._projection_data
+        _, _, A, T, L = self._projection_data
         s = np.clip(np.einsum("nek,ek->ne", X[:, None, :] - A, T), 0.0, L)
         return A + s[..., None] * T
 
-    def nearest_boundary(self, points):
-        """Nearest point of the boundary surface for each query point.
-
-        Returns (dist, proj, kind, index), kind 0/1/2 for facet/edge/vertex,
-        with tol = 1e-12 * diameter.  Band rule: proj is the first candidate
-        (facet feet inside their polygon within tol, clamped edge feet, then
-        vertices, lowest index first) whose distance is within tol of the
-        smallest.  Feature rule: (kind, index) is the lowest-dimensional
-        feature holding proj, lowest index first: a vertex within tol of it,
-        else an edge within tol, else the chosen candidate (a facet, or an
-        edge whose band rounding misses far from the origin).
-        """
-        X = np.atleast_2d(np.asarray(points, dtype=float))
-        blocks = range(0, max(len(X), 1), _POINT_BLOCK)
-        parts = [self._nearest_in_block(X[i : i + _POINT_BLOCK]) for i in blocks]
-        return tuple(np.concatenate(a) for a in zip(*parts))
+    def _blocks(self, X):
+        """Per block of _POINT_BLOCK points (one empty block for none): the kernel's output."""
+        for i in range(0, max(len(X), 1), _POINT_BLOCK):
+            yield self._nearest_in_block(X[i : i + _POINT_BLOCK])
 
     def _nearest_in_block(self, X):
-        M, Mc, starts, _, _, _ = self._projection_data
+        """Band rule: proj is the first candidate (column col) within tol =
+        1e-12 * diameter of the nearest: facet feet inside their polygon within
+        tol, clamped edge feet, then vertices, lowest index first.  Returns
+        (dist, proj, col, inside); inside is `contains(X)`, from the same t."""
+        M, Mc, _, _, _ = self._projection_data
         tol = 1e-12 * self.diameter
-        n_f, n_e = len(self.normals), len(self.edges)
         rows = np.arange(len(X))
 
         t = X @ self.normals.T - self.offsets
-        held = np.minimum.reduceat(X @ M.T - Mc, starts, axis=1) >= -tol
-        feet = np.concatenate(
-            [
-                X[:, None, :] - t[..., None] * self.normals,
-                self._edge_feet(X),
-                np.broadcast_to(self.vertices, (len(X),) + self.vertices.shape),
-            ],
-            axis=1,
-        )
-        dist = np.concatenate(
-            [np.where(held, np.abs(t), np.inf), _norm3(X[:, None, :] - feet[:, n_f:])], axis=1
-        )
+        held = np.minimum.reduceat(X @ M.T - Mc, self.starts, axis=1) >= -tol
+        vertices = np.broadcast_to(self.vertices, (len(X),) + self.vertices.shape)
+        rest = np.concatenate([self._edge_feet(X), vertices], axis=1)  # edge feet, vertices
+        feet = np.concatenate([X[:, None, :] - t[..., None] * self.normals, rest], axis=1)
+        facet_d = np.where(held, np.abs(t), np.inf)
+        dist = np.concatenate([facet_d, _norm3(X[:, None, :] - rest)], axis=1)
         col = np.argmax(dist <= dist.min(axis=1, keepdims=True) + tol, axis=1)
-        best_d, proj = dist[rows, col], feet[rows, col]
+        return dist[rows, col], feet[rows, col], col, t.max(axis=1) <= 0
 
+    def _features(self, proj, col):
+        """Feature rule: (kind, index) of the lowest-dimensional feature holding
+        proj, lowest index first: a vertex within tol, else an edge within tol,
+        else candidate col (a facet, or an edge its band rounding misses)."""
+        tol = 1e-12 * self.diameter
+        n_f, n_e = len(self.normals), len(self.edge_array)
         on_vertex = _norm3(proj[:, None, :] - self.vertices) <= tol
         on_edge = _norm3(proj[:, None, :] - self._edge_feet(proj)) <= tol
         own_kind = (col >= n_f).astype(int) + (col >= n_f + n_e)
@@ -200,14 +205,23 @@ class ConvexPolytope:
         kind = np.select(hit, [2, 1], own_kind)
         own_index = col - np.array([0, n_f, n_f + n_e])[own_kind]
         index = np.select(hit, [on_vertex.argmax(axis=1), on_edge.argmax(axis=1)], own_index)
-        return best_d, proj, kind, index
+        return kind, index
+
+    def nearest_boundary(self, points):
+        """Nearest boundary point of each query point: (dist, proj, kind, index),
+        proj by the band rule (`_nearest_in_block`) and (kind, index), kind
+        0/1/2 for facet/edge/vertex, by the feature rule (`_features`)."""
+        X = np.atleast_2d(np.asarray(points, dtype=float))
+        parts = [(d, proj, *self._features(proj, col)) for d, proj, col, _ in self._blocks(X)]
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def signed_distance(self, points):
         """Signed distance to the boundary surface (negative inside) and its
-        gradient, 0 where the distance is below 1e-300, for a batch of points."""
+        gradient, 0 where the distance is below 1e-300, for a batch of
+        points.  It names no boundary feature."""
         X = np.atleast_2d(np.asarray(points, dtype=float))
-        d, proj, _, _ = self.nearest_boundary(X)
-        sign = np.where(self.contains(X), -1.0, 1.0)
+        d, proj, _, inside = map(np.concatenate, zip(*self._blocks(X)))
+        sign = np.where(inside, -1.0, 1.0)
         grad = np.zeros_like(X)
         ok = d > 1e-300
         grad[ok] = sign[ok, None] * (X[ok] - proj[ok]) / d[ok, None]
@@ -225,7 +239,7 @@ class ConvexPolytope:
     def __repr__(self):
         return (
             f"ConvexPolytope({len(self.vertices)} vertices, "
-            f"{len(self.normals)} facets, {len(self.edges)} edges)"
+            f"{len(self.normals)} facets, {len(self.edge_array)} edges)"
         )
 
 
@@ -321,7 +335,7 @@ def _hull_polytope(P, ball=None):
 def _facet_cycles(V, N, incidence):
     """Every facet's vertex cycle, counterclockwise seen from outside and
     starting at its lowest vertex index, by angle about the facet centroid
-    from that vertex: (cycles end to end, each cycle's start in them)."""
+    from that vertex: (cycles end to end, their facets, each cycle's start)."""
     facet, vertex = np.nonzero(incidence.T)
     sizes = np.bincount(facet, minlength=len(N))
     starts = np.cumsum(sizes) - sizes
@@ -330,7 +344,7 @@ def _facet_cycles(V, N, incidence):
     up = np.cross(N, ref)
     ang = np.arctan2(np.vecdot(rel, up[facet]), np.vecdot(rel, ref[facet])) % (2 * np.pi)
     ang[starts] = -1.0
-    return vertex[np.lexsort((ang, facet))], starts
+    return vertex[np.lexsort((ang, facet))], facet, starts
 
 
 def _check_vertex_cones(p: ConvexPolytope):
@@ -347,15 +361,9 @@ def _check_vertex_cones(p: ConvexPolytope):
     DEFAULT_TOL (its side-normal dot, with f's outward normal n_f in place
     of the cross product of the two unit edges).  Strict convexity implies
     salience (see `hemisphere_axis`)."""
-    V, N = p.vertices, p.normals
+    V, N, at, facet = p.vertices, p.normals, p.cycles, p.corner_facet
     # Corner c: vertex at[c] on facet facet[c], between prev[c] and nxt[c].
-    sizes = np.fromiter(map(len, p.facet_vertices), int, len(N))
-    at = np.fromiter(chain.from_iterable(p.facet_vertices), int, sizes.sum())
-    facet = np.repeat(np.arange(len(N)), sizes)
-    start = (np.cumsum(sizes) - sizes)[facet]
-    pos = np.arange(len(at)) - start
-    prev = at[start + (pos - 1) % sizes[facet]]
-    nxt = at[start + (pos + 1) % sizes[facet]]
+    prev, nxt = at[p.preceding], at[p.following]
     a, b = V[prev] - V[at], V[nxt] - V[at]
     a /= np.sqrt(np.vecdot(a, a))[:, None]
     b /= np.sqrt(np.vecdot(b, b))[:, None]
@@ -434,7 +442,7 @@ def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
 def is_simple(p: ConvexPolytope):
     """A polytope is simple when exactly 3 facets meet at every vertex.
     Returns (simple, offending_vertex_indices)."""
-    offending = [vi for vi, fs in enumerate(p.vertex_facets) if len(fs) != 3]
+    offending = np.flatnonzero(np.bincount(p.cycles, minlength=len(p.vertices)) != 3).tolist()
     return (len(offending) == 0, offending)
 
 
@@ -442,7 +450,7 @@ def solid_angle_at(p: ConvexPolytope, vi: int) -> SolidAngle:
     """The solid angle of the polytope at a vertex: apex at the vertex,
     edges towards the adjacent vertices."""
     v = p.vertices[vi]
-    E = np.array(p.edges)
+    E = p.edge_array
     # Edges are sorted pairs in sorted order, so the neighbours come out sorted.
     neighbors = E[:, ::-1][E == vi]
     if len(neighbors) < 3:
@@ -490,35 +498,18 @@ class SmoothedBody:
         return np.where(out, d, 0.0) - self.epsilon, np.where(out[:, None], grad, 0.0)
 
 
-def signed_distance_smoothed(s: SmoothedBody, x):
-    """Signed distance of a single point to the smoothed boundary and its
-    gradient; negative inside the smoothed body."""
-    r, g = s.signed_distance(np.asarray(x, dtype=float).reshape(1, 3))
-    return float(r[0]), g[0]
-
-
 # ---------------------------------------------------------------------------
 # Stock shapes.
 
 
 def cube(half: float = 1.0) -> ConvexPolytope:
-    s = float(half)
-    corners = [
-        (x, y, z)
-        for x in (-s, s)
-        for y in (-s, s)
-        for z in (-s, s)
-    ]
-    return build_from_vertices(np.array(corners))
+    return build_from_vertices(np.array(list(product((-half, half), repeat=3)), dtype=float))
 
 
 def regular_tetrahedron(scale: float = 1.0) -> ConvexPolytope:
-    s = float(scale)
-    pts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) * s
+    pts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) * float(scale)
     return build_from_vertices(pts)
 
 
 def regular_octahedron(scale: float = 1.0) -> ConvexPolytope:
-    s = float(scale)
-    pts = np.vstack([np.eye(3), -np.eye(3)]) * s
-    return build_from_vertices(pts)
+    return build_from_vertices(np.vstack([np.eye(3), -np.eye(3)]) * float(scale))

@@ -41,7 +41,6 @@ from octainscribe.polytope import (
     cube,
     regular_octahedron,
     regular_tetrahedron,
-    signed_distance_smoothed,
     solid_angle_at,
 )
 
@@ -299,7 +298,7 @@ def test_criterion_09_smoothing_correctness():
     worst = 0.0
     while checked < 1000:
         x = rng.uniform(-1.3, 1.3, 3)
-        r, g = signed_distance_smoothed(s, x)
+        (r,), (g,) = s.signed_distance(np.reshape(x, (1, 3)))
         if r < -s.epsilon + 10 * h:
             continue
         fd = np.zeros(3)
@@ -307,7 +306,8 @@ def test_criterion_09_smoothing_correctness():
             e = np.zeros(3)
             e[k] = h
             fd[k] = (
-                signed_distance_smoothed(s, x + e)[0] - signed_distance_smoothed(s, x - e)[0]
+                s.signed_distance(np.reshape(x + e, (1, 3)))[0][0]
+                - s.signed_distance(np.reshape(x - e, (1, 3)))[0][0]
             ) / (2 * h)
         err = np.abs(fd - g).max() / max(1.0, np.abs(g).max())
         worst = max(worst, err)

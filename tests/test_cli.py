@@ -234,6 +234,29 @@ def test_certify_rejects_shifted_pose(cube_off, tmp_path, capsys):
     assert code == 3
 
 
+def test_certify_rejects_collapsed_pose(cube_off, tmp_path, capsys):
+    # A pose of scale 1e-9 diameters at a cube corner: every vertex lies
+    # within tol of the boundary, and the octahedron has collapsed.
+    pose_file = tmp_path / "pose.json"
+    scale = 1e-9 * 2 * math.sqrt(3)
+    pose_file.write_text(
+        json.dumps(
+            {
+                "schema": "octa-inscribe/1",
+                "center": [1.0, 1.0, 1.0],
+                "rotation": [1.0, 0.0, 0.0, 0.0],
+                "scale": scale,
+            }
+        )
+    )
+    code = main(["certify", cube_off, str(pose_file)])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certified"] is False
+    assert max(doc["residuals"]) <= 1e-8 * 2 * math.sqrt(3)
+    assert doc["diameter_ratio"] == pytest.approx(2e-9)
+    assert code == 3
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("where", ["edge", "apex"])
 def test_classify_rejects_non_finite_angle(tmp_path, where, bad, capsys):

@@ -529,6 +529,32 @@ def test_certify_cases():
     assert not certify(c, identity_pose(1.0, center=(3, 0, 0)), 1e-10).ok
 
 
+@pytest.mark.parametrize("at", [(1, 1, 1), (1, 1, 0), (1, 0, 0)], ids=["vertex", "edge", "facet"])
+def test_certify_rejects_a_collapsed_octahedron(at):
+    # Every vertex lies within tol of the boundary, but the octahedron has
+    # shrunk to 2e-9 diameters: the collapse the continuation guards against.
+    c = cube()
+    tol = 1e-7 * c.diameter
+    report = certify(c, identity_pose(1e-9 * c.diameter, center=at), tol)
+    assert report.residuals.max() <= tol
+    assert report.diameter_ratio == pytest.approx(2e-9)
+    assert not report.ok
+    assert certify(c, identity_pose(1.0), tol).diameter_ratio == pytest.approx(1 / math.sqrt(3))
+
+
+def test_collapsed_polish_fails_the_track(monkeypatch):
+    polish = inscriber._polish_exact
+
+    def shrunk(p, seed):
+        rep = polish(p, seed)
+        return replace(rep, pose=OctahedronPose(rep.pose.center, rep.pose.rotation, 1e-9))
+
+    monkeypatch.setattr(inscriber, "_polish_exact", shrunk)
+    with pytest.raises(InscriptionFailed) as failed:
+        continue_to_surface(cube())
+    assert failed.value.trace.flags[-1] == "VERTEX_COLLAPSE in the final polish"
+
+
 def test_certify_reports_lowest_dimensional_feature():
     def facet_of(body, x):
         return int(np.argmax(body.normals @ x))

@@ -21,7 +21,6 @@ from octainscribe.polytope import (
     is_simple,
     regular_octahedron,
     regular_tetrahedron,
-    signed_distance_smoothed,
     solid_angle_at,
 )
 from octainscribe.sphere import GeometryError, _as_unit
@@ -122,15 +121,18 @@ def test_facet_planes_match_per_plane_reference():
         assert np.array_equal(p.offsets, offsets)
 
 
-def _reference_facet_cycles(p):
+def _reference_facet_cycles(p, incidence=None):
     """The per-facet loop that the incidence from the hull's triangles
     replaced: each facet's vertices are those within 1e-9 * scale of its
-    plane, sorted by angle about their centroid, here rotated to start at
-    the lowest vertex index."""
+    plane (or those of the given incidence column), sorted by angle about
+    their centroid, here rotated to start at the lowest vertex index."""
     scale = float(np.linalg.norm(p.vertices - p.vertices.mean(axis=0), axis=1).max())
     cycles = []
-    for n, d in zip(p.normals, p.offsets):
-        idx = np.where(np.abs(p.vertices @ n - d) <= 1e-9 * scale)[0]
+    for f, (n, d) in enumerate(zip(p.normals, p.offsets)):
+        if incidence is None:
+            idx = np.where(np.abs(p.vertices @ n - d) <= 1e-9 * scale)[0]
+        else:
+            idx = np.flatnonzero(incidence[:, f])
         pts = p.vertices[idx]
         centroid = pts.mean(axis=0)
         ref = pts[0] - centroid
@@ -154,6 +156,63 @@ def test_facet_cycles_match_per_facet_reference():
     for p in bodies:
         assert p.facet_vertices == _reference_facet_cycles(p)
         assert all(cyc[0] == min(cyc) for cyc in p.facet_vertices)
+
+
+def _walk(following, start):
+    """The corners of following's cycle through start, from start on."""
+    walk = [start]
+    while following[walk[-1]] != start:
+        walk.append(int(following[walk[-1]]))
+    return walk
+
+
+def test_corner_table_invariants(spiky_body, monkeypatch):
+    # The incidence each body was built from, by id, to derive its views as
+    # they were built before the corner table: vertex_facets from its rows,
+    # the cycles by the per-facet loop, the edges from the cycles.
+    incidences = {}
+    init = ConvexPolytope.__init__
+
+    def keep(self, normals, offsets, vertices, incidence, center, inradius):
+        incidences[id(self)] = np.array(incidence, dtype=bool)
+        init(self, normals, offsets, vertices, incidence, center, inradius)
+
+    monkeypatch.setattr(ConvexPolytope, "__init__", keep)
+    rng = np.random.default_rng(2024)
+    bodies = [cube(), regular_tetrahedron(), regular_octahedron()]
+    bodies += [random_simple_polytope(rng) for _ in range(20)]
+    bodies += list(_tangent_bodies())
+    rungs = []
+    eps = 0.2 * spiky_body.inradius
+    while eps > 1e-6 * spiky_body.diameter:
+        rungs.append(SmoothedBody(spiky_body, eps).inner_body)
+        eps *= 0.5
+    for p in bodies + rungs:
+        table = (p.cycles, p.corner_facet, p.starts, p.following, p.preceding, p.edge_array)
+        assert not any(a.flags.writeable for a in table)
+        inc = incidences[id(p)]
+        ref = _reference_facet_cycles(p, inc)
+        if p in bodies:  # no vertex cluster: the plane tolerance finds the same cycles
+            assert ref == _reference_facet_cycles(p)
+        # following is a permutation whose cycles are exactly the facet cycles.
+        walks = [_walk(p.following, int(start)) for start in p.starts]
+        assert sorted(c for w in walks for c in w) == list(range(len(p.cycles)))
+        assert [tuple(p.cycles[w].tolist()) for w in walks] == list(ref)
+        assert all((p.corner_facet[w] == f).all() for f, w in enumerate(walks))
+        assert np.array_equal(p.preceding[p.following], np.arange(len(p.cycles)))
+        # Each corner's facet holds its vertex.
+        assert inc[p.cycles, p.corner_facet].all() and len(p.cycles) == inc.sum()
+        # Every edge is exactly two corner sides, and every side is an edge.
+        sides = np.sort(np.column_stack([p.cycles, p.cycles[p.following]]), axis=1)
+        rows, uses = np.unique(sides, axis=0, return_counts=True)
+        assert np.array_equal(rows, p.edge_array) and (uses == 2).all()
+        # The tuple views.
+        assert p.facet_vertices == ref
+        assert p.vertex_facets == tuple(tuple(np.flatnonzero(row).tolist()) for row in inc)
+        ref_edges = {tuple(sorted(pair)) for cyc in ref for pair in zip(cyc, cyc[1:] + cyc[:1])}
+        assert p.edges == tuple(sorted(ref_edges))
+        views = (p.facet_vertices, p.vertex_facets, p.edges)
+        assert all(type(i) is int for view in views for row in view for i in row)
 
 
 def test_dented_cube_builds_and_inscribes():
@@ -284,16 +343,16 @@ def test_solid_angle_at_pyramid_apex_has_4_edges():
 
 def test_smoothed_body_examples():
     s = SmoothedBody(cube(), 0.1)
-    r, g = signed_distance_smoothed(s, [0, 0, 0])
+    (r,), (g,) = s.signed_distance(np.reshape([0, 0, 0], (1, 3)))
     assert r == pytest.approx(-0.1, abs=1e-15)
     assert np.allclose(g, 0)
 
-    r, g = signed_distance_smoothed(s, [1, 0, 0])
+    (r,), (g,) = s.signed_distance(np.reshape([1, 0, 0], (1, 3)))
     assert r == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(g, [1, 0, 0], atol=1e-12)
 
     # corner point: projection onto the inner cube corner
-    r, g = signed_distance_smoothed(s, [1, 1, 1])
+    (r,), (g,) = s.signed_distance(np.reshape([1, 1, 1], (1, 3)))
     assert r == pytest.approx(0.1 * math.sqrt(3) - 0.1, abs=1e-12)
     assert np.allclose(g, np.ones(3) / math.sqrt(3), atol=1e-12)
 
@@ -622,7 +681,7 @@ def test_smoothed_gradient_finite_difference():
         checked = 0
         while checked < 250:
             x = rng.uniform(-1.2, 1.2, 3) * body.diameter / 2
-            r, g = signed_distance_smoothed(s, x)
+            (r,), (g,) = s.signed_distance(np.reshape(x, (1, 3)))
             if r < -s.epsilon + 10 * h:  # skip the kink at the inner body
                 continue
             fd = np.zeros(3)
@@ -630,8 +689,8 @@ def test_smoothed_gradient_finite_difference():
                 e = np.zeros(3)
                 e[k] = h
                 fd[k] = (
-                    signed_distance_smoothed(s, x + e)[0]
-                    - signed_distance_smoothed(s, x - e)[0]
+                    s.signed_distance(np.reshape(x + e, (1, 3)))[0][0]
+                    - s.signed_distance(np.reshape(x - e, (1, 3)))[0][0]
                 ) / (2 * h)
             assert np.abs(fd - g).max() <= 1e-5
             checked += 1
@@ -693,6 +752,32 @@ def test_signed_distance_matches_reference_formulas():
         s = SmoothedBody(p, 0.2 * p.inradius)
         Y = np.vstack([X, _probe_points(s.inner_body, rng)])
         assert _same_bits(s.signed_distance(Y), _reference_smoothed_signed_distance(s, Y))
+
+
+def test_signed_distance_labels_no_feature(monkeypatch):
+    # The residuals of the LM read the distance kernel only: with
+    # nearest_boundary and the feature rule refused, both signed distances
+    # keep the reference formulas' bits on points that span three blocks.
+    rng = np.random.default_rng(45)
+    normals = rng.normal(size=(64, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    cases = []
+    for p in (cube(), random_simple_polytope(rng), build_from_halfspaces(normals, np.ones(64))):
+        s = SmoothedBody(p, 0.2 * p.inradius)
+        X = np.vstack([_probe_points(p, rng), _probe_points(s.inner_body, rng)])
+        X = np.vstack([X, p.center + rng.uniform(-1, 1, size=(2500 - len(X), 3)) * p.diameter])
+        assert len(X) == 2500 > 2 * polytope._POINT_BLOCK
+        want = (_reference_exact_signed_distance(p, X), _reference_smoothed_signed_distance(s, X))
+        cases.append((p, s, X, want))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a feature label was computed")
+
+    monkeypatch.setattr(ConvexPolytope, "nearest_boundary", refuse)
+    monkeypatch.setattr(ConvexPolytope, "_features", refuse)
+    for p, s, X, (exact, smoothed) in cases:
+        assert _same_bits(p.signed_distance(X), exact)
+        assert _same_bits(s.signed_distance(X), smoothed)
 
 
 # -- distance_to_boundary ------------------------------------------------------
