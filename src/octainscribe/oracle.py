@@ -141,10 +141,15 @@ def direct_angle_search(
     grid, and each assignment's `_REFINE_TOP` best rotations are polished
     together, all assignments at once, by one batched Levenberg-Marquardt
     solve (`least_squares`) in which each candidate may spend `_MAX_NFEV`
-    residual evaluations.  The candidates are then verified against
-    plane and sector-membership tolerances in scan order: assignment,
-    then grid rank.  An empty result is resolution-limited evidence of
-    absence, quantified in the metadata, not a proof.
+    residual evaluations, and stops early once its cost has not halved
+    over the last `_STALL` of them.  That loses no pose: a candidate
+    heading for an inscribed octahedron has zero residual and converges
+    superlinearly, while one whose cost stalls above the solver's floor
+    sits at a local minimum of positive cost and cannot pass the 1e-9
+    plane test.  The candidates are then verified against plane and
+    sector-membership tolerances in scan order: assignment, then grid
+    rank.  An empty result is resolution-limited evidence of absence,
+    quantified in the metadata, not a proof.
     """
     if angle.n_edges != 3:
         raise ValueError("direct search handles trihedral angles only")
@@ -265,10 +270,11 @@ class BatchSolution:
 
 
 # A candidate stops once its residual norm is below 1e-15 (the octahedron
-# has scale 1, so every span is at least 1) or its step below _STEP_FLOOR
-# radians.
+# has scale 1, so every span is at least 1), its step is below _STEP_FLOOR
+# radians, or its cost has not halved over the last _STALL evaluations.
 _COST_FLOOR = 1e-30
 _STEP_FLOOR = 1e-15
+_STALL = 10
 
 
 def least_squares(R, system, max_nfev: int) -> BatchSolution:
@@ -283,8 +289,21 @@ def least_squares(R, system, max_nfev: int) -> BatchSolution:
     live candidate solves its 3 x 3 system
     (J^T J + lam diag(J^T J)) delta = -J^T r, and accepts or rejects its
     step on its own gain ratio.  A candidate is frozen, and leaves the
-    batch, once its cost or its step is negligible or it has spent
-    `max_nfev` residual evaluations, counting the one at its start.
+    batch, once its cost or its step is negligible, once its cost has not
+    at least halved over the last `_STALL` residual evaluations, or once
+    it has spent `max_nfev` of them, counting the one at its start.
+
+    Every live candidate has spent the same number of evaluations, so the
+    stall test is a checkpoint of the whole batch every `_STALL`
+    evaluations (Madsen, Nielsen and Tingleff, section 3.2, on stopping
+    criteria).  A frozen candidate keeps its best rotation, so the test
+    only ends refinement early, and it ends none that could still verify:
+    near a zero-residual solution the Jacobian has full rank and LM
+    converges superlinearly, so the cost falls by far more than half over
+    `_STALL` evaluations, while a cost that stalls above `_COST_FLOOR`
+    marks a local minimum of positive cost, where some vertex stays off
+    its plane by far more than the 1e-9 plane test of
+    `direct_angle_search` allows.
     """
     R = np.array(R, dtype=float)
     out = np.empty_like(R)
@@ -295,13 +314,14 @@ def least_squares(R, system, max_nfev: int) -> BatchSolution:
     cost = np.einsum("ki,ki->k", r, r)
     lam = np.full(len(R), 1e-3)
     nu = np.full(len(R), 2.0)
-    spent = np.ones(len(R), dtype=int)
+    mark = cost.copy()
+    spent = 1
     nfev = len(R)
     live = (cost > _COST_FLOOR) & (spent < max_nfev)
     while True:
         if not live.all():
             out[todo[~live]] = R[~live]
-            todo, R, r, J, cost, lam, nu, spent = (a[live] for a in (todo, R, r, J, cost, lam, nu, spent))
+            todo, R, r, J, cost, mark, lam, nu = (a[live] for a in (todo, R, r, J, cost, mark, lam, nu))
             system = [a[live] for a in system]
         if not len(todo):
             return BatchSolution(out, nfev)
@@ -324,6 +344,9 @@ def least_squares(R, system, max_nfev: int) -> BatchSolution:
         nu = np.where(good, 2.0, 2.0 * nu)
         small = np.einsum("ki,ki->k", step, step) <= _STEP_FLOOR**2
         live = (cost > _COST_FLOOR) & ~small & (spent < max_nfev)
+        if (spent - 1) % _STALL == 0:
+            live &= cost <= 0.5 * mark
+            mark = cost.copy()
 
 
 def inscribed_in_cone_check(angle: SolidAngle, pose: OctahedronPose, tol: float = 1e-8) -> bool:
