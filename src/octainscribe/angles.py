@@ -29,6 +29,9 @@ from .sphere import (
     SphTriangle,
     _arcs,
     _as_unit,
+    _cross,
+    _next_rows,
+    _norm3,
     _tangent_towards,
     _unit_rows,
     arc_distance,
@@ -112,9 +115,9 @@ T0_TRIANGLE = SphTriangle(_T1, _T2, _T3)
 # Inward unit normals of the sides t1 t2, t2 t3 and t3 t1.
 _T0_NORMALS = np.array(
     [
-        _as_unit(np.cross(_T1, _T2)),
-        _as_unit(np.cross(_T2, _T3)),
-        _as_unit(np.cross(_T3, _T1)),
+        _as_unit(_cross(_T1, _T2)),
+        _as_unit(_cross(_T2, _T3)),
+        _as_unit(_cross(_T3, _T1)),
     ]
 )
 
@@ -123,7 +126,7 @@ def angle_from_sides(opposite, b, c):
     """Spherical law of cosines: the vertex angle opposite a given side.
     Takes scalars or arrays of one shape, elementwise."""
     sb, sc = np.sin(b), np.sin(c)
-    if np.min(sb) < 1e-12 or np.min(sc) < 1e-12:
+    if sb.min() < 1e-12 or sc.min() < 1e-12:
         raise GeometryError("adjacent sides too short to define a vertex angle")
     x = (np.cos(opposite) - np.cos(b) * np.cos(c)) / (sb * sc)
     return np.arccos(np.clip(x, -1.0, 1.0))
@@ -180,9 +183,11 @@ class SolidAngle:
         if len(E) < 3:
             raise InvalidSolidAngle("a solid angle needs at least 3 edges")
         mean = E.sum(axis=0)
-        if float(np.linalg.norm(mean)) <= 1e-12:
+        norm = math.sqrt(mean @ mean)
+        if norm <= 1e-12:
             raise InvalidSolidAngle("cone is not salient (the edges sum to nearly zero)")
-        axis = _as_unit(mean)
+        axis = mean / norm
+        axis.flags.writeable = False
         try:
             # The polygon normalizes the raw edges itself: a unit edge
             # normalized a second time can move a convexity dot across
@@ -207,7 +212,7 @@ class SolidAngle:
     def facet_angles(self) -> np.ndarray:
         """Planar opening angle of each flat facet (facet i spans edges
         i and i+1), equal to the side lengths of the spherical polygon."""
-        return _arcs(self.edges, np.roll(self.edges, -1, axis=0))
+        return _arcs(self.edges, _next_rows(self.edges))
 
     def facet_normal(self, i: int) -> np.ndarray:
         """Outward unit normal of facet i (apex-local halfspace n.x <= 0)."""
@@ -217,13 +222,16 @@ class SolidAngle:
         return f"SolidAngle(apex={self.apex.tolist()}, n_edges={self.n_edges})"
 
 
+_AXES = np.eye(3)
+
+
 def _ccw_order(E: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Edge order by azimuth counterclockwise around `axis`, first edge
     first.  The frame (x = ref x axis, y = ref projected off axis) comes
     from the coordinate axis farthest from `axis`, so it stays orthogonal
     to `axis` to rounding even when the edges lie within 1e-8 of it."""
-    ref = np.eye(3)[int(np.argmin(np.abs(axis)))]
-    x = _as_unit(np.cross(ref, axis))
+    ref = _AXES[int(np.argmin(np.abs(axis)))]
+    x = _as_unit(_cross(ref, axis))
     y = _as_unit(ref - float(ref @ axis) * axis)
     az = np.arctan2(E @ y, E @ x)
     az = np.mod(az - az[0], 2 * math.pi)
@@ -258,7 +266,7 @@ def normalize_ordering(tri: SphTriangle) -> SphTriangle:
         return tri
     w1, w2, w3 = tri.matrix[list(_PERMS[k])]
     if _ODD[k]:
-        nrm = _as_unit(np.cross(w1, w2))
+        nrm = _as_unit(_cross(w1, w2))
         w3 = w3 - 2.0 * float(np.dot(nrm, w3)) * nrm
     return SphTriangle(w1, w2, w3)
 
@@ -339,8 +347,8 @@ def _placements(sides: np.ndarray):
     turned = np.cos(theta) * _TANGENT + (_MIRROR[:, None] * np.sin(theta)) * _T0_NORMALS[0]
     p3 = np.cos(b)[:, None, None] * _T1 + np.sin(b)[:, None, None] * turned
     normals = np.repeat(_T0_NORMALS[None], len(c), axis=0)
-    n2 = np.cross(p2, _T3)
-    normals[:, 1] = n2 / np.linalg.norm(n2, axis=1, keepdims=True)
+    n2 = _cross(p2, _T3)
+    normals[:, 1] = n2 / _norm3(n2)[:, None]
     margins3 = np.arcsin(np.clip(np.einsum("lmi,lsi->lms", p3, normals), -1.0, 1.0))
     m = np.minimum((T0_SIDE - c)[:, None], margins3.min(axis=2))
     rows, side = np.arange(len(c)), m.argmax(axis=1)
@@ -437,17 +445,14 @@ _S_MODEL = _T_FRAME @ np.linalg.inv(_D_FRAME)
 assert np.allclose(_S_MODEL @ _S_MODEL.T, np.eye(3), atol=1e-12)
 assert np.linalg.det(_S_MODEL) > 0
 
-# (model vertex, facet index) pairs: facet 0 = span(v1, v2) carries the
-# face a'b'c', facet 1 = span(v1, v3) the edge ab, facet 2 = span(v2, v3)
-# the vertex c.
-_CONSTRUCT_ASSIGNMENT = (
-    (-_MODEL_A, 0),
-    (-_MODEL_B, 0),
-    (-_MODEL_C, 0),
-    (_MODEL_A, 1),
-    (_MODEL_B, 1),
-    (_MODEL_C, 2),
-)
+# Model vertices (rows) and the facet each lies on: facet 0 = span(v1, v2)
+# carries the face a'b'c', facet 1 = span(v1, v3) the edge ab, facet 2 =
+# span(v2, v3) the vertex c.
+_CONSTRUCT_U = np.array([-_MODEL_A, -_MODEL_B, -_MODEL_C, _MODEL_A, _MODEL_B, _MODEL_C])
+_CONSTRUCT_FACET = np.array([0, 0, 0, 1, 1, 2])
+# The labelled edges spanning each facet.
+_FACET_EDGES = (np.array([0, 0, 1]), np.array([1, 2, 2]))
+_FLIP_X = np.diag([-1.0, 1.0, 1.0])
 
 
 # The construction's relative plane and sector tolerance, and its plane checks.
@@ -468,7 +473,7 @@ def construct_inscribed_octahedron(angle: SolidAngle, cert: PlacementCertificate
         raise NotTrihedral("witness construction requires a trihedral angle")
     if cert is None:
         raise ConstructionFailed("no placement certificate available")
-    if float(np.min(cert.margins)) <= 0:
+    if float(cert.margins.min()) <= 0:
         raise ConstructionFailed("certificate margins are not strictly positive")
     W = angle.edges[list(cert.labeling)]
     P = cert.placed_triangle.matrix
@@ -478,14 +483,12 @@ def construct_inscribed_octahedron(angle: SolidAngle, cert: PlacementCertificate
     Q = U @ Vt
     R_lab = Q.T @ _S_MODEL
 
-    facets = ((W[0], W[1]), (W[0], W[2]), (W[1], W[2]))
     # The facet spanned by two labelled edges is the one that does not
     # touch the third: facet (k + 1) % 3 of the angle for its edge k.
-    normals = [angle.facet_normal((cert.labeling[third] + 1) % 3) for third in (2, 1, 0)]
+    normals = np.array([angle.facet_normal((cert.labeling[third] + 1) % 3) for third in (2, 1, 0)])
 
-    A = np.array([normals[f] for _, f in _CONSTRUCT_ASSIGNMENT])
-    U = np.array([u for u, _ in _CONSTRUCT_ASSIGNMENT])
-    X = U @ R_lab.T
+    A = normals[_CONSTRUCT_FACET]
+    X = _CONSTRUCT_U @ R_lab.T
     center_local, *_ = np.linalg.lstsq(A, -np.einsum("ij,ij->i", A, X), rcond=None)
     # Plane residuals n.(c + R u), relative to the pose scale.  A narrow
     # angle's placed rotation carries rounding with a lever arm of about
@@ -494,32 +497,41 @@ def construct_inscribed_octahedron(angle: SolidAngle, cert: PlacementCertificate
         plane_residual = A @ center_local + np.einsum("ij,ij->i", A, X)
         if np.abs(plane_residual).max() <= _CONSTRUCT_TOL:
             break
-        step, *_ = np.linalg.lstsq(np.hstack([A, np.cross(X, A)]), -plane_residual, rcond=None)
+        step, *_ = np.linalg.lstsq(np.hstack([A, _cross(X, A)]), -plane_residual, rcond=None)
         center_local = center_local + step[:3]
         R_lab = _quats_to_matrices(quat_from_rotvec(step[3:])) @ R_lab
-        X = U @ R_lab.T
+        X = _CONSTRUCT_U @ R_lab.T
     else:
         raise ConstructionFailed(f"plane residual {np.abs(plane_residual).max():.3e} x scale")
 
     verts_local = center_local + X
-    radius = float(np.linalg.norm(verts_local, axis=1).max())
+    radius = float(_norm3(verts_local).max())
     if radius < 1e-12:
         raise ConstructionFailed("construction collapsed to the apex")
     t = 1.0 / radius
 
-    # Sector membership of every vertex on its assigned facet, gamma = n.x.
-    for (u, f), x in zip(_CONSTRUCT_ASSIGNMENT, verts_local * t):
-        ea, eb = facets[f]
-        frame = np.column_stack([ea, eb, normals[f]])
-        alpha, beta, gamma = np.linalg.solve(frame, x)
-        lim = _CONSTRUCT_TOL * max(1.0, float(np.linalg.norm(x)))
-        if alpha < -lim or beta < -lim or abs(gamma) > lim:
-            raise ConstructionFailed(
-                f"vertex left its facet sector (alpha={alpha:.3e}, beta={beta:.3e}, gamma={gamma:.3e})"
-            )
+    # Sector membership of every vertex on its assigned facet, gamma = n.x;
+    # the limit scales with |x|, whose bits np.vecdot shares with np.linalg.norm.
+    x = verts_local * t
+    alpha, beta, gamma = _sector_coordinates(W, normals, x).T
+    lim = _CONSTRUCT_TOL * np.maximum(1.0, np.sqrt(np.vecdot(x, x)))
+    out = (alpha < -lim) | (beta < -lim) | (np.abs(gamma) > lim)
+    if out.any():
+        k = int(np.argmax(out))
+        raise ConstructionFailed(
+            f"vertex left its facet sector (alpha={alpha[k]:.3e}, beta={beta[k]:.3e}, gamma={gamma[k]:.3e})"
+        )
 
-    R = R_lab if np.linalg.det(R_lab) > 0 else R_lab @ np.diag([-1.0, 1.0, 1.0])
+    R = R_lab if np.linalg.det(R_lab) > 0 else R_lab @ _FLIP_X
     return OctahedronPose(angle.apex + t * center_local, matrix_to_quat(R), t)
+
+
+def _sector_coordinates(W: np.ndarray, normals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row k: the coordinates (alpha, beta, gamma) of x[k] in the frame
+    (ea, eb, n) of its assigned facet `_CONSTRUCT_FACET[k]`, spanned by the
+    labelled edges ea and eb with outward normal n; one batched solve."""
+    frames = np.stack([W[_FACET_EDGES[0]], W[_FACET_EDGES[1]], normals], axis=-1)
+    return np.linalg.solve(frames[_CONSTRUCT_FACET], x[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------

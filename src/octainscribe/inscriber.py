@@ -39,9 +39,9 @@ import numpy as np
 
 from .angles import GeneralKind, classify_general
 from .polytope import FEATURE_KINDS, ConvexPolytope, Feature, SmoothedBody, is_simple, solid_angle_at
-from .pose import UNIT_VERTICES, OctahedronPose, pose_distance
+from .pose import OctahedronPose, pose_distance
 from .rotations import apply_rotvec, super_fibonacci_rotations
-from .sphere import GeometryError
+from .sphere import GeometryError, _cross
 
 __all__ = [
     "SolveReport",
@@ -177,11 +177,10 @@ def _assemble_jacobian(pose: OctahedronPose, grad: np.ndarray) -> np.ndarray:
     """Chain rule from per-vertex distance gradients to the 6 x 7 pose
     Jacobian (3 center + 3 rotation tangent + 1 scale); the rotation block
     uses a world-frame (left) perturbation."""
-    J = np.zeros((6, 7))
+    J = np.empty((6, 7))
     J[:, :3] = grad
-    arms = pose.scale * (UNIT_VERTICES @ pose.matrix.T)
-    J[:, 3:6] = np.cross(arms, grad)
-    J[:, 6] = np.einsum("ij,ij->i", grad, UNIT_VERTICES @ pose.matrix.T)
+    J[:, 3:6] = _cross(pose.scale * pose.arms, grad)
+    J[:, 6] = np.einsum("ij,ij->i", grad, pose.arms)
     return J
 
 
@@ -216,7 +215,7 @@ def _levenberg_marquardt(fn, pose, tol_res, max_iter: int, diam: float):
         aug = np.vstack([J, math.sqrt(lam) * np.eye(7)])
         rhs = np.concatenate([-res, np.zeros(7)])
         delta, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-        step = float(np.linalg.norm(delta))
+        step = math.sqrt(delta @ delta)
         if step < _STEP_TOL_REL * diam:
             break
         cand = _apply_step(pose, delta)

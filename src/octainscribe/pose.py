@@ -5,7 +5,8 @@ generator and the symmetry-quotient comparisons used for deduplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,28 +52,34 @@ class OctahedronPose:
     The generated vertex set {center +- scale * R e_i} is a perfectly
     regular octahedron by construction; `scale` is the center-to-vertex
     distance, so the diameter is 2 * scale.
+
+    The pose computes its rotation matrix R (`matrix`) and its unit arms
+    R e_i in the fixed label order (`arms`, 6 x 3) once, on construction.
+    `center`, `rotation`, `matrix` and `arms` are read-only arrays of the
+    pose's own.
     """
 
     center: np.ndarray
     rotation: np.ndarray
     scale: float
+    matrix: np.ndarray = field(init=False, repr=False)
+    arms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(3)
+        c = np.array(self.center, dtype=float).reshape(3)
         q = quat_canonical(self.rotation)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "rotation", q)
+        m = quat_to_matrix(q)
+        arms = UNIT_VERTICES @ m.T
+        for name, arr in (("center", c), ("rotation", q), ("matrix", m), ("arms", arms)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "scale", float(self.scale))
         if not self.scale > 0:
             raise ValueError(f"pose scale must be positive, got {self.scale}")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.rotation)
-
     def vertices(self) -> np.ndarray:
         """6 x 3 array of vertex positions in the fixed label order."""
-        return self.center + self.scale * (UNIT_VERTICES @ self.matrix.T)
+        return self.center + self.scale * self.arms
 
     def diameter(self) -> float:
         return 2.0 * self.scale
@@ -101,14 +108,16 @@ def pose_distance(a: OctahedronPose, b: OctahedronPose) -> float:
     """Distance between poses quotiented by the octahedron's own rotation
     group: two poses generating the same vertex set compare as 0.
 
-    Units are lengths (rotation mismatch is weighted by scale).
+    Units are lengths (rotation mismatch is weighted by scale).  The
+    rotation term is the least |q g -+ q_b| over the 24 group elements g,
+    from one (24, 4) quaternion product; the minimum over both signs
+    makes a sign convention needless.  The identity element's product is
+    exact, so a pose compared with itself gives exactly 0.
     """
-    dc = float(np.linalg.norm(a.center - b.center))
+    d = a.center - b.center
+    dc = math.sqrt(d @ d)
     ds = abs(a.scale - b.scale)
-    best = np.inf
+    qa = quat_multiply(a.rotation, OCTA_GROUP_QUATS.T).T
     qb = b.rotation
-    for g in OCTA_GROUP_QUATS:
-        qa = quat_canonical(quat_multiply(a.rotation, g))
-        dq = min(float(np.linalg.norm(qa - qb)), float(np.linalg.norm(qa + qb)))
-        best = min(best, dq)
+    best = float(np.minimum(np.linalg.norm(qa - qb, axis=1), np.linalg.norm(qa + qb, axis=1)).min())
     return dc + ds + best * max(a.scale, b.scale)

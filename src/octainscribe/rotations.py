@@ -30,7 +30,7 @@ IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(4)
-    n = float(np.linalg.norm(q))
+    n = math.sqrt(q @ q)
     if n < 1e-14:
         raise ValueError("cannot normalize a near-zero quaternion")
     return q / n

@@ -8,12 +8,20 @@ polygon also keeps the unit side normals of that pass.  Every geometric
 tolerance is the fixed DEFAULT_TOL.  Distances
 use the atan2 form, which stays accurate for the small triangles this
 toolkit mostly deals in.
+
+The package's 3-vector arithmetic runs on the kernels here: `_cross`
+for cross products, `_norm3` for the norms of the rows of an (..., 3)
+array, and math.sqrt(v @ v) for the norm of one vector.  Each gives the
+bits of the numpy call it replaces (np.cross, np.linalg.norm(axis=-1)
+and np.linalg.norm of a 1-D array) without numpy's per-call overhead,
+which on 3-vectors costs more than the arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,10 +66,30 @@ class Containment(Enum):
     OUTSIDE = "OUTSIDE"
 
 
+# Component orders of the factors of a cross product: the products
+# a1 b2, a2 b0, a0 b1, then a2 b1, a0 b2, a1 b0.
+_CROSS_A = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_B = np.array([2, 0, 1, 1, 2, 0])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two arrays with last axis 3, broadcast alike: the same
+    products, a1 b2 - a2 b1 and so on, so the same bits."""
+    p = a[..., _CROSS_A] * b[..., _CROSS_B]
+    return p[..., :3] - p[..., 3:]
+
+
+def _norm3(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(d, axis=-1) for a last axis of length 3: same bits,
+    faster, most of all on large arrays, where a reduction over a short
+    last axis is slow."""
+    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
+
+
 def _as_unit(v) -> np.ndarray:
     """Normalize to a unit vector, rejecting near-zero input."""
     a = np.asarray(v, dtype=float).reshape(3)
-    n = float(np.linalg.norm(a))
+    n = math.sqrt(a @ a)
     if n < 1e-14:
         raise GeometryError("cannot normalize a near-zero 3-vector")
     a = a / n
@@ -73,8 +101,8 @@ def _unit_rows(points) -> np.ndarray:
     """The points as rows of an (n, 3) array, each normalized to unit
     length in one pass, rejecting non-finite and near-zero rows."""
     a = np.array(points, dtype=float).reshape(-1, 3)
-    n = np.linalg.norm(a, axis=1)
-    if not np.all((n >= 1e-14) & (n < np.inf)):
+    n = _norm3(a)
+    if not ((n >= 1e-14) & (n < np.inf)).all():
         raise GeometryError("cannot normalize a near-zero or non-finite 3-vector")
     return a / n[:, None]
 
@@ -85,7 +113,7 @@ def _arcs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Uses atan2(|p x q|, p.q) rather than arccos(p.q): the arccos form
     loses half the significant digits near 0 and pi.
     """
-    return np.arctan2(np.linalg.norm(np.cross(p, q), axis=-1), np.einsum("...i,...i->...", p, q))
+    return np.arctan2(_norm3(_cross(p, q)), np.einsum("...i,...i->...", p, q))
 
 
 # Row indices of the vertex pairs (1, 2), (1, 3) and (2, 3) of a triangle.
@@ -101,7 +129,7 @@ def arc_distance(p, q) -> float:
 def _tangent_towards(at: np.ndarray, towards: np.ndarray) -> np.ndarray:
     """Unit tangent vector at `at` pointing along the geodesic to `towards`."""
     t = towards - float(np.dot(at, towards)) * at
-    n = float(np.linalg.norm(t))
+    n = math.sqrt(t @ t)
     if n < 1e-14:
         raise DegenerateTriangle("tangent undefined: points coincident or antipodal")
     return t / n
@@ -110,7 +138,7 @@ def _tangent_towards(at: np.ndarray, towards: np.ndarray) -> np.ndarray:
 def _rotate_about(axis: np.ndarray, v: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation of v about a unit axis."""
     c, s = math.cos(angle), math.sin(angle)
-    return c * v + s * np.cross(axis, v) + (1.0 - c) * float(np.dot(axis, v)) * axis
+    return c * v + s * _cross(axis, v) + (1.0 - c) * float(np.dot(axis, v)) * axis
 
 
 class SphTriangle:
@@ -133,15 +161,16 @@ class SphTriangle:
     def __init__(self, v1, v2, v3):
         m = _unit_rows((v1, v2, v3))
         d = _arcs(m[_PAIRS[0]], m[_PAIRS[1]])
-        bad = np.flatnonzero((d < DEFAULT_TOL) | (d > math.pi - DEFAULT_TOL))
-        if bad.size:
-            i, j = _PAIRS[0][bad[0]], _PAIRS[1][bad[0]]
+        bad = (d < DEFAULT_TOL) | (d > math.pi - DEFAULT_TOL)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j = _PAIRS[0][k], _PAIRS[1][k]
             raise DegenerateTriangle(
-                f"vertices {i},{j} at angular distance {d[bad[0]]}: coincident or antipodal"
+                f"vertices {i},{j} at angular distance {d[k]}: coincident or antipodal"
             )
         # det = m0 . ((m1 - m0) x (m2 - m0)) stays accurate for tiny triangles.
-        det = float(m[0] @ np.cross(m[1] - m[0], m[2] - m[0]))
-        if abs(det) < 1e-12 * float(np.prod(np.sin(d))):
+        det = float(m[0] @ _cross(m[1] - m[0], m[2] - m[0]))
+        if abs(det) < 1e-12 * float(np.sin(d).prod()):
             raise DegenerateTriangle(
                 "vertices are coplanar with the center: no open hemisphere contains the triangle"
             )
@@ -182,29 +211,26 @@ class SphPolygon:
         n = len(arr)
         if n < 3:
             raise InvalidPolygon("a spherical polygon needs at least 3 vertices")
-        nxt = np.roll(arr, -1, axis=0)
-        nrm = np.cross(arr, nxt)
-        lens = np.linalg.norm(nrm, axis=1)
+        nxt = _next_rows(arr)
+        nrm = _cross(arr, nxt)
+        lens = _norm3(nrm)
         sides = np.arctan2(lens, np.einsum("ij,ij->i", arr, nxt))
-        bad = np.flatnonzero(sides < DEFAULT_TOL)
-        if bad.size:
-            raise InvalidPolygon(f"consecutive vertices {bad[0]},{bad[0] + 1} coincide")
-        bad = np.flatnonzero(lens < 1e-12)
-        if bad.size:
-            raise InvalidPolygon(f"edge {bad[0]} joins antipodal or equal vertices")
+        bad = sides < DEFAULT_TOL
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise InvalidPolygon(f"consecutive vertices {k},{k + 1} coincide")
+        bad = lens < 1e-12
+        if bad.any():
+            raise InvalidPolygon(f"edge {int(np.argmax(bad))} joins antipodal or equal vertices")
         unit = nrm / lens[:, None]
-        # dots[i, j]: unit normal of side i (vertices i, i+1) against vertex j,
-        # leaving out the two vertices of the side itself.
-        dots = unit @ arr.T
-        idx = np.arange(n)
-        off = np.ones((n, n), dtype=bool)
-        off[idx, idx] = off[idx, (idx + 1) % n] = False
-        dots = dots[off]
+        # Unit normal of side i (vertices i, i+1) against vertex j, leaving
+        # out the two vertices of the side itself.
+        dots = (unit @ arr.T).ravel()[_off_side(n)]
         if dots.max() < -DEFAULT_TOL:
             # Side i of the reversed cycle joins old vertices n-1-i and
             # n-2-i: old side n-2-i, traversed backwards.
             arr = arr[::-1].copy()
-            unit = -np.roll(unit[::-1], -1, axis=0)
+            unit = -np.concatenate((unit[-2::-1], unit[-1:]))
         elif dots.min() <= DEFAULT_TOL:
             raise InvalidPolygon("polygon is not strictly convex")
         self.axis = hemisphere_axis(unit)
@@ -215,6 +241,23 @@ class SphPolygon:
 
     def __len__(self):
         return len(self.matrix)
+
+
+def _next_rows(a: np.ndarray) -> np.ndarray:
+    """Row i + 1 of a in place of row i, cyclically: np.roll(a, -1, axis=0)."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+@lru_cache(maxsize=64)
+def _off_side(n: int) -> np.ndarray:
+    """Flat indices, into an n x n (side, vertex) array of an n-cycle, of the
+    pairs whose vertex is not on the side: side i holds vertices i and i + 1."""
+    idx = np.arange(n)
+    off = np.ones((n, n), dtype=bool)
+    off[idx, idx] = off[idx, (idx + 1) % n] = False
+    flat = np.flatnonzero(off)
+    flat.flags.writeable = False  # one array serves every caller
+    return flat
 
 
 def hemisphere_axis(normals: np.ndarray) -> np.ndarray:
@@ -235,8 +278,8 @@ def hemisphere_axis(normals: np.ndarray) -> np.ndarray:
 def polygon_side_margins(poly, p) -> np.ndarray:
     """Signed angular distances of p to the side planes of a triangle or
     convex polygon, positive towards the interior."""
-    nrm = np.cross(poly.matrix, np.roll(poly.matrix, -1, axis=0))
-    dots = (nrm / np.linalg.norm(nrm, axis=1, keepdims=True)) @ _as_unit(p)
+    nrm = _cross(poly.matrix, _next_rows(poly.matrix))
+    dots = (nrm / _norm3(nrm)[:, None]) @ _as_unit(p)
     return np.arcsin(np.clip(dots, -1.0, 1.0))
 
 
@@ -262,7 +305,8 @@ def vertex_angle(tri: SphTriangle, i: int) -> float:
     a = vs[i]
     b, c = vs[(i + 1) % 3], vs[(i + 2) % 3]
     tb, tc = _tangent_towards(a, b), _tangent_towards(a, c)
-    return math.atan2(float(np.linalg.norm(np.cross(tb, tc))), float(np.dot(tb, tc)))
+    w = _cross(tb, tc)
+    return math.atan2(math.sqrt(w @ w), float(np.dot(tb, tc)))
 
 
 def area(tri: SphTriangle) -> float:
@@ -290,7 +334,8 @@ def polygon_area(poly: SphPolygon) -> float:
         a = mat[i]
         tb = _tangent_towards(a, mat[(i - 1) % n])
         tc = _tangent_towards(a, mat[(i + 1) % n])
-        total += math.atan2(float(np.linalg.norm(np.cross(tb, tc))), float(np.dot(tb, tc)))
+        w = _cross(tb, tc)
+        total += math.atan2(math.sqrt(w @ w), float(np.dot(tb, tc)))
     return total - (n - 2) * math.pi
 
 
