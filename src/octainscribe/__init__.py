@@ -63,7 +63,6 @@ from .polytope import (
 )
 from .pose import OctahedronPose, pose_distance
 from .sphere import (
-    Containment,
     DegenerateTriangle,
     GeometryError,
     InvalidPolygon,
@@ -71,7 +70,6 @@ from .sphere import (
     SphTriangle,
     arc_distance,
     area,
-    contains,
     vertex_angle,
 )
 

@@ -27,10 +27,8 @@ from .sphere import (
     GeometryError,
     SphPolygon,
     SphTriangle,
-    _arcs,
     _as_unit,
     _cross,
-    _next_rows,
     _norm3,
     _tangent_towards,
     _unit_rows,
@@ -211,8 +209,8 @@ class SolidAngle:
 
     def facet_angles(self) -> np.ndarray:
         """Planar opening angle of each flat facet (facet i spans edges
-        i and i+1), equal to the side lengths of the spherical polygon."""
-        return _arcs(self.edges, _next_rows(self.edges))
+        i and i+1): the side lengths of the spherical polygon, read-only."""
+        return self.polygon.sides
 
     def facet_normal(self, i: int) -> np.ndarray:
         """Outward unit normal of facet i (apex-local halfspace n.x <= 0)."""

@@ -348,8 +348,8 @@ def _polish_exact(p: ConvexPolytope, seed: OctahedronPose):
     pose, res, iters, converged, warnings = _levenberg_marquardt(
         lambda q: residual(p, q), seed, tol, _MAX_ITER, diam
     )
-    d = np.abs(res)  # the exact residual is the signed distance to the boundary
-    return SolveReport(pose, d, iters, bool(converged and d.max() <= tol), 0.0, tol, warnings)
+    # The exact residual is the signed distance to the boundary.
+    return SolveReport(pose, np.abs(res), iters, converged, 0.0, tol, warnings)
 
 
 def _collapsed(pose: OctahedronPose, diam: float) -> bool:

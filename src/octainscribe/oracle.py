@@ -415,14 +415,8 @@ def mc_solid_angle_area(angle: SolidAngle, samples: int = 1_000_000, seed: int =
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(samples, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    E = angle.edges
-    n = len(E)
     inside = np.ones(samples, dtype=bool)
-    for i in range(n):
-        nrm = np.cross(E[i], E[(i + 1) % n])
-        nrm = nrm / np.linalg.norm(nrm)
-        if float(np.dot(nrm, angle.axis)) > 0:
-            nrm = -nrm
+    for _, nrm in _sector_frames(angle):
         inside &= dirs @ nrm <= 0.0
     frac = inside.mean()
     area = 4.0 * math.pi * frac

@@ -446,6 +446,8 @@ def is_simple(p: ConvexPolytope):
 def solid_angle_at(p: ConvexPolytope, vi: int) -> SolidAngle:
     """The solid angle of the polytope at a vertex: apex at the vertex,
     edges towards the adjacent vertices."""
+    if not 0 <= vi < len(p.vertices):
+        raise GeometryError(f"vertex index {vi} is out of range [0, {len(p.vertices)})")
     v = p.vertices[vi]
     E = p.edge_array
     # Edges are sorted pairs in sorted order, so the neighbours come out sorted.

@@ -10,13 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rotations import (
-    OCTA_GROUP_QUATS,
-    quat_canonical,
-    quat_multiply,
-    quat_normalize,
-    quat_to_matrix,
-)
+from .rotations import OCTA_GROUP_QUATS, _quats_to_matrices, quat_canonical, quat_multiply
 
 __all__ = ["OctahedronPose", "UNIT_VERTICES", "pose_distance"]
 
@@ -53,8 +47,10 @@ class OctahedronPose:
     regular octahedron by construction; `scale` is the center-to-vertex
     distance, so the diameter is 2 * scale.
 
-    The pose computes its rotation matrix R (`matrix`) and its unit arms
-    R e_i in the fixed label order (`arms`, 6 x 3) once, on construction.
+    The pose normalizes its quaternion once, on construction, in
+    `quat_canonical`, and computes from it its rotation matrix R
+    (`matrix`) and its unit arms R e_i in the fixed label order (`arms`,
+    6 x 3).
     `center`, `rotation`, `matrix` and `arms` are read-only arrays of the
     pose's own.
     """
@@ -68,7 +64,7 @@ class OctahedronPose:
     def __post_init__(self):
         c = np.array(self.center, dtype=float).reshape(3)
         q = quat_canonical(self.rotation)
-        m = quat_to_matrix(q)
+        m = _quats_to_matrices(q)
         arms = UNIT_VERTICES @ m.T
         for name, arr in (("center", c), ("rotation", q), ("matrix", m), ("arms", arms)):
             arr.flags.writeable = False
@@ -93,10 +89,10 @@ class OctahedronPose:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OctahedronPose":
-        c, q = np.array(d["center"], float), np.array(d["rotation"], float)
-        if not (np.isfinite(c).all() and np.isfinite(q).all()):
-            raise ValueError("pose center and rotation must be finite")
-        return cls(c, quat_normalize(q), float(d["scale"]))
+        c, q, s = np.array(d["center"], float), np.array(d["rotation"], float), float(d["scale"])
+        if not (np.isfinite(c).all() and np.isfinite(q).all() and math.isfinite(s)):
+            raise ValueError("pose center, rotation and scale must be finite")
+        return cls(c, q, s)
 
     def __repr__(self):
         c = ", ".join(f"{x:.6g}" for x in self.center)

@@ -114,8 +114,10 @@ def quat_from_rotvec(w) -> np.ndarray:
 
 
 def apply_rotvec(q, w) -> np.ndarray:
-    """Left-perturb a rotation by a world-frame rotation vector."""
-    return quat_normalize(quat_multiply(quat_from_rotvec(w), q))
+    """Left-perturb a rotation by a world-frame rotation vector.  The
+    product of unit quaternions is unit to rounding and is not normalized
+    again: `OctahedronPose` normalizes its rotation once."""
+    return quat_multiply(quat_from_rotvec(w), q)
 
 
 def super_fibonacci_rotations(n: int) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Spherical trigonometry kernel: geodesic triangles and convex polygons
-on the unit sphere, with containment predicates.
+on the unit sphere.
 
 All angles are radians.  Points are plain unit 3-vectors; a triangle or
 polygon holds its vertices as the rows of one read-only (n, 3) array,
-normalized and validated once, in one vectorized pass each, and a
-polygon also keeps the unit side normals of that pass.  Every geometric
-tolerance is the fixed DEFAULT_TOL.  Distances
+normalized and validated once, in one vectorized pass each, and keeps
+the side lengths of that pass; a polygon also keeps its unit side
+normals.  Every geometric tolerance is the fixed DEFAULT_TOL.  Distances
 use the atan2 form, which stays accurate for the small triangles this
 toolkit mostly deals in.
 
@@ -20,7 +20,6 @@ which on 3-vectors costs more than the arithmetic.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -32,14 +31,11 @@ __all__ = [
     "GeometryError",
     "DegenerateTriangle",
     "InvalidPolygon",
-    "Containment",
     "SphTriangle",
     "SphPolygon",
     "arc_distance",
     "vertex_angle",
     "area",
-    "contains",
-    "polygon_side_margins",
     "polygon_area",
     "polygon_diameter",
 ]
@@ -58,12 +54,6 @@ class InvalidPolygon(GeometryError):
     """Spherical polygon is not strictly convex (which covers not lying in
     an open hemisphere), or has coincident or antipodal consecutive
     vertices."""
-
-
-class Containment(Enum):
-    INSIDE = "INSIDE"
-    BOUNDARY = "BOUNDARY"
-    OUTSIDE = "OUTSIDE"
 
 
 # Component orders of the factors of a cross product: the products
@@ -153,10 +143,11 @@ class SphTriangle:
     |det| < 1e-12 sin(a) sin(b) sin(c) over the sides a, b, c.  Since
     det = sin(b) sin(c) sin(A), that is the law-of-sines ratio
     sin(A) / sin(a) below 1e-12: zero only for vertices on one great
-    circle, and not driven to zero by the triangle's size.
+    circle, and not driven to zero by the triangle's size.  `sides` keeps
+    the side lengths of that check, read-only, reordered with the swap.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "sides")
 
     def __init__(self, v1, v2, v3):
         m = _unit_rows((v1, v2, v3))
@@ -175,13 +166,15 @@ class SphTriangle:
                 "vertices are coplanar with the center: no open hemisphere contains the triangle"
             )
         if det < 0:
-            m = m[[0, 2, 1]]
-        m.flags.writeable = False
+            # |v1 v2| and |v1 v3| trade places; |v2 v3| = |v3 v2| to the bit.
+            m, d = m[[0, 2, 1]], d[[1, 0, 2]]
+        m.flags.writeable = d.flags.writeable = False
         self.matrix = m
+        self.sides = d
 
     def side_lengths(self) -> np.ndarray:
-        """(|v1 v2|, |v1 v3|, |v2 v3|)."""
-        return _arcs(self.matrix[_PAIRS[0]], self.matrix[_PAIRS[1]])
+        """(|v1 v2|, |v1 v3|, |v2 v3|), read-only."""
+        return self.sides
 
     def __repr__(self):
         s = self.side_lengths()
@@ -199,12 +192,12 @@ class SphPolygon:
     must lie more than DEFAULT_TOL from that side's great circle (dot
     with the side's unit normal), all on the same side.  A clockwise
     cycle is reversed.  `SolidAngle` relies on this as its only
-    validation pass.  `normals` keeps that pass's read-only inward unit
-    side normals (row i: the side from vertex i to i + 1), and `axis` is
-    their sum, normalized (`hemisphere_axis`).
+    validation pass.  `normals` and `sides` keep that pass's read-only
+    inward unit side normals and side lengths (row i: the side from
+    vertex i to i + 1).
     """
 
-    __slots__ = ("matrix", "normals", "axis")
+    __slots__ = ("matrix", "normals", "sides")
 
     def __init__(self, points):
         arr = _unit_rows(points)
@@ -231,13 +224,19 @@ class SphPolygon:
             # n-2-i: old side n-2-i, traversed backwards.
             arr = arr[::-1].copy()
             unit = -np.concatenate((unit[-2::-1], unit[-1:]))
+            sides = np.concatenate((sides[-2::-1], sides[-1:]))
         elif dots.min() <= DEFAULT_TOL:
             raise InvalidPolygon("polygon is not strictly convex")
-        self.axis = hemisphere_axis(unit)
-        arr.flags.writeable = False
-        unit.flags.writeable = False
+        arr.flags.writeable = unit.flags.writeable = sides.flags.writeable = False
         self.matrix = arr
         self.normals = unit
+        self.sides = sides
+
+    @property
+    def axis(self) -> np.ndarray:
+        """A hemisphere axis of the cycle (`hemisphere_axis`), computed on
+        each access."""
+        return hemisphere_axis(self.normals)
 
     def __len__(self):
         return len(self.matrix)
@@ -275,38 +274,21 @@ def hemisphere_axis(normals: np.ndarray) -> np.ndarray:
     return _as_unit(normals.sum(axis=0))
 
 
-def polygon_side_margins(poly, p) -> np.ndarray:
-    """Signed angular distances of p to the side planes of a triangle or
-    convex polygon, positive towards the interior."""
-    nrm = _cross(poly.matrix, _next_rows(poly.matrix))
-    dots = (nrm / _norm3(nrm)[:, None]) @ _as_unit(p)
-    return np.arcsin(np.clip(dots, -1.0, 1.0))
-
-
-def contains(region, p) -> Containment:
-    """Locate p relative to a `SphTriangle` or `SphPolygon`: INSIDE /
-    BOUNDARY / OUTSIDE.  BOUNDARY is the +-DEFAULT_TOL band around the
-    sides."""
-    worst = float(polygon_side_margins(region, p).min())
-    if worst < -DEFAULT_TOL:
-        return Containment.OUTSIDE
-    if worst <= DEFAULT_TOL:
-        return Containment.BOUNDARY
-    return Containment.INSIDE
-
-
-def vertex_angle(tri: SphTriangle, i: int) -> float:
-    """Interior angle at vertex i, in (0, pi).
+def _corner_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """Angle at a between the geodesics to b and c, in [0, pi].
 
     Computed from unit tangents via atan2, which is stable even when the
-    adjacent sides are very short.
+    sides are very short.
     """
-    vs = tri.matrix
-    a = vs[i]
-    b, c = vs[(i + 1) % 3], vs[(i + 2) % 3]
     tb, tc = _tangent_towards(a, b), _tangent_towards(a, c)
     w = _cross(tb, tc)
     return math.atan2(math.sqrt(w @ w), float(np.dot(tb, tc)))
+
+
+def vertex_angle(tri: SphTriangle, i: int) -> float:
+    """Interior angle at vertex i, in (0, pi)."""
+    vs = tri.matrix
+    return _corner_angle(vs[i], vs[(i + 1) % 3], vs[(i + 2) % 3])
 
 
 def area(tri: SphTriangle) -> float:
@@ -329,13 +311,7 @@ def polygon_area(poly: SphPolygon) -> float:
     sum of interior angles minus (n - 2) pi."""
     mat = poly.matrix
     n = len(mat)
-    total = 0.0
-    for i in range(n):
-        a = mat[i]
-        tb = _tangent_towards(a, mat[(i - 1) % n])
-        tc = _tangent_towards(a, mat[(i + 1) % n])
-        w = _cross(tb, tc)
-        total += math.atan2(math.sqrt(w @ w), float(np.dot(tb, tc)))
+    total = sum(_corner_angle(mat[i], mat[i - 1], mat[(i + 1) % n]) for i in range(n))
     return total - (n - 2) * math.pi
 
 

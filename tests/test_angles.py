@@ -169,13 +169,16 @@ def test_solid_angle_solves_hemisphere_axis_once(monkeypatch):
         calls.append(len(normals))
         return real(normals)
 
-    # Both modules bind the name; count a call through either.
+    # Both modules bind the name; count a call through either.  Nothing on
+    # construction reads the polygon's axis, so only a read solves it.
     monkeypatch.setattr(sphere, "hemisphere_axis", counting)
     monkeypatch.setattr(angles, "hemisphere_axis", counting)
     flat = [normalize([1, 0, 0.01]), normalize([-0.5, 0.87, 0.01]), normalize([-0.5, -0.87, 0.01])]
     for edges in ([E1, E3, E2], [E1, normalize([1, 1, -0.2]), E2, E3], flat):
         calls.clear()
-        SolidAngle((0, 0, 0), edges)
+        ang = SolidAngle((0, 0, 0), edges)
+        assert calls == []
+        assert np.all(ang.edges @ ang.polygon.axis > 0)
         assert calls == [len(edges)]
 
 

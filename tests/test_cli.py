@@ -279,6 +279,27 @@ def test_certify_rejects_non_finite_pose(cube_off, tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("scale", ["Infinity", "NaN"])
+def test_certify_rejects_non_finite_scale(cube_off, tmp_path, scale, capsys):
+    # json reads Infinity, and an infinite scale used to pass as positive.
+    pose_file = tmp_path / "pose.json"
+    pose_file.write_text(
+        f'{{"schema": "octa-inscribe/1", "center": [0, 0, 0], "rotation": [1, 0, 0, 0], "scale": {scale}}}'
+    )
+    code = main(["certify", cube_off, str(pose_file)])
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "error:" in captured.err
+    assert code == 64
+
+
+@pytest.mark.parametrize("vertex", ["8", "100", "-1"])
+def test_classify_rejects_out_of_range_vertex(cube_off, vertex, capsys):
+    code = main(["classify", "--polytope", cube_off, "--vertex", vertex])
+    assert "out of range [0, 8)" in capsys.readouterr().err
+    assert code == 64
+
+
 def test_path_single_step(capsys):
     code = main(["path", "1.2", "1.0", "0.8"])
     out = json.loads(capsys.readouterr().out)

@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import octainscribe
-from octainscribe import angles
+from octainscribe import angles, rotations
 from octainscribe.angles import ClassTag, classify_trihedral, construct_inscribed_octahedron
 from octainscribe.generators import random_trihedral_angle
-from octainscribe.inscriber import _assemble_jacobian
+from octainscribe.inscriber import _apply_step, _assemble_jacobian
 from octainscribe.pose import UNIT_VERTICES, OctahedronPose, pose_distance
-from octainscribe.rotations import OCTA_GROUP_QUATS, quat_multiply, quat_normalize, quat_to_matrix
+from octainscribe.rotations import OCTA_GROUP_QUATS, _quats_to_matrices, quat_multiply, quat_normalize
 from octainscribe.sphere import _cross, _norm3
 
 # Operand shape pairs that broadcast: one vector against rows, rows against
@@ -79,10 +79,30 @@ def test_pose_computes_its_matrix_once_with_the_bits_of_quat_to_matrix():
     rng = np.random.default_rng(2)
     for _ in range(200):
         pose = random_pose(rng)
-        assert pose.matrix.tobytes() == quat_to_matrix(pose.rotation).tobytes()
-        assert pose.arms.tobytes() == (UNIT_VERTICES @ quat_to_matrix(pose.rotation).T).tobytes()
-        ref = pose.center + pose.scale * (UNIT_VERTICES @ quat_to_matrix(pose.rotation).T)
+        R = _quats_to_matrices(pose.rotation)
+        assert pose.matrix.tobytes() == R.tobytes()
+        assert pose.arms.tobytes() == (UNIT_VERTICES @ R.T).tobytes()
+        ref = pose.center + pose.scale * (UNIT_VERTICES @ R.T)
         assert pose.vertices().tobytes() == ref.tobytes()
+
+
+def test_lm_step_normalizes_the_quaternion_once(monkeypatch):
+    # The pose normalizes in quat_canonical; neither the rotation update
+    # nor the matrix normalizes again.
+    calls = []
+    real = rotations.quat_normalize
+
+    def counting(q):
+        calls.append(1)
+        return real(q)
+
+    rng = np.random.default_rng(6)
+    poses = [random_pose(rng) for _ in range(20)]
+    monkeypatch.setattr(rotations, "quat_normalize", counting)
+    for pose in poses:
+        calls.clear()
+        _apply_step(pose, rng.normal(size=7) * 0.1)
+        assert len(calls) == 1
 
 
 def test_pose_arrays_are_read_only_and_its_own():
@@ -100,7 +120,7 @@ def test_jacobian_matches_the_cross_product_formula():
     for _ in range(200):
         pose = random_pose(rng)
         grad = rng.normal(size=(6, 3))
-        R = quat_to_matrix(pose.rotation)
+        R = _quats_to_matrices(pose.rotation)
         arms = pose.scale * (UNIT_VERTICES @ R.T)
         ref = np.zeros((6, 7))
         ref[:, :3] = grad

@@ -1,12 +1,16 @@
 """Side normals are computed once, in the validation pass of `SphPolygon`,
 and read by `SolidAngle.facet_normal`, the witness construction and
-`classify_trihedral`.  Each consumer is checked against the formula it
-used to compute for itself, kept here as a test-only reference."""
+`classify_trihedral`; side lengths are kept from the validation passes of
+`SphTriangle` and `SphPolygon`.  Each consumer is checked against the
+formula it used to compute for itself, kept here as a test-only
+reference."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octainscribe import angles, sphere
 from octainscribe.angles import (
@@ -19,7 +23,16 @@ from octainscribe.angles import (
     spherical_triangle_of,
 )
 from octainscribe.generators import random_rotation_matrix, random_trihedral_angle
-from octainscribe.sphere import DEFAULT_TOL, SphPolygon, _as_unit, _unit_rows
+from octainscribe.sphere import (
+    _PAIRS,
+    DEFAULT_TOL,
+    SphPolygon,
+    SphTriangle,
+    _arcs,
+    _as_unit,
+    _next_rows,
+    _unit_rows,
+)
 
 
 def ref_normal(a, b, toward):
@@ -199,3 +212,39 @@ def test_solid_angle_normalizes_its_edges_once():
         except ValueError:
             renormalized_rejects += 1
     assert accepted > 50 and renormalized_rejects > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=3, max_value=8), st.booleans())
+def test_kept_side_lengths_have_the_bits_of_arcs(seed, n, clockwise):
+    # A clockwise triangle takes the vertex swap, a clockwise polygon the
+    # reversal; the kept sides must follow either one to the bit.
+    pts = random_cone(np.random.default_rng(seed), n)
+    if clockwise:
+        pts = pts[::-1]
+    if n == 3:
+        tri = SphTriangle(*pts)
+        m = tri.matrix
+        assert np.array_equal(m, _unit_rows(pts)[[0, 2, 1]] if clockwise else _unit_rows(pts))
+        assert tri.side_lengths().tobytes() == _arcs(m[_PAIRS[0]], m[_PAIRS[1]]).tobytes()
+    poly = SphPolygon(pts)
+    assert np.array_equal(poly.matrix[0], _unit_rows(pts)[-1 if clockwise else 0])
+    assert poly.sides.tobytes() == _arcs(poly.matrix, _next_rows(poly.matrix)).tobytes()
+    ang = SolidAngle((0, 0, 0), pts)
+    assert ang.facet_angles().tobytes() == _arcs(ang.edges, _next_rows(ang.edges)).tobytes()
+
+
+def test_side_lengths_are_read_not_computed(monkeypatch):
+    tri = SphTriangle(*CONES[0][::-1])
+    ang = SolidAngle((0, 0, 0), CONES[-1])
+    ref_tri, ref_ang = tri.side_lengths().copy(), ang.facet_angles().copy()
+
+    def refuse(*args):
+        raise AssertionError("side lengths computed again")
+
+    monkeypatch.setattr(sphere, "_arcs", refuse)
+    monkeypatch.setattr(sphere, "_cross", refuse)
+    for got, ref in ((tri.side_lengths(), ref_tri), (ang.facet_angles(), ref_ang)):
+        assert np.array_equal(got, ref)
+        with pytest.raises(ValueError):
+            got[0] = 0.0

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octainscribe.sphere import (
-    Containment,
     DegenerateTriangle,
     GeometryError,
     InvalidPolygon,
@@ -14,7 +13,6 @@ from octainscribe.sphere import (
     SphTriangle,
     arc_distance,
     area,
-    contains,
     polygon_area,
     polygon_diameter,
     vertex_angle,
@@ -172,39 +170,6 @@ def test_area_rotation_invariant_and_girard_consistent():
             R = random_rotation(rng)
             rtri = SphTriangle(*(tri.matrix @ R.T))
             assert area(rtri) == pytest.approx(a, abs=1e-12)
-
-
-# -- containment ------------------------------------------------------------
-
-
-def test_contains_octant_cases():
-    tri = SphTriangle(E1, E2, E3)
-    assert contains(tri, normalize([1, 1, 1])) is Containment.INSIDE
-    assert contains(tri, E1) is Containment.BOUNDARY
-    assert contains(tri, -E1) is Containment.OUTSIDE
-
-
-def test_contains_rotation_equivariant():
-    rng = np.random.default_rng(2)
-    tri = SphTriangle(E1, E2, E3)
-    for _ in range(300):
-        p = random_units(rng, 1)[0]
-        R = random_rotation(rng)
-        rtri = SphTriangle(*(tri.matrix @ R.T))
-        assert contains(rtri, R @ p) is contains(tri, p)
-
-
-def test_polygon_contains_quarter_lune():
-    quad = SphPolygon([
-        normalize([1, 0, 0]),
-        normalize([1, 1, 0]),
-        normalize([1, 1, 1]),
-        normalize([1, 0, 1]),
-    ])
-    centroid = normalize(quad.matrix.sum(axis=0))
-    assert contains(quad, centroid) is Containment.INSIDE
-    assert contains(quad, quad.matrix[0]) is Containment.BOUNDARY
-    assert contains(quad, -centroid) is Containment.OUTSIDE
 
 
 def random_convex_cycle(rng, n):
