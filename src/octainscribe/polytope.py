@@ -99,8 +99,7 @@ class ConvexPolytope:
         self.inradius = float(inradius)
         inc = np.asarray(incidence, dtype=bool)
 
-        diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
-        self.diameter = float(np.sqrt((diffs**2).sum(axis=2)).max())
+        self.diameter = float(_norm3(self.vertices[:, None, :] - self.vertices).max())
         tol = _REL_TOL * self.diameter
         slack = self.offsets - self.vertices @ self.normals.T
         if slack.min() < -tol:
@@ -117,8 +116,11 @@ class ConvexPolytope:
         cycles, facet, starts = _facet_cycles(self.vertices, self.normals, inc)
         following = np.arange(1, len(cycles) + 1)
         following[starts + per_facet - 1] = starts
-        sides = np.sort(np.column_stack([cycles, cycles[following]]), axis=1)
-        edges, uses = np.unique(sides, axis=0, return_counts=True)
+        ends = cycles[following]
+        n = len(self.vertices)
+        keys, uses = np.unique(np.minimum(cycles, ends) * n + np.maximum(cycles, ends),
+                               return_counts=True)
+        edges = np.column_stack(np.divmod(keys, n))
         if np.any(uses != 2):
             raise Inconsistent("every edge of a closed polytope must bound exactly 2 facets")
         if not self.inradius > 1e-6 * self.diameter:
@@ -217,16 +219,24 @@ class ConvexPolytope:
 
     def signed_distance(self, points):
         """Signed distance to the boundary surface (negative inside) and its
-        gradient, 0 where the distance is below 1e-300, for a batch of
-        points.  It names no boundary feature."""
+        gradient, for a batch of points.  Where the distance is at most
+        1e-300 the point is on the boundary: the gradient is the outward
+        normal of the kernel's candidate when that is a facet (the true
+        gradient on a facet's interior, a subgradient elsewhere), else 0.
+        It names no boundary feature."""
         X = np.atleast_2d(np.asarray(points, dtype=float))
         d, proj, inside = np.empty(len(X)), np.empty_like(X), np.empty(len(X), dtype=bool)
+        col = np.empty(len(X), dtype=np.intp)
         for i in range(0, len(X), _POINT_BLOCK):
             rows = slice(i, i + _POINT_BLOCK)
-            d[rows], proj[rows], _, inside[rows] = self._nearest_in_block(X[rows])
+            d[rows], proj[rows], col[rows], inside[rows] = self._nearest_in_block(X[rows])
         sign = np.where(inside, -1.0, 1.0)
         grad = np.zeros(X.shape)
-        np.divide(sign[:, None] * (X - proj), d[:, None], out=grad, where=d[:, None] > 1e-300)
+        off = d > 1e-300
+        np.divide(sign[:, None] * (X - proj), d[:, None], out=grad, where=off[:, None])
+        if not off.all():  # rare: a point on the boundary
+            facet = (d <= 1e-300) & (col < len(self.normals))
+            grad[facet] = self.normals[col[facet]]
         return sign * d, grad
 
     def to_dict(self) -> dict:
@@ -288,8 +298,8 @@ def _vertices_of(N, D, interior):
     """Vertices of {x : N x <= D} (unit normals) from the dual hull about a strictly
     interior point, each kept unless within 1e-9 * scale of an earlier kept one."""
     pts = HalfspaceIntersection(np.hstack([N, -D[:, None]]), interior).intersections
-    scale = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
-    close = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= 1e-9 * scale
+    scale = float(_norm3(pts - pts.mean(axis=0)).max())
+    close = _norm3(pts[:, None, :] - pts) <= 1e-9 * scale
     return pts[_keep_first(close)]
 
 
@@ -298,7 +308,7 @@ def _hull_polytope(P, ball=None):
     polygonal facets, interior points dropped, each facet's vertices those
     of its simplices.  ball is the Chebyshev (center, inradius) if the
     caller knows it, else one LP on the hull planes."""
-    scale = float(np.linalg.norm(P - P.mean(axis=0), axis=1).max())
+    scale = float(_norm3(P - P.mean(axis=0)).max())
     if scale < 1e-12:
         raise Degenerate("points are coincident")
     try:
@@ -474,7 +484,19 @@ class SmoothedBody:
     """The union of all eps-balls contained in the base polytope,
     represented implicitly as inner parallel body + eps.  The inner body is
     built from the validated base with no LP and no input check: its
-    Chebyshev ball is the base's, shrunk by eps about the same centre."""
+    Chebyshev ball is the base's, shrunk by eps about the same centre.
+
+    Inner body of a simple base, in closed form: each base vertex v lies on
+    exactly three facets with normals N_v and offsets d_v, and moves to
+    v(eps) = N_v^-1 (d_v - eps), all V of them from one batched solve.
+    Band rule: if every v(eps) has slack above 1e-9 * base diameter on every
+    plane it does not lie on, the v(eps) are the vertices of the inner body
+    and it has the base's combinatorial type.  Each v(eps) is then a vertex,
+    and each base edge vw becomes the edge v(eps)w(eps), on two shifted
+    planes and no other, so every v(eps) keeps its three edges; the graph of
+    a polytope is connected (Balinski 1961), so there is no other vertex.
+    A non-simple base, and a rung where some v(eps) fails the band, take the
+    hull path: qhull's halfspace intersection, then the convex hull."""
 
     __slots__ = ("base", "epsilon", "inner_body")
 
@@ -485,16 +507,40 @@ class SmoothedBody:
             )
         self.base = base
         self.epsilon = float(epsilon)
-        verts = _vertices_of(base.normals, base.offsets - epsilon, base.center)
-        self.inner_body = _hull_polytope(verts, (base.center, base.inradius - epsilon))
+        ball = (base.center, base.inradius - epsilon)
+        self.inner_body = _closed_form_inner(base, epsilon, ball)
+        if self.inner_body is None:
+            verts = _vertices_of(base.normals, base.offsets - epsilon, base.center)
+            self.inner_body = _hull_polytope(verts, ball)
 
     def signed_distance(self, points):
         """r(x) = dist(x, inner body) - eps, whose zero set is exactly the
         smoothed boundary, and its gradient (unit outward away from the
-        inner body, zero inside it).  Returns (r, grad) for a batch."""
+        inner body, the inner body's on its boundary, zero inside it).
+        Returns (r, grad) for a batch."""
         d, grad = self.inner_body.signed_distance(points)
-        out = d > 0
-        return np.where(out, d, 0.0) - self.epsilon, np.where(out[:, None], grad, 0.0)
+        return np.where(d > 0, d, 0.0) - self.epsilon, np.where(d[:, None] >= 0, grad, 0.0)
+
+
+def _closed_form_inner(p: ConvexPolytope, eps: float, ball):
+    """p's inner parallel body at eps, with Chebyshev ball `ball`, when p is
+    simple and every shifted vertex passes the band rule of `SmoothedBody`;
+    else None."""
+    if not is_simple(p)[0]:
+        return None
+    n = len(p.vertices)
+    facets = p.corner_facet[np.argsort(p.cycles, kind="stable")].reshape(n, 3)
+    offsets = p.offsets - eps
+    x = np.linalg.solve(p.normals[facets], offsets[facets][..., None])[..., 0]
+    slack = offsets - x @ p.normals.T
+    rows = np.arange(n)[:, None]
+    slack[rows, facets] = np.inf
+    if not slack.min() > 1e-9 * p.diameter:
+        return None
+    incidence = np.zeros(slack.shape, dtype=bool)
+    incidence[rows, facets] = True
+    order = np.lexsort(x.T[::-1])
+    return ConvexPolytope(p.normals, offsets, x[order], incidence[order], *ball)
 
 
 # ---------------------------------------------------------------------------

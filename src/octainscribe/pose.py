@@ -47,6 +47,7 @@ class OctahedronPose:
     regular octahedron by construction; `scale` is the center-to-vertex
     distance, so the diameter is 2 * scale.
 
+    The center, rotation and scale must be finite (ValueError otherwise).
     The pose normalizes its quaternion once, on construction, in
     `quat_canonical`, and computes from it its rotation matrix R
     (`matrix`) and its unit arms R e_i in the fixed label order (`arms`,
@@ -63,14 +64,18 @@ class OctahedronPose:
 
     def __post_init__(self):
         c = np.array(self.center, dtype=float).reshape(3)
-        q = quat_canonical(self.rotation)
+        r = np.asarray(self.rotation, dtype=float)
+        s = float(self.scale)
+        if not all(map(math.isfinite, [*c.tolist(), *r.ravel().tolist(), s])):
+            raise ValueError("pose center, rotation and scale must be finite")
+        q = quat_canonical(r)
         m = _quats_to_matrices(q)
         arms = UNIT_VERTICES @ m.T
         for name, arr in (("center", c), ("rotation", q), ("matrix", m), ("arms", arms)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "scale", float(self.scale))
-        if not self.scale > 0:
+        object.__setattr__(self, "scale", s)
+        if not s > 0:
             raise ValueError(f"pose scale must be positive, got {self.scale}")
 
     def vertices(self) -> np.ndarray:
@@ -89,10 +94,7 @@ class OctahedronPose:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OctahedronPose":
-        c, q, s = np.array(d["center"], float), np.array(d["rotation"], float), float(d["scale"])
-        if not (np.isfinite(c).all() and np.isfinite(q).all() and math.isfinite(s)):
-            raise ValueError("pose center, rotation and scale must be finite")
-        return cls(c, q, s)
+        return cls(d["center"], d["rotation"], d["scale"])
 
     def __repr__(self):
         c = ", ".join(f"{x:.6g}" for x in self.center)

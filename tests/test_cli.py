@@ -279,6 +279,17 @@ def test_certify_rejects_non_finite_pose(cube_off, tmp_path, capsys):
     assert code == 64
 
 
+def test_certify_rejects_non_finite_rotation(cube_off, tmp_path, capsys):
+    # A NaN in the rotation exits 64, as one in the centre does.
+    pose_file = tmp_path / "pose.json"
+    pose_file.write_text(
+        '{"schema": "octa-inscribe/1", "center": [0, 0, 0], "rotation": [1, NaN, 0, 0], "scale": 1}'
+    )
+    code = main(["certify", cube_off, str(pose_file)])
+    assert "finite" in capsys.readouterr().err
+    assert code == 64
+
+
 @pytest.mark.parametrize("scale", ["Infinity", "NaN"])
 def test_certify_rejects_non_finite_scale(cube_off, tmp_path, scale, capsys):
     # json reads Infinity, and an infinite scale used to pass as positive.

@@ -55,6 +55,18 @@ def test_pose_generates_regular_octahedron():
         OctahedronPose(np.zeros(3), IDENTITY_QUAT, -1.0)
 
 
+@pytest.mark.parametrize("part", ["center", "rotation", "scale"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pose_rejects_non_finite_parts(part, bad):
+    args = {"center": np.zeros(3), "rotation": np.array(IDENTITY_QUAT, float), "scale": 1.0}
+    if part == "scale":
+        args[part] = bad
+    else:
+        args[part][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        OctahedronPose(**args)
+
+
 # -- residual -----------------------------------------------------------------
 
 

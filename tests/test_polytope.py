@@ -623,6 +623,110 @@ def test_inner_body_matches_halfspace_build():
     assert lattice_changes >= 1
 
 
+def _ladder(p):
+    """The continuation's epsilon ladder on p: 0.2 * inradius, halved while
+    above 1e-6 * diameter."""
+    eps = 0.2 * p.inradius
+    while eps > 1e-6 * p.diameter:
+        yield eps
+        eps *= 0.5
+
+
+@pytest.fixture
+def hull_builds(monkeypatch):
+    """A list that gains one entry per inner body built by the hull path."""
+    calls = []
+    vertices_of = polytope._vertices_of
+
+    def spy(*args):
+        calls.append(args)
+        return vertices_of(*args)
+
+    monkeypatch.setattr(polytope, "_vertices_of", spy)
+    return calls
+
+
+def test_closed_form_inner_body_matches_hull_build(hull_builds):
+    """On every ladder rung of the stock, criterion-3 and tangent bodies,
+    the closed form gives the hull path's corner table and edges, and its
+    vertices to 1e-12 * diameter."""
+    rng = np.random.default_rng(2024)
+    bodies = [cube(), regular_tetrahedron()] + [random_simple_polytope(rng) for _ in range(20)]
+    bodies += list(_tangent_bodies())
+    closed = 0
+    for p in bodies:
+        for eps in _ladder(p):
+            hull_builds.clear()
+            inner = SmoothedBody(p, eps).inner_body
+            if hull_builds:
+                continue
+            closed += 1
+            verts = polytope._vertices_of(p.normals, p.offsets - eps, p.center)
+            ref = polytope._hull_polytope(verts, (p.center, p.inradius - eps))
+            for name in ("cycles", "starts", "corner_facet", "edge_array"):
+                assert np.array_equal(getattr(inner, name), getattr(ref, name)), name
+            assert np.abs(inner.vertices - ref.vertices).max() <= 1e-12 * p.diameter
+            assert np.array_equal(inner.normals, p.normals)
+            assert np.array_equal(inner.offsets, p.offsets - eps)
+    assert closed >= 380
+
+
+def test_closed_form_needs_no_qhull(monkeypatch, hull_builds):
+    rng = np.random.default_rng(2024)
+    bodies = [cube(), random_simple_polytope(rng), next(_tangent_bodies())]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("qhull was called")
+
+    monkeypatch.setattr(polytope, "ConvexHull", refuse)
+    monkeypatch.setattr(polytope, "HalfspaceIntersection", refuse)
+    hull_builds.clear()  # the base builds
+    for p in bodies:
+        inner = SmoothedBody(p, 1e-3 * p.inradius).inner_body
+        assert (len(inner.vertices), len(inner.edge_array)) == (len(p.vertices), len(p.edge_array))
+    assert not hull_builds
+
+
+def test_vanishing_facet_takes_the_hull_path(hull_builds):
+    # A cube with one corner cut 0.1 deep along (1, 1, 1): the corner
+    # triangle survives in the inner body while eps < 0.1 / (3 - sqrt 3).
+    normals = np.vstack([AXES, np.ones(3) / math.sqrt(3)])
+    p = build_from_halfspaces(normals, np.append(np.ones(6), 2.9 / math.sqrt(3)))
+    assert is_simple(p)[0] and len(p.normals) == 7
+    hull_builds.clear()  # the base build
+    assert len(SmoothedBody(p, 0.05).inner_body.normals) == 7
+    assert not hull_builds
+    inner = SmoothedBody(p, 0.1).inner_body
+    assert len(hull_builds) == 1
+    assert (len(inner.vertices), len(inner.normals)) == (8, 6)
+
+
+def test_non_simple_bases_take_the_hull_path(spiky_body, hull_builds):
+    rungs = 0
+    for p in (regular_octahedron(), spiky_body):
+        assert not is_simple(p)[0]
+        for eps in _ladder(p):
+            SmoothedBody(p, eps)
+            rungs += 1
+    assert len(hull_builds) == rungs
+
+
+def test_closed_form_keeps_every_ladder(monkeypatch):
+    """The continuation on the criterion-3 and tangent bodies keeps its step
+    count and flags, and its final vertices to 1e-12 * diameter, against a
+    run whose inner bodies all take the hull path."""
+    rng = np.random.default_rng(2024)
+    bodies = [random_simple_polytope(rng) for _ in range(20)] + list(_tangent_bodies())
+    closed = [continue_to_surface(p) for p in bodies]
+    monkeypatch.setattr(polytope, "_closed_form_inner", lambda p, eps, ball: None)
+    for p, (trace, final) in zip(bodies, closed):
+        ref_trace, ref_final = continue_to_surface(p)
+        assert len(trace.steps) == len(ref_trace.steps)
+        assert trace.flags == ref_trace.flags
+        moved = np.abs(final.pose.vertices() - ref_final.pose.vertices()).max()
+        assert moved <= 1e-12 * p.diameter
+
+
 def test_smoothed_thin_box_near_inradius_is_degenerate():
     half = np.array([1.0, 1.0, 0.01])
     box = build_from_halfspaces(AXES, np.concatenate([half, half]))
@@ -699,26 +803,34 @@ def test_smoothed_gradient_finite_difference():
 def _reference_exact_signed_distance(p, X):
     """The polish residual's formula before ConvexPolytope.signed_distance:
     the distance to the nearest boundary point, negative inside, and the
-    signed unit vector from that point."""
+    signed unit vector from that point; on the boundary (distance at most
+    1e-300), the outward normal of the first facet whose plane holds the
+    point within 1e-12 * diameter, else 0."""
     d, proj, _, _ = p.nearest_boundary(X)
     sign = np.where(p.contains(X), -1.0, 1.0)
     grad = np.zeros_like(X)
     ok = d > 1e-300
     grad[ok] = sign[ok, None] * (X[ok] - proj[ok]) / d[ok, None]
+    on_plane = np.abs(X @ p.normals.T - p.offsets) <= 1e-12 * p.diameter
+    on_facet = ~ok & on_plane.any(axis=1)
+    grad[on_facet] = p.normals[on_plane[on_facet].argmax(axis=1)]
     return sign * d, grad
 
 
 def _reference_smoothed_signed_distance(s, X):
     """The smoothed residual's formula before it was built on the inner
     body's signed_distance: the distance to the solid inner body (0 inside)
-    and the projection onto it, then r = d - eps."""
+    and the projection onto it, then r = d - eps; on the inner body's
+    boundary, the gradient of its exact signed distance."""
     inside = s.inner_body.contains(X)
-    d, proj, _, _ = s.inner_body.nearest_boundary(X)
-    d = np.where(inside, 0.0, d)
+    dist, proj, _, _ = s.inner_body.nearest_boundary(X)
+    d = np.where(inside, 0.0, dist)
     proj = np.where(inside[:, None], X, proj)
     grad = np.zeros_like(X)
-    out = d > 0
+    out = d > 1e-300
     grad[out] = (X[out] - proj[out]) / d[out, None]
+    on = dist <= 1e-300
+    grad[on] = _reference_exact_signed_distance(s.inner_body, X[on])[1]
     return d - s.epsilon, grad
 
 
