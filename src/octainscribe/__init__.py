@@ -30,7 +30,6 @@ from .angles import (
     fits_in_T0,
     normalize_ordering,
     placement_test,
-    spherical_triangle_of,
     triangle_from_sides,
 )
 from .inscriber import (

@@ -57,7 +57,6 @@ __all__ = [
     "T0FitResult",
     "GeneralKind",
     "GeneralClassification",
-    "spherical_triangle_of",
     "normalize_ordering",
     "triangle_from_sides",
     "angle_from_sides",
@@ -234,14 +233,6 @@ def _ccw_order(E: np.ndarray, axis: np.ndarray) -> np.ndarray:
     az = np.arctan2(E @ y, E @ x)
     az = np.mod(az - az[0], 2 * math.pi)
     return np.argsort(az, kind="stable")
-
-
-def spherical_triangle_of(angle: SolidAngle) -> SphTriangle:
-    """The spherical triangle of a trihedral angle: its edge directions as
-    sphere points.  Facet angles equal the triangle's side lengths."""
-    if angle.n_edges != 3:
-        raise NotTrihedral(f"expected 3 edges, got {angle.n_edges}")
-    return SphTriangle(*angle.edges)
 
 
 # The 6 labelings (v1, v2, v3) = (V[i], V[j], V[k]) in permutation order.

@@ -2,9 +2,9 @@
 
 Nothing here shares solver or projection code with the production path:
 the direct search enumerates vertex-to-facet assignments and scans
-rotation space with its own linear algebra, membership goes through a
-cyclic Dykstra projection, and solid-angle areas come from Monte-Carlo
-sampling.  Slower and simpler on purpose.
+rotation space with its own linear algebra, membership enumerates the
+projections onto the flats of 1 to 3 shifted facet planes, and solid-angle
+areas come from Monte-Carlo sampling.  Slower and simpler on purpose.
 """
 
 from __future__ import annotations
@@ -370,39 +370,39 @@ def inscribed_in_cone_check(angle: SolidAngle, pose: OctahedronPose, tol: float 
 # ---------------------------------------------------------------------------
 # Definitional membership test for the smoothed body.
 
-_MAX_CYCLES = 400       # Dykstra sweeps over the shifted halfspaces
-
 
 def membership_oracle_batch(p: ConvexPolytope, epsilon: float, X) -> np.ndarray:
-    """Whether each point of X is in the smoothed body: x is iff some
-    center c within epsilon of x has its whole epsilon-ball inside P.  The
-    best candidate center is the projection of x onto the inner parallel
-    body, computed here by cyclic Dykstra iteration over the raw shifted
-    halfspaces (no pruning, no face-lattice code shared with the
-    production projection).  The ball about c lies in P exactly when c
-    satisfies every halfspace shifted in by epsilon, since
-    n . (c + epsilon u) <= n . c + epsilon for every unit u.
-    """
+    """Whether each point x of X is in the smoothed body: x is iff some
+    point of P_eps = {y : N y <= D - epsilon} lies within epsilon of it, as
+    an epsilon-ball lies in P exactly when its center is in P_eps.
+    Feasibility is tested to 1e-9 * max(diameter, 1), so a feasible x is in.
+    Otherwise x minus its projection y onto P_eps is, by the KKT conditions,
+    a nonnegative combination of the normals active at y, and by
+    Caratheodory of a linearly independent subset S of them, at most 3.  So
+    y is the projection of x onto the flat where the planes of S meet, and
+    x is in iff a feasible projection onto the flat of some 1 to 3 shifted
+    planes lies within epsilon.  A subset whose Gram matrix G = N_S N_S^T
+    is singular by `np.linalg.matrix_rank` (an eigenvalue at most |S|
+    machine epsilons times the largest, as for opposite facets of a cube) is
+    skipped, which the argument allows.  A projection lowers the slacks
+    N x - D + epsilon by N N_S^T G^-1 r_S over the distance
+    sqrt(r_S . G^-1 r_S), and its feasibility is tested only where that is
+    at most epsilon.  Reads the raw halfspaces only, no hull or face lattice."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N = p.normals
-    D = p.offsets - epsilon
-    scale = max(p.diameter, 1.0)
-    Y = X.copy()
-    corrections = np.zeros((len(N), len(X), 3))
-    for _ in range(_MAX_CYCLES):
-        prev = Y.copy()
-        for i in range(len(N)):
-            Z = Y + corrections[i]
-            viol = Z @ N[i] - D[i]
-            step = np.maximum(viol, 0.0)
-            Ynew = Z - step[:, None] * N[i]
-            corrections[i] = Z - Ynew
-            Y = Ynew
-        if np.abs(Y - prev).max() < 1e-13 * scale:
-            break
-    feasible = (Y @ N.T - D[None, :]).max(axis=1) <= 1e-9 * scale
-    dist = np.linalg.norm(X - Y, axis=1)
-    return feasible & (dist <= epsilon)
+    tol = 1e-9 * max(p.diameter, 1.0)
+    slack = X @ N.T - (p.offsets - epsilon)
+    inside = slack.max(axis=1) <= tol
+    for S in (list(S) for k in (1, 2, 3) for S in combinations(range(len(N)), k)):
+        G = N[S] @ N[S].T
+        if np.linalg.matrix_rank(G, hermitian=True) < len(S):
+            continue
+        G_inv = np.linalg.inv(G)
+        r = slack[:, S]
+        near = np.flatnonzero(~inside & (np.einsum("ni,ni->n", r @ G_inv, r) <= epsilon**2))
+        moved = slack[near] - r[near] @ (N @ N[S].T @ G_inv).T
+        inside[near[moved.max(axis=1) <= tol]] = True
+    return inside
 
 
 # ---------------------------------------------------------------------------

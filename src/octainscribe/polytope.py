@@ -147,10 +147,6 @@ class ConvexPolytope:
 
     # -- queries ----------------------------------------------------------
 
-    def contains(self, points, tol: float = 0.0) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        return (P @ self.normals.T - self.offsets[None, :]).max(axis=1) <= tol
-
     @cached_property
     def _projection_data(self):
         """Inward edge normals M of all facets, one per corner, with offsets
@@ -179,7 +175,7 @@ class ConvexPolytope:
         """Band rule: proj is the first candidate (column col) within tol =
         1e-12 * diameter of the nearest: facet feet inside their polygon within
         tol, clamped edge feet, then vertices, lowest index first.  Returns
-        (dist, proj, col, inside); inside is `contains(X)`, from the same t."""
+        (dist, proj, col, inside); inside is whether every t <= 0."""
         M, Mc, _, _, _ = self._projection_data
         tol = 1e-12 * self.diameter
         rows = np.arange(len(X))

@@ -29,7 +29,6 @@ from octainscribe.angles import (
     fits_in_T0,
     normalize_ordering,
     placement_test,
-    spherical_triangle_of,
     triangle_from_sides,
 )
 from octainscribe.generators import (
@@ -81,7 +80,7 @@ def test_T0_constants():
 def test_solid_angle_canonicalizes_order():
     ang = SolidAngle((0, 0, 0), [E1, E3, E2])  # given clockwise
     assert np.allclose(ang.edges[0], E1)
-    tri = spherical_triangle_of(ang)
+    tri = SphTriangle(*ang.edges)
     assert np.linalg.det(tri.matrix) > 0
 
 
@@ -182,18 +181,18 @@ def test_solid_angle_solves_hemisphere_axis_once(monkeypatch):
         assert calls == [len(edges)]
 
 
-def test_spherical_triangle_of_cube_corner():
+def test_cube_corner_edges_span_a_right_triangle():
     ang = SolidAngle((0, 0, 0), np.eye(3))
-    tri = spherical_triangle_of(ang)
+    tri = SphTriangle(*ang.edges)
     assert np.allclose(sorted(tri.side_lengths()), [math.pi / 2] * 3, atol=1e-12)
     assert np.allclose(ang.facet_angles(), [math.pi / 2] * 3, atol=1e-15)
 
 
-def test_spherical_triangle_of_requires_trihedral():
+def test_classify_trihedral_requires_trihedral():
     ang = SolidAngle((0, 0, 0), [E1, normalize([1, 1, -0.2]), E2, E3])
     assert ang.n_edges == 4
     with pytest.raises(NotTrihedral):
-        spherical_triangle_of(ang)
+        classify_trihedral(ang)
 
 
 def test_tetrahedron_corner_facet_angles():

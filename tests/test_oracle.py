@@ -269,6 +269,41 @@ def test_membership_examples():
     # corner of the inner cube is 0.09 * sqrt(3) ~ 0.156 > 0.1 away.
     X = [[0, 0, 0], [0.99, 0.99, 0.99], [1.0, 0.0, 0.0]]
     assert membership_oracle_batch(c, 0.1, X).tolist() == [True, False, True]
+    # Both bodies are centred on their insphere at 0, so P_eps is the body
+    # scaled by 1 - eps / inradius, and the ray from 0 through a facet
+    # centroid, an edge midpoint or a vertex of P_eps leaves it along its
+    # nearest feature: 1, 2 and 3 planes hold the nearest point of P_eps.
+    # Points 0.9 eps out along those rays are in, 1.1 eps out are not, and
+    # the feet themselves and the centre are feasible.  The cube's opposite
+    # planes have singular Gram matrices.
+    for body in (c, regular_tetrahedron()):
+        eps = 0.3 * body.inradius
+        V = body.vertices * (1.0 - eps / body.inradius)
+        i, j = body.edges[0]
+        feet = np.array([V[list(body.facet_vertices[0])].mean(axis=0), (V[i] + V[j]) / 2, V[0]])
+        out = feet / np.linalg.norm(feet, axis=1, keepdims=True)
+        X = np.vstack([feet + 0.9 * eps * out, feet + 1.1 * eps * out, feet, np.zeros(3)])
+        assert membership_oracle_batch(body, eps, X).tolist() == [True] * 3 + [False] * 3 + [True] * 4
+
+
+def test_membership_near_the_vertices_of_a_spiky_body(spiky_body):
+    # 100 points within 4 eps of each vertex, on the first four rungs of the
+    # continuation ladder.  Near the non-simple vertices an iterative
+    # projection converges slowly: one cut off after 400 cyclic sweeps
+    # misjudges three of these points, at eps = 0.027, 0.013 and 0.0066.
+    rng = np.random.default_rng(105)
+    V = spiky_body.vertices
+    checked = 0
+    for j in range(4):
+        eps = 0.2 * spiky_body.inradius / 2**j
+        dirs = rng.normal(size=(len(V), 100, 3))
+        radii = 4 * eps * rng.uniform(size=(len(V), 100, 1)) ** (1 / 3)
+        X = (V[:, None, :] + radii * dirs / np.linalg.norm(dirs, axis=2, keepdims=True)).reshape(-1, 3)
+        r, _ = SmoothedBody(spiky_body, eps).signed_distance(X)
+        keep = np.abs(r) > 1e-9
+        assert np.array_equal(membership_oracle_batch(spiky_body, eps, X[keep]), r[keep] <= 0)
+        checked += keep.sum()
+    assert checked == 2800
 
 
 def test_membership_agrees_with_signed_distance():
@@ -348,3 +383,20 @@ def test_oracle_reads_only_edges_axis_apex_of_a_solid_angle():
     # Nor under another name: the derived quantities appear nowhere.
     attrs = {node.attr for node in ast.walk(ORACLE_TREE) if isinstance(node, ast.Attribute)}
     assert not attrs & {"facet_normal", "facet_angles", "polygon"}
+
+
+def test_membership_reads_only_normals_offsets_diameter_of_a_polytope():
+    fn = next(
+        node
+        for node in ORACLE_TREE.body
+        if isinstance(node, ast.FunctionDef) and node.name == "membership_oracle_batch"
+    )
+    (arg,) = [a.arg for a in fn.args.args if getattr(a.annotation, "id", None) == "ConvexPolytope"]
+    reads = [
+        node
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == arg
+    ]
+    assert {node.attr for node in reads} == {"normals", "offsets", "diameter"}
+    # Nor is the polytope passed on, where other code could read more of it.
+    assert len(reads) == sum(isinstance(node, ast.Name) and node.id == arg for node in ast.walk(fn))

@@ -748,6 +748,11 @@ def test_smoothed_membership_against_oracle():
         assert np.array_equal(r[band] <= 0, oracle[band])
 
 
+def _in_halfspaces(p, X):
+    """The halfspace test: X satisfies every halfspace of p."""
+    return (X @ p.normals.T - p.offsets).max(axis=1) <= 0
+
+
 def test_smoothed_subset_of_base():
     rng = np.random.default_rng(7)
     body = regular_tetrahedron()
@@ -756,7 +761,7 @@ def test_smoothed_subset_of_base():
     X = rng.normal(size=(10_000, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     X = X * body.diameter
-    assert not s.inner_body.contains(X).any()  # so the nearest boundary point is the projection
+    assert not _in_halfspaces(s.inner_body, X).any()  # so the nearest boundary point is the projection
     _, proj, _, _ = s.inner_body.nearest_boundary(X)
     boundary = proj + 0.15 * (X - proj) / np.linalg.norm(X - proj, axis=1, keepdims=True)
     slack = boundary @ body.normals.T - body.offsets[None, :]
@@ -807,7 +812,7 @@ def _reference_exact_signed_distance(p, X):
     1e-300), the outward normal of the first facet whose plane holds the
     point within 1e-12 * diameter, else 0."""
     d, proj, _, _ = p.nearest_boundary(X)
-    sign = np.where(p.contains(X), -1.0, 1.0)
+    sign = np.where(_in_halfspaces(p, X), -1.0, 1.0)
     grad = np.zeros_like(X)
     ok = d > 1e-300
     grad[ok] = sign[ok, None] * (X[ok] - proj[ok]) / d[ok, None]
@@ -822,7 +827,7 @@ def _reference_smoothed_signed_distance(s, X):
     body's signed_distance: the distance to the solid inner body (0 inside)
     and the projection onto it, then r = d - eps; on the inner body's
     boundary, the gradient of its exact signed distance."""
-    inside = s.inner_body.contains(X)
+    inside = _in_halfspaces(s.inner_body, X)
     dist, proj, _, _ = s.inner_body.nearest_boundary(X)
     d = np.where(inside, 0.0, dist)
     proj = np.where(inside[:, None], X, proj)
@@ -858,7 +863,7 @@ def test_signed_distance_matches_reference_formulas():
     bodies.append(build_from_halfspaces(normals, np.ones(64)))
     for p in bodies:
         X = _probe_points(p, rng)
-        inside = p.contains(X)
+        inside = _in_halfspaces(p, X)
         assert inside.any() and not inside.all()
         assert _same_bits(p.signed_distance(X), _reference_exact_signed_distance(p, X))
         s = SmoothedBody(p, 0.2 * p.inradius)
@@ -977,7 +982,7 @@ def test_nearest_boundary_matches_per_feature_reference():
         dirs = rng.normal(size=(30, 3))
         outer = p.center + dirs / np.linalg.norm(dirs, axis=1)[:, None] * p.diameter
         X = np.vstack([inner, outer, V, mids, centroids, p.center])
-        assert p.contains(inner).all() and not p.contains(outer).any()
+        assert _in_halfspaces(p, inner).all() and not _in_halfspaces(p, outer).any()
         dist, proj, kind, index = p.nearest_boundary(X)
         tol = 1e-12 * p.diameter
         for k, x in enumerate(X):

@@ -20,7 +20,6 @@ from octainscribe.angles import (
     classify_trihedral,
     construct_inscribed_octahedron,
     placement_test,
-    spherical_triangle_of,
 )
 from octainscribe.generators import random_rotation_matrix, random_trihedral_angle
 from octainscribe.sphere import (
@@ -109,7 +108,7 @@ def test_construction_reads_the_labelled_facet_normals(monkeypatch):
 def reference_classification(angle, tol=DEFAULT_TOL):
     """The trihedral classifier on the rebuilt triangle: the threshold fast
     paths on its side lengths, else the placement test."""
-    tri = spherical_triangle_of(angle)
+    tri = SphTriangle(*angle.edges)
     sides = tri.side_lengths()
     top = float(sides.max())
     if top > T0_SIDE + tol:
@@ -134,19 +133,24 @@ def test_classifier_reads_sides_from_the_angle():
         sides = ang.facet_angles()
         if math.pi / 6.0 - DEFAULT_TOL <= sides.max() <= T0_SIDE + DEFAULT_TOL:
             placement_path += 1
-            direct = placement_test(spherical_triangle_of(ang))
+            direct = placement_test(SphTriangle(*ang.edges))
             assert direct.tag is cls.tag and abs(direct.margin - cls.margin) <= 1e-14
     assert placement_path > 500
 
 
 def test_classifier_builds_no_triangle_from_the_edges(monkeypatch):
-    def refuse(angle):
-        raise AssertionError("spherical_triangle_of was called")
+    built = []
 
-    monkeypatch.setattr(angles, "spherical_triangle_of", refuse)
+    def record(*vertices):
+        built.append(np.array(vertices))
+        return SphTriangle(*vertices)
+
+    monkeypatch.setattr(angles, "SphTriangle", record)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        classify_trihedral(random_trihedral_angle(rng))
+        ang = random_trihedral_angle(rng)
+        classify_trihedral(ang)
+        assert not any(np.array_equal(tri, ang.edges) for tri in built)
 
 
 def test_solid_angle_calls_cross_at_most_twice(monkeypatch):
