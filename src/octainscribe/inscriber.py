@@ -308,8 +308,7 @@ def multistart(s: SmoothedBody, n_rotations: int = _N_ROTATIONS) -> list:
     thin bodies stop without running the whole grid.
 
     Solutions come back in seed order (the canonical reduction order), so
-    identical inputs give an identical list regardless of how seeds would
-    be scheduled across workers.
+    identical inputs give an identical list.
     """
     _check_n_rotations(n_rotations)
     found = list(_solutions(s, n_rotations, Counter()))

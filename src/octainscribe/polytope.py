@@ -65,11 +65,14 @@ FEATURE_KINDS = np.array(["facet", "edge", "vertex"], dtype=object)
 class ConvexPolytope:
     """Immutable convex 3-polytope.
 
-    The constructor takes the vertex-facet incidence (a boolean vertices x
-    facets matrix) and derives the corner table from it.  On one slack
-    matrix at 1e-9 * diameter it checks that no vertex lies outside a plane,
-    that every incident vertex lies on its plane, that each vertex and each
-    facet has at least 3 incidences, and that every edge bounds exactly 2
+    The constructor takes the corner table as the facet cycles end to end
+    (cycles) and each cycle's first corner (starts).  Precondition: every
+    cycle runs counterclockwise seen from outside and starts at its lowest
+    vertex index.  The hull builder computes the cycles, and a closed-form
+    inner body inherits its base's.  On one slack matrix at 1e-9 * diameter
+    the constructor checks that no vertex lies outside a plane, that every
+    corner's vertex lies on its facet's plane, that each vertex and each
+    facet has at least 3 corners, and that every edge bounds exactly 2
     facets; then that the body is full-dimensional.  The builders validate
     outside input.  The array arguments are copied on entry, so the caller's
     arrays stay writeable and writing to them does not change the polytope.
@@ -78,7 +81,9 @@ class ConvexPolytope:
     ----------
     normals, offsets : minimal H-representation (unit outward normals,
         n . x <= offset), facets sorted lexicographically.
-    vertices : V x 3 array, sorted lexicographically.
+    vertices : V x 3 array.  Builder output is sorted lexicographically; a
+        closed-form inner body keeps its base's vertex order, so its corner
+        table equals the base's.
     center, inradius : the Chebyshev ball (largest ball inside), from the builder.
     cycles, corner_facet, starts, following, preceding : the corner table,
         read-only.  Corner c is vertex cycles[c] on facet corner_facet[c];
@@ -86,36 +91,36 @@ class ConvexPolytope:
         index, and runs counterclockwise seen from outside by following
         (back by preceding).
     edge_array : read-only E x 2 array of sorted vertex-index pairs, sorted.
-    facet_vertices, vertex_facets, edges : tuple views, built on first use:
-        per facet its vertex cycle, per vertex its sorted facets, and the
-        rows of edge_array.
+    facet_vertices, edges : tuple views, built on first use: per facet its
+        vertex cycle, and the rows of edge_array.
     """
 
-    def __init__(self, normals, offsets, vertices, incidence, center, inradius):
+    def __init__(self, normals, offsets, vertices, cycles, starts, center, inradius):
         self.normals = np.array(normals, dtype=float)
         self.offsets = np.array(offsets, dtype=float)
         self.vertices = np.array(vertices, dtype=float)
         self.center = np.array(center, dtype=float)
         self.inradius = float(inradius)
-        inc = np.asarray(incidence, dtype=bool)
+        cycles, starts = np.array(cycles, dtype=np.intp), np.array(starts, dtype=np.intp)
+        sizes = np.diff(starts, append=len(cycles))
+        facet = np.repeat(np.arange(len(starts)), sizes)
 
         self.diameter = float(_norm3(self.vertices[:, None, :] - self.vertices).max())
         tol = _REL_TOL * self.diameter
         slack = self.offsets - self.vertices @ self.normals.T
         if slack.min() < -tol:
             raise Inconsistent("a vertex violates a halfspace beyond tolerance")
-        off_plane = inc & (np.abs(slack) > tol)
+        off_plane = np.abs(slack[cycles, facet]) > tol
         if off_plane.any():
-            raise Inconsistent(f"facet {np.nonzero(off_plane)[1][0]} has a vertex off its plane")
-        per_facet, per_vertex = inc.sum(axis=0), inc.sum(axis=1)
-        if per_facet.min() < 3:
-            raise Inconsistent(f"facet {np.argmin(per_facet)} has fewer than 3 vertices")
+            raise Inconsistent(f"facet {facet[off_plane.argmax()]} has a vertex off its plane")
+        per_vertex = np.bincount(cycles, minlength=len(self.vertices))
+        if sizes.min() < 3:
+            raise Inconsistent(f"facet {np.argmin(sizes)} has fewer than 3 vertices")
         if per_vertex.min() < 3:
             raise Inconsistent(f"vertex {np.argmin(per_vertex)} lies on fewer than 3 facets")
 
-        cycles, facet, starts = _facet_cycles(self.vertices, self.normals, inc)
         following = np.arange(1, len(cycles) + 1)
-        following[starts + per_facet - 1] = starts
+        following[starts + sizes - 1] = starts
         ends = cycles[following]
         n = len(self.vertices)
         keys, uses = np.unique(np.minimum(cycles, ends) * n + np.maximum(cycles, ends),
@@ -134,12 +139,6 @@ class ConvexPolytope:
     @cached_property
     def facet_vertices(self):
         return tuple(tuple(c.tolist()) for c in np.split(self.cycles, self.starts[1:]))
-
-    @cached_property
-    def vertex_facets(self):
-        by_vertex = np.argsort(self.cycles, kind="stable")  # facets stay ascending
-        ends = np.cumsum(np.bincount(self.cycles))[:-1]
-        return tuple(tuple(fs.tolist()) for fs in np.split(self.corner_facet[by_vertex], ends))
 
     @cached_property
     def edges(self):
@@ -332,13 +331,14 @@ def _hull_polytope(P, ball=None):
 
     if ball is None:
         ball = _chebyshev(normals, offsets)
-    return ConvexPolytope(normals, offsets, P[rows], incidence, *ball)
+    V = P[rows]
+    return ConvexPolytope(normals, offsets, V, *_facet_cycles(V, normals, incidence), *ball)
 
 
 def _facet_cycles(V, N, incidence):
     """Every facet's vertex cycle, counterclockwise seen from outside and
     starting at its lowest vertex index, by angle about the facet centroid
-    from that vertex: (cycles end to end, their facets, each cycle's start)."""
+    from that vertex: (cycles end to end, each cycle's start)."""
     facet, vertex = np.nonzero(incidence.T)
     sizes = np.bincount(facet, minlength=len(N))
     starts = np.cumsum(sizes) - sizes
@@ -347,7 +347,7 @@ def _facet_cycles(V, N, incidence):
     up = _cross(N, ref)
     ang = np.arctan2(np.vecdot(rel, up[facet]), np.vecdot(rel, ref[facet])) % (2 * np.pi)
     ang[starts] = -1.0
-    return vertex[np.lexsort((ang, facet))], facet, starts
+    return vertex[np.lexsort((ang, facet))], starts
 
 
 def _check_vertex_cones(p: ConvexPolytope):
@@ -491,8 +491,11 @@ class SmoothedBody:
     and each base edge vw becomes the edge v(eps)w(eps), on two shifted
     planes and no other, so every v(eps) keeps its three edges; the graph of
     a polytope is connected (Balinski 1961), so there is no other vertex.
-    A non-simple base, and a rung where some v(eps) fails the band, take the
-    hull path: qhull's halfspace intersection, then the convex hull."""
+    Each edge keeps its direction, so each facet cycle keeps its order and
+    orientation: the inner body keeps the base's vertex order and corner
+    table (`cycles`, `starts`).  A non-simple base, and a rung where some
+    v(eps) fails the band, take the hull path: qhull's halfspace
+    intersection, then the convex hull."""
 
     __slots__ = ("base", "epsilon", "inner_body")
 
@@ -529,14 +532,10 @@ def _closed_form_inner(p: ConvexPolytope, eps: float, ball):
     offsets = p.offsets - eps
     x = np.linalg.solve(p.normals[facets], offsets[facets][..., None])[..., 0]
     slack = offsets - x @ p.normals.T
-    rows = np.arange(n)[:, None]
-    slack[rows, facets] = np.inf
+    slack[np.arange(n)[:, None], facets] = np.inf
     if not slack.min() > 1e-9 * p.diameter:
         return None
-    incidence = np.zeros(slack.shape, dtype=bool)
-    incidence[rows, facets] = True
-    order = np.lexsort(x.T[::-1])
-    return ConvexPolytope(p.normals, offsets, x[order], incidence[order], *ball)
+    return ConvexPolytope(p.normals, offsets, x, p.cycles, p.starts, *ball)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,9 @@ def quat_normalize(q) -> np.ndarray:
 
 
 def quat_canonical(q) -> np.ndarray:
-    """Fix the double-cover sign: first component of largest magnitude
-    nonnegative (ties broken by earlier components)."""
+    """Fix the double-cover sign of the normalized quaternion: the first
+    component with |x| > 1e-13 is made positive, whatever its magnitude
+    against the later ones ([0.1, -0.9, 0.3, 0.3] stays as it is)."""
     q = quat_normalize(q)
     for x in q:
         if x > 1e-13:

@@ -36,7 +36,7 @@ def test_cube_build():
     assert len(c.vertices) == 8
     assert len(c.normals) == 6
     assert len(c.edges) == 12
-    assert all(len(fs) == 3 for fs in c.vertex_facets)
+    assert (np.bincount(c.cycles) == 3).all()
     assert c.inradius == pytest.approx(1.0, abs=1e-9)
     assert c.diameter == pytest.approx(2 * math.sqrt(3), abs=1e-12)
 
@@ -167,17 +167,18 @@ def _walk(following, start):
 
 
 def test_corner_table_invariants(spiky_body, monkeypatch):
-    # The incidence each body was built from, by id, to derive its views as
-    # they were built before the corner table: vertex_facets from its rows,
-    # the cycles by the per-facet loop, the edges from the cycles.
+    # The incidence each hull build ordered into cycles, by the bytes of its
+    # vertices, to derive the views as they were built before the corner
+    # table: each vertex's facets from its row, the cycles by the per-facet
+    # loop, the edges from the cycles.
     incidences = {}
-    init = ConvexPolytope.__init__
+    facet_cycles = polytope._facet_cycles
 
-    def keep(self, normals, offsets, vertices, incidence, center, inradius):
-        incidences[id(self)] = np.array(incidence, dtype=bool)
-        init(self, normals, offsets, vertices, incidence, center, inradius)
+    def keep(V, N, incidence):
+        incidences[V.tobytes()] = np.array(incidence, dtype=bool)
+        return facet_cycles(V, N, incidence)
 
-    monkeypatch.setattr(ConvexPolytope, "__init__", keep)
+    monkeypatch.setattr(polytope, "_facet_cycles", keep)
     rng = np.random.default_rng(2024)
     bodies = [cube(), regular_tetrahedron(), regular_octahedron()]
     bodies += [random_simple_polytope(rng) for _ in range(20)]
@@ -190,7 +191,7 @@ def test_corner_table_invariants(spiky_body, monkeypatch):
     for p in bodies + rungs:
         table = (p.cycles, p.corner_facet, p.starts, p.following, p.preceding, p.edge_array)
         assert not any(a.flags.writeable for a in table)
-        inc = incidences[id(p)]
+        inc = incidences[p.vertices.tobytes()]
         ref = _reference_facet_cycles(p, inc)
         if p in bodies:  # no vertex cluster: the plane tolerance finds the same cycles
             assert ref == _reference_facet_cycles(p)
@@ -206,12 +207,14 @@ def test_corner_table_invariants(spiky_body, monkeypatch):
         sides = np.sort(np.column_stack([p.cycles, p.cycles[p.following]]), axis=1)
         rows, uses = np.unique(sides, axis=0, return_counts=True)
         assert np.array_equal(rows, p.edge_array) and (uses == 2).all()
+        # Each vertex's corners name its facets in ascending order.
+        by_vertex = [p.corner_facet[p.cycles == v].tolist() for v in range(len(p.vertices))]
+        assert by_vertex == [np.flatnonzero(row).tolist() for row in inc]
         # The tuple views.
         assert p.facet_vertices == ref
-        assert p.vertex_facets == tuple(tuple(np.flatnonzero(row).tolist()) for row in inc)
         ref_edges = {tuple(sorted(pair)) for cyc in ref for pair in zip(cyc, cyc[1:] + cyc[:1])}
         assert p.edges == tuple(sorted(ref_edges))
-        views = (p.facet_vertices, p.vertex_facets, p.edges)
+        views = (p.facet_vertices, p.edges)
         assert all(type(i) is int for view in views for row in view for i in row)
 
 
@@ -231,10 +234,13 @@ def test_dented_cube_builds_and_inscribes():
 
 def _parts(p):
     """The constructor arguments that rebuild p."""
-    incidence = np.zeros((len(p.vertices), len(p.normals)), dtype=bool)
-    for vi, facets in enumerate(p.vertex_facets):
-        incidence[vi, list(facets)] = True
-    return [p.normals, p.offsets, p.vertices.copy(), incidence, p.center, p.inradius]
+    return [p.normals, p.offsets, p.vertices.copy(), p.cycles, p.starts, p.center, p.inradius]
+
+
+def _drop_corner(parts, c):
+    """Take corner c out of the table: its vertex leaves its facet."""
+    parts[3] = np.delete(parts[3], c)
+    parts[4] = parts[4] - (parts[4] > c)
 
 
 def _outside(parts):
@@ -248,17 +254,19 @@ def _inside(parts):
 def _facet_on_two(parts):
     # Every octahedron vertex lies on 4 facets, so taking one from facet 5
     # leaves it on 3 and the facet with 2.
-    parts[3][parts[3][:, 5].argmax(), 5] = False
+    _drop_corner(parts, parts[4][5])
 
 
 def _vertex_on_two(parts):
-    parts[3][0, parts[3][0].argmax()] = False
+    # Vertex 0's first corner lies on its lowest facet.
+    _drop_corner(parts, np.argmax(parts[3] == 0))
 
 
 def _duplicate_facet(parts):
     parts[0] = np.vstack([parts[0], parts[0][:1]])
     parts[1] = np.append(parts[1], parts[1][0])
-    parts[3] = np.hstack([parts[3], parts[3][:, :1]])
+    parts[4] = np.append(parts[4], len(parts[3]))
+    parts[3] = np.append(parts[3], parts[3][: parts[4][1]])
 
 
 @pytest.mark.parametrize(
@@ -272,7 +280,7 @@ def _duplicate_facet(parts):
     ],
     ids=["outside", "off_plane", "facet_on_two", "vertex_on_two", "duplicate_facet"],
 )
-def test_constructor_rejects_inconsistent_incidence(body, spoil, message):
+def test_constructor_rejects_inconsistent_table(body, spoil, message):
     ConvexPolytope(*_parts(body()))
     parts = _parts(body())
     spoil(parts)
@@ -281,16 +289,22 @@ def test_constructor_rejects_inconsistent_incidence(body, spoil, message):
 
 
 def test_constructor_copies_its_arrays():
-    normals, offsets, vertices, incidence, center, inradius = _parts(cube())
-    args = [np.array(normals), np.array(offsets), vertices, incidence, np.array(center)]
-    p = ConvexPolytope(*args, inradius)
-    kept = [p.normals.copy(), p.offsets.copy(), p.vertices.copy(), p.center.copy()]
-    for arr in args[:3] + args[4:]:
+    base = cube()
+    args = [np.array(a) for a in _parts(base)[:6]]
+    p = ConvexPolytope(*args, base.inradius)
+    mine = [p.normals, p.offsets, p.vertices, p.cycles, p.starts, p.center]
+    kept = [arr.copy() for arr in mine]
+    for arr in args:
         assert arr.flags.writeable
-        arr[...] = 7.0
-    for arr, before in zip([p.normals, p.offsets, p.vertices, p.center], kept):
+        arr[...] = 7
+    for arr, before in zip(mine, kept):
         assert np.array_equal(arr, before)
         assert not arr.flags.writeable
+    # Built from the base's own read-only arrays, it copies them too.
+    q = ConvexPolytope(*_parts(base))
+    for name in ("normals", "offsets", "vertices", "cycles", "starts", "center"):
+        mine, theirs = getattr(q, name), getattr(base, name)
+        assert not np.shares_memory(mine, theirs) and not theirs.flags.writeable, name
 
 
 def test_deterministic_output():
@@ -501,8 +515,9 @@ def test_cone_check_matches_reference_across_the_band(monkeypatch, build):
 
 def _roof(h):
     """A cube whose top is a roof of height h over the ridge y = 0, built from
-    its incidence.  Each ridge end is a corner of 180 degrees less O(h) on
-    its side facet, and the roof's two facets meet at a dihedral of O(h)."""
+    the cycles of its incidence.  Each ridge end is a corner of 180 degrees
+    less O(h) on its side facet, and the roof's two facets meet at a
+    dihedral of O(h)."""
     V = np.vstack([cube().vertices, [[-1, 0, 1 + h], [1, 0, 1 + h]]])
     N = np.vstack([AXES[[0, 1, 3, 4, 5]], [[0, -h, 1], [0, h, 1]]])
     N /= np.linalg.norm(N, axis=1, keepdims=True)
@@ -510,7 +525,7 @@ def _roof(h):
     top = z >= 1
     incidence = np.column_stack([x == 1, y == 1, x == -1, y == -1, z == -1, top & (y <= 0), top & (y >= 0)])
     D = np.array([N[f] @ V[incidence[:, f]][0] for f in range(len(N))])
-    return ConvexPolytope(N, D, V, incidence, np.zeros(3), 1.0)
+    return ConvexPolytope(N, D, V, *polytope._facet_cycles(V, N, incidence), np.zeros(3), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -598,10 +613,34 @@ def test_unbounded_halfspaces_are_degenerate(normals):
         build_from_halfspaces(np.array(normals, dtype=float), np.ones(len(normals)))
 
 
+def _lexsorted(p):
+    """p relabeled as the builders order it: its vertices sorted
+    lexicographically, and its table with each vertex index replaced by its
+    rank there and each facet cycle turned to start at its lowest new index.
+    Returns the vertices and a dict of the table arrays and tuple views."""
+    order = np.lexsort(p.vertices.T[::-1])
+    rank = np.argsort(order)
+    cycles = []
+    for cyc in np.split(rank[p.cycles], p.starts[1:]):
+        k = np.argmin(cyc)
+        cycles.append(np.concatenate([cyc[k:], cyc[:k]]))
+    edges = np.unique(np.sort(rank[p.edge_array], axis=1), axis=0)
+    table = {
+        "cycles": np.concatenate(cycles),
+        "starts": p.starts,
+        "corner_facet": p.corner_facet,
+        "edge_array": edges,
+        "facet_vertices": tuple(tuple(c.tolist()) for c in cycles),
+        "edges": tuple(map(tuple, edges.tolist())),
+    }
+    return p.vertices[order], table
+
+
 def test_inner_body_matches_halfspace_build():
-    """The inner body equals the outside-input build of the pushed-in
-    halfspaces over the continuation's epsilon ladder, including where its
-    face lattice differs from the base's."""
+    """The inner body, relabeled as the builders order it, equals the
+    outside-input build of the pushed-in halfspaces over the continuation's
+    epsilon ladder, including where its face lattice differs from the
+    base's."""
     rng = np.random.default_rng(2024)
     bodies = [cube(), regular_tetrahedron()] + [random_simple_polytope(rng) for _ in range(20)]
     lattice_changes = 0
@@ -611,11 +650,12 @@ def test_inner_body_matches_halfspace_build():
             inner = SmoothedBody(p, eps).inner_body
             ref = build_from_halfspaces(p.normals, p.offsets - eps)
             tol = 1e-12 * p.diameter
-            assert inner.facet_vertices == ref.facet_vertices
-            assert inner.edges == ref.edges
+            vertices, table = _lexsorted(inner)
+            assert table["facet_vertices"] == ref.facet_vertices
+            assert table["edges"] == ref.edges
             assert np.abs(inner.normals - ref.normals).max() <= tol
             assert np.abs(inner.offsets - ref.offsets).max() <= tol
-            assert np.abs(inner.vertices - ref.vertices).max() <= tol
+            assert np.abs(vertices - ref.vertices).max() <= tol
             assert np.abs(inner.center - ref.center).max() <= tol
             assert abs(inner.inradius - ref.inradius) <= tol
             lattice_changes += inner.facet_vertices != p.facet_vertices
@@ -648,8 +688,9 @@ def hull_builds(monkeypatch):
 
 def test_closed_form_inner_body_matches_hull_build(hull_builds):
     """On every ladder rung of the stock, criterion-3 and tangent bodies,
-    the closed form gives the hull path's corner table and edges, and its
-    vertices to 1e-12 * diameter."""
+    the closed form keeps the base's corner table; relabeled as the
+    builders order it, that is the hull path's corner table and edges, and
+    its vertices match the hull path's to 1e-12 * diameter."""
     rng = np.random.default_rng(2024)
     bodies = [cube(), regular_tetrahedron()] + [random_simple_polytope(rng) for _ in range(20)]
     bodies += list(_tangent_bodies())
@@ -661,11 +702,15 @@ def test_closed_form_inner_body_matches_hull_build(hull_builds):
             if hull_builds:
                 continue
             closed += 1
+            names = ("cycles", "starts", "corner_facet", "following", "preceding", "edge_array")
+            for name in names:
+                assert np.array_equal(getattr(inner, name), getattr(p, name)), name
             verts = polytope._vertices_of(p.normals, p.offsets - eps, p.center)
             ref = polytope._hull_polytope(verts, (p.center, p.inradius - eps))
+            vertices, table = _lexsorted(inner)
             for name in ("cycles", "starts", "corner_facet", "edge_array"):
-                assert np.array_equal(getattr(inner, name), getattr(ref, name)), name
-            assert np.abs(inner.vertices - ref.vertices).max() <= 1e-12 * p.diameter
+                assert np.array_equal(table[name], getattr(ref, name)), name
+            assert np.abs(vertices - ref.vertices).max() <= 1e-12 * p.diameter
             assert np.array_equal(inner.normals, p.normals)
             assert np.array_equal(inner.offsets, p.offsets - eps)
     assert closed >= 380
@@ -680,10 +725,13 @@ def test_closed_form_needs_no_qhull(monkeypatch, hull_builds):
 
     monkeypatch.setattr(polytope, "ConvexHull", refuse)
     monkeypatch.setattr(polytope, "HalfspaceIntersection", refuse)
+    monkeypatch.setattr(polytope, "_facet_cycles", refuse)
     hull_builds.clear()  # the base builds
     for p in bodies:
         inner = SmoothedBody(p, 1e-3 * p.inradius).inner_body
         assert (len(inner.vertices), len(inner.edge_array)) == (len(p.vertices), len(p.edge_array))
+        for name in ("cycles", "starts", "corner_facet", "following", "edge_array"):
+            assert np.array_equal(getattr(inner, name), getattr(p, name)), name
     assert not hull_builds
 
 

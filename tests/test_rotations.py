@@ -58,6 +58,11 @@ def test_canonical_sign():
     q = np.array([-0.5, 0.5, 0.5, 0.5])
     c = quat_canonical(q)
     assert c[0] > 0
+    # The first component above 1e-13 in magnitude sets the sign, not the largest.
+    q = np.array([0.1, -0.9, 0.3, 0.3])
+    assert np.array_equal(quat_canonical(q), q / np.linalg.norm(q))
+    q = np.array([1e-14, -0.9, 0.3, 0.3])
+    assert np.array_equal(quat_canonical(q), -q / np.linalg.norm(q))
 
 
 def test_apply_rotvec_small_angle():
