@@ -250,7 +250,7 @@ def normalize_ordering(tri: SphTriangle) -> SphTriangle:
 
     Returns the input object unchanged when it is already ordered.
     """
-    k = _normalized_perm(tri.side_lengths())
+    k = _normalized_perm(tri.sides)
     if k == 0:
         return tri
     w1, w2, w3 = tri.matrix[list(_PERMS[k])]
@@ -370,7 +370,7 @@ def placement_test(tri: SphTriangle, tol: float = DEFAULT_TOL) -> AngleClass:
     mirror-image labelings tie exactly when the length term binds, and
     the last bit must not pick between them.
     """
-    return _placement_verdict(tri.side_lengths(), tol)
+    return _placement_verdict(tri.sides, tol)
 
 
 def _placement_verdict(sides: np.ndarray, tol: float) -> AngleClass:
@@ -394,6 +394,10 @@ def classify_trihedral(angle: SolidAngle, tol: float = DEFAULT_TOL) -> AngleClas
     positively oriented cycle.  Certificate labelings index the angle's
     own edges, so a SPECIAL result feeds the witness construction
     directly.
+
+    Margin above pi/3: T0_SIDE minus the largest facet angle.  Below pi/6:
+    the normalized labeling's margin and certificate, not the best over all
+    labelings that `placement_test` reports.  Otherwise: `placement_test`'s.
     """
     if angle.n_edges != 3:
         raise NotTrihedral(f"expected 3 edges, got {angle.n_edges}")
@@ -656,7 +660,7 @@ def deformation_path(tri: SphTriangle, steps: int = 60) -> list:
     if start.tag is not ClassTag.NON_SPECIAL:
         raise NotNonSpecial(f"input triangle classifies {start.tag.value}")
     ordered = normalize_ordering(tri)
-    c, b, _a = ordered.side_lengths()
+    c, b, _a = ordered.sides
     if c > T0_SIDE + DEFAULT_TOL:
         return [tri]
     theta = vertex_angle(ordered, 0)

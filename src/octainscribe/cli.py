@@ -71,6 +71,8 @@ def _load_angle(args) -> SolidAngle:
         raise GeometryError("provide an angle JSON file or --polytope/--vertex")
     with open(args.angle) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise GeometryError("angle JSON must be an object {apex: [...], edges: [[...], ...]}")
     return SolidAngle(doc["apex"], doc["edges"])
 
 
@@ -156,7 +158,7 @@ def cmd_path(args) -> int:
         cls = placement_test(t)
         steps.append(
             {
-                "sides": [float(s) for s in t.side_lengths()],
+                "sides": [float(s) for s in t.sides],
                 "tag": cls.tag.value,
                 "margin": float(cls.margin),
             }

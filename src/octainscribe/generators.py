@@ -61,43 +61,42 @@ def random_trihedral_angle(rng, lo: float = 0.05, hi: float = 1.25, apex_spread:
     return SolidAngle(apex, tri.matrix @ R.T)
 
 
-def random_small_special_sides(rng, margin: float = 1e-3) -> np.ndarray:
-    """All facet angles below pi/6 - margin (guaranteed special)."""
-    hi = math.pi / 6.0 - margin
+def random_small_special_sides(rng) -> np.ndarray:
+    """All facet angles below pi/6 - 1e-3 (guaranteed special)."""
     while True:
-        s = rng.uniform(0.12, hi, 3)
+        s = rng.uniform(0.12, math.pi / 6.0 - 1e-3, 3)
         if _valid_sides(s):
             return s
 
 
-def random_large_side_sides(rng, margin: float = 1e-3) -> np.ndarray:
-    """One facet angle above pi/3 + margin (guaranteed non-special)."""
+def random_large_side_sides(rng) -> np.ndarray:
+    """One facet angle above pi/3 + 1e-3 (guaranteed non-special)."""
     while True:
-        big = rng.uniform(math.pi / 3.0 + margin, 1.6)
+        big = rng.uniform(math.pi / 3.0 + 1e-3, 1.6)
         rest = rng.uniform(0.3, 1.5, 2)
         s = np.array([big, rest[0], rest[1]])
         rng.shuffle(s)
-        if _valid_sides(s) and s.max() > math.pi / 3.0 + margin:
+        if _valid_sides(s) and s.max() > math.pi / 3.0 + 1e-3:
             return s
 
 
-def random_nonspecial_small_triangle(rng, margin: float = 1e-6) -> SphTriangle:
+def random_nonspecial_small_triangle(rng) -> SphTriangle:
     """A non-special triangle with every side below pi/3 (the regime of
-    the connectedness argument), classification margin clear of zero."""
+    the connectedness argument), classification margin below -1e-6."""
     while True:
         s = rng.uniform(0.35, math.pi / 3.0 - 1e-4, 3)
         if not _valid_sides(s):
             continue
         tri = triangle_from_sides(*s)
         cls = placement_test(tri)
-        if cls.tag is ClassTag.NON_SPECIAL and cls.margin < -margin:
+        if cls.tag is ClassTag.NON_SPECIAL and cls.margin < -1e-6:
             return tri
 
 
-def random_simple_polytope(rng, n_facets=None, max_tries: int = 200) -> ConvexPolytope:
+def random_simple_polytope(rng, n_facets=None) -> ConvexPolytope:
     """Intersection of random halfspaces around the unit ball, rejected
-    until bounded, valid and simple."""
-    for _ in range(max_tries):
+    until bounded, valid and simple, in at most 200 draws."""
+    for _ in range(200):
         m = int(n_facets) if n_facets is not None else int(rng.integers(6, 13))
         normals = rng.normal(size=(m, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
@@ -109,7 +108,7 @@ def random_simple_polytope(rng, n_facets=None, max_tries: int = 200) -> ConvexPo
         simple, _ = is_simple(poly)
         if simple:
             return poly
-    raise RuntimeError("failed to generate a simple polytope (increase max_tries)")
+    raise RuntimeError("no simple polytope in 200 draws")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def _clip_spherical_polygon(E, m, tol=1e-12):
     return np.array(out)
 
 
-def nonsimple_inscribed_cone(rng, max_tries: int = 60):
+def nonsimple_inscribed_cone(rng):
     """A solid angle with four edges whose boundary carries a known
     inscribed regular octahedron.
 
@@ -144,9 +143,10 @@ def nonsimple_inscribed_cone(rng, max_tries: int = 60):
     octahedron and slicing the cone with an extra facet plane through the
     ray of the single-vertex facet: all six octahedron vertices stay on
     the (now four-facet) boundary, the hinge vertex landing on the new
-    cone edge.  Returns (SolidAngle with 4 edges, OctahedronPose).
+    cone edge.  Returns (SolidAngle with 4 edges, OctahedronPose) from at
+    most 60 draws of a small special triangle.
     """
-    for _ in range(max_tries):
+    for _ in range(60):
         sides = random_small_special_sides(rng)
         tri = triangle_from_sides(*sides)
         angle = SolidAngle.from_triangle(tri)
@@ -180,7 +180,7 @@ def nonsimple_inscribed_cone(rng, max_tries: int = 60):
                 continue
             if angle4.n_edges == 4 and inscribed_in_cone_check(angle4, pose, tol=1e-8):
                 return angle4, pose
-    raise RuntimeError("failed to generate a non-simple inscribed cone")
+    raise RuntimeError("no non-simple inscribed cone in 60 draws")
 
 
 def _facet_counts(angle: SolidAngle, V):

@@ -295,6 +295,7 @@ def _solutions(s: SmoothedBody, n_rotations: int, tally):
             return
 
 
+# Kept only because the benchmark tracer wraps it; no production path calls it.
 def multistart(s: SmoothedBody, n_rotations: int = _N_ROTATIONS) -> list:
     """Solve from a deterministic grid of poses (low-discrepancy rotations
     x centers x log-spaced scales) and return the distinct converged

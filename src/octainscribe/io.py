@@ -50,12 +50,16 @@ def parse_off(text: str) -> np.ndarray:
 
 
 def polytope_from_dict(d: dict) -> ConvexPolytope:
+    """Degenerate unless d is an object and its halfspaces a list of objects."""
+    if not isinstance(d, dict):
+        raise Degenerate("polytope JSON must be an object")
     if "vertices" in d:
         return build_from_vertices(np.asarray(d["vertices"], dtype=float))
     if "halfspaces" in d:
-        normals = [h["normal"] for h in d["halfspaces"]]
-        offsets = [h["offset"] for h in d["halfspaces"]]
-        return build_from_halfspaces(normals, offsets)
+        hs = d["halfspaces"]
+        if not (isinstance(hs, list) and all(isinstance(h, dict) for h in hs)):
+            raise Degenerate("'halfspaces' must be a list of {normal, offset} objects")
+        return build_from_halfspaces([h["normal"] for h in hs], [h["offset"] for h in hs])
     raise Degenerate("polytope JSON needs a 'vertices' or 'halfspaces' key")
 
 

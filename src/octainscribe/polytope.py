@@ -85,14 +85,11 @@ class ConvexPolytope:
         closed-form inner body keeps its base's vertex order, so its corner
         table equals the base's.
     center, inradius : the Chebyshev ball (largest ball inside), from the builder.
-    cycles, corner_facet, starts, following, preceding : the corner table,
-        read-only.  Corner c is vertex cycles[c] on facet corner_facet[c];
-        facet f's cycle starts at corner starts[f], at its lowest vertex
-        index, and runs counterclockwise seen from outside by following
-        (back by preceding).
+    cycles, corner_facet, starts, following : the corner table, read-only.
+        Corner c is vertex cycles[c] on facet corner_facet[c]; facet f's
+        cycle starts at corner starts[f], at its lowest vertex index, and
+        runs counterclockwise seen from outside by following.
     edge_array : read-only E x 2 array of sorted vertex-index pairs, sorted.
-    facet_vertices, edges : tuple views, built on first use: per facet its
-        vertex cycle, and the rows of edge_array.
     """
 
     def __init__(self, normals, offsets, vertices, cycles, starts, center, inradius):
@@ -131,18 +128,10 @@ class ConvexPolytope:
         if not self.inradius > 1e-6 * self.diameter:
             raise Degenerate("polytope is not full-dimensional (inradius too small)")
         self.cycles, self.corner_facet, self.starts, self.edge_array = cycles, facet, starts, edges
-        self.following, self.preceding = following, np.argsort(following)
+        self.following = following
         for arr in (self.normals, self.offsets, self.vertices, self.center, cycles, facet,
-                    starts, following, self.preceding, edges):
+                    starts, following, edges):
             arr.flags.writeable = False
-
-    @cached_property
-    def facet_vertices(self):
-        return tuple(tuple(c.tolist()) for c in np.split(self.cycles, self.starts[1:]))
-
-    @cached_property
-    def edges(self):
-        return tuple(map(tuple, self.edge_array.tolist()))
 
     # -- queries ----------------------------------------------------------
 
@@ -220,11 +209,7 @@ class ConvexPolytope:
         gradient on a facet's interior, a subgradient elsewhere), else 0.
         It names no boundary feature."""
         X = np.atleast_2d(np.asarray(points, dtype=float))
-        d, proj, inside = np.empty(len(X)), np.empty_like(X), np.empty(len(X), dtype=bool)
-        col = np.empty(len(X), dtype=np.intp)
-        for i in range(0, len(X), _POINT_BLOCK):
-            rows = slice(i, i + _POINT_BLOCK)
-            d[rows], proj[rows], col[rows], inside[rows] = self._nearest_in_block(X[rows])
+        d, proj, col, inside = map(np.concatenate, zip(*self._blocks(X)))
         sign = np.where(inside, -1.0, 1.0)
         grad = np.zeros(X.shape)
         off = d > 1e-300
@@ -366,7 +351,7 @@ def _check_vertex_cones(p: ConvexPolytope):
     salience (see `hemisphere_axis`)."""
     V, N, at, facet = p.vertices, p.normals, p.cycles, p.corner_facet
     # Corner c: vertex at[c] on facet facet[c], between prev[c] and nxt[c].
-    prev, nxt = at[p.preceding], at[p.following]
+    prev, nxt = at[np.argsort(p.following)], at[p.following]
     a, b = V[prev] - V[at], V[nxt] - V[at]
     a /= np.sqrt(np.vecdot(a, a))[:, None]
     b /= np.sqrt(np.vecdot(b, b))[:, None]
@@ -465,6 +450,7 @@ def solid_angle_at(p: ConvexPolytope, vi: int) -> SolidAngle:
     return SolidAngle(v, dirs / np.sqrt(np.vecdot(dirs, dirs))[:, None])
 
 
+# Kept only because the benchmark tracer wraps it; no production path calls it.
 def distance_to_boundary(p: ConvexPolytope, x):
     """Unsigned distance from x to the boundary surface, with the feature
     that `ConvexPolytope.nearest_boundary` names for it."""

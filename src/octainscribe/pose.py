@@ -94,7 +94,15 @@ class OctahedronPose:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OctahedronPose":
-        return cls(d["center"], d["rotation"], d["scale"])
+        """ValueError unless d is an object whose center, rotation and scale are numbers."""
+        if not isinstance(d, dict):
+            raise ValueError("pose JSON must be an object")
+        try:
+            center, rotation = (np.asarray(d[k], dtype=float) for k in ("center", "rotation"))
+            scale = float(d["scale"])
+        except TypeError as exc:
+            raise ValueError(f"pose center, rotation and scale must be numbers: {exc}") from exc
+        return cls(center, rotation, scale)
 
     def __repr__(self):
         c = ", ".join(f"{x:.6g}" for x in self.center)

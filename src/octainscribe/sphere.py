@@ -144,7 +144,8 @@ class SphTriangle:
     det = sin(b) sin(c) sin(A), that is the law-of-sines ratio
     sin(A) / sin(a) below 1e-12: zero only for vertices on one great
     circle, and not driven to zero by the triangle's size.  `sides` keeps
-    the side lengths of that check, read-only, reordered with the swap.
+    the side lengths (|v1 v2|, |v1 v3|, |v2 v3|) of that check, read-only,
+    reordered with the swap.
     """
 
     __slots__ = ("matrix", "sides")
@@ -172,12 +173,8 @@ class SphTriangle:
         self.matrix = m
         self.sides = d
 
-    def side_lengths(self) -> np.ndarray:
-        """(|v1 v2|, |v1 v3|, |v2 v3|), read-only."""
-        return self.sides
-
     def __repr__(self):
-        s = self.side_lengths()
+        s = self.sides
         return f"SphTriangle(sides=({s[0]:.6g}, {s[1]:.6g}, {s[2]:.6g}))"
 
 
@@ -232,12 +229,6 @@ class SphPolygon:
         self.normals = unit
         self.sides = sides
 
-    @property
-    def axis(self) -> np.ndarray:
-        """A hemisphere axis of the cycle (`hemisphere_axis`), computed on
-        each access."""
-        return hemisphere_axis(self.normals)
-
     def __len__(self):
         return len(self.matrix)
 
@@ -259,6 +250,7 @@ def _off_side(n: int) -> np.ndarray:
     return flat
 
 
+# Kept only because the benchmark tracer wraps it; no production path calls it.
 def hemisphere_axis(normals: np.ndarray) -> np.ndarray:
     """A unit direction with positive dot against every vertex of a
     strictly convex cycle, as `SphPolygon` validates it: the normalized

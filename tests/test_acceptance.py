@@ -216,7 +216,7 @@ def test_criterion_05_placement_search_equivalence():
         if found == (cls.tag is ClassTag.SPECIAL):
             agree += 1
         else:
-            disagreements.append((tri.side_lengths(), cls.tag.value, cls.margin))
+            disagreements.append((tri.sides, cls.tag.value, cls.margin))
     elapsed = time.time() - t0
     for sides, tag, margin in disagreements:
         print(f"  disagreement: sides={sides} placement={tag} margin={margin:.3e}")
@@ -245,12 +245,12 @@ def test_criterion_07_deformation_paths():
     t0 = time.time()
     for _ in range(100):
         tri = random_nonspecial_small_triangle(rng)
-        assert max(tri.side_lengths()) < math.pi / 3
+        assert max(tri.sides) < math.pi / 3
         path = deformation_path(tri, steps=50)
         assert len(path) >= 50
         for t in path:
             assert placement_test(t).tag is ClassTag.NON_SPECIAL
-        assert max(path[-1].side_lengths()) > math.pi / 3 + 0.01
+        assert max(path[-1].sides) > math.pi / 3 + 0.01
     elapsed = time.time() - t0
     report(f"criterion 7: 100 deformation paths of 50 steps, all non-special, {elapsed:.0f}s")
 
@@ -333,7 +333,7 @@ def test_criterion_10_numeric_anchors():
     corner = solid_angle_at(cube(), 0)
     assert np.allclose(corner.facet_angles(), math.pi / 2, atol=0)
     tri = SphTriangle(*corner.edges)
-    assert np.allclose(tri.side_lengths(), math.pi / 2, atol=0)
+    assert np.allclose(tri.sides, math.pi / 2, atol=0)
     report(
         f"criterion 10: area(T0) = {a:.15f} and vertex angle arccos(1/3) within "
         "1e-12; cube-corner facet angles exactly pi/2"

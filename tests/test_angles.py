@@ -47,6 +47,7 @@ from octainscribe.sphere import (
     SphTriangle,
     area,
     arc_distance,
+    hemisphere_axis,
     polygon_area,
     polygon_diameter,
     vertex_angle,
@@ -64,7 +65,7 @@ def normalize(v):
 
 
 def test_T0_constants():
-    sides = T0_TRIANGLE.side_lengths()
+    sides = T0_TRIANGLE.sides
     for s in sides:
         assert s == pytest.approx(math.pi / 3, abs=1e-12)
     for i in range(3):
@@ -113,7 +114,7 @@ def test_solid_angle_accepts_narrow_cone():
     h = 1e-5
     ang = SolidAngle((0, 0, 0), [(h, 0, 1), (0, h, 1), (-h, -h, 1)])
     assert ang.n_edges == 3
-    assert np.all(ang.edges @ ang.polygon.axis > 0)
+    assert np.all(ang.edges @ hemisphere_axis(ang.polygon.normals) > 0)
     for i in range(3):
         # Outward facet normals, although the polygon's hemisphere axis
         # lies far outside so narrow a cone.
@@ -154,11 +155,11 @@ def test_solid_angle_accepts_cone_whose_lp_axis_lies_outside(no_lp):
     assert ang.n_edges == 4
     assert np.allclose(ang.edges[0], normalize(edges[0]), atol=1e-15)
     assert np.allclose(ang.polygon.matrix, ang.edges, atol=1e-15)
-    assert np.all(ang.edges @ ang.polygon.axis > 0)
+    assert np.all(ang.edges @ hemisphere_axis(ang.polygon.normals) > 0)
     assert _same_cycle(SolidAngle((0, 0, 0), edges[::-1]).edges, ang.edges)
 
 
-def test_solid_angle_solves_hemisphere_axis_once(monkeypatch):
+def test_solid_angle_construction_calls_no_hemisphere_axis(monkeypatch):
     from octainscribe import angles, sphere
 
     calls = []
@@ -168,8 +169,8 @@ def test_solid_angle_solves_hemisphere_axis_once(monkeypatch):
         calls.append(len(normals))
         return real(normals)
 
-    # Both modules bind the name; count a call through either.  Nothing on
-    # construction reads the polygon's axis, so only a read solves it.
+    # Both modules bind the name; count a call through either.  Construction
+    # validates salience through the polygon's convexity, with no axis.
     monkeypatch.setattr(sphere, "hemisphere_axis", counting)
     monkeypatch.setattr(angles, "hemisphere_axis", counting)
     flat = [normalize([1, 0, 0.01]), normalize([-0.5, 0.87, 0.01]), normalize([-0.5, -0.87, 0.01])]
@@ -177,14 +178,13 @@ def test_solid_angle_solves_hemisphere_axis_once(monkeypatch):
         calls.clear()
         ang = SolidAngle((0, 0, 0), edges)
         assert calls == []
-        assert np.all(ang.edges @ ang.polygon.axis > 0)
-        assert calls == [len(edges)]
+        assert np.all(ang.edges @ real(ang.polygon.normals) > 0)
 
 
 def test_cube_corner_edges_span_a_right_triangle():
     ang = SolidAngle((0, 0, 0), np.eye(3))
     tri = SphTriangle(*ang.edges)
-    assert np.allclose(sorted(tri.side_lengths()), [math.pi / 2] * 3, atol=1e-12)
+    assert np.allclose(sorted(tri.sides), [math.pi / 2] * 3, atol=1e-12)
     assert np.allclose(ang.facet_angles(), [math.pi / 2] * 3, atol=1e-15)
 
 
@@ -214,16 +214,16 @@ def test_normalize_ordering_identity_when_sorted():
 def test_normalize_ordering_sorts_sides():
     tri = triangle_from_sides(0.4, 0.9, 0.6)
     out = normalize_ordering(tri)
-    s12, s13, s23 = out.side_lengths()
+    s12, s13, s23 = out.sides
     assert s12 >= s13 >= s23
-    assert np.allclose(sorted(out.side_lengths()), sorted(tri.side_lengths()), atol=1e-12)
+    assert np.allclose(sorted(out.sides), sorted(tri.sides), atol=1e-12)
     assert area(out) == pytest.approx(area(tri), abs=1e-12)
 
 
 def test_normalize_ordering_equilateral_any_labeling():
     tri = triangle_from_sides(0.5, 0.5, 0.5)
     out = normalize_ordering(tri)
-    assert np.allclose(sorted(out.side_lengths()), sorted(tri.side_lengths()), atol=1e-12)
+    assert np.allclose(sorted(out.sides), sorted(tri.sides), atol=1e-12)
 
 
 def test_normalize_ordering_preserves_classification():
@@ -673,7 +673,7 @@ def test_path_from_shrunk_T0():
     assert len(path) == 60
     for t in path:
         assert placement_test(t).tag is ClassTag.NON_SPECIAL
-    assert max(path[-1].side_lengths()) > math.pi / 3 + 0.01
+    assert max(path[-1].sides) > math.pi / 3 + 0.01
 
 
 def test_path_rejects_special_input():

@@ -84,6 +84,34 @@ def test_classify_malformed_json_exit_64(tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("inscribe", "42"),
+        ("inscribe", '{"halfspaces": [1, 2, 3, 4]}'),
+        ("certify", '{"center": [0, 0, 0], "rotation": [1, 0, 0, 0], "scale": null}'),
+        ("classify", "[1, 2]"),
+        ("classify --polytope", "42"),
+    ],
+)
+def test_wrongly_shaped_json_exit_64(cube_off, tmp_path, command, doc, capsys):
+    # JSON that parses but is not the documented document is malformed
+    # input, not an internal error.
+    f = tmp_path / "doc.json"
+    f.write_text(doc)
+    argv = {
+        "inscribe": ["inscribe", str(f)],
+        "certify": ["certify", cube_off, str(f)],
+        "classify": ["classify", str(f)],
+        "classify --polytope": ["classify", "--polytope", str(f), "--vertex", "0"],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "error:" in captured.err and "internal" not in captured.err
+    assert code == 64
+
+
 def test_inscribe_cube(cube_off, tmp_path, capsys):
     pose_file = str(tmp_path / "pose.json")
     obj_file = str(tmp_path / "octa.obj")

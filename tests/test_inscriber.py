@@ -200,7 +200,7 @@ def test_tetrahedron_continuation_matches_edge_midpoints():
     t = regular_tetrahedron()
     # edge midpoints of this tetrahedron are exactly the coordinate axes
     mids = np.array([
-        (t.vertices[i] + t.vertices[j]) / 2 for i, j in t.edges
+        (t.vertices[i] + t.vertices[j]) / 2 for i, j in t.edge_array
     ])
     assert np.allclose(np.sort(np.abs(mids).max(axis=1)), 1.0)
     trace, final = continue_to_surface(t)
@@ -389,7 +389,8 @@ def test_spiky_inner_bodies_build_down_the_ladder(monkeypatch, spiky_body):
     for eps, _ in trace.steps:
         inner = SmoothedBody(p, eps).inner_body
         ref = build_from_halfspaces(p.normals, p.offsets - eps)
-        assert (inner.facet_vertices, inner.edges) == (ref.facet_vertices, ref.edges)
+        for name in ("cycles", "starts", "edge_array"):
+            assert np.array_equal(getattr(inner, name), getattr(ref, name)), name
         assert np.abs(inner.vertices - ref.vertices).max() <= tol
         assert np.abs(inner.normals - ref.normals).max() <= tol
         assert np.abs(inner.offsets - ref.offsets).max() <= tol
@@ -575,7 +576,7 @@ def test_certify_reports_lowest_dimensional_feature():
         # the one edge whose open segment holds x
         (ei,) = [
             ei
-            for ei, (i, j) in enumerate(body.edges)
+            for ei, (i, j) in enumerate(body.edge_array)
             if np.linalg.norm(np.cross(body.vertices[j] - x, body.vertices[i] - x)) < 1e-12
             and np.dot(body.vertices[i] - x, body.vertices[j] - x) < 0
         ]

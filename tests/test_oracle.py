@@ -279,8 +279,9 @@ def test_membership_examples():
     for body in (c, regular_tetrahedron()):
         eps = 0.3 * body.inradius
         V = body.vertices * (1.0 - eps / body.inradius)
-        i, j = body.edges[0]
-        feet = np.array([V[list(body.facet_vertices[0])].mean(axis=0), (V[i] + V[j]) / 2, V[0]])
+        i, j = body.edge_array[0]
+        facet0 = np.split(body.cycles, body.starts[1:])[0]
+        feet = np.array([V[facet0].mean(axis=0), (V[i] + V[j]) / 2, V[0]])
         out = feet / np.linalg.norm(feet, axis=1, keepdims=True)
         X = np.vstack([feet + 0.9 * eps * out, feet + 1.1 * eps * out, feet, np.zeros(3)])
         assert membership_oracle_batch(body, eps, X).tolist() == [True] * 3 + [False] * 3 + [True] * 4

@@ -35,7 +35,7 @@ def test_cube_build():
     c = cube()
     assert len(c.vertices) == 8
     assert len(c.normals) == 6
-    assert len(c.edges) == 12
+    assert len(c.edge_array) == 12
     assert (np.bincount(c.cycles) == 3).all()
     assert c.inradius == pytest.approx(1.0, abs=1e-9)
     assert c.diameter == pytest.approx(2 * math.sqrt(3), abs=1e-12)
@@ -45,7 +45,7 @@ def test_tetrahedron_build():
     t = regular_tetrahedron()
     assert len(t.vertices) == 4
     assert len(t.normals) == 4
-    assert len(t.edges) == 6
+    assert len(t.edge_array) == 6
 
 
 def test_build_from_halfspaces_matches_vertices():
@@ -121,6 +121,11 @@ def test_facet_planes_match_per_plane_reference():
         assert np.array_equal(p.offsets, offsets)
 
 
+def _cycle_tuples(p):
+    """Per facet its vertex cycle, read from the corner table as int tuples."""
+    return tuple(tuple(c.tolist()) for c in np.split(p.cycles, p.starts[1:]))
+
+
 def _reference_facet_cycles(p, incidence=None):
     """The per-facet loop that the incidence from the hull's triangles
     replaced: each facet's vertices are those within 1e-9 * scale of its
@@ -154,8 +159,8 @@ def test_facet_cycles_match_per_facet_reference():
     simple = [random_simple_polytope(rng) for _ in range(20)]
     bodies += simple + [SmoothedBody(p, 0.2 * p.inradius).inner_body for p in simple]
     for p in bodies:
-        assert p.facet_vertices == _reference_facet_cycles(p)
-        assert all(cyc[0] == min(cyc) for cyc in p.facet_vertices)
+        assert _cycle_tuples(p) == _reference_facet_cycles(p)
+        assert all(cyc[0] == min(cyc) for cyc in _cycle_tuples(p))
 
 
 def _walk(following, start):
@@ -189,7 +194,7 @@ def test_corner_table_invariants(spiky_body, monkeypatch):
         rungs.append(SmoothedBody(spiky_body, eps).inner_body)
         eps *= 0.5
     for p in bodies + rungs:
-        table = (p.cycles, p.corner_facet, p.starts, p.following, p.preceding, p.edge_array)
+        table = (p.cycles, p.corner_facet, p.starts, p.following, p.edge_array)
         assert not any(a.flags.writeable for a in table)
         inc = incidences[p.vertices.tobytes()]
         ref = _reference_facet_cycles(p, inc)
@@ -200,7 +205,7 @@ def test_corner_table_invariants(spiky_body, monkeypatch):
         assert sorted(c for w in walks for c in w) == list(range(len(p.cycles)))
         assert [tuple(p.cycles[w].tolist()) for w in walks] == list(ref)
         assert all((p.corner_facet[w] == f).all() for f, w in enumerate(walks))
-        assert np.array_equal(p.preceding[p.following], np.arange(len(p.cycles)))
+        assert np.array_equal(np.argsort(p.following)[p.following], np.arange(len(p.cycles)))
         # Each corner's facet holds its vertex.
         assert inc[p.cycles, p.corner_facet].all() and len(p.cycles) == inc.sum()
         # Every edge is exactly two corner sides, and every side is an edge.
@@ -210,12 +215,11 @@ def test_corner_table_invariants(spiky_body, monkeypatch):
         # Each vertex's corners name its facets in ascending order.
         by_vertex = [p.corner_facet[p.cycles == v].tolist() for v in range(len(p.vertices))]
         assert by_vertex == [np.flatnonzero(row).tolist() for row in inc]
-        # The tuple views.
-        assert p.facet_vertices == ref
+        # The cycles and edges as the reference derives them.
+        assert _cycle_tuples(p) == ref
         ref_edges = {tuple(sorted(pair)) for cyc in ref for pair in zip(cyc, cyc[1:] + cyc[:1])}
-        assert p.edges == tuple(sorted(ref_edges))
-        views = (p.facet_vertices, p.edges)
-        assert all(type(i) is int for view in views for row in view for i in row)
+        assert tuple(map(tuple, p.edge_array.tolist())) == tuple(sorted(ref_edges))
+        assert all(a.dtype == np.intp for a in (p.cycles, p.starts, p.edge_array))
 
 
 def test_dented_cube_builds_and_inscribes():
@@ -225,9 +229,9 @@ def test_dented_cube_builds_and_inscribes():
     corners = cube().vertices.copy()
     corners[7, 0] -= 2.5e-9
     p = build_from_vertices(corners)
-    assert (len(p.vertices), len(p.normals), len(p.edges)) == (8, 6, 12)
+    assert (len(p.vertices), len(p.normals), len(p.edge_array)) == (8, 6, 12)
     assert is_simple(p) == (True, [])
-    assert all(len(cyc) == 4 for cyc in p.facet_vertices)
+    assert all(len(cyc) == 4 for cyc in _cycle_tuples(p))
     _, final = continue_to_surface(p)
     assert certify(p, final.pose, 1e-7 * p.diameter).ok
 
@@ -314,7 +318,7 @@ def test_deterministic_output():
     b = build_from_vertices(pts)
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.normals, b.normals)
-    assert a.facet_vertices == b.facet_vertices
+    assert _cycle_tuples(a) == _cycle_tuples(b)
 
 
 # -- simplicity and solid angles ----------------------------------------------
@@ -416,7 +420,7 @@ def _reference_solid_angles(p):
     vertex, its neighbours found by a scan over the edges."""
     angles = []
     for vi, v in enumerate(p.vertices):
-        neighbors = sorted({e[0] if e[1] == vi else e[1] for e in p.edges if vi in e})
+        neighbors = sorted({int(i if j == vi else j) for i, j in p.edge_array if vi in (i, j)})
         angles.append(SolidAngle(v, [_as_unit(p.vertices[nb] - v) for nb in neighbors]))
     return angles
 
@@ -617,7 +621,7 @@ def _lexsorted(p):
     """p relabeled as the builders order it: its vertices sorted
     lexicographically, and its table with each vertex index replaced by its
     rank there and each facet cycle turned to start at its lowest new index.
-    Returns the vertices and a dict of the table arrays and tuple views."""
+    Returns the vertices and a dict of the table arrays."""
     order = np.lexsort(p.vertices.T[::-1])
     rank = np.argsort(order)
     cycles = []
@@ -630,8 +634,6 @@ def _lexsorted(p):
         "starts": p.starts,
         "corner_facet": p.corner_facet,
         "edge_array": edges,
-        "facet_vertices": tuple(tuple(c.tolist()) for c in cycles),
-        "edges": tuple(map(tuple, edges.tolist())),
     }
     return p.vertices[order], table
 
@@ -651,14 +653,14 @@ def test_inner_body_matches_halfspace_build():
             ref = build_from_halfspaces(p.normals, p.offsets - eps)
             tol = 1e-12 * p.diameter
             vertices, table = _lexsorted(inner)
-            assert table["facet_vertices"] == ref.facet_vertices
-            assert table["edges"] == ref.edges
+            for name in ("cycles", "starts", "edge_array"):
+                assert np.array_equal(table[name], getattr(ref, name)), name
             assert np.abs(inner.normals - ref.normals).max() <= tol
             assert np.abs(inner.offsets - ref.offsets).max() <= tol
             assert np.abs(vertices - ref.vertices).max() <= tol
             assert np.abs(inner.center - ref.center).max() <= tol
             assert abs(inner.inradius - ref.inradius) <= tol
-            lattice_changes += inner.facet_vertices != p.facet_vertices
+            lattice_changes += _cycle_tuples(inner) != _cycle_tuples(p)
             eps *= 0.5
     assert lattice_changes >= 1
 
@@ -702,7 +704,7 @@ def test_closed_form_inner_body_matches_hull_build(hull_builds):
             if hull_builds:
                 continue
             closed += 1
-            names = ("cycles", "starts", "corner_facet", "following", "preceding", "edge_array")
+            names = ("cycles", "starts", "corner_facet", "following", "edge_array")
             for name in names:
                 assert np.array_equal(getattr(inner, name), getattr(p, name)), name
             verts = polytope._vertices_of(p.normals, p.offsets - eps, p.center)
@@ -891,8 +893,8 @@ def _probe_points(p, rng):
     """Points inside p, outside it, and on its boundary: vertices, edge
     midpoints and facet centroids."""
     V = p.vertices
-    mids = np.array([(V[i] + V[j]) / 2 for i, j in p.edges])
-    centroids = np.array([V[list(cyc)].mean(axis=0) for cyc in p.facet_vertices])
+    mids = np.array([(V[i] + V[j]) / 2 for i, j in p.edge_array])
+    centroids = np.array([V[cyc].mean(axis=0) for cyc in np.split(p.cycles, p.starts[1:])])
     inner = rng.dirichlet(np.ones(len(V)), size=50) @ V
     dirs = rng.normal(size=(50, 3))
     dirs *= rng.uniform(1.0, 1.5, size=(50, 1)) * p.diameter / np.linalg.norm(dirs, axis=1)[:, None]
@@ -945,6 +947,18 @@ def test_signed_distance_labels_no_feature(monkeypatch):
         assert _same_bits(s.signed_distance(X), smoothed)
 
 
+def test_distance_queries_on_no_points():
+    # Zero points run as one empty block: empty outputs of the usual dtypes.
+    p = random_simple_polytope(np.random.default_rng(7))
+    X = np.empty((0, 3))
+    for d, grad in (p.signed_distance(X), SmoothedBody(p, 0.2 * p.inradius).signed_distance(X)):
+        assert (d.shape, d.dtype, grad.shape, grad.dtype) == ((0,), float, (0, 3), float)
+    dist, proj, kind, index = p.nearest_boundary(X)
+    assert (dist.shape, dist.dtype, proj.shape, proj.dtype) == ((0,), float, (0, 3), float)
+    assert (kind.shape, index.shape) == ((0,), (0,))
+    assert kind.dtype == index.dtype == np.intp
+
+
 # -- distance_to_boundary ------------------------------------------------------
 
 
@@ -984,16 +998,16 @@ def _reference_nearest_feature(p, x):
         if dist < best[0] - tol:
             best = (dist, proj, kind, idx)
 
-    for fi, cyc in enumerate(p.facet_vertices):
+    for fi, cyc in enumerate(np.split(p.cycles, p.starts[1:])):
         n = p.normals[fi]
         t = x @ n - p.offsets[fi]
         foot = x - t * n
-        pts = p.vertices[list(cyc)]
+        pts = p.vertices[cyc]
         inward = np.cross(n, np.roll(pts, -1, axis=0) - pts)
         inward /= np.linalg.norm(inward, axis=1, keepdims=True)
         if all((foot - a) @ m >= -tol for a, m in zip(pts, inward)):
             consider(abs(t), foot, "facet", fi)
-    for ei, (i, j) in enumerate(p.edges):
+    for ei, (i, j) in enumerate(p.edge_array):
         a, b = p.vertices[i], p.vertices[j]
         u = (b - a) / np.linalg.norm(b - a)
         proj = a + np.clip((x - a) @ u, 0.0, np.linalg.norm(b - a)) * u
@@ -1005,7 +1019,7 @@ def _reference_nearest_feature(p, x):
     for vi, v in enumerate(p.vertices):
         if np.linalg.norm(y - v) <= tol:
             return d, y, "vertex", vi
-    for ei, (i, j) in enumerate(p.edges):
+    for ei, (i, j) in enumerate(p.edge_array):
         a, t = p.vertices[i], p.vertices[j] - p.vertices[i]
         s = (y - a) @ t / (t @ t)
         if -1e-12 <= s <= 1 + 1e-12 and np.linalg.norm(a + s * t - y) <= tol:
@@ -1024,8 +1038,8 @@ def test_nearest_boundary_matches_per_feature_reference():
     kinds = ("facet", "edge", "vertex")
     for p in bodies:
         V = p.vertices
-        mids = np.array([(V[i] + V[j]) / 2 for i, j in p.edges])
-        centroids = np.array([V[list(cyc)].mean(axis=0) for cyc in p.facet_vertices])
+        mids = np.array([(V[i] + V[j]) / 2 for i, j in p.edge_array])
+        centroids = np.array([V[cyc].mean(axis=0) for cyc in np.split(p.cycles, p.starts[1:])])
         inner = rng.dirichlet(np.ones(len(V)), size=30) @ V
         dirs = rng.normal(size=(30, 3))
         outer = p.center + dirs / np.linalg.norm(dirs, axis=1)[:, None] * p.diameter

@@ -109,7 +109,7 @@ def reference_classification(angle, tol=DEFAULT_TOL):
     """The trihedral classifier on the rebuilt triangle: the threshold fast
     paths on its side lengths, else the placement test."""
     tri = SphTriangle(*angle.edges)
-    sides = tri.side_lengths()
+    sides = tri.sides
     top = float(sides.max())
     if top > T0_SIDE + tol:
         return ClassTag.NON_SPECIAL, None, T0_SIDE - top
@@ -230,7 +230,7 @@ def test_kept_side_lengths_have_the_bits_of_arcs(seed, n, clockwise):
         tri = SphTriangle(*pts)
         m = tri.matrix
         assert np.array_equal(m, _unit_rows(pts)[[0, 2, 1]] if clockwise else _unit_rows(pts))
-        assert tri.side_lengths().tobytes() == _arcs(m[_PAIRS[0]], m[_PAIRS[1]]).tobytes()
+        assert tri.sides.tobytes() == _arcs(m[_PAIRS[0]], m[_PAIRS[1]]).tobytes()
     poly = SphPolygon(pts)
     assert np.array_equal(poly.matrix[0], _unit_rows(pts)[-1 if clockwise else 0])
     assert poly.sides.tobytes() == _arcs(poly.matrix, _next_rows(poly.matrix)).tobytes()
@@ -241,14 +241,14 @@ def test_kept_side_lengths_have_the_bits_of_arcs(seed, n, clockwise):
 def test_side_lengths_are_read_not_computed(monkeypatch):
     tri = SphTriangle(*CONES[0][::-1])
     ang = SolidAngle((0, 0, 0), CONES[-1])
-    ref_tri, ref_ang = tri.side_lengths().copy(), ang.facet_angles().copy()
+    ref_tri, ref_ang = tri.sides.copy(), ang.facet_angles().copy()
 
     def refuse(*args):
         raise AssertionError("side lengths computed again")
 
     monkeypatch.setattr(sphere, "_arcs", refuse)
     monkeypatch.setattr(sphere, "_cross", refuse)
-    for got, ref in ((tri.side_lengths(), ref_tri), (ang.facet_angles(), ref_ang)):
+    for got, ref in ((tri.sides, ref_tri), (ang.facet_angles(), ref_ang)):
         assert np.array_equal(got, ref)
         with pytest.raises(ValueError):
             got[0] = 0.0
