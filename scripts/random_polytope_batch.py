@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 
+from octainscribe.cli import _tolerance
 from octainscribe.generators import random_simple_polytope
 from octainscribe.inscriber import InscriptionFailed, certify, continue_to_surface
 
@@ -16,7 +17,7 @@ def main():
     ap.add_argument("--count", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--facets", type=int, default=None, help="fix the halfspace count (default 6-12)")
-    ap.add_argument("--tol", type=float, default=1e-7, help="certification tolerance, relative")
+    ap.add_argument("--tol", type=_tolerance, default=1e-7, help="certification tolerance, relative")
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -42,15 +43,16 @@ def main():
             f"certified={cert.ok} rel_residual={residuals[-1]:.2e} "
             f"rel_diameter={sizes[-1]:.3f} steps={len(trace.steps)} {dt:.1f}s"
         )
+        failures += not cert.ok
     if residuals:
         print(
-            f"\n{len(residuals)}/{args.count} inscribed; worst relative residual "
+            f"\n{args.count - failures}/{args.count} certified; worst relative residual "
             f"{max(residuals):.2e}; octahedron/body diameter ratio "
             f"{min(sizes):.3f}..{max(sizes):.3f}; {collapses} collapse restarts; "
             f"median time {np.median(times):.2f}s"
         )
     if failures:
-        raise SystemExit(f"{failures} failures (numerical search issue, investigate)")
+        raise SystemExit(f"{failures} of {args.count} bodies not certified")
 
 
 if __name__ == "__main__":

@@ -172,10 +172,13 @@ class SolidAngle:
     __slots__ = ("apex", "edges", "axis", "polygon")
 
     def __init__(self, apex, edges):
-        apex = np.asarray(apex, dtype=float).reshape(3)
+        try:
+            apex = np.asarray(apex, dtype=float).reshape(3)
+            raw = np.array(edges, dtype=float).reshape(-1, 3)
+        except (TypeError, ValueError) as exc:
+            raise InvalidSolidAngle(f"apex and edges must be points of 3 numbers ({exc})") from exc
         if not np.isfinite(apex).all():
             raise InvalidSolidAngle("apex coordinates must be finite")
-        raw = np.array(edges, dtype=float).reshape(-1, 3)
         E = _unit_rows(raw)
         if len(E) < 3:
             raise InvalidSolidAngle("a solid angle needs at least 3 edges")
@@ -344,18 +347,6 @@ def _placements(sides: np.ndarray):
     return m[rows, side], p2, p3[rows, side], margins3[rows, side]
 
 
-def _special(margin: float, placements, k: int) -> AngleClass:
-    """SPECIAL verdict whose certificate is labeling k of `_placements`."""
-    _, p2, p3, margins3 = placements
-    cert = PlacementCertificate(
-        labeling=_PERMS[k],
-        mirrored=_ODD[k],
-        placed_triangle=SphTriangle(_T1, p2[k], p3[k]),
-        margins=margins3[k],
-    )
-    return AngleClass(ClassTag.SPECIAL, margin, cert)
-
-
 def placement_test(tri: SphTriangle, tol: float = DEFAULT_TOL) -> AngleClass:
     """Decide whether the triangle places properly inside the regular
     spherical triangle of side pi/3: v1 at a corner, v2 on an adjacent
@@ -375,29 +366,32 @@ def placement_test(tri: SphTriangle, tol: float = DEFAULT_TOL) -> AngleClass:
 
 def _placement_verdict(sides: np.ndarray, tol: float) -> AngleClass:
     """`placement_test` from the sides (|v1 v2|, |v1 v3|, |v2 v3|)."""
-    placements = _placements(sides)
-    margin = placements[0]
+    margin, p2, p3, margins3 = _placements(sides)
     best = float(margin.max())
     if best > tol:
-        return _special(best, placements, int(np.argmax(margin >= best - _TIE)))
+        k = int(np.argmax(margin >= best - _TIE))
+        cert = PlacementCertificate(
+            labeling=_PERMS[k],
+            mirrored=_ODD[k],
+            placed_triangle=SphTriangle(_T1, p2[k], p3[k]),
+            margins=margins3[k],
+        )
+        return AngleClass(ClassTag.SPECIAL, best, cert)
     if best < -tol:
         return AngleClass(ClassTag.NON_SPECIAL, best, None)
     return AngleClass(ClassTag.INDETERMINATE, best, None)
 
 
 def classify_trihedral(angle: SolidAngle, tol: float = DEFAULT_TOL) -> AngleClass:
-    """Classify a trihedral angle, with threshold fast paths:
-    every facet angle below pi/6 is special, any facet angle above pi/3
-    is not; everything else goes through the placement test.
+    """Classify a trihedral angle, with a threshold fast path: any facet
+    angle above pi/3 is not special, with margin T0_SIDE minus the largest
+    facet angle; every other angle goes through the placement test and
+    carries its margin and certificate.
 
     The sides are the angle's facet angles; its edges are already a
     positively oriented cycle.  Certificate labelings index the angle's
     own edges, so a SPECIAL result feeds the witness construction
     directly.
-
-    Margin above pi/3: T0_SIDE minus the largest facet angle.  Below pi/6:
-    the normalized labeling's margin and certificate, not the best over all
-    labelings that `placement_test` reports.  Otherwise: `placement_test`'s.
     """
     if angle.n_edges != 3:
         raise NotTrihedral(f"expected 3 edges, got {angle.n_edges}")
@@ -406,13 +400,6 @@ def classify_trihedral(angle: SolidAngle, tol: float = DEFAULT_TOL) -> AngleClas
     top = float(sides.max())
     if top > T0_SIDE + tol:
         return AngleClass(ClassTag.NON_SPECIAL, T0_SIDE - top, None)
-    if top < math.pi / 6.0 - tol:
-        k = _normalized_perm(sides)
-        placements = _placements(sides)
-        m = float(placements[0][k])
-        if m > tol:
-            return _special(m, placements, k)
-        # Cannot happen for all-small triangles; fall through defensively.
     return _placement_verdict(sides, tol)
 
 

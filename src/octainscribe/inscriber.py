@@ -2,10 +2,11 @@
 
 The search runs on the smoothed body: vertices of the octahedron must sit
 on the zero set of the smoothed signed distance.  Six equations in seven
-pose parameters leaves a one-dimensional solution set, so the damped
-least-squares steps are minimum-norm; the smoothing parameter is then
-halved repeatedly, each solution seeding the next, and the limit pose is
-polished directly against the polytope boundary.  The continuation needs
+pose parameters leaves a one-dimensional solution set, so every solve
+takes minimum-norm damped least-squares steps, one 6 x 6 solve each
+(`_damped_step`); the smoothing parameter is then halved repeatedly,
+each solution seeding the next, and the limit pose is polished directly
+against the polytope boundary.  The continuation needs
 one start, so the initial seed loop runs lazily: it stops at the first
 converged pose in seed order that has not collapsed to a point, and runs
 on, to at most _MAX_SOLUTIONS solutions, only if that track fails.
@@ -131,7 +132,6 @@ class SolveReport:
 @dataclass(frozen=True, eq=False)
 class ContinuationTrace:
     steps: tuple                    # ((epsilon, SolveReport), ...)
-    diameter_history: tuple         # 2 * scale per step
     # Reasons earlier tracks ended, then this ladder's early exit:
     # FLAT_CONTACT (every contact facet-interior) or INNER_BODY_DEGENERATE.
     flags: tuple = ()
@@ -140,6 +140,10 @@ class ContinuationTrace:
     # distinct solutions, and solutions passed over before the first start
     # because they had collapsed.
     initial_search: dict = field(default_factory=dict)
+
+    @property
+    def diameter_history(self) -> tuple:  # 2 * scale per step
+        return tuple(r.pose.diameter() for _, r in self.steps)
 
     def to_dict(self) -> dict:
         return {
@@ -205,21 +209,35 @@ def _apply_step(pose: OctahedronPose, delta: np.ndarray) -> OctahedronPose:
     return OctahedronPose(c, q, s)
 
 
-def _levenberg_marquardt(fn, pose, tol_res, max_iter: int, diam: float):
+def _damped_step(J: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
+    """The minimizer -J^T (J J^T + lam I)^-1 r of |J delta + r|^2 + lam |delta|^2:
+    (J^T J + lam I)^-1 J^T = J^T (J J^T + lam I)^-1, so one 6 x 6 solve
+    gives it (Madsen, Nielsen and Tingleff 2004, sec. 3.2)."""
+    damped = J @ J.T
+    damped.flat[:: len(J) + 1] += lam
+    return J.T @ np.linalg.solve(damped, -r)
+
+
+def _levenberg_marquardt(body, pose: OctahedronPose, max_iter: int = _MAX_ITER) -> SolveReport:
+    """Every solve of the inscriber: drive the six residuals of `body`, a
+    SmoothedBody or the polytope itself, to within _TOL_RES_REL * diameter
+    from `pose`.  On the polytope the residual is the signed distance to
+    its boundary, reported unsigned with epsilon 0."""
+    exact = isinstance(body, ConvexPolytope)
+    diam = body.diameter if exact else body.base.diameter
+    tol = _TOL_RES_REL * diam
     lam = _LAMBDA0
-    res, J = fn(pose)
+    res, J = residual(body, pose)
     cost = float(res @ res)
     iters = 0
-    while iters < max_iter and np.abs(res).max() > tol_res:
+    while iters < max_iter and np.abs(res).max() > tol:
         iters += 1
-        aug = np.vstack([J, math.sqrt(lam) * np.eye(7)])
-        rhs = np.concatenate([-res, np.zeros(7)])
-        delta, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
+        delta = _damped_step(J, res, lam)
         step = math.sqrt(delta @ delta)
         if step < _STEP_TOL_REL * diam:
             break
         cand = _apply_step(pose, delta)
-        cand_res, cand_J = fn(cand)
+        cand_res, cand_J = residual(body, cand)
         cand_cost = float(cand_res @ cand_res)
         if cand_cost < cost:
             pose, res, J, cost = cand, cand_res, cand_J, cand_cost
@@ -229,13 +247,15 @@ def _levenberg_marquardt(fn, pose, tol_res, max_iter: int, diam: float):
             if lam > _LAMBDA_MAX:
                 break
     # res and J always belong to pose: a step is kept only with its own.
-    converged = bool(np.abs(res).max() <= tol_res)
+    converged = bool(np.abs(res).max() <= tol)
     warnings = ()
     if converged:
         sv = np.linalg.svd(J, compute_uv=False)
         if sv[-1] < 1e-7 * max(sv[0], 1e-300):
             warnings = ("rank_deficient_jacobian",)
-    return pose, res, iters, converged, warnings
+    if exact:
+        return SolveReport(pose, np.abs(res), iters, converged, 0.0, tol, warnings)
+    return SolveReport(pose, res, iters, converged, body.epsilon, tol, warnings)
 
 
 def solve_at_epsilon(s: SmoothedBody, seed: OctahedronPose, max_iter: int = _MAX_ITER) -> SolveReport:
@@ -244,12 +264,7 @@ def solve_at_epsilon(s: SmoothedBody, seed: OctahedronPose, max_iter: int = _MAX
     Success means the recomputed residual at the returned pose is within
     tolerance; a non-converged report carries the best iterate and is
     never retried internally."""
-    diam = s.base.diameter
-    tol = _TOL_RES_REL * diam
-    pose, res, iters, converged, warnings = _levenberg_marquardt(
-        lambda q: residual(s, q), seed, tol, max_iter, diam
-    )
-    return SolveReport(pose, res, iters, converged, s.epsilon, tol, warnings)
+    return _levenberg_marquardt(s, seed, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +355,6 @@ def _precondition_warnings(p: ConvexPolytope) -> list:
                 "existence of an inscribed octahedron is not guaranteed for this polytope"
             )
     return warnings
-
-
-def _polish_exact(p: ConvexPolytope, seed: OctahedronPose):
-    diam = p.diameter
-    tol = _TOL_RES_REL * diam
-    pose, res, iters, converged, warnings = _levenberg_marquardt(
-        lambda q: residual(p, q), seed, tol, _MAX_ITER, diam
-    )
-    # The exact residual is the signed distance to the boundary.
-    return SolveReport(pose, np.abs(res), iters, converged, 0.0, tol, warnings)
 
 
 def _collapsed(pose: OctahedronPose, diam: float) -> bool:
@@ -452,7 +457,6 @@ def _track_from(p, start: SolveReport, s0: SmoothedBody, warnings, search, resta
     def trace():
         return ContinuationTrace(
             steps=tuple(steps),
-            diameter_history=tuple(r.pose.diameter() for _, r in steps),
             flags=tuple(flags),
             warnings=tuple(warnings),
             initial_search=dict(search),
@@ -482,7 +486,7 @@ def _track_from(p, start: SolveReport, s0: SmoothedBody, warnings, search, resta
     else:
         flags.append(f"FLAT_CONTACT at epsilon={s.epsilon:.6g}")
 
-    final = _polish_exact(p, pose)
+    final = _levenberg_marquardt(p, pose)
     if not final.converged:
         raise failed(f"final polish residual {final.max_residual():.3e} exceeds {final.tol:.3e}")
     if _collapsed(final.pose, diam):

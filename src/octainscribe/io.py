@@ -54,7 +54,7 @@ def polytope_from_dict(d: dict) -> ConvexPolytope:
     if not isinstance(d, dict):
         raise Degenerate("polytope JSON must be an object")
     if "vertices" in d:
-        return build_from_vertices(np.asarray(d["vertices"], dtype=float))
+        return build_from_vertices(d["vertices"])
     if "halfspaces" in d:
         hs = d["halfspaces"]
         if not (isinstance(hs, list) and all(isinstance(h, dict) for h in hs)):

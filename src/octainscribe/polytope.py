@@ -396,7 +396,10 @@ def _checked_hull(P, ball=None) -> ConvexPolytope:
 def build_from_vertices(points) -> ConvexPolytope:
     """Vertex input: the convex hull, checked to be finite, full-dimensional
     and to have a valid solid angle at every vertex."""
-    P = np.asarray(points, dtype=float)
+    try:
+        P = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise Degenerate(f"vertex coordinates must be numbers ({exc})") from exc
     if P.ndim != 2 or P.shape[1] != 3 or len(P) < 4 or not np.isfinite(P).all():
         raise Degenerate("need at least 4 points in R^3, all finite")
     return _checked_hull(P)
@@ -405,8 +408,11 @@ def build_from_vertices(points) -> ConvexPolytope:
 def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
     """Halfspace input: checked to be finite and bounded with a nonempty interior
     (one LP, whose ball the body keeps), then the vertices via the dual hull."""
-    N = np.asarray(normals, dtype=float)
-    D = np.asarray(offsets, dtype=float).reshape(-1)
+    try:
+        N = np.asarray(normals, dtype=float)
+        D = np.asarray(offsets, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise Degenerate(f"halfspace coefficients must be numbers ({exc})") from exc
     if N.ndim != 2 or N.shape[1] != 3 or len(N) < 4 or len(N) != len(D):
         raise Degenerate("need at least 4 halfspaces (normal, offset)")
     if not np.isfinite(np.column_stack([N, D])).all():

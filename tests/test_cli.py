@@ -92,6 +92,10 @@ def test_classify_malformed_json_exit_64(tmp_path, capsys):
         ("certify", '{"center": [0, 0, 0], "rotation": [1, 0, 0, 0], "scale": null}'),
         ("classify", "[1, 2]"),
         ("classify --polytope", "42"),
+        # Coordinates that are not numbers.
+        ("classify", '{"apex": {}, "edges": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'),
+        ("inscribe", '{"vertices": [[0, 0, {}], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}'),
+        ("inscribe", '{"halfspaces": [{"normal": {}, "offset": 1}]}'),
     ],
 )
 def test_wrongly_shaped_json_exit_64(cube_off, tmp_path, command, doc, capsys):

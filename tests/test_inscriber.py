@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,9 @@ from octainscribe.inscriber import (
     residual,
     solve_at_epsilon,
 )
-from octainscribe.inscriber import _apply_step
+from octainscribe.inscriber import _apply_step, _damped_step
 from octainscribe.polytope import (
+    ConvexPolytope,
     SmoothedBody,
     build_from_halfspaces,
     build_from_vertices,
@@ -146,6 +148,36 @@ def test_converged_report_recheck():
     assert rep.converged
     r, _ = residual(s, rep.pose)
     assert np.abs(r).max() <= rep.tol
+
+
+@pytest.mark.parametrize("lam", [1e-14, 1e-3, 1.0, 1e3])
+def test_damped_step_minimizes_the_damped_least_squares(lam):
+    # The 6 x 6 step against the 13 x 7 stacked system [J; sqrt(lam) I],
+    # on well-conditioned J: singular values in [0.5, 2].
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        V = np.linalg.qr(rng.normal(size=(7, 7)))[0]
+        J = U @ np.diag(rng.uniform(0.5, 2.0, size=6)) @ V[:6]
+        r = rng.normal(size=6)
+        stacked = np.vstack([J, math.sqrt(lam) * np.eye(7)])
+        ref, *_ = np.linalg.lstsq(stacked, np.concatenate([-r, np.zeros(7)]), rcond=None)
+        step = _damped_step(J, r, lam)
+        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_continuation_calls_no_lstsq_from_the_inscriber(monkeypatch):
+    callers = []
+    lstsq = np.linalg.lstsq
+
+    def recording(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    trace, final = continue_to_surface(cube())
+    assert final.converged and sum(r.iterations for _, r in trace.steps) > 0
+    assert "octainscribe.inscriber" not in callers
 
 
 # -- multistart -----------------------------------------------------------------
@@ -556,13 +588,16 @@ def test_certify_rejects_a_collapsed_octahedron(at):
 
 
 def test_collapsed_polish_fails_the_track(monkeypatch):
-    polish = inscriber._polish_exact
+    solve = inscriber._levenberg_marquardt
 
-    def shrunk(p, seed):
-        rep = polish(p, seed)
+    def shrunk(body, seed, *args):
+        # The polish is the one solve on the polytope itself.
+        rep = solve(body, seed, *args)
+        if not isinstance(body, ConvexPolytope):
+            return rep
         return replace(rep, pose=OctahedronPose(rep.pose.center, rep.pose.rotation, 1e-9))
 
-    monkeypatch.setattr(inscriber, "_polish_exact", shrunk)
+    monkeypatch.setattr(inscriber, "_levenberg_marquardt", shrunk)
     with pytest.raises(InscriptionFailed) as failed:
         continue_to_surface(cube())
     assert failed.value.trace.flags[-1] == "VERTEX_COLLAPSE in the final polish"

@@ -1,4 +1,5 @@
-"""Smoke test of the experiment scripts: each runs to exit 0 on tiny input."""
+"""Smoke test of the experiment scripts: each runs to exit 0 on tiny input,
+and the batch exits nonzero when a body is not certified."""
 
 import os
 import subprocess
@@ -20,13 +21,24 @@ ROOT = Path(__file__).resolve().parents[1]
     ids=lambda args: args[0],
 )
 def test_script_runs(args, tmp_path):
+    proc = _run(args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "-0.5"])
+def test_batch_without_a_certified_body_fails(tol, tmp_path):
+    # --tol 0 certifies nothing; nan and negative tolerances are rejected.
+    proc = _run(["random_polytope_batch.py", "--count", "1", "--facets", "6", "--tol", tol], tmp_path)
+    assert proc.returncode != 0, proc.stdout
+
+
+def _run(args, cwd):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / args[0]), *args[1:]],
-        cwd=tmp_path,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr

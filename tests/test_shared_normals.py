@@ -107,15 +107,11 @@ def test_construction_reads_the_labelled_facet_normals(monkeypatch):
 
 def reference_classification(angle, tol=DEFAULT_TOL):
     """The trihedral classifier on the rebuilt triangle: the threshold fast
-    paths on its side lengths, else the placement test."""
+    path on its side lengths, else the placement test."""
     tri = SphTriangle(*angle.edges)
-    sides = tri.sides
-    top = float(sides.max())
+    top = float(tri.sides.max())
     if top > T0_SIDE + tol:
         return ClassTag.NON_SPECIAL, None, T0_SIDE - top
-    if top < math.pi / 6.0 - tol:
-        k = angles._normalized_perm(sides)
-        return ClassTag.SPECIAL, angles._PERMS[k], float(angles._placements(sides)[0][k])
     cls = placement_test(tri, tol)
     return cls.tag, cls.certificate.labeling if cls.certificate else None, cls.margin
 
@@ -131,7 +127,7 @@ def test_classifier_reads_sides_from_the_angle():
         assert (cls.certificate.labeling if cls.certificate else None) == labeling
         assert abs(cls.margin - margin) <= 1e-14
         sides = ang.facet_angles()
-        if math.pi / 6.0 - DEFAULT_TOL <= sides.max() <= T0_SIDE + DEFAULT_TOL:
+        if sides.max() <= T0_SIDE + DEFAULT_TOL:
             placement_path += 1
             direct = placement_test(SphTriangle(*ang.edges))
             assert direct.tag is cls.tag and abs(direct.margin - cls.margin) <= 1e-14
