@@ -1,6 +1,7 @@
 """Seeded random instance generators for tests and experiments: spherical
 triangles by class, trihedral angles in general position, simple random
-polytopes, and non-simple cones that carry a known inscribed octahedron.
+polytopes, spiky point clouds, and non-simple cones that carry a known
+inscribed octahedron.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "random_large_side_sides",
     "random_nonspecial_small_triangle",
     "random_simple_polytope",
+    "random_spiky_cloud",
     "nonsimple_inscribed_cone",
 ]
 
@@ -109,6 +111,22 @@ def random_simple_polytope(rng, n_facets=None) -> ConvexPolytope:
         if simple:
             return poly
     raise RuntimeError("no simple polytope in 200 draws")
+
+
+def random_spiky_cloud(rng) -> np.ndarray:
+    """5-11 points on the unit sphere, flattened along z by a factor drawn
+    from U(0.1, 1), with 1-3 spikes at distance U(2, 12) in random
+    directions.  Successive draws from default_rng(5) are the spiky family
+    of the tests and the inscription survey; their hulls are mostly
+    non-simple."""
+    pts = rng.normal(size=(rng.integers(5, 12), 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    k = rng.integers(1, 4)
+    spikes = rng.normal(size=(k, 3))
+    spikes /= np.linalg.norm(spikes, axis=1, keepdims=True)
+    spikes *= rng.uniform(2, 12, size=(k, 1))
+    flat = np.diag([1.0, 1.0, rng.uniform(0.1, 1)])
+    return np.vstack([pts @ flat, spikes])
 
 
 # ---------------------------------------------------------------------------

@@ -181,11 +181,8 @@ def _assemble_jacobian(pose: OctahedronPose, grad: np.ndarray) -> np.ndarray:
     """Chain rule from per-vertex distance gradients to the 6 x 7 pose
     Jacobian (3 center + 3 rotation tangent + 1 scale); the rotation block
     uses a world-frame (left) perturbation."""
-    J = np.empty((6, 7))
-    J[:, :3] = grad
-    J[:, 3:6] = _cross(pose.scale * pose.arms, grad)
-    J[:, 6] = np.einsum("ij,ij->i", grad, pose.arms)
-    return J
+    turn = _cross(pose.scale * pose.arms, grad)
+    return np.concatenate([grad, turn, np.einsum("ij,ij->i", grad, pose.arms)[:, None]], axis=1)
 
 
 def residual(body: SmoothedBody | ConvexPolytope, pose: OctahedronPose):

@@ -137,8 +137,11 @@ class ConvexPolytope:
 
     @cached_property
     def _projection_data(self):
-        """Inward edge normals M of all facets, one per corner, with offsets
-        a . m; edge origins, unit directions, lengths."""
+        """The kernel's planes and segments.  Planes: the facet planes, then
+        the inward edge normals m of all facets, one per corner, as the rows
+        of [N; M] with offsets [d; a . m] for a corner's anchor a.  Segments:
+        the edges, then the vertices as zero-length segments, with origins
+        P = [A; V], unit directions U = [T / L; 0] and lengths [L; 0]."""
         anchors = self.vertices[self.cycles]
         ends = self.vertices[self.cycles[self.following]]
         M = _cross(self.normals[self.corner_facet], ends - anchors)
@@ -146,13 +149,21 @@ class ConvexPolytope:
         A = self.vertices[self.edge_array[:, 0]]
         T = self.vertices[self.edge_array[:, 1]] - A
         L = _norm3(T)
-        return M, np.einsum("ij,ij->i", anchors, M), A, T / L[:, None], L
+        n = len(self.vertices)
+        return (
+            np.concatenate([self.normals, M]),
+            np.concatenate([self.offsets, np.einsum("ij,ij->i", anchors, M)]),
+            np.concatenate([A, self.vertices]),
+            np.concatenate([T / L[:, None], np.zeros((n, 3))]),
+            np.concatenate([L, np.zeros(n)]),
+        )
 
-    def _edge_feet(self, X):
-        """(n, E, 3) nearest points of every edge segment to each point."""
-        _, _, A, T, L = self._projection_data
-        s = np.clip(np.einsum("nek,ek->ne", X[:, None, :] - A, T), 0.0, L)
-        return A + s[..., None] * T
+    def _segment_feet(self, X):
+        """(n, E + V, 3) nearest points of every segment, edges then
+        vertices, to each point; a vertex's foot is the vertex."""
+        _, _, P, U, L = self._projection_data
+        s = np.clip(np.einsum("nek,ek->ne", X[:, None, :] - P, U), 0.0, L)
+        return P + s[..., None] * U
 
     def _blocks(self, X):
         """Per block of _POINT_BLOCK points (one empty block for none): the kernel's output."""
@@ -164,17 +175,18 @@ class ConvexPolytope:
         1e-12 * diameter of the nearest: facet feet inside their polygon within
         tol, clamped edge feet, then vertices, lowest index first.  Returns
         (dist, proj, col, inside); inside is whether every t <= 0."""
-        M, Mc, _, _, _ = self._projection_data
+        planes, plane_offsets, _, _, _ = self._projection_data
+        n_f = len(self.normals)
         tol = 1e-12 * self.diameter
         rows = np.arange(len(X))
 
-        t = X @ self.normals.T - self.offsets
-        held = np.minimum.reduceat(X @ M.T - Mc, self.starts, axis=1) >= -tol
-        vertices = np.broadcast_to(self.vertices, (len(X),) + self.vertices.shape)
-        rest = np.concatenate([self._edge_feet(X), vertices], axis=1)  # edge feet, vertices
-        feet = np.concatenate([X[:, None, :] - t[..., None] * self.normals, rest], axis=1)
+        h = X @ planes.T - plane_offsets
+        t = h[:, :n_f]
+        held = np.minimum.reduceat(h[:, n_f:], self.starts, axis=1) >= -tol
+        segment = self._segment_feet(X)
+        feet = np.concatenate([X[:, None, :] - t[..., None] * self.normals, segment], axis=1)
         facet_d = np.where(held, np.abs(t), np.inf)
-        dist = np.concatenate([facet_d, _norm3(X[:, None, :] - rest)], axis=1)
+        dist = np.concatenate([facet_d, _norm3(X[:, None, :] - segment)], axis=1)
         col = np.argmax(dist <= dist.min(axis=1, keepdims=True) + tol, axis=1)
         return dist[rows, col], feet[rows, col], col, t.max(axis=1) <= 0
 
@@ -184,8 +196,8 @@ class ConvexPolytope:
         else candidate col (a facet, or an edge its band rounding misses)."""
         tol = 1e-12 * self.diameter
         n_f, n_e = len(self.normals), len(self.edge_array)
-        on_vertex = _norm3(proj[:, None, :] - self.vertices) <= tol
-        on_edge = _norm3(proj[:, None, :] - self._edge_feet(proj)) <= tol
+        on = _norm3(proj[:, None, :] - self._segment_feet(proj)) <= tol
+        on_edge, on_vertex = on[:, :n_e], on[:, n_e:]
         own_kind = (col >= n_f).astype(int) + (col >= n_f + n_e)
         hit = [on_vertex.any(axis=1), on_edge.any(axis=1)]
         kind = np.select(hit, [2, 1], own_kind)

@@ -66,10 +66,10 @@ def _quats_to_matrices(Q) -> np.ndarray:
     """Rotation matrices of quaternions taken as given (unit input gives
     proper rotations): shape (4,) -> (3, 3), or (k, 4) -> (k, 3, 3).
 
-    A single quaternion is worked in numpy scalars, several times faster
-    than a batch of one, with the same floating-point operations.
+    A single quaternion is worked in Python floats, several times faster
+    than a batch of one or numpy scalars, with the same IEEE operations.
     """
-    w, x, y, z = Q.T
+    w, x, y, z = Q.tolist() if Q.ndim == 1 else Q.T
     m = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],

@@ -1,11 +1,10 @@
-import itertools
-
 import numpy as np
 import pytest
 import scipy.optimize
 
 import octainscribe.inscriber
 import octainscribe.polytope
+from octainscribe.generators import random_spiky_cloud
 
 
 @pytest.fixture
@@ -20,25 +19,18 @@ def no_lp(monkeypatch):
     monkeypatch.setattr(octainscribe.polytope, "linprog", refuse)
 
 
-def _spiky_clouds():
-    """The spiky family, drawn in turn from default_rng(5): flattened point
-    clouds on the unit sphere with 1-3 far spikes."""
-    rng = np.random.default_rng(5)
-    while True:
-        pts = rng.normal(size=(rng.integers(5, 12), 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        k = rng.integers(1, 4)
-        spikes = rng.normal(size=(k, 3))
-        spikes /= np.linalg.norm(spikes, axis=1, keepdims=True)
-        spikes *= rng.uniform(2, 12, size=(k, 1))
-        flat = np.diag([1.0, 1.0, rng.uniform(0.1, 1)])
-        yield np.vstack([pts @ flat, spikes])
-
-
 @pytest.fixture
 def spiky_cloud():
-    """Call with i: the point cloud of draw i of the spiky family."""
-    return lambda i: next(itertools.islice(_spiky_clouds(), i, None))
+    """Call with i: the point cloud of draw i of the spiky family
+    (`random_spiky_cloud` from default_rng(5))."""
+
+    def draw(i):
+        rng = np.random.default_rng(5)
+        for _ in range(i):
+            random_spiky_cloud(rng)
+        return random_spiky_cloud(rng)
+
+    return draw
 
 
 @pytest.fixture

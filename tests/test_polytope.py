@@ -23,7 +23,7 @@ from octainscribe.polytope import (
     regular_tetrahedron,
     solid_angle_at,
 )
-from octainscribe.sphere import GeometryError, _as_unit
+from octainscribe.sphere import GeometryError, _as_unit, _cross, _norm3
 
 AXES = np.vstack([np.eye(3), -np.eye(3)])
 
@@ -1064,13 +1064,86 @@ def test_nearest_boundary_names_the_chosen_edge_far_from_origin():
     dirs = np.random.default_rng(3).normal(size=(200, 3))
     X = p.center + dirs / np.linalg.norm(dirs, axis=1)[:, None] * p.diameter
     dist, proj, kind, index = p.nearest_boundary(X)
-    off_band = np.linalg.norm(proj[:, None] - p._edge_feet(proj), axis=2).min(axis=1)
+    edge_feet = p._segment_feet(proj)[:, : len(p.edge_array)]
+    off_band = np.linalg.norm(proj[:, None] - edge_feet, axis=2).min(axis=1)
     assert np.any((kind == 1) & (off_band > 1e-12 * p.diameter))
     for k, x in enumerate(X):
         d_ref, y_ref, kind_ref, idx_ref = _reference_nearest_feature(p, x)
         assert abs(dist[k] - d_ref) <= 1e-9 * p.diameter
         assert np.linalg.norm(proj[k] - y_ref) <= 1e-9 * p.diameter
         assert (("facet", "edge", "vertex")[kind[k]], index[k]) == (kind_ref, idx_ref)
+
+
+def _reference_queries(p, X):
+    """(nearest_boundary, signed_distance) of p at X by the distance kernel
+    that kept edges and vertices apart: facet planes and corner planes in
+    two matmuls, edge feet, and the vertices broadcast per point.  Test-only
+    copy of the replaced code, in blocks of _POINT_BLOCK points."""
+    anchors = p.vertices[p.cycles]
+    M = _cross(p.normals[p.corner_facet], p.vertices[p.cycles[p.following]] - anchors)
+    M /= _norm3(M)[:, None]
+    Mc = np.einsum("ij,ij->i", anchors, M)
+    A = p.vertices[p.edge_array[:, 0]]
+    T = p.vertices[p.edge_array[:, 1]] - A
+    L = _norm3(T)
+    T = T / L[:, None]
+    tol = 1e-12 * p.diameter
+    n_f, n_e = len(p.normals), len(p.edge_array)
+
+    def edge_feet(X):
+        s = np.clip(np.einsum("nek,ek->ne", X[:, None, :] - A, T), 0.0, L)
+        return A + s[..., None] * T
+
+    def block(X):
+        rows = np.arange(len(X))
+        t = X @ p.normals.T - p.offsets
+        held = np.minimum.reduceat(X @ M.T - Mc, p.starts, axis=1) >= -tol
+        vertices = np.broadcast_to(p.vertices, (len(X),) + p.vertices.shape)
+        rest = np.concatenate([edge_feet(X), vertices], axis=1)
+        feet = np.concatenate([X[:, None, :] - t[..., None] * p.normals, rest], axis=1)
+        facet_d = np.where(held, np.abs(t), np.inf)
+        dist = np.concatenate([facet_d, _norm3(X[:, None, :] - rest)], axis=1)
+        col = np.argmax(dist <= dist.min(axis=1, keepdims=True) + tol, axis=1)
+        return dist[rows, col], feet[rows, col], col, t.max(axis=1) <= 0
+
+    def features(proj, col):
+        on_vertex = _norm3(proj[:, None, :] - p.vertices) <= tol
+        on_edge = _norm3(proj[:, None, :] - edge_feet(proj)) <= tol
+        own_kind = (col >= n_f).astype(int) + (col >= n_f + n_e)
+        hit = [on_vertex.any(axis=1), on_edge.any(axis=1)]
+        kind = np.select(hit, [2, 1], own_kind)
+        own_index = col - np.array([0, n_f, n_f + n_e])[own_kind]
+        index = np.select(hit, [on_vertex.argmax(axis=1), on_edge.argmax(axis=1)], own_index)
+        return kind, index
+
+    blocks = [block(X[i : i + polytope._POINT_BLOCK]) for i in range(0, len(X), polytope._POINT_BLOCK)]
+    d, proj, col, inside = map(np.concatenate, zip(*blocks))
+    sign = np.where(inside, -1.0, 1.0)
+    grad = np.zeros(X.shape)
+    off = d > 1e-300
+    np.divide(sign[:, None] * (X - proj), d[:, None], out=grad, where=off[:, None])
+    facet = (d <= 1e-300) & (col < n_f)
+    grad[facet] = p.normals[col[facet]]
+    return (d, proj, *features(proj, col)), (sign * d, grad)
+
+
+def test_distance_kernel_has_the_bits_of_separate_edges_and_vertices(spiky_body):
+    # Random points in and around each body, then every vertex and every
+    # edge midpoint exactly, in three blocks of _POINT_BLOCK points.
+    bodies = [random_simple_polytope(np.random.default_rng(2024)), list(_tangent_bodies())[-1], spiky_body]
+    assert len(bodies[1].normals) == 64
+    rng = np.random.default_rng(26)
+    for p in bodies:
+        V = p.vertices
+        X = np.vstack([
+            p.center + rng.normal(size=(3000, 3)) * 0.5 * p.diameter,
+            V,
+            (V[p.edge_array[:, 0]] + V[p.edge_array[:, 1]]) / 2,
+        ])
+        assert len(X) > 2 * polytope._POINT_BLOCK
+        nearest_ref, signed_ref = _reference_queries(p, X)
+        for got, ref in zip(p.nearest_boundary(X) + p.signed_distance(X), nearest_ref + signed_ref):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_random_polytopes_validate():

@@ -1,6 +1,7 @@
 """Smoke test of the experiment scripts: each runs to exit 0 on tiny input,
 and the batch exits nonzero when a body is not certified."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,6 +31,21 @@ def test_batch_without_a_certified_body_fails(tol, tmp_path):
     # --tol 0 certifies nothing; nan and negative tolerances are rejected.
     proc = _run(["random_polytope_batch.py", "--count", "1", "--facets", "6", "--tol", tol], tmp_path)
     assert proc.returncode != 0, proc.stdout
+
+
+def test_survey_writes_and_compares_its_records(tmp_path):
+    out = tmp_path / "survey.json"
+    subset = ["inscription_survey.py", "--families", "stock", "criterion3", "--limit", "1"]
+    first = _run([*subset, "--out", str(out)], tmp_path)
+    assert first.returncode == 0, first.stderr
+    records = json.loads(out.read_text())
+    assert list(records) == ["stock/cube", "criterion3/0"]
+    for r in records.values():
+        assert r["certified"] and r["evaluations"] > 0 and r["ladder_steps"] >= 1
+        assert set(r["pose"]) == {"center", "rotation", "scale"}
+    again = _run([*subset, "--compare", str(out)], tmp_path)
+    assert again.returncode == 0, again.stderr
+    assert "0 bodies changed search, ladder or flags; largest pose shift 0.00e+00" in again.stdout
 
 
 def _run(args, cwd):
