@@ -137,37 +137,38 @@ def _summary(family, recs, elapsed):
 
 def compare(old, new):
     """Print every body of both surveys whose search, ladder or flags
-    changed, with its pose shift; then the evaluation totals per family."""
-    changed = 0
-    largest = 0.0
-    for name in new:
-        if name not in old:
-            continue
-        a, b = old[name], new[name]
-        what = [
-            label
-            for label, key in (("search", "initial_search"), ("ladder", "ladder_steps"), ("flags", "flags"))
-            if a[key] != b[key]
-        ]
-        shift = float("nan")
-        if "pose" in a and "pose" in b:
-            pa, pb = (OctahedronPose.from_dict(r["pose"]) for r in (a, b))
-            shift = pose_distance(pa, pb) / b["diameter"]
-            largest = max(largest, shift)
-        if what:
-            changed += 1
-            print(
-                f"  {name}: {', '.join(what)} changed; ladder {a['ladder_steps']} -> "
-                f"{b['ladder_steps']}, evaluations {a['evaluations']} -> {b['evaluations']}, "
-                f"shift {shift:.2e}"
-            )
-    print(f"{changed} bodies changed search, ladder or flags; largest pose shift {largest:.2e}")
+    changed, with its pose shift; then per family the evaluation totals,
+    the changed counts and the largest pose shift of any body."""
+    keys = {"search": "initial_search", "ladder": "ladder_steps", "flags": "flags"}
     for family in FAMILIES:
         names = [n for n in new if n.startswith(family + "/") and n in old]
-        if names:
-            before = sum(old[n]["evaluations"] for n in names)
-            after = sum(new[n]["evaluations"] for n in names)
-            print(f"{family}: residual evaluations {before} -> {after}")
+        if not names:
+            continue
+        changed = dict.fromkeys(keys, 0)
+        largest = 0.0
+        for name in names:
+            a, b = old[name], new[name]
+            what = [label for label, key in keys.items() if a[key] != b[key]]
+            shift = float("nan")
+            if "pose" in a and "pose" in b:
+                pa, pb = (OctahedronPose.from_dict(r["pose"]) for r in (a, b))
+                shift = pose_distance(pa, pb) / b["diameter"]
+                largest = max(largest, shift)
+            for label in what:
+                changed[label] += 1
+            if what:
+                print(
+                    f"  {name}: {', '.join(what)} changed; ladder {a['ladder_steps']} -> "
+                    f"{b['ladder_steps']}, evaluations {a['evaluations']} -> {b['evaluations']}, "
+                    f"shift {shift:.2e}"
+                )
+        before = sum(old[n]["evaluations"] for n in names)
+        after = sum(new[n]["evaluations"] for n in names)
+        print(
+            f"{family}: residual evaluations {before} -> {after}; changed: "
+            f"{changed['search']} searches, {changed['ladder']} ladders, {changed['flags']} flags; "
+            f"largest pose shift {largest:.2e}"
+        )
 
 
 def main():

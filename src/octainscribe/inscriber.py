@@ -4,7 +4,11 @@ The search runs on the smoothed body: vertices of the octahedron must sit
 on the zero set of the smoothed signed distance.  Six equations in seven
 pose parameters leaves a one-dimensional solution set, so every solve
 takes minimum-norm damped least-squares steps, one 6 x 6 solve each
-(`_damped_step`); the smoothing parameter is then halved repeatedly,
+(`_damped_step`), under Nielsen's damping update (Nielsen, *Damping
+Parameter in Marquardt's Method*, IMM-REP-1999-05): an accepted step
+scales the damping by a factor between 1/3 and 2, the smaller the better
+the linear model predicted its gain, and n rejections in a row raise it
+by 2^(n(n+1)/2).  The smoothing parameter is then halved repeatedly,
 each solution seeding the next, and the limit pose is polished directly
 against the polytope boundary.  The continuation needs
 one start, so the initial seed loop runs lazily: it stops at the first
@@ -75,12 +79,14 @@ class InscriptionFailed(RuntimeError):
 # Solver constants.  The only values a caller sets are eps0 and
 # n_rotations (continue_to_surface) and max_iter (solve_at_epsilon).
 
-# Damped least squares.
+# Damped least squares.  The damping follows Nielsen's update (Madsen,
+# Nielsen and Tingleff 2004, alg. 3.16): an accepted step with gain ratio
+# rho scales lambda by max(1/3, 1 - (2 rho - 1)^3), down to a floor of
+# 1e-14, and resets nu to 2; a rejected step scales lambda by nu and
+# doubles nu, and the solve stops once lambda passes _LAMBDA_MAX.
 _TOL_RES_REL = 1e-10      # convergence: max |residual| <= rel * diameter
 _MAX_ITER = 200
 _LAMBDA0 = 1e-3
-_LAMBDA_UP = 3.0
-_LAMBDA_DOWN = 0.33
 _LAMBDA_MAX = 1e10
 _STEP_TOL_REL = 1e-15
 
@@ -223,7 +229,7 @@ def _levenberg_marquardt(body, pose: OctahedronPose, max_iter: int = _MAX_ITER) 
     exact = isinstance(body, ConvexPolytope)
     diam = body.diameter if exact else body.base.diameter
     tol = _TOL_RES_REL * diam
-    lam = _LAMBDA0
+    lam, nu = _LAMBDA0, 2.0
     res, J = residual(body, pose)
     cost = float(res @ res)
     iters = 0
@@ -237,10 +243,16 @@ def _levenberg_marquardt(body, pose: OctahedronPose, max_iter: int = _MAX_ITER) 
         cand_res, cand_J = residual(body, cand)
         cand_cost = float(cand_res @ cand_res)
         if cand_cost < cost:
+            # The gain ratio: the actual decrease of the cost over the one
+            # the linear model predicts, delta . (lam delta - J^T r).  It is
+            # positive on an accepted step, and every rho >= 1 gives 1/3.
+            rho = (cost - cand_cost) / (delta @ (lam * delta - J.T @ res))
+            lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * min(max(rho, 0.0), 1.0) - 1.0) ** 3), 1e-14)
+            nu = 2.0
             pose, res, J, cost = cand, cand_res, cand_J, cand_cost
-            lam = max(lam * _LAMBDA_DOWN, 1e-14)
         else:
-            lam *= _LAMBDA_UP
+            lam *= nu
+            nu *= 2.0
             if lam > _LAMBDA_MAX:
                 break
     # res and J always belong to pose: a step is kept only with its own.

@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import octainscribe.inscriber as inscriber
-from octainscribe.generators import random_simple_polytope
+from octainscribe.generators import random_simple_polytope, random_spiky_cloud
 from octainscribe.inscriber import (
     InscriptionFailed,
     NoSolutionFound,
@@ -178,6 +178,64 @@ def test_continuation_calls_no_lstsq_from_the_inscriber(monkeypatch):
     trace, final = continue_to_surface(cube())
     assert final.converged and sum(r.iterations for _, r in trace.steps) > 0
     assert "octainscribe.inscriber" not in callers
+
+
+def _criterion3_bodies():
+    rng = np.random.default_rng(2024)
+    return [random_simple_polytope(rng) for _ in range(20)]
+
+
+def test_damping_rises_at_most_13_times_in_a_row(monkeypatch):
+    # Nielsen's update scales lambda by nu on a rejection and doubles nu, so
+    # even from the 1e-14 floor lambda passes _LAMBDA_MAX = 1e10 after 13
+    # rejections in a row: 1e-14 * 2^(1 + 2 + ... + 13) > 1e10.  A factor
+    # of 3 per rejection takes up to 51.
+    solves = []
+    solve, step = inscriber._levenberg_marquardt, inscriber._damped_step
+
+    def recording_solve(*args, **kwargs):
+        solves.append([])
+        return solve(*args, **kwargs)
+
+    def recording_step(J, r, lam):
+        solves[-1].append(lam)
+        return step(J, r, lam)
+
+    monkeypatch.setattr(inscriber, "_levenberg_marquardt", recording_solve)
+    monkeypatch.setattr(inscriber, "_damped_step", recording_step)
+    for p in _criterion3_bodies():
+        continue_to_surface(p)
+    longest = 0
+    for lams in solves:
+        rises = 0
+        for before, after in zip(lams, lams[1:]):
+            rises = rises + 1 if after > before else 0
+            longest = max(longest, rises)
+    assert len(solves) > 20 and longest <= 13
+
+
+def test_criterion_3_takes_at_most_712_residual_evaluations(monkeypatch):
+    # 0.8 x the 891 evaluations that a x3 / x0.33 damping schedule takes.
+    calls = []
+    real = inscriber.residual
+
+    def counting(body, pose):
+        calls.append(1)
+        return real(body, pose)
+
+    monkeypatch.setattr(inscriber, "residual", counting)
+    for p in _criterion3_bodies():
+        continue_to_surface(p)
+    assert len(calls) <= 712
+
+
+def test_every_spiky_body_certifies():
+    rng = np.random.default_rng(5)
+    for k in range(200):
+        p = build_from_vertices(random_spiky_cloud(rng))
+        trace, final = continue_to_surface(p)
+        cert = certify(p, final.pose, 1e-7 * p.diameter)
+        assert cert.ok, f"spiky body {k}: residual {cert.residuals.max():.3e}, flags {trace.flags}"
 
 
 # -- multistart -----------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_survey_writes_and_compares_its_records(tmp_path):
         assert set(r["pose"]) == {"center", "rotation", "scale"}
     again = _run([*subset, "--compare", str(out)], tmp_path)
     assert again.returncode == 0, again.stderr
-    assert "0 bodies changed search, ladder or flags; largest pose shift 0.00e+00" in again.stdout
+    assert again.stdout.count("changed: 0 searches, 0 ladders, 0 flags; largest pose shift 0.00e+00") == 2
 
 
 def _run(args, cwd):
