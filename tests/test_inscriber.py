@@ -494,8 +494,7 @@ def _ladder_bodies():
     """The 20 bodies of acceptance criterion 3, then the shapes of the
     inscribe_facets benchmark: 8, 16, 32 and 64 halfspaces tangent to the
     unit sphere."""
-    rng = np.random.default_rng(2024)
-    bodies = [random_simple_polytope(rng) for _ in range(20)]
+    bodies = _criterion3_bodies()
     shapes = np.random.default_rng(2024)
     for f in (8, 16, 32, 64):
         while True:
