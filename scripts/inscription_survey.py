@@ -15,9 +15,10 @@ Families:
 Per body it records: certified at 1e-7 * diameter or not, residual
 evaluations (calls of inscriber.residual), the initial search counts,
 the ladder steps, the flags and the final pose.  --out writes these as
-JSON; --compare OLD lists every body whose search, ladder or flags differ
-from OLD's, with the pose shift pose_distance / diameter.  Exits 1 when a
-body is not certified.
+JSON; --compare OLD lists every body whose record differs from OLD's in
+any field (search, ladder, flags, evaluations, pose, ...), with the pose
+shift pose_distance / diameter, and counts per family the records that are
+identical to the bit.  Exits 1 when a body is not certified.
 
     PYTHONPATH=src python3 scripts/inscription_survey.py --out survey.json
     PYTHONPATH=src python3 scripts/inscription_survey.py --compare survey.json
@@ -136,26 +137,29 @@ def _summary(family, recs, elapsed):
 
 
 def compare(old, new):
-    """Print every body of both surveys whose search, ladder or flags
-    changed, with its pose shift; then per family the evaluation totals,
-    the changed counts and the largest pose shift of any body."""
-    keys = {"search": "initial_search", "ladder": "ladder_steps", "flags": "flags"}
+    """Print every body of both surveys whose record changed in any field,
+    with its pose shift; then per family the evaluation totals, the changed
+    searches, ladders and flags, the largest pose shift of any body and the
+    records identical to the bit (every float by its repr, which JSON keeps)."""
+    labels = {"initial_search": "search", "ladder_steps": "ladder"}
     for family in FAMILIES:
         names = [n for n in new if n.startswith(family + "/") and n in old]
         if not names:
             continue
-        changed = dict.fromkeys(keys, 0)
+        changed = dict.fromkeys(["search", "ladder", "flags"], 0)
+        identical = 0
         largest = 0.0
         for name in names:
             a, b = old[name], new[name]
-            what = [label for label, key in keys.items() if a[key] != b[key]]
+            what = [labels.get(k, k) for k in dict.fromkeys([*a, *b]) if _bits(a.get(k)) != _bits(b.get(k))]
             shift = float("nan")
             if "pose" in a and "pose" in b:
                 pa, pb = (OctahedronPose.from_dict(r["pose"]) for r in (a, b))
                 shift = pose_distance(pa, pb) / b["diameter"]
                 largest = max(largest, shift)
-            for label in what:
-                changed[label] += 1
+            for label in changed:
+                changed[label] += label in what
+            identical += not what
             if what:
                 print(
                     f"  {name}: {', '.join(what)} changed; ladder {a['ladder_steps']} -> "
@@ -167,8 +171,13 @@ def compare(old, new):
         print(
             f"{family}: residual evaluations {before} -> {after}; changed: "
             f"{changed['search']} searches, {changed['ladder']} ladders, {changed['flags']} flags; "
-            f"largest pose shift {largest:.2e}"
+            f"largest pose shift {largest:.2e}; {identical} of {len(names)} records identical"
         )
+
+
+def _bits(value):
+    """A record field as JSON text: equal exactly when the field is equal to the bit."""
+    return json.dumps(value, sort_keys=True)
 
 
 def main():

@@ -162,7 +162,9 @@ class ConvexPolytope:
         """(n, E + V, 3) nearest points of every segment, edges then
         vertices, to each point; a vertex's foot is the vertex."""
         _, _, P, U, L = self._projection_data
-        s = np.clip(np.einsum("nek,ek->ne", X[:, None, :] - P, U), 0.0, L)
+        s = np.einsum("nek,ek->ne", X[:, None, :] - P, U)
+        # np.clip's bits, without its Python wrapper.
+        np.minimum(np.maximum(s, 0.0, out=s), L, out=s)
         return P + s[..., None] * U
 
     def _blocks(self, X):
@@ -187,8 +189,8 @@ class ConvexPolytope:
         feet = np.concatenate([X[:, None, :] - t[..., None] * self.normals, segment], axis=1)
         facet_d = np.where(held, np.abs(t), np.inf)
         dist = np.concatenate([facet_d, _norm3(X[:, None, :] - segment)], axis=1)
-        col = np.argmax(dist <= dist.min(axis=1, keepdims=True) + tol, axis=1)
-        return dist[rows, col], feet[rows, col], col, t.max(axis=1) <= 0
+        col = np.argmax(dist <= np.minimum.reduce(dist, axis=1, keepdims=True) + tol, axis=1)
+        return dist[rows, col], feet[rows, col], col, np.maximum.reduce(t, axis=1) <= 0
 
     def _features(self, proj, col):
         """Feature rule: (kind, index) of the lowest-dimensional feature holding
@@ -223,11 +225,11 @@ class ConvexPolytope:
         X = np.atleast_2d(np.asarray(points, dtype=float))
         d, proj, col, inside = map(np.concatenate, zip(*self._blocks(X)))
         sign = np.where(inside, -1.0, 1.0)
-        grad = np.zeros(X.shape)
-        off = d > 1e-300
-        np.divide(sign[:, None] * (X - proj), d[:, None], out=grad, where=off[:, None])
-        if not off.all():  # rare: a point on the boundary
-            facet = (d <= 1e-300) & (col < len(self.normals))
+        grad = (X - proj) / (sign * np.maximum(d, 1e-300))[:, None]
+        on = d <= 1e-300
+        if on.any():  # rare: a point on the boundary
+            grad[on] = 0.0
+            facet = on & (col < len(self.normals))
             grad[facet] = self.normals[col[facet]]
         return sign * d, grad
 
@@ -522,7 +524,7 @@ class SmoothedBody:
         inner body, the inner body's on its boundary, zero inside it).
         Returns (r, grad) for a batch."""
         d, grad = self.inner_body.signed_distance(points)
-        return np.where(d > 0, d, 0.0) - self.epsilon, np.where(d[:, None] >= 0, grad, 0.0)
+        return np.maximum(d, 0.0) - self.epsilon, np.where(d[:, None] >= 0, grad, 0.0)
 
 
 def _closed_form_inner(p: ConvexPolytope, eps: float, ball):

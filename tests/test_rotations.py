@@ -86,6 +86,37 @@ def test_quat_from_rotvec_batch_matches_axis_angle():
             assert np.allclose(q, axis_angle, rtol=0, atol=1e-15)
 
 
+def test_apply_rotvec_has_the_bits_of_the_numpy_exponential_map():
+    # apply_rotvec works one rotation vector in Python floats (math.sqrt,
+    # math.sin, math.cos); the batched numpy exponential map must give the
+    # same bytes, |w| from exactly 0 through 1e-300 and 1e-12 up to pi.
+    rng = np.random.default_rng(2718)
+    n = 10_000
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    half = n // 2
+    mags = np.concatenate(
+        [
+            [0.0, 1e-300, 1e-12, np.pi],
+            10.0 ** rng.uniform(-300, np.log10(np.pi), half - 4),
+            rng.uniform(0.0, np.pi, n - half),
+        ]
+    )
+    W = dirs * mags[:, None]
+    W[0] = 0.0
+    Q = rng.normal(size=(n, 4))
+    Q /= np.linalg.norm(Q, axis=1)[:, None]
+    # Every 4th rotation is the identity, whose product shows the update's own
+    # bits, which a general rotation would absorb when |w| is tiny.
+    Q[::4] = [1.0, 0.0, 0.0, 0.0]
+    R = quat_from_rotvec(W)
+    mismatched = [
+        i for i in range(n) if apply_rotvec(Q[i], W[i]).tobytes() != quat_multiply(R[i], Q[i]).tobytes()
+    ]
+    assert not mismatched, f"{len(mismatched)} of {n} differ, first at |w| = {mags[mismatched[0]]!r}"
+    assert np.array_equal(apply_rotvec(Q[7].tolist(), W[7].tolist()), apply_rotvec(Q[7], W[7]))
+
+
 def test_super_fibonacci_deterministic_and_unit():
     a = super_fibonacci_rotations(100)
     b = super_fibonacci_rotations(100)
