@@ -226,8 +226,8 @@ class ConvexPolytope:
         d, proj, col, inside = map(np.concatenate, zip(*self._blocks(X)))
         sign = np.where(inside, -1.0, 1.0)
         grad = (X - proj) / (sign * np.maximum(d, 1e-300))[:, None]
-        on = d <= 1e-300
-        if on.any():  # rare: a point on the boundary
+        if np.minimum.reduce(d, initial=np.inf) <= 1e-300:  # rare: a point on the boundary
+            on = d <= 1e-300
             grad[on] = 0.0
             facet = on & (col < len(self.normals))
             grad[facet] = self.normals[col[facet]]
