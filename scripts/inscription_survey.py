@@ -140,7 +140,8 @@ def compare(old, new):
     """Print every body of both surveys whose record changed in any field,
     with its pose shift; then per family the evaluation totals, the changed
     searches, ladders and flags, the largest pose shift of any body and the
-    records identical to the bit (every float by its repr, which JSON keeps)."""
+    records identical to the bit.  Fields compare as JSON text, so every
+    float by its repr, which tells any two different floats apart."""
     labels = {"initial_search": "search", "ladder_steps": "ladder"}
     for family in FAMILIES:
         names = [n for n in new if n.startswith(family + "/") and n in old]
@@ -151,7 +152,11 @@ def compare(old, new):
         largest = 0.0
         for name in names:
             a, b = old[name], new[name]
-            what = [labels.get(k, k) for k in dict.fromkeys([*a, *b]) if _bits(a.get(k)) != _bits(b.get(k))]
+            what = [
+                labels.get(k, k)
+                for k in dict.fromkeys([*a, *b])
+                if json.dumps(a.get(k), sort_keys=True) != json.dumps(b.get(k), sort_keys=True)
+            ]
             shift = float("nan")
             if "pose" in a and "pose" in b:
                 pa, pb = (OctahedronPose.from_dict(r["pose"]) for r in (a, b))
@@ -173,11 +178,6 @@ def compare(old, new):
             f"{changed['search']} searches, {changed['ladder']} ladders, {changed['flags']} flags; "
             f"largest pose shift {largest:.2e}; {identical} of {len(names)} records identical"
         )
-
-
-def _bits(value):
-    """A record field as JSON text: equal exactly when the field is equal to the bit."""
-    return json.dumps(value, sort_keys=True)
 
 
 def main():

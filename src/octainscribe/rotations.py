@@ -119,15 +119,18 @@ def apply_rotvec(q, w) -> np.ndarray:
     product of unit quaternions is unit to rounding and is not normalized
     again: `OctahedronPose` normalizes its rotation once.
 
-    The one rotation vector is worked in Python floats, more than ten times
-    faster than `quat_from_rotvec`, with its bits: the same IEEE operations
-    in the same order, and math.sin and math.cos for numpy's sin and cos."""
+    The one rotation vector is worked in Python floats, without numpy's
+    per-call overhead, and gives the bits of `quat_from_rotvec`: the same
+    IEEE operations in the same order, with math.sqrt, math.sin and
+    math.cos for numpy's sqrt, sin and cos."""
     x, y, z = np.asarray(w, dtype=float).tolist()
     theta = math.sqrt(x * x + y * y + z * z)
     v = math.pi * (theta / (2 * math.pi))
-    # np.sinc takes sin(eps) / eps, which is 1, at 0.
+    # At 0, which tiny vectors reach when their squares underflow, np.sinc
+    # takes sin(eps) / eps, which is 1.
     h = 0.5 * (math.sin(v) / v if v else 1.0)
-    return quat_multiply([math.cos(0.5 * theta), h * x, h * y, h * z], np.asarray(q, dtype=float).tolist())
+    r = [math.cos(0.5 * theta), h * x, h * y, h * z]
+    return quat_multiply(r, np.asarray(q, dtype=float).tolist())
 
 
 def super_fibonacci_rotations(n: int) -> np.ndarray:
