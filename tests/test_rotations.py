@@ -73,48 +73,36 @@ def test_apply_rotvec_small_angle():
 
 
 def test_quat_from_rotvec_batch_matches_axis_angle():
+    # One rotation vector is worked in Python floats (math.sqrt, math.sin,
+    # math.cos); it must give a batch row's bytes, |w| from exactly 0 through
+    # 1e-300 and 1e-12 up to pi, and so must the rotation update built on it.
     rng = np.random.default_rng(7)
-    W = np.vstack([rng.normal(size=(20, 3)) * 10.0 ** rng.integers(-9, 1, size=(20, 1)), np.zeros(3)])
+    n = 10_000
+    W = rng.normal(size=(20, 3)) * 10.0 ** rng.integers(-9, 1, size=(20, 1))
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    mags = np.concatenate(
+        [
+            [0.0, 1e-300, 1e-12, np.pi],
+            10.0 ** rng.uniform(-300, np.log10(np.pi), n // 2 - 4),
+            rng.uniform(0.0, np.pi, n - n // 2),
+        ]
+    )
+    W = np.vstack([W, np.zeros(3), dirs * mags[:, None]])
     Q = quat_from_rotvec(W)
-    assert Q.shape == (21, 4)
+    assert Q.shape == (n + 21, 4)
     assert np.allclose(np.linalg.norm(Q, axis=1), 1.0, atol=1e-15)
-    for w, q in zip(W, Q):
-        assert np.array_equal(quat_from_rotvec(w), q)
+    P = rng.normal(size=(n + 21, 4))
+    P /= np.linalg.norm(P, axis=1)[:, None]
+    for w, q, p in zip(W, Q, P):
+        assert quat_from_rotvec(w).tobytes() == q.tobytes(), f"|w| = {np.linalg.norm(w)!r}"
+        assert apply_rotvec(p, w).tobytes() == quat_multiply(q, p).tobytes()
         theta = np.linalg.norm(w)
         if theta > 0:
             axis_angle = np.concatenate([[np.cos(theta / 2)], np.sin(theta / 2) * w / theta])
             assert np.allclose(q, axis_angle, rtol=0, atol=1e-15)
-
-
-def test_apply_rotvec_has_the_bits_of_the_numpy_exponential_map():
-    # apply_rotvec works one rotation vector in Python floats (math.sqrt,
-    # math.sin, math.cos); the batched numpy exponential map must give the
-    # same bytes, |w| from exactly 0 through 1e-300 and 1e-12 up to pi.
-    rng = np.random.default_rng(2718)
-    n = 10_000
-    dirs = rng.normal(size=(n, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    half = n // 2
-    mags = np.concatenate(
-        [
-            [0.0, 1e-300, 1e-12, np.pi],
-            10.0 ** rng.uniform(-300, np.log10(np.pi), half - 4),
-            rng.uniform(0.0, np.pi, n - half),
-        ]
-    )
-    W = dirs * mags[:, None]
-    W[0] = 0.0
-    Q = rng.normal(size=(n, 4))
-    Q /= np.linalg.norm(Q, axis=1)[:, None]
-    # Every 4th rotation is the identity, whose product shows the update's own
-    # bits, which a general rotation would absorb when |w| is tiny.
-    Q[::4] = [1.0, 0.0, 0.0, 0.0]
-    R = quat_from_rotvec(W)
-    mismatched = [
-        i for i in range(n) if apply_rotvec(Q[i], W[i]).tobytes() != quat_multiply(R[i], Q[i]).tobytes()
-    ]
-    assert not mismatched, f"{len(mismatched)} of {n} differ, first at |w| = {mags[mismatched[0]]!r}"
-    assert np.array_equal(apply_rotvec(Q[7].tolist(), W[7].tolist()), apply_rotvec(Q[7], W[7]))
+    assert np.array_equal(quat_from_rotvec(W[7].tolist()), Q[7])
+    assert np.array_equal(apply_rotvec(P[7].tolist(), W[7].tolist()), apply_rotvec(P[7], W[7]))
 
 
 def test_super_fibonacci_deterministic_and_unit():
