@@ -6,9 +6,7 @@ Families:
   criterion3  the 20 random simple polytopes of acceptance criterion 3
               (random_simple_polytope, default_rng(2024));
   tangent     bodies of F = 8, 16, 32 and 64 halfspaces tangent to the unit
-              sphere, normals uniform on the sphere (default_rng(2024)),
-              each normal set drawn again until the origin lies at least
-              0.2 inside the hull of the normals;
+              sphere (tangent_polytope, default_rng(2024));
   stock       the cube, the regular tetrahedron and the regular octahedron;
   spiky       the 200 spiky point clouds (random_spiky_cloud, default_rng(5)).
 
@@ -30,18 +28,11 @@ import sys
 import time
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from octainscribe import inscriber
-from octainscribe.generators import random_simple_polytope, random_spiky_cloud
+from octainscribe.generators import random_simple_polytope, random_spiky_cloud, tangent_polytope
 from octainscribe.inscriber import InscriptionFailed, certify, continue_to_surface
-from octainscribe.polytope import (
-    build_from_halfspaces,
-    build_from_vertices,
-    cube,
-    regular_octahedron,
-    regular_tetrahedron,
-)
+from octainscribe.polytope import build_from_vertices, cube, regular_octahedron, regular_tetrahedron
 from octainscribe.pose import OctahedronPose, pose_distance
 
 CERTIFY_TOL_REL = 1e-7
@@ -56,12 +47,7 @@ def criterion3():
 def tangent():
     rng = np.random.default_rng(2024)
     for f in (8, 16, 32, 64):
-        while True:
-            N = rng.normal(size=(f, 3))
-            N /= np.linalg.norm(N, axis=1, keepdims=True)
-            if ConvexHull(N).equations[:, 3].max() < -0.2:
-                break
-        yield f"tangent/{f}", build_from_halfspaces(N, np.ones(f))
+        yield f"tangent/{f}", tangent_polytope(rng, f)
 
 
 def stock():

@@ -36,15 +36,13 @@ from .inscriber import (
     CertifyReport,
     ContinuationTrace,
     InscriptionFailed,
-    NoSolutionFound,
     SolveReport,
     certify,
     continue_to_surface,
-    multistart,
     residual,
     solve_at_epsilon,
 )
-from .io import SCHEMA, read_polytope, write_obj_octahedron, write_pose_json
+from .io import SCHEMA, read_polytope, write_obj_octahedron
 from .polytope import (
     ConvexPolytope,
     Degenerate,
@@ -54,7 +52,6 @@ from .polytope import (
     build_from_halfspaces,
     build_from_vertices,
     cube,
-    distance_to_boundary,
     is_simple,
     regular_octahedron,
     regular_tetrahedron,

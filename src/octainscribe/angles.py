@@ -3,8 +3,8 @@
 A solid angle (convex polyhedral cone) is *special* when its boundary
 admits an inscribed regular octahedron.  For trihedral angles this is
 decided exactly by a finite placement test of the angle's spherical
-triangle inside the regular spherical triangle of side pi/3; threshold
-shortcuts handle the all-sides-small and one-side-large regimes.  For
+triangle inside the regular spherical triangle of side pi/3; one
+threshold shortcut decides a facet angle above pi/3 (not special).  For
 angles with four or more edges only a necessary condition is available:
 whether the angle's spherical polygon can be rotated into that same
 regular triangle.

@@ -226,7 +226,7 @@ def main(argv=None) -> int:
         return EX_USAGE if exc.code else EX_OK
     try:
         return args.func(args)
-    except (GeometryError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (GeometryError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except Exception as exc:  # pragma: no cover - defensive

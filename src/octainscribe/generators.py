@@ -1,7 +1,7 @@
 """Seeded random instance generators for tests and experiments: spherical
 triangles by class, trihedral angles in general position, simple random
-polytopes, spiky point clouds, and non-simple cones that carry a known
-inscribed octahedron.
+polytopes, polytopes tangent to the unit sphere, spiky point clouds, and
+non-simple cones that carry a known inscribed octahedron.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from .angles import (
     ClassTag,
@@ -31,6 +32,7 @@ __all__ = [
     "random_large_side_sides",
     "random_nonspecial_small_triangle",
     "random_simple_polytope",
+    "tangent_polytope",
     "random_spiky_cloud",
     "nonsimple_inscribed_cone",
 ]
@@ -111,6 +113,19 @@ def random_simple_polytope(rng, n_facets=None) -> ConvexPolytope:
         if simple:
             return poly
     raise RuntimeError("no simple polytope in 200 draws")
+
+
+def tangent_polytope(rng, n_facets: int) -> ConvexPolytope:
+    """n_facets halfspaces tangent to the unit sphere, normals uniform on
+    the sphere, drawn again until the origin lies at least 0.2 inside the
+    hull of the normals.  Successive draws from default_rng(2024) with
+    n_facets = 8, 16, 32 and 64 are the tangent family of the tests and the
+    inscription survey."""
+    while True:
+        N = rng.normal(size=(n_facets, 3))
+        N /= np.linalg.norm(N, axis=1, keepdims=True)
+        if ConvexHull(N).equations[:, 3].max() < -0.2:
+            return build_from_halfspaces(N, np.ones(n_facets))
 
 
 def random_spiky_cloud(rng) -> np.ndarray:

@@ -52,16 +52,15 @@ __all__ = [
     "SolveReport",
     "ContinuationTrace",
     "CertifyReport",
-    "NoSolutionFound",
     "InscriptionFailed",
     "residual",
     "solve_at_epsilon",
-    "multistart",
     "continue_to_surface",
     "certify",
 ]
 
 
+# Kept with `multistart`, its only raiser, for the benchmark tracer.
 class NoSolutionFound(RuntimeError):
     """Multistart produced no converged pose."""
 

@@ -18,10 +18,8 @@ __all__ = [
     "SCHEMA",
     "read_polytope",
     "polytope_from_dict",
-    "write_polytope_json",
     "parse_off",
     "pose_to_document",
-    "write_pose_json",
     "read_pose_json",
     "write_obj_octahedron",
 ]
@@ -73,20 +71,11 @@ def read_polytope(path) -> ConvexPolytope:
     return polytope_from_dict(json.loads(text))
 
 
-def write_polytope_json(path, poly: ConvexPolytope) -> None:
-    doc = {"schema": SCHEMA, **poly.to_dict()}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def pose_to_document(pose: OctahedronPose, extra: dict = None) -> dict:
     doc = {"schema": SCHEMA, **pose.to_dict()}
     if extra:
         doc.update(extra)
     return doc
-
-
-def write_pose_json(path, pose: OctahedronPose, extra: dict = None) -> None:
-    Path(path).write_text(json.dumps(pose_to_document(pose, extra), indent=2) + "\n")
 
 
 def read_pose_json(path) -> OctahedronPose:

@@ -31,7 +31,6 @@ __all__ = [
     "build_from_halfspaces",
     "is_simple",
     "solid_angle_at",
-    "distance_to_boundary",
     "cube",
     "regular_tetrahedron",
     "regular_octahedron",
@@ -235,15 +234,6 @@ class ConvexPolytope:
             facet = on & (col < len(self.normals))
             grad[facet] = self.normals[col[facet]]
         return sign * d, grad
-
-    def to_dict(self) -> dict:
-        return {
-            "vertices": [[float(x) for x in v] for v in self.vertices],
-            "halfspaces": [
-                {"normal": [float(x) for x in n], "offset": float(d)}
-                for n, d in zip(self.normals, self.offsets)
-            ],
-        }
 
     def __repr__(self):
         return (

@@ -9,6 +9,7 @@ the same rotation and are canonicalized on demand.
 from __future__ import annotations
 
 import math
+from itertools import permutations, product
 
 import numpy as np
 
@@ -21,11 +22,7 @@ __all__ = [
     "quat_from_rotvec",
     "apply_rotvec",
     "super_fibonacci_rotations",
-    "octahedron_rotation_group",
-    "IDENTITY_QUAT",
 ]
-
-IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def quat_normalize(q) -> np.ndarray:
@@ -157,23 +154,17 @@ def super_fibonacci_rotations(n: int) -> np.ndarray:
     )
 
 
-def _signed_permutation_matrices():
-    from itertools import permutations, product
-
-    for perm in permutations(range(3)):
-        for signs in product((1.0, -1.0), repeat=3):
-            m = np.zeros((3, 3))
-            for row, (col, sg) in enumerate(zip(perm, signs)):
-                m[row, col] = sg
-            yield m
-
-
-def octahedron_rotation_group() -> np.ndarray:
-    """The 24 rotation matrices mapping the vertex set {+-e_i} to itself."""
-    mats = [m for m in _signed_permutation_matrices() if np.linalg.det(m) > 0]
-    assert len(mats) == 24
-    return np.array(mats)
-
-
-OCTA_GROUP = octahedron_rotation_group()
+# The 24 rotation matrices mapping the vertex set {+-e_i} to itself: the
+# signed permutation matrices of determinant +1, row r holding signs[r] in
+# column perm[r].  Selecting columns of diag(signs) keeps every other entry
+# +0.0; scaling a permutation matrix by the signs would write -0.0.
+OCTA_GROUP = np.array(
+    [
+        m
+        for perm in permutations(range(3))
+        for signs in product((1.0, -1.0), repeat=3)
+        for m in [np.diag(signs)[:, np.argsort(perm)]]
+        if np.linalg.det(m) > 0
+    ]
+)
 OCTA_GROUP_QUATS = np.array([matrix_to_quat(m) for m in OCTA_GROUP])

@@ -6,7 +6,6 @@ import pytest
 
 import octainscribe.inscriber as inscriber
 from octainscribe.cli import main
-from octainscribe.io import write_polytope_json
 from octainscribe.polytope import cube, regular_octahedron
 
 CUBE_OFF = """OFF
@@ -33,6 +32,10 @@ def cube_off(tmp_path):
     f = tmp_path / "cube.off"
     f.write_text(CUBE_OFF)
     return str(f)
+
+
+def write_polytope(path, poly):
+    path.write_text(json.dumps({"vertices": poly.vertices.tolist()}))
 
 
 def write_angle(tmp_path, edges, name="angle.json"):
@@ -73,6 +76,18 @@ def test_classify_polytope_vertex(cube_off, capsys):
 def test_classify_missing_file_exit_64(capsys):
     code = main(["classify", "/nonexistent/angle.json"])
     capsys.readouterr()
+    assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["inscribe", "{dir}"], ["path", "1.0472", "1.0472", "1.0372", "--out", "{dir}"]],
+    ids=["directory-input", "directory-out"],
+)
+def test_directory_path_exit_64(argv, tmp_path, capsys):
+    # An unreadable or unwritable path is malformed input, like a missing file.
+    code = main([a.format(dir=tmp_path) for a in argv])
+    assert "error:" in capsys.readouterr().err
     assert code == 64
 
 
@@ -210,7 +225,7 @@ def test_inscribe_then_certify_roundtrip(cube_off, tmp_path, capsys):
 
 def test_inscribe_nonsimple_warns_but_runs(tmp_path, capsys):
     f = tmp_path / "octa.json"
-    write_polytope_json(f, regular_octahedron())
+    write_polytope(f, regular_octahedron())
     pose_file = str(tmp_path / "pose.json")
     code = main(["inscribe", str(f), "--json", pose_file])
     err = capsys.readouterr().err
@@ -229,7 +244,7 @@ def test_inscribe_survives_degenerate_inner_body(
     monkeypatch.setattr(inscriber, "_on_facets", lambda s, pose: False)
     inner_bodies_fail_below(0.01 * spiky_body.inradius)
     f = tmp_path / "spiky.json"
-    write_polytope_json(f, spiky_body)
+    write_polytope(f, spiky_body)
     pose_file = tmp_path / "pose.json"
     assert main(["inscribe", str(f), "--json", str(pose_file), "--quiet"]) == 0
     doc = json.loads(pose_file.read_text())

@@ -5,10 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
 
 import octainscribe.inscriber as inscriber
-from octainscribe.generators import random_simple_polytope, random_spiky_cloud
+from octainscribe.generators import random_simple_polytope, random_spiky_cloud, tangent_polytope
 from octainscribe.inscriber import (
     InscriptionFailed,
     NoSolutionFound,
@@ -29,13 +28,13 @@ from octainscribe.polytope import (
     regular_tetrahedron,
 )
 from octainscribe.pose import OctahedronPose, pose_distance
-from octainscribe.rotations import IDENTITY_QUAT
 
 AXES = np.vstack([np.eye(3), -np.eye(3)])
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def identity_pose(scale, center=(0.0, 0.0, 0.0)):
-    return OctahedronPose(np.array(center), IDENTITY_QUAT, scale)
+    return OctahedronPose(np.array(center), IDENTITY, scale)
 
 
 # -- pose ----------------------------------------------------------------------
@@ -54,13 +53,13 @@ def test_pose_generates_regular_octahedron():
         assert err.max() <= 1e-12 * pose.scale
         assert np.isclose(d, targets[1]).sum() == 24  # 12 edges, both directions
     with pytest.raises(ValueError):
-        OctahedronPose(np.zeros(3), IDENTITY_QUAT, -1.0)
+        OctahedronPose(np.zeros(3), IDENTITY, -1.0)
 
 
 @pytest.mark.parametrize("part", ["center", "rotation", "scale"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_pose_rejects_non_finite_parts(part, bad):
-    args = {"center": np.zeros(3), "rotation": np.array(IDENTITY_QUAT, float), "scale": 1.0}
+    args = {"center": np.zeros(3), "rotation": np.array(IDENTITY), "scale": 1.0}
     if part == "scale":
         args[part] = bad
     else:
@@ -494,16 +493,8 @@ def _ladder_bodies():
     """The 20 bodies of acceptance criterion 3, then the shapes of the
     inscribe_facets benchmark: 8, 16, 32 and 64 halfspaces tangent to the
     unit sphere."""
-    bodies = _criterion3_bodies()
     shapes = np.random.default_rng(2024)
-    for f in (8, 16, 32, 64):
-        while True:
-            N = shapes.normal(size=(f, 3))
-            N /= np.linalg.norm(N, axis=1, keepdims=True)
-            if ConvexHull(N).equations[:, 3].max() < -0.2:
-                bodies.append(build_from_halfspaces(N, np.ones(f)))
-                break
-    return bodies
+    return _criterion3_bodies() + [tangent_polytope(shapes, f) for f in (8, 16, 32, 64)]
 
 
 def test_flat_contact_exit_keeps_the_full_ladder_pose(monkeypatch):

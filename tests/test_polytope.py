@@ -7,7 +7,7 @@ from scipy.spatial import ConvexHull
 
 import octainscribe.polytope as polytope
 from octainscribe.angles import InvalidSolidAngle, SolidAngle
-from octainscribe.generators import random_simple_polytope
+from octainscribe.generators import random_simple_polytope, tangent_polytope
 from octainscribe.inscriber import certify, continue_to_surface
 from octainscribe.polytope import (
     ConvexPolytope,
@@ -446,12 +446,7 @@ def _tangent_bodies():
     tangent to the unit sphere, normals from seed 2024."""
     shapes = np.random.default_rng(2024)
     for f in (8, 16, 32, 64):
-        while True:
-            N = shapes.normal(size=(f, 3))
-            N /= np.linalg.norm(N, axis=1, keepdims=True)
-            if ConvexHull(N).equations[:, 3].max() < -0.2:
-                yield build_from_halfspaces(N, np.ones(f))
-                break
+        yield tangent_polytope(shapes, f)
 
 
 def _boxes(rng, count):

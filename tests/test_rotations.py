@@ -6,7 +6,6 @@ from octainscribe.rotations import (
     _quats_to_matrices,
     apply_rotvec,
     matrix_to_quat,
-    octahedron_rotation_group,
     quat_canonical,
     quat_from_rotvec,
     quat_multiply,
@@ -17,8 +16,12 @@ from octainscribe.rotations import (
 
 
 def test_group_order_and_closure():
-    g = octahedron_rotation_group()
+    g = OCTA_GROUP
     assert len(g) == 24
+    assert np.array_equal(g[0], np.eye(3))
+    # No -0.0 entries: the group's quaternions, and through them
+    # pose_distance, depend on these bits.
+    assert not np.signbit(g[g == 0]).any()
     assert all(abs(np.linalg.det(m) - 1) < 1e-12 for m in g)
     # closure: product of two members is a member
     prod = g[3] @ g[17]

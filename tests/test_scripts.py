@@ -1,6 +1,8 @@
-"""Smoke test of the experiment scripts: each runs to exit 0 on tiny input,
-and the batch exits nonzero when a body is not certified."""
+"""Smoke test of the experiment scripts: each runs to exit 0 on tiny input;
+the inscription survey writes and compares its records, and exits nonzero
+when a body is not certified."""
 
+import importlib.util
 import json
 import math
 import os
@@ -17,7 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
     "args",
     [
         ["inscribe_demo.py", "cube"],
-        ["random_polytope_batch.py", "--count", "1", "--facets", "6"],
         ["special_region_map.py", "--resolution", "4"],
     ],
     ids=lambda args: args[0],
@@ -27,11 +28,19 @@ def test_script_runs(args, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("tol", ["0", "nan", "-0.5"])
-def test_batch_without_a_certified_body_fails(tol, tmp_path):
-    # --tol 0 certifies nothing; nan and negative tolerances are rejected.
-    proc = _run(["random_polytope_batch.py", "--count", "1", "--facets", "6", "--tol", tol], tmp_path)
-    assert proc.returncode != 0, proc.stdout
+def test_survey_without_a_certified_body_fails(monkeypatch, capsys):
+    # A certification tolerance of 0 certifies nothing: the cube's residuals
+    # are about 1e-13.
+    path = ROOT / "scripts" / "inscription_survey.py"
+    spec = importlib.util.spec_from_file_location("inscription_survey", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    monkeypatch.setattr(survey, "CERTIFY_TOL_REL", 0.0)
+    monkeypatch.setattr(sys, "argv", ["inscription_survey.py", "--families", "stock", "--limit", "1"])
+    with pytest.raises(SystemExit) as exc:
+        survey.main()
+    assert exc.value.code and "stock/cube" in str(exc.value.code)
+    assert "stock: 0/1 certified" in capsys.readouterr().out
 
 
 def test_survey_writes_and_compares_its_records(tmp_path):
