@@ -28,7 +28,6 @@ from .angles import (
     construct_inscribed_octahedron,
     deformation_path,
     fits_in_T0,
-    normalize_ordering,
     placement_test,
     triangle_from_sides,
 )

@@ -57,7 +57,6 @@ __all__ = [
     "T0FitResult",
     "GeneralKind",
     "GeneralClassification",
-    "normalize_ordering",
     "triangle_from_sides",
     "angle_from_sides",
     "placement_test",
@@ -140,7 +139,12 @@ def triangle_from_sides(s12: float, s13: float, s23: float) -> SphTriangle:
         raise GeometryError(f"sides must lie in (0, pi): {sides}")
     if s23 >= s12 + s13 or s23 <= abs(s12 - s13) or s12 + s13 + s23 >= 2 * math.pi:
         raise GeometryError(f"sides violate the spherical triangle inequality: {sides}")
-    theta = angle_from_sides(s23, s12, s13)
+    return _pole_triangle(s12, s13, angle_from_sides(s23, s12, s13))
+
+
+def _pole_triangle(s12: float, s13: float, theta: float) -> SphTriangle:
+    """The triangle with sides s12 = |v1 v2| and s13 = |v1 v3| at the
+    vertex angle theta: v1 at the north pole, v2 on the zero meridian."""
     v1 = np.array([0.0, 0.0, 1.0])
     v2 = np.array([math.sin(s12), 0.0, math.cos(s12)])
     v3 = np.array(
@@ -248,21 +252,6 @@ _C, _B, _A = (np.array([p[x] + p[y] - 1 for p in _PERMS]) for x, y in ((0, 1), (
 _ODD = (False, True, True, False, False, True)
 
 
-def normalize_ordering(tri: SphTriangle) -> SphTriangle:
-    """Relabel (and reflect if needed) so that |v1 v2| >= |v1 v3| >= |v2 v3|.
-
-    Returns the input object unchanged when it is already ordered.
-    """
-    k = _normalized_perm(tri.sides)
-    if k == 0:
-        return tri
-    w1, w2, w3 = tri.matrix[list(_PERMS[k])]
-    if _ODD[k]:
-        nrm = _as_unit(_cross(w1, w2))
-        w3 = w3 - 2.0 * float(np.dot(nrm, w3)) * nrm
-    return SphTriangle(w1, w2, w3)
-
-
 def _normalized_perm(sides: np.ndarray) -> int:
     """Index of the first labeling with |v1 v2| >= |v1 v3| >= |v2 v3|.
     One always exists: v1 is the vertex shared by the two longest sides."""
@@ -347,7 +336,7 @@ def _placements(sides: np.ndarray):
     return m[rows, side], p2, p3[rows, side], margins3[rows, side]
 
 
-def placement_test(tri: SphTriangle, tol: float = DEFAULT_TOL) -> AngleClass:
+def placement_test(tri: SphTriangle) -> AngleClass:
     """Decide whether the triangle places properly inside the regular
     spherical triangle of side pi/3: v1 at a corner, v2 on an adjacent
     side, v3 inside the triangle cut off by v2 and the opposite corner.
@@ -356,12 +345,12 @@ def placement_test(tri: SphTriangle, tol: float = DEFAULT_TOL) -> AngleClass:
     labelings and both mirror images are evaluated at once from them
     (`_placements`).  The reported margin is the best over all of them
     (positive = proper placement with room, negative = best placement
-    still violated by that much).  The certificate comes from the first
-    labeling, in permutation order, within _TIE of that best:
-    mirror-image labelings tie exactly when the length term binds, and
-    the last bit must not pick between them.
+    still violated by that much); the tag takes the DEFAULT_TOL band.
+    The certificate comes from the first labeling, in permutation order,
+    within _TIE of that best: mirror-image labelings tie exactly when the
+    length term binds, and the last bit must not pick between them.
     """
-    return _placement_verdict(tri.sides, tol)
+    return _placement_verdict(tri.sides, DEFAULT_TOL)
 
 
 def _placement_verdict(sides: np.ndarray, tol: float) -> AngleClass:
@@ -637,20 +626,22 @@ def deformation_path(tri: SphTriangle, steps: int = 60) -> list:
     """Discrete path of non-special triangles from `tri` to a triangle
     with a side safely above pi/3.
 
-    Follows the two-phase recipe: first grow |v1 v3| to |v1 v2| at a
-    fixed vertex angle, then grow both equal sides together.  Every
-    emitted triangle is re-verified non-special.
+    Follows the two-phase recipe at the fixed vertex angle of v1, the
+    vertex shared by the two longest sides c >= b: first grow b to c,
+    then grow both equal sides together.  Each step is built from its
+    two sides and that angle.  Every emitted triangle is re-verified
+    non-special.
     """
-    if steps < 2:
-        raise ValueError("a deformation path needs at least 2 steps")
+    if not 2 <= steps <= 10_000:
+        raise ValueError(f"a deformation path needs 2 to 10000 steps, got {steps}")
     start = placement_test(tri)
     if start.tag is not ClassTag.NON_SPECIAL:
         raise NotNonSpecial(f"input triangle classifies {start.tag.value}")
-    ordered = normalize_ordering(tri)
-    c, b, _a = ordered.sides
+    k = _normalized_perm(tri.sides)
+    c, b = tri.sides[_C[k]], tri.sides[_B[k]]
     if c > T0_SIDE + DEFAULT_TOL:
         return [tri]
-    theta = vertex_angle(ordered, 0)
+    theta = vertex_angle(tri, _PERMS[k][0])
     target = T0_SIDE + 0.02
     len1 = c - b
     len2 = target - c
@@ -662,17 +653,7 @@ def deformation_path(tri: SphTriangle, steps: int = 60) -> list:
             l2, l3 = c, b + g
         else:
             l2 = l3 = c + (g - len1)
-        s23 = math.acos(
-            min(
-                1.0,
-                max(
-                    -1.0,
-                    math.cos(l2) * math.cos(l3)
-                    + math.sin(l2) * math.sin(l3) * math.cos(theta),
-                ),
-            )
-        )
-        step_tri = triangle_from_sides(l2, l3, s23)
+        step_tri = _pole_triangle(l2, l3, theta)
         verdict = placement_test(step_tri)
         if verdict.tag is not ClassTag.NON_SPECIAL:
             raise PathVerificationFailed(

@@ -140,9 +140,10 @@ def cmd_inscribe(args) -> int:
             "trace": trace.to_dict(),
         },
     )
-    _emit(doc, args.json)
+    # The JSON goes last, so a failed OBJ write leaves no success record.
     if args.obj:
         oio.write_obj_octahedron(args.obj, final.pose)
+    _emit(doc, args.json)
     return EX_OK if report.ok else EX_FAILED
 
 
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("polytope", help="polytope file (OFF or JSON)")
     pi.add_argument("--tol", type=_tolerance, default=1e-8, help="certification tolerance, relative to diameter")
     pi.add_argument("--eps0", type=float, default=None, help="initial smoothing (default 0.2 * inradius)")
-    pi.add_argument("--seeds", type=int, default=60, help="rotation seeds in the initial seed grid")
+    pi.add_argument("--seeds", type=int, default=60, help="rotation seeds in the initial seed grid (1 to 10000)")
     pi.add_argument("--json", help="write the pose/trace JSON here instead of stdout")
     pi.add_argument("--obj", help="also export the octahedron as OBJ")
     pi.add_argument("--quiet", action="store_true")
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("path", help="deformation path of a non-special triangle")
     pp.add_argument("sides", nargs=3, type=float, help="spherical triangle side lengths (rad)")
-    pp.add_argument("--steps", type=int, default=60)
+    pp.add_argument("--steps", type=int, default=60, help="path length (2 to 10000)")
     pp.add_argument("--out", help="write the path JSON here instead of stdout")
     pp.set_defaults(func=cmd_path)
 
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
         return EX_USAGE if exc.code else EX_OK
     try:
         return args.func(args)
-    except (GeometryError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except Exception as exc:  # pragma: no cover - defensive

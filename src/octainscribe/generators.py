@@ -22,7 +22,7 @@ from .angles import (
 from .oracle import inscribed_in_cone_check
 from .polytope import ConvexPolytope, Degenerate, build_from_halfspaces, is_simple
 from .rotations import quat_normalize, quat_to_matrix
-from .sphere import SphTriangle, _as_unit, _rotate_about
+from .sphere import GeometryError, SphTriangle, _as_unit, _rotate_about
 
 __all__ = [
     "random_rotation_matrix",
@@ -148,18 +148,21 @@ def random_spiky_cloud(rng) -> np.ndarray:
 # Non-simple cones with a known inscribed octahedron.
 
 
-def _clip_spherical_polygon(E, m, tol=1e-12):
+_CLIP_TOL = 1e-12
+
+
+def _clip_spherical_polygon(E, m):
     """Intersect the convex spherical polygon with the hemisphere
-    m . x <= 0; returns the new vertex cycle."""
+    m . x <= 0 (to within _CLIP_TOL); returns the new vertex cycle."""
     out = []
     n = len(E)
     vals = E @ m
     for i in range(n):
         a, b = E[i], E[(i + 1) % n]
         fa, fb = vals[i], vals[(i + 1) % n]
-        if fa <= tol:
+        if fa <= _CLIP_TOL:
             out.append(a)
-        if (fa < -tol < fb) or (fa > tol > fb):
+        if (fa < -_CLIP_TOL < fb) or (fa > _CLIP_TOL > fb):
             tan_ab = _as_unit(b - float(np.dot(a, b)) * a)
             # the two circle/plane roots differ by pi; the minor arc is
             # shorter than pi, so reducing mod pi picks the right one
@@ -209,7 +212,7 @@ def nonsimple_inscribed_cone(rng):
                 continue
             try:
                 angle4 = SolidAngle(angle.apex, new_edges)
-            except Exception:
+            except GeometryError:
                 continue
             if angle4.n_edges == 4 and inscribed_in_cone_check(angle4, pose, tol=1e-8):
                 return angle4, pose

@@ -319,7 +319,7 @@ def _solutions(s: SmoothedBody, n_rotations: int, tally):
 
 
 # Kept only because the benchmark tracer wraps it; no production path calls it.
-def multistart(s: SmoothedBody, n_rotations: int = _N_ROTATIONS) -> list:
+def multistart(s: SmoothedBody) -> list:
     """Solve from a deterministic grid of poses (low-discrepancy rotations
     x centers x log-spaced scales) and return the distinct converged
     solutions, deduplicated modulo the octahedron's rotation group.
@@ -334,8 +334,7 @@ def multistart(s: SmoothedBody, n_rotations: int = _N_ROTATIONS) -> list:
     Solutions come back in seed order (the canonical reduction order), so
     identical inputs give an identical list.
     """
-    _check_n_rotations(n_rotations)
-    found = list(_solutions(s, n_rotations, Counter()))
+    found = list(_solutions(s, _N_ROTATIONS, Counter()))
     if not found:
         raise NoSolutionFound(f"no inscribed octahedron found at epsilon={s.epsilon:.6g}")
     return found
@@ -393,13 +392,6 @@ def _starts(solutions, diam: float, tally):
     yield from sorted((r for r in found if r is not start), key=lambda r: -r.pose.scale)
 
 
-def _check_n_rotations(n_rotations: int) -> None:
-    # The identity leads the grid, so n_rotations <= 0 would silently run
-    # the one-rotation grid of n_rotations = 1.
-    if n_rotations < 1:
-        raise ValueError(f"n_rotations must be at least 1, got {n_rotations}")
-
-
 def continue_to_surface(
     p: ConvexPolytope, eps0: Optional[float] = None, n_rotations: int = _N_ROTATIONS
 ):
@@ -408,7 +400,9 @@ def continue_to_surface(
     facet-interior, then polish against the polytope itself.
 
     `eps0` is the initial smoothing (default 0.2 * inradius); `n_rotations`
-    is the number of seed rotations in the initial seed grid.
+    is the number of seed rotations in the initial seed grid, from 1 to
+    10,000 (the identity leads the grid, so 0 would silently run the grid
+    of 1).
 
     A track that fails is abandoned and the next start is tracked, up to
     _MAX_RESTARTS times; each abandoned track's reason leads the returned
@@ -420,7 +414,8 @@ def continue_to_surface(
     warnings = _precondition_warnings(p)
     if eps0 is None:
         eps0 = 0.2 * p.inradius
-    _check_n_rotations(n_rotations)
+    if not 1 <= n_rotations <= 10_000:
+        raise ValueError(f"n_rotations must lie in [1, 10000], got {n_rotations}")
 
     s0 = SmoothedBody(p, eps0)
     search = Counter(seeds=0, converged=0, solutions=0, collapsed_skipped=0)

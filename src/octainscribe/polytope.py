@@ -456,8 +456,6 @@ def solid_angle_at(p: ConvexPolytope, vi: int) -> SolidAngle:
     E = p.edge_array
     # Edges are sorted pairs in sorted order, so the neighbours come out sorted.
     neighbors = E[:, ::-1][E == vi]
-    if len(neighbors) < 3:
-        raise Inconsistent(f"vertex {vi} has fewer than 3 incident edges")
     dirs = p.vertices[neighbors] - v
     # Unit rows with the bits of `_as_unit`, which np.vecdot's norms give.
     return SolidAngle(v, dirs / np.sqrt(np.vecdot(dirs, dirs))[:, None])
@@ -541,14 +539,13 @@ def _closed_form_inner(p: ConvexPolytope, eps: float, ball):
 # Stock shapes.
 
 
-def cube(half: float = 1.0) -> ConvexPolytope:
-    return build_from_vertices(np.array(list(product((-half, half), repeat=3)), dtype=float))
+def cube() -> ConvexPolytope:
+    return build_from_vertices(np.array(list(product((-1.0, 1.0), repeat=3))))
 
 
-def regular_tetrahedron(scale: float = 1.0) -> ConvexPolytope:
-    pts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) * float(scale)
-    return build_from_vertices(pts)
+def regular_tetrahedron() -> ConvexPolytope:
+    return build_from_vertices(np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float))
 
 
-def regular_octahedron(scale: float = 1.0) -> ConvexPolytope:
-    return build_from_vertices(np.vstack([np.eye(3), -np.eye(3)]) * float(scale))
+def regular_octahedron() -> ConvexPolytope:
+    return build_from_vertices(np.vstack([np.eye(3), -np.eye(3)]))

@@ -49,17 +49,15 @@ class OctahedronPose:
 
     The center, rotation and scale must be finite (ValueError otherwise).
     The pose normalizes its quaternion once, on construction, in
-    `quat_canonical`, and computes from it its rotation matrix R
-    (`matrix`) and its unit arms R e_i in the fixed label order (`arms`,
-    6 x 3).
-    `center`, `rotation`, `matrix` and `arms` are read-only arrays of the
-    pose's own.
+    `quat_canonical`, and computes from it its unit arms R e_i in the
+    fixed label order (`arms`, 6 x 3), R the rotation matrix.
+    `center`, `rotation` and `arms` are read-only arrays of the pose's
+    own.
     """
 
     center: np.ndarray
     rotation: np.ndarray
     scale: float
-    matrix: np.ndarray = field(init=False, repr=False)
     arms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -69,9 +67,8 @@ class OctahedronPose:
         if not all(map(math.isfinite, [*c.tolist(), *r.ravel().tolist(), s])):
             raise ValueError("pose center, rotation and scale must be finite")
         q = quat_canonical(r)
-        m = _quats_to_matrices(q)
-        arms = UNIT_VERTICES @ m.T
-        for name, arr in (("center", c), ("rotation", q), ("matrix", m), ("arms", arms)):
+        arms = UNIT_VERTICES @ _quats_to_matrices(q).T
+        for name, arr in (("center", c), ("rotation", q), ("arms", arms)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "scale", s)

@@ -139,8 +139,6 @@ def super_fibonacci_rotations(n: int) -> np.ndarray:
     Super-Fibonacci spiral sampling of SO(3) (Alexa, CVPR 2022); fully
     deterministic, no RNG involved.
     """
-    if n <= 0:
-        return np.zeros((0, 4))
     phi = math.sqrt(2.0)
     psi = 1.533751168755204288118041
     s = np.arange(n, dtype=float) + 0.5

@@ -27,7 +27,6 @@ from octainscribe.angles import (
     construct_inscribed_octahedron,
     deformation_path,
     fits_in_T0,
-    normalize_ordering,
     placement_test,
     triangle_from_sides,
 )
@@ -201,39 +200,6 @@ def test_tetrahedron_corner_facet_angles():
     t = regular_tetrahedron()
     ang = solid_angle_at(t, 0)
     assert np.allclose(ang.facet_angles(), [math.pi / 3] * 3, atol=1e-12)
-
-
-# -- normalize_ordering ------------------------------------------------------
-
-
-def test_normalize_ordering_identity_when_sorted():
-    tri = triangle_from_sides(0.9, 0.6, 0.4)
-    assert normalize_ordering(tri) is tri
-
-
-def test_normalize_ordering_sorts_sides():
-    tri = triangle_from_sides(0.4, 0.9, 0.6)
-    out = normalize_ordering(tri)
-    s12, s13, s23 = out.sides
-    assert s12 >= s13 >= s23
-    assert np.allclose(sorted(out.sides), sorted(tri.sides), atol=1e-12)
-    assert area(out) == pytest.approx(area(tri), abs=1e-12)
-
-
-def test_normalize_ordering_equilateral_any_labeling():
-    tri = triangle_from_sides(0.5, 0.5, 0.5)
-    out = normalize_ordering(tri)
-    assert np.allclose(sorted(out.sides), sorted(tri.sides), atol=1e-12)
-
-
-def test_normalize_ordering_preserves_classification():
-    rng = np.random.default_rng(10)
-    for _ in range(1000):
-        tri = random_triangle(rng)
-        a = placement_test(tri)
-        b = placement_test(normalize_ordering(tri))
-        assert a.tag is b.tag
-        assert a.margin == pytest.approx(b.margin, abs=1e-9)
 
 
 # -- placement_test ----------------------------------------------------------
@@ -661,19 +627,32 @@ def test_general_wide_cone_in_A0():
 
 
 def test_path_single_element_when_side_already_large():
-    tri = triangle_from_sides(1.2, 1.0, 0.8)
-    path = deformation_path(tri, steps=50)
-    assert len(path) == 1
-    assert path[0] is tri
+    # The README's example: its sides of 1.0472 lie just above pi/3.
+    for sides in ((1.2, 1.0, 0.8), (1.0472, 1.0472, 1.0372)):
+        tri = triangle_from_sides(*sides)
+        path = deformation_path(tri, steps=50)
+        assert len(path) == 1
+        assert path[0] is tri
 
 
 def test_path_from_shrunk_T0():
-    tri = triangle_from_sides(T0_SIDE, T0_SIDE, T0_SIDE - 0.01)
-    path = deformation_path(tri, steps=60)
-    assert len(path) == 60
-    for t in path:
-        assert placement_test(t).tag is ClassTag.NON_SPECIAL
-    assert max(path[-1].sides) > math.pi / 3 + 0.01
+    # In the second input, v1 (the vertex between the two longest sides)
+    # is the third vertex.
+    for sides in ((T0_SIDE, T0_SIDE, T0_SIDE - 0.01), (T0_SIDE - 0.01, T0_SIDE, T0_SIDE)):
+        tri = triangle_from_sides(*sides)
+        path = deformation_path(tri, steps=60)
+        assert len(path) == 60
+        for t in path:
+            assert placement_test(t).tag is ClassTag.NON_SPECIAL
+        assert max(path[-1].sides) > math.pi / 3 + 0.01
+        # Each step keeps the input's vertex angle at v1, and its two sides
+        # |v1 v2| >= |v1 v3| never shrink.
+        theta = vertex_angle(tri, (2, 1, 0)[int(np.argmin(tri.sides))])
+        assert max(abs(vertex_angle(t, 0) - theta) for t in path[1:]) <= 1e-15
+        grown = np.array([np.sort(tri.sides)[:0:-1]] + [t.sides[:2] for t in path[1:]])
+        assert (grown[1:, 0] >= grown[1:, 1]).all()
+        assert (np.diff(grown[1:], axis=0) >= 0).all()
+        assert (grown[1] >= grown[0] - 1e-15).all()
 
 
 def test_path_rejects_special_input():

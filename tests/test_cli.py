@@ -145,6 +145,15 @@ def test_inscribe_cube(cube_off, tmp_path, capsys):
     assert open(obj_file).read().count("\nf ") == 8
 
 
+def test_inscribe_failed_obj_write_leaves_no_json(cube_off, tmp_path, capsys):
+    # The OBJ goes first: a run that exits 64 leaves no success record.
+    pose_file = tmp_path / "pose.json"
+    code = main(["inscribe", cube_off, "--json", str(pose_file), "--obj", str(tmp_path)])
+    assert "error:" in capsys.readouterr().err
+    assert code == 64
+    assert not pose_file.exists()
+
+
 def test_inscribe_eps0_sets_first_smoothing(cube_off, tmp_path, capsys):
     pose_file = str(tmp_path / "pose.json")
     assert main(["inscribe", cube_off, "--eps0", "0.1", "--json", pose_file]) == 0
@@ -178,12 +187,13 @@ def test_inscribe_seeds_sets_rotation_count(cube_off, tmp_path, capsys, monkeypa
     [
         ["--seeds", "0"],
         ["--seeds", "-5"],
+        ["--seeds", "10001"],
         ["--eps0", "5"],
         ["--tol", "-1"],
         ["--tol", "nan"],
         ["--tol", "inf"],
     ],
-    ids=["zero-seeds", "negative-seeds", "eps0-beyond-inradius", "negative-tol", "nan-tol", "inf-tol"],
+    ids=["zero-seeds", "negative-seeds", "too-many-seeds", "eps0-beyond-inradius", "negative-tol", "nan-tol", "inf-tol"],
 )
 def test_inscribe_rejects_out_of_range_option(cube_off, option, capsys):
     code = main(["inscribe", cube_off, *option])
@@ -372,6 +382,13 @@ def test_path_shrunk_T0(capsys):
     assert len(out["steps"]) == 50
     assert all(s["tag"] == "NON_SPECIAL" for s in out["steps"])
     assert max(out["steps"][-1]["sides"]) > math.pi / 3 + 0.01
+
+
+@pytest.mark.parametrize("steps", ["1", "10001"])
+def test_path_rejects_out_of_range_steps(steps, capsys):
+    code = main(["path", "1.0472", "1.0472", "1.0372", "--steps", steps])
+    assert "error:" in capsys.readouterr().err
+    assert code == 64
 
 
 def test_path_special_exit_1(capsys):

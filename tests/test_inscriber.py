@@ -262,11 +262,8 @@ def test_multistart_empty_seed_grid(monkeypatch):
 
 @pytest.mark.parametrize("n_rotations", [0, -5])
 def test_non_positive_rotation_count_rejected(n_rotations):
-    c = cube()
     with pytest.raises(ValueError, match="n_rotations"):
-        multistart(SmoothedBody(c, 0.1), n_rotations)
-    with pytest.raises(ValueError, match="n_rotations"):
-        continue_to_surface(c, n_rotations=n_rotations)
+        continue_to_surface(cube(), n_rotations=n_rotations)
 
 
 # -- continuation ----------------------------------------------------------------

@@ -80,7 +80,8 @@ def test_pose_computes_its_matrix_once_with_the_bits_of_quat_to_matrix():
     for _ in range(200):
         pose = random_pose(rng)
         R = _quats_to_matrices(pose.rotation)
-        assert pose.matrix.tobytes() == R.tobytes()
+        # The matrix is not kept: its arms are all the solver reads.
+        assert not hasattr(pose, "matrix")
         assert pose.arms.tobytes() == (UNIT_VERTICES @ R.T).tobytes()
         ref = pose.center + pose.scale * (UNIT_VERTICES @ R.T)
         assert pose.vertices().tobytes() == ref.tobytes()
@@ -108,7 +109,7 @@ def test_lm_step_normalizes_the_quaternion_once(monkeypatch):
 def test_pose_arrays_are_read_only_and_its_own():
     center = np.array([1.0, 2.0, 3.0])
     pose = OctahedronPose(center, np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
-    for arr in (pose.center, pose.rotation, pose.matrix, pose.arms):
+    for arr in (pose.center, pose.rotation, pose.arms):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     center[0] = 5.0  # the caller's array stays writeable and apart

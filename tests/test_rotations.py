@@ -116,6 +116,10 @@ def test_super_fibonacci_deterministic_and_unit():
     # reasonably spread: no two samples identical
     d = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=2) + np.eye(100)
     assert d.min() > 1e-3
+    # A count below 1 gives an empty grid and no warning (RuntimeWarning is an error here).
+    for n in (0, -3):
+        empty = super_fibonacci_rotations(n)
+        assert empty.shape == (0, 4) and empty.dtype == np.float64
 
 
 def test_batch_matrices_match_quat_to_matrix_bitwise():

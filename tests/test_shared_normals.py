@@ -105,14 +105,14 @@ def test_construction_reads_the_labelled_facet_normals(monkeypatch):
         built += 1
 
 
-def reference_classification(angle, tol=DEFAULT_TOL):
+def reference_classification(angle):
     """The trihedral classifier on the rebuilt triangle: the threshold fast
     path on its side lengths, else the placement test."""
     tri = SphTriangle(*angle.edges)
     top = float(tri.sides.max())
-    if top > T0_SIDE + tol:
+    if top > T0_SIDE + DEFAULT_TOL:
         return ClassTag.NON_SPECIAL, None, T0_SIDE - top
-    cls = placement_test(tri, tol)
+    cls = placement_test(tri)
     return cls.tag, cls.certificate.labeling if cls.certificate else None, cls.margin
 
 
