@@ -24,8 +24,8 @@ def run(name, body):
     elapsed = time.time() - t0
     for w in trace.warnings:
         print(f"   warning: {w}")
-    for (eps, rep), diam in zip(trace.steps, trace.diameter_history):
-        print(f"   eps={eps:10.3e}  diameter={diam:.6f}  residual={rep.max_residual():.2e}")
+    for rep, diam in zip(trace.steps, trace.diameter_history):
+        print(f"   eps={rep.epsilon:10.3e}  diameter={diam:.6f}  residual={rep.max_residual():.2e}")
     cert = certify(body, final.pose, 1e-8 * body.diameter)
     V = np.round(final.pose.vertices(), 6)
     print(f"   final pose: center={np.round(final.pose.center, 6).tolist()} "

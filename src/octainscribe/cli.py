@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 from . import io as oio
 from .angles import (
@@ -34,6 +35,7 @@ from .angles import (
 )
 from .inscriber import InscriptionFailed, certify, continue_to_surface
 from .polytope import solid_angle_at
+from .pose import OctahedronPose
 from .sphere import GeometryError
 
 EX_OK = 0
@@ -120,6 +122,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_inscribe(args) -> int:
+    # Output paths are checked before the search, which may take long.
+    for out in map(Path, filter(None, (args.obj, args.json))):
+        if out.is_dir() or not out.parent.is_dir():
+            raise OSError(f"cannot write {out}: it is a directory or its directory does not exist")
     poly = oio.read_polytope(args.polytope)
     try:
         trace, final = continue_to_surface(poly, eps0=args.eps0, n_rotations=args.seeds)
@@ -131,15 +137,14 @@ def cmd_inscribe(args) -> int:
             print(f"warning: {w}", file=sys.stderr)
     tol_abs = args.tol * poly.diameter
     report = certify(poly, final.pose, tol_abs)
-    doc = oio.pose_to_document(
-        final.pose,
-        {
-            "certified": report.ok,
-            "certification": report.to_dict(),
-            "final_report": final.to_dict(),
-            "trace": trace.to_dict(),
-        },
-    )
+    doc = {
+        "schema": oio.SCHEMA,
+        **final.pose.to_dict(),
+        "certified": report.ok,
+        "certification": report.to_dict(),
+        "final_report": final.to_dict(),
+        "trace": trace.to_dict(),
+    }
     # The JSON goes last, so a failed OBJ write leaves no success record.
     if args.obj:
         oio.write_obj_octahedron(args.obj, final.pose)
@@ -170,7 +175,7 @@ def cmd_path(args) -> int:
 
 def cmd_certify(args) -> int:
     poly = oio.read_polytope(args.polytope)
-    pose = oio.read_pose_json(args.pose)
+    pose = OctahedronPose.from_dict(json.loads(Path(args.pose).read_text()))
     report = certify(poly, pose, args.tol * poly.diameter)
     doc = {"schema": oio.SCHEMA, "certified": report.ok, **report.to_dict()}
     _emit(doc, args.out)

@@ -136,7 +136,7 @@ class SolveReport:
 
 @dataclass(frozen=True, eq=False)
 class ContinuationTrace:
-    steps: tuple                    # ((epsilon, SolveReport), ...)
+    steps: tuple                    # (SolveReport, ...), one per ladder step
     # Reasons earlier tracks ended, then this ladder's early exit:
     # FLAT_CONTACT (every contact facet-interior) or INNER_BODY_DEGENERATE.
     flags: tuple = ()
@@ -148,11 +148,11 @@ class ContinuationTrace:
 
     @property
     def diameter_history(self) -> tuple:  # 2 * scale per step
-        return tuple(r.pose.diameter() for _, r in self.steps)
+        return tuple(r.pose.diameter() for r in self.steps)
 
     def to_dict(self) -> dict:
         return {
-            "steps": [{"epsilon": float(e), "report": r.to_dict()} for e, r in self.steps],
+            "steps": [{"epsilon": float(r.epsilon), "report": r.to_dict()} for r in self.steps],
             "diameter_history": [float(d) for d in self.diameter_history],
             "flags": list(self.flags),
             "warnings": list(self.warnings),
@@ -182,20 +182,17 @@ class CertifyReport:
 # Residuals.
 
 
-def _assemble_jacobian(pose: OctahedronPose, grad: np.ndarray) -> np.ndarray:
-    """Chain rule from per-vertex distance gradients to the 6 x 7 pose
-    Jacobian (3 center + 3 rotation tangent + 1 scale); the rotation block
-    uses a world-frame (left) perturbation."""
-    turn = _cross(pose.scale * pose.arms, grad)
-    return np.concatenate([grad, turn, np.einsum("ij,ij->i", grad, pose.arms)[:, None]], axis=1)
-
-
 def residual(body: SmoothedBody | ConvexPolytope, pose: OctahedronPose):
     """Per-vertex signed distance to the boundary of a SmoothedBody or a
     ConvexPolytope, plus the pose Jacobian.  All six components vanish
-    exactly when the octahedron is inscribed in that boundary."""
+    exactly when the octahedron is inscribed in that boundary.
+
+    The chain rule takes the per-vertex distance gradients to the 6 x 7
+    pose Jacobian (3 center + 3 rotation tangent + 1 scale); the rotation
+    block uses a world-frame (left) perturbation."""
     r, grad = body.signed_distance(pose.vertices())
-    return r, _assemble_jacobian(pose, grad)
+    turn = _cross(pose.scale * pose.arms, grad)
+    return r, np.concatenate([grad, turn, np.einsum("ij,ij->i", grad, pose.arms)[:, None]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +319,12 @@ def _solutions(s: SmoothedBody, n_rotations: int, tally):
 def multistart(s: SmoothedBody) -> list:
     """Solve from a deterministic grid of poses (low-discrepancy rotations
     x centers x log-spaced scales) and return the distinct converged
-    solutions, deduplicated modulo the octahedron's rotation group.
-    `continue_to_surface` runs the same seed loop lazily, for its starts.
-
-    The search stops once _MAX_SOLUTIONS are in hand and the largest has
-    diameter at least min(_STOP_SCALE_REL * diameter, sqrt(3) * inradius).
-    An octahedron inside the body has inradius diameter / (2 sqrt(3)), so
-    no solution is larger than 2 sqrt(3) * inradius; the second term lets
-    thin bodies stop without running the whole grid.
-
-    Solutions come back in seed order (the canonical reduction order), so
-    identical inputs give an identical list.
+    solutions, deduplicated modulo the octahedron's rotation group: the
+    first _MAX_SOLUTIONS in seed order (the canonical reduction order), so
+    identical inputs give an identical list.  `continue_to_surface` runs
+    the same seed loop lazily, for its starts.
     """
-    found = list(_solutions(s, _N_ROTATIONS, Counter()))
+    found = list(islice(_solutions(s, _N_ROTATIONS, Counter()), _MAX_SOLUTIONS))
     if not found:
         raise NoSolutionFound(f"no inscribed octahedron found at epsilon={s.epsilon:.6g}")
     return found
@@ -421,19 +411,19 @@ def continue_to_surface(
     search = Counter(seeds=0, converged=0, solutions=0, collapsed_skipped=0)
     starts = _starts(_solutions(s0, n_rotations, search), p.diameter, search)
     restarts = []
-    failure = None
+    trace = None
     for start in islice(starts, _MAX_RESTARTS + 1):
-        try:
-            return _track_from(p, start, s0, warnings, search, restarts)
-        except InscriptionFailed as exc:
-            failure = exc
-            restarts.append(str(exc))
-    if failure is None:
+        steps, flags, final = _track_from(p, start, s0)
+        trace = ContinuationTrace(tuple(steps), tuple(restarts + flags), tuple(warnings), dict(search))
+        if final is not None:
+            return trace, final
+        restarts.append(flags[-1])
+    if trace is None:
         raise InscriptionFailed(f"multistart found no inscribed octahedron at eps0={eps0:.6g}")
     raise InscriptionFailed(
         f"all {len(restarts)} continuation starts failed (numerical failure of the search, "
-        f"not a counterexample): {failure}",
-        trace=failure.trace,
+        f"not a counterexample): {restarts[-1]}",
+        trace=trace,
     )
 
 
@@ -442,33 +432,20 @@ def _on_facets(s: SmoothedBody, pose: OctahedronPose) -> bool:
     return bool((s.inner_body.nearest_boundary(pose.vertices())[2] == 0).all())
 
 
-def _track_from(p, start: SolveReport, s0: SmoothedBody, warnings, search, restarts):
+def _track_from(p, start: SolveReport, s0: SmoothedBody):
     """One track down the epsilon ladder from `start`, a solution on the
-    smoothed body `s0`.  A step that does not converge or has collapsed,
-    and a polished pose that has collapsed, end the track with
-    InscriptionFailed, whose message is its flag;
-    `restarts` holds the flags of the tracks abandoned before.
+    smoothed body `s0`.  Returns (steps, flags, final): the ladder's
+    SolveReports, the track's flags and the polished report.  A step that
+    does not converge or has collapsed, and a polish that does not converge
+    or has collapsed, fail the track: final is then None and the last flag
+    is the reason.
 
     Before each halving, from the start on, the ladder ends with the flag
     FLAT_CONTACT once every vertex is nearest to a facet of the current
     inner body: every later step would keep the pose (see the module
     docstring), so the pose goes straight to the polish."""
     diam = p.diameter
-    steps = [(s0.epsilon, start)]
-    flags = list(restarts)
-
-    def trace():
-        return ContinuationTrace(
-            steps=tuple(steps),
-            flags=tuple(flags),
-            warnings=tuple(warnings),
-            initial_search=dict(search),
-        )
-
-    def failed(reason):
-        flags.append(reason)
-        return InscriptionFailed(reason, trace=trace())
-
+    steps, flags = [start], []
     s, pose = s0, start.pose
     while not _on_facets(s, pose):
         eps = 0.5 * s.epsilon
@@ -481,20 +458,22 @@ def _track_from(p, start: SolveReport, s0: SmoothedBody, warnings, search, resta
             break
         rep = solve_at_epsilon(s, pose)
         if not rep.converged:
-            raise failed(f"NO_CONVERGENCE at epsilon={eps:.6g}")
+            return steps, [f"NO_CONVERGENCE at epsilon={eps:.6g}"], None
         if _collapsed(rep.pose, diam):
-            raise failed(f"VERTEX_COLLAPSE at epsilon={eps:.6g}")
-        steps.append((eps, rep))
+            return steps, [f"VERTEX_COLLAPSE at epsilon={eps:.6g}"], None
+        steps.append(rep)
         pose = rep.pose
     else:
         flags.append(f"FLAT_CONTACT at epsilon={s.epsilon:.6g}")
 
     final = _levenberg_marquardt(p, pose)
     if not final.converged:
-        raise failed(f"final polish residual {final.max_residual():.3e} exceeds {final.tol:.3e}")
-    if _collapsed(final.pose, diam):
-        raise failed("VERTEX_COLLAPSE in the final polish")
-    return trace(), final
+        flags.append(f"final polish residual {final.max_residual():.3e} exceeds {final.tol:.3e}")
+    elif _collapsed(final.pose, diam):
+        flags.append("VERTEX_COLLAPSE in the final polish")
+    else:
+        return steps, flags, final
+    return steps, flags, None
 
 
 def certify(p: ConvexPolytope, pose: OctahedronPose, tol: float) -> CertifyReport:

@@ -19,8 +19,6 @@ __all__ = [
     "read_polytope",
     "polytope_from_dict",
     "parse_off",
-    "pose_to_document",
-    "read_pose_json",
     "write_obj_octahedron",
 ]
 
@@ -69,17 +67,6 @@ def read_polytope(path) -> ConvexPolytope:
     if p.suffix.lower() == ".off" or text.lstrip()[:3].upper() == "OFF":
         return build_from_vertices(parse_off(text))
     return polytope_from_dict(json.loads(text))
-
-
-def pose_to_document(pose: OctahedronPose, extra: dict = None) -> dict:
-    doc = {"schema": SCHEMA, **pose.to_dict()}
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def read_pose_json(path) -> OctahedronPose:
-    return OctahedronPose.from_dict(json.loads(Path(path).read_text()))
 
 
 def write_obj_octahedron(path, pose: OctahedronPose) -> None:

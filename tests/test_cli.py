@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import octainscribe.cli as cli
 import octainscribe.inscriber as inscriber
 from octainscribe.cli import main
 from octainscribe.polytope import cube, regular_octahedron
@@ -152,6 +153,21 @@ def test_inscribe_failed_obj_write_leaves_no_json(cube_off, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert code == 64
     assert not pose_file.exists()
+
+
+@pytest.mark.parametrize(
+    "option, path",
+    [("--obj", "."), ("--json", "."), ("--json", "missing/pose.json")],
+    ids=["obj-directory", "json-directory", "json-no-parent"],
+)
+def test_inscribe_rejects_output_path_before_solving(cube_off, tmp_path, capsys, monkeypatch, option, path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inscribe solved before checking its output paths")
+
+    monkeypatch.setattr(cli, "continue_to_surface", forbidden)
+    code = main(["inscribe", cube_off, option, str(tmp_path / path)])
+    assert "error:" in capsys.readouterr().err
+    assert code == 64
 
 
 def test_inscribe_eps0_sets_first_smoothing(cube_off, tmp_path, capsys):

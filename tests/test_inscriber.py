@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -175,7 +176,7 @@ def test_continuation_calls_no_lstsq_from_the_inscriber(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", recording)
     trace, final = continue_to_surface(cube())
-    assert final.converged and sum(r.iterations for _, r in trace.steps) > 0
+    assert final.converged and sum(r.iterations for r in trace.steps) > 0
     assert "octainscribe.inscriber" not in callers
 
 
@@ -277,9 +278,9 @@ def test_cube_continuation_matches_face_center_octahedron():
     V = final.pose.vertices()
     d = np.linalg.norm(V[:, None, :] - AXES[None, :, :], axis=2)
     assert d.min(axis=1).max() <= 1e-9
-    eps = [e for e, _ in trace.steps]
+    eps = [r.epsilon for r in trace.steps]
     assert all(b < a for a, b in zip(eps, eps[1:]))
-    assert all(r.converged for _, r in trace.steps)
+    assert all(r.converged for r in trace.steps)
 
 
 def test_tetrahedron_continuation_matches_edge_midpoints():
@@ -363,7 +364,7 @@ def test_continuation_skips_collapsed_starts():
             continue
         moved += 1
         trace, _ = continue_to_surface(p)
-        start = trace.steps[0][1]
+        start = trace.steps[0]
         assert start.pose.diameter() >= threshold * p.diameter
         assert not any(f.startswith("VERTEX_COLLAPSE") for f in trace.flags)
         assert trace.initial_search["collapsed_skipped"] >= 1
@@ -385,9 +386,9 @@ def test_fallback_queue_puts_first_non_collapsed_start_first(monkeypatch, thresh
 
     tried = []
 
-    def failing(p, start, *args):
+    def failing(p, start, s0):
         tried.append(_pose_key(start.pose))
-        raise InscriptionFailed("forced failure")
+        return [start], ["forced failure"], None
 
     monkeypatch.setattr(inscriber, "_track_from", failing)
     with pytest.raises(InscriptionFailed, match="all 4 continuation starts failed"):
@@ -456,7 +457,7 @@ def test_degenerate_inner_body_ends_the_ladder(monkeypatch, spiky_body, inner_bo
     _never_flat(monkeypatch)
     inner_bodies_fail_below(eps0 / 20)
     trace, final = continue_to_surface(p)
-    assert [e for e, _ in trace.steps] == [eps0 / 2**k for k in range(5)]
+    assert [r.epsilon for r in trace.steps] == [eps0 / 2**k for k in range(5)]
     assert trace.flags == (f"INNER_BODY_DEGENERATE at epsilon={eps0 / 32:.6g}",)
     assert certify(p, final.pose, 1e-7 * p.diameter).ok
 
@@ -472,9 +473,9 @@ def test_spiky_inner_bodies_build_down_the_ladder(monkeypatch, spiky_body):
     assert trace.flags == ()
     assert certify(p, final.pose, 1e-7 * p.diameter).ok
     tol = 1e-12 * p.diameter
-    for eps, _ in trace.steps:
-        inner = SmoothedBody(p, eps).inner_body
-        ref = build_from_halfspaces(p.normals, p.offsets - eps)
+    for r in trace.steps:
+        inner = SmoothedBody(p, r.epsilon).inner_body
+        ref = build_from_halfspaces(p.normals, p.offsets - r.epsilon)
         for name in ("cycles", "starts", "edge_array"):
             assert np.array_equal(getattr(inner, name), getattr(ref, name)), name
         assert np.abs(inner.vertices - ref.vertices).max() <= tol
@@ -498,14 +499,14 @@ def test_flat_contact_exit_keeps_the_full_ladder_pose(monkeypatch):
     for p in _ladder_bodies():
         trace, final = continue_to_surface(p)
         assert [f for f in trace.flags if f.startswith("FLAT_CONTACT")] == [
-            f"FLAT_CONTACT at epsilon={trace.steps[-1][0]:.6g}"
+            f"FLAT_CONTACT at epsilon={trace.steps[-1].epsilon:.6g}"
         ]
         with monkeypatch.context() as m:
             _never_flat(m)
             full_trace, full = continue_to_surface(p)
         assert len(full_trace.steps) > len(trace.steps)
-        assert [_pose_bits(r.pose) for _, r in full_trace.steps[: len(trace.steps)]] == [
-            _pose_bits(r.pose) for _, r in trace.steps
+        assert [_pose_bits(r.pose) for r in full_trace.steps[: len(trace.steps)]] == [
+            _pose_bits(r.pose) for r in trace.steps
         ]
         assert _pose_bits(full.pose) == _pose_bits(final.pose)
 
@@ -550,8 +551,8 @@ def test_exit_at_step_k_builds_k_plus_one_smoothed_bodies(monkeypatch):
     for p in [cube()] + _ladder_bodies()[:6]:
         builds.clear()
         trace, _ = continue_to_surface(p)
-        assert trace.flags == (f"FLAT_CONTACT at epsilon={trace.steps[-1][0]:.6g}",)
-        assert builds == [e for e, _ in trace.steps]
+        assert trace.flags == (f"FLAT_CONTACT at epsilon={trace.steps[-1].epsilon:.6g}",)
+        assert builds == [r.epsilon for r in trace.steps]
         exits.append(len(trace.steps) - 1)
     assert exits[0] == 0 and max(exits) > 0
 
@@ -563,7 +564,12 @@ def test_fallback_queue_draws_at_most_max_solutions(monkeypatch):
     # track failing the queue draws no more than _MAX_SOLUTIONS in total.
     rng = np.random.default_rng(1)
     p = [random_simple_polytope(rng, n) for n in range(6, 13)][-1]
-    assert len(multistart(SmoothedBody(p, 0.2 * p.inradius))) > inscriber._MAX_SOLUTIONS
+    s0 = SmoothedBody(p, 0.2 * p.inradius)
+    everything = list(inscriber._solutions(s0, inscriber._N_ROTATIONS, Counter()))
+    assert len(everything) > inscriber._MAX_SOLUTIONS
+    # multistart keeps the first _MAX_SOLUTIONS of them.
+    capped = everything[: inscriber._MAX_SOLUTIONS]
+    assert [_pose_key(r.pose) for r in multistart(s0)] == [_pose_key(r.pose) for r in capped]
     monkeypatch.setattr(inscriber, "_COLLAPSE_THRESHOLD_REL", 0.0)
     pulled = []
     real = inscriber._solutions
@@ -573,8 +579,8 @@ def test_fallback_queue_draws_at_most_max_solutions(monkeypatch):
             pulled.append(rep)
             yield rep
 
-    def failing(p, start, *args):
-        raise InscriptionFailed("forced failure")
+    def failing(p, start, s0):
+        return [start], ["forced failure"], None
 
     monkeypatch.setattr(inscriber, "_solutions", counted)
     monkeypatch.setattr(inscriber, "_track_from", failing)
@@ -587,7 +593,7 @@ def test_initial_search_counts_seeds(monkeypatch):
     c = cube()
     epsilons = _count_solves(monkeypatch)
     trace, _ = continue_to_surface(c)
-    eps0 = trace.steps[0][0]
+    eps0 = trace.steps[0].epsilon
     search = trace.to_dict()["initial_search"]
     assert search["seeds"] == sum(e == eps0 for e in epsilons) >= 1
     assert search["converged"] == search["solutions"] == 1
@@ -645,7 +651,18 @@ def test_collapsed_polish_fails_the_track(monkeypatch):
     monkeypatch.setattr(inscriber, "_levenberg_marquardt", shrunk)
     with pytest.raises(InscriptionFailed) as failed:
         continue_to_surface(cube())
-    assert failed.value.trace.flags[-1] == "VERTEX_COLLAPSE in the final polish"
+    # Every track fails.  The error carries the last track's trace: the
+    # three earlier tracks' reasons, then every flag of its own.
+    collapse = "VERTEX_COLLAPSE in the final polish"
+    assert str(failed.value) == (
+        "all 4 continuation starts failed (numerical failure of the search, "
+        f"not a counterexample): {collapse}"
+    )
+    trace = failed.value.trace
+    assert trace.flags == (collapse,) * 3 + ("FLAT_CONTACT at epsilon=0.05", collapse)
+    assert len(trace.steps) == 3
+    assert [s["epsilon"] for s in trace.to_dict()["steps"]] == [0.2, 0.1, 0.05]
+    assert trace.initial_search == {"seeds": 12, "converged": 12, "solutions": 12, "collapsed_skipped": 0}
 
 
 def test_certify_reports_lowest_dimensional_feature():

@@ -3,14 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from octainscribe.io import (
-    SCHEMA,
-    parse_off,
-    pose_to_document,
-    read_polytope,
-    read_pose_json,
-    write_obj_octahedron,
-)
+from octainscribe.cli import main
+from octainscribe.io import parse_off, read_polytope, write_obj_octahedron
 from octainscribe.polytope import Degenerate, cube
 from octainscribe.pose import OctahedronPose
 
@@ -72,18 +66,16 @@ def test_read_polytope_json_roundtrip(tmp_path):
     assert np.allclose(p2.vertices, c.vertices)
 
 
-def test_pose_json_roundtrip(tmp_path):
+def test_pose_json_roundtrip():
     pose = OctahedronPose([0.1, -0.2, 0.3], [0.5, 0.5, 0.5, 0.5], 1.25)
-    doc = pose_to_document(pose)
-    assert doc["schema"] == SCHEMA
-    back = OctahedronPose.from_dict(doc)
+    back = OctahedronPose.from_dict(pose.to_dict())
     assert np.allclose(back.center, pose.center)
     assert np.allclose(back.rotation, pose.rotation)
     assert back.scale == pose.scale
 
-    f = tmp_path / "pose.json"
-    f.write_text(json.dumps(pose_to_document(pose, {"certified": True})))
-    again = read_pose_json(f)
+    # Through JSON, with the other keys of an inscribe document beside it.
+    doc = json.loads(json.dumps({"schema": "octa-inscribe/1", **pose.to_dict(), "certified": True}))
+    again = OctahedronPose.from_dict(doc)
     assert np.allclose(again.vertices(), pose.vertices(), atol=1e-15)
 
 
@@ -105,10 +97,12 @@ def test_obj_export(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("center", [0.0, "nan", 0.0]), ("rotation", [1.0, 0.0, "inf", 0.0])])
-def test_read_pose_rejects_non_finite(tmp_path, field, value):
-    doc = pose_to_document(OctahedronPose(np.zeros(3), IDENTITY, 1.0))
+def test_read_pose_rejects_non_finite(tmp_path, capsys, field, value):
+    doc = OctahedronPose(np.zeros(3), IDENTITY, 1.0).to_dict()
     doc[field] = [float(x) for x in value]
     path = tmp_path / "pose.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="finite"):
-        read_pose_json(path)
+    cube_off = tmp_path / "cube.off"
+    cube_off.write_text(CUBE_OFF)
+    assert main(["certify", str(cube_off), str(path)]) == 64
+    assert "finite" in capsys.readouterr().err
