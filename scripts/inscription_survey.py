@@ -16,7 +16,10 @@ the ladder steps, the flags and the final pose.  --out writes these as
 JSON; --compare OLD lists every body whose record differs from OLD's in
 any field (search, ladder, flags, evaluations, pose, ...), with the pose
 shift pose_distance / diameter, and counts per family the records that are
-identical to the bit.  Exits 1 when a body is not certified.
+identical to the bit.  Exits 1 when a body is not certified; otherwise,
+with --compare, exits 2 when any record changed in a field other than
+evaluations (search, ladder, flags, pose, certification, error, ...), so a
+change meant to save work only can be checked by the exit code alone.
 
     PYTHONPATH=src python3 scripts/inscription_survey.py --out survey.json
     PYTHONPATH=src python3 scripts/inscription_survey.py --compare survey.json
@@ -127,8 +130,10 @@ def compare(old, new):
     with its pose shift; then per family the evaluation totals, the changed
     searches, ladders and flags, the largest pose shift of any body and the
     records identical to the bit.  Fields compare as JSON text, so every
-    float by its repr, which tells any two different floats apart."""
+    float by its repr, which tells any two different floats apart.  Returns
+    whether any record changed in a field other than evaluations."""
     labels = {"initial_search": "search", "ladder_steps": "ladder"}
+    moved = False
     for family in FAMILIES:
         names = [n for n in new if n.startswith(family + "/") and n in old]
         if not names:
@@ -151,6 +156,7 @@ def compare(old, new):
             for label in changed:
                 changed[label] += label in what
             identical += not what
+            moved |= any(label != "evaluations" for label in what)
             if what:
                 print(
                     f"  {name}: {', '.join(what)} changed; ladder {a['ladder_steps']} -> "
@@ -164,6 +170,7 @@ def compare(old, new):
             f"{changed['search']} searches, {changed['ladder']} ladders, {changed['flags']} flags; "
             f"largest pose shift {largest:.2e}; {identical} of {len(names)} records identical"
         )
+    return moved
 
 
 def main():
@@ -178,12 +185,15 @@ def main():
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(records, fh, indent=1)
+    moved = False
     if args.compare:
         with open(args.compare) as fh:
-            compare(json.load(fh), records)
+            moved = compare(json.load(fh), records)
     failed = [name for name, r in records.items() if not r["certified"]]
     if failed:
         sys.exit(f"{len(failed)} of {len(records)} bodies not certified: {', '.join(failed)}")
+    if moved:
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -137,19 +137,23 @@ def direct_angle_search(
     For every assignment the scale is fixed to 1 (inscribed octahedra of
     a cone come in homothety families) and the apex-relative center that
     best satisfies the six plane conditions is a linear least-squares
-    solve per rotation.  Rotation space is scanned on a deterministic
-    grid, and each assignment's `_REFINE_TOP` best rotations are polished
+    solve per rotation, so the residuals are one linear map of the turned
+    unit vertices (`_plane_system`).  Rotation space is scanned on a
+    deterministic grid, scored against all assignments in one product,
+    and each assignment's `_REFINE_TOP` best rotations are polished
     together, all assignments at once, by one batched Levenberg-Marquardt
     solve (`least_squares`) in which each candidate may spend `_MAX_NFEV`
-    residual evaluations, and stops early once its cost has not halved
-    over the last `_STALL` of them.  That loses no pose: a candidate
-    heading for an inscribed octahedron has zero residual and converges
-    superlinearly, while one whose cost stalls above the solver's floor
-    sits at a local minimum of positive cost and cannot pass the 1e-9
-    plane test.  The candidates are then verified against plane and
-    sector-membership tolerances in scan order: assignment, then grid
-    rank.  An empty result is resolution-limited evidence of absence,
-    quantified in the metadata, not a proof.
+    residual evaluations.  A candidate stops early once its cost has not
+    halved over the last `_STALL` of them, or once it is stationary: every
+    column of its Jacobian is nearly orthogonal to its residual.  That
+    loses no pose: a candidate heading for an inscribed octahedron has
+    zero residual and converges superlinearly, while one whose cost stalls
+    above the solver's floor, or whose gradient vanishes there, sits at a
+    local minimum of positive cost and cannot pass the 1e-9 plane test.
+    The candidates are then verified against plane and sector-membership
+    tolerances in scan order: assignment, then grid rank.  An empty result
+    is resolution-limited evidence of absence, quantified in the metadata,
+    not a proof.
     """
     if angle.n_edges != 3:
         raise ValueError("direct search handles trihedral angles only")
@@ -158,19 +162,19 @@ def direct_angle_search(
     inverses = np.array([f[0] for f in frames])
     mats, RU = _rotation_grid()
 
-    starts, systems = [], []
-    for sigma in _ASSIGNMENTS:
-        system = _plane_system(normals[list(sigma)], inverses[list(sigma)])
-        r = _residuals(RU, *system)[0]
-        starts.append(np.argsort(np.einsum("ki,ki->k", r, r), kind="stable")[:_REFINE_TOP])
-        systems.append(system)
-    owner = np.repeat(np.arange(len(_ASSIGNMENTS)), [len(s) for s in starts])
-    system = [np.array(parts)[owner] for parts in zip(*systems)]
-    rotations = least_squares(mats[np.concatenate(starts)], system, _MAX_NFEV).rotations
+    sigmas = np.array(_ASSIGNMENTS)
+    maps = _plane_system(normals[sigmas], inverses[sigmas])
+    r = _residuals(RU.reshape(1, -1, 18), maps)[0]
+    starts = np.argsort(np.einsum("aki,aki->ak", r, r), axis=1, kind="stable")[:, :_REFINE_TOP]
+    owner = np.repeat(np.arange(len(sigmas)), _REFINE_TOP)
+    M = maps[owner]
+    rotations = least_squares(mats[starts.ravel()], M, _MAX_NFEV).rotations
 
-    _, c, X = _residuals(_turned_vertices(rotations), *system)
+    ru = _turned_vertices(rotations)
+    c = _residuals(ru.reshape(-1, 1, 18), M)[1][:, 0]
+    X = c[:, None, :] + ru
     span = np.linalg.norm(X, axis=2).max(axis=1)
-    alpha, beta, gamma = np.einsum("kjab,kjb->akj", system[3], X)
+    alpha, beta, gamma = np.einsum("kjab,kjb->akj", inverses[sigmas[owner]], X)
     lim = span[:, None]
     plane_ok = np.abs(gamma) <= _PLANE_TOL * lim
     sector_ok = (alpha >= -_SECTOR_TOL * lim) & (beta >= -_SECTOR_TOL * lim)
@@ -202,11 +206,21 @@ def _metadata(tested: int, early: bool) -> dict:
 
 
 def _plane_system(A, inverses):
-    """What one assignment fixes: the facet normal of each vertex (A, 6 x 3),
-    its pseudo-inverse, the projector onto the residual of the six plane
-    conditions, and each vertex's inverse sector frame (6 x 3 x 3)."""
-    pinv = np.linalg.pinv(A)
-    return A, pinv, np.eye(6) - A @ pinv, inverses
+    """What an assignment fixes, as one linear map M (18 x 21): the six
+    turned unit vertices R u_j of a rotation, flattened, times M give the 6
+    plane rows, the 12 hinge rows before their min(., 0) and the center c.
+    With A (6 x 3) the facet normal of each vertex, b_j = -A_j . R u_j; c
+    is the least-squares solve pinv(A) b of the six plane conditions, the
+    plane rows are the residual b - A c, and the hinge rows of vertex j are
+    the first two coordinates of c + R u_j in its inverse sector frame
+    (inverses, 6 x 3 x 3).  Leading axes of A and inverses are kept, one
+    map per assignment."""
+    to_b = -(np.eye(6)[:, None, :] * A[..., None]).reshape(*A.shape[:-2], 18, 6)
+    to_c = to_b @ np.linalg.pinv(A).swapaxes(-1, -2)
+    rows = inverses[..., :2, :].swapaxes(-1, -2)
+    own = (np.eye(6)[:, None, :, None] * rows[..., None, :]).reshape(*A.shape[:-2], 18, 12)
+    to_h = to_c @ rows.swapaxes(-2, -3).reshape(*A.shape[:-2], 3, 12) + own
+    return np.concatenate([to_b - to_c @ A.swapaxes(-1, -2), to_h, to_c], axis=-1)
 
 
 def _turned_vertices(R):
@@ -214,33 +228,28 @@ def _turned_vertices(R):
     return (R @ UNIT_VERTICES.T).transpose(0, 2, 1)
 
 
-def _residuals(ru, A, pinv, proj, inverses):
-    """Residuals at scale 1 of K rotations, given as the vertices they
-    turn the unit vertices to (ru, K x 6 x 3): the 6 plane rows, then the
-    12 hinge rows min(alpha, 0), min(beta, 0) of each vertex's sector
-    coordinates, (K, 18).  The center c (K, 3) is the least-squares solve
-    of the plane conditions; X (K, 6, 3) are the vertices.  The
-    assignment arrays are one assignment's or one per rotation."""
-    b = -(A * ru).sum(axis=2)[..., None]
-    plane = (proj @ b)[..., 0]
-    c = (pinv @ b)[..., 0]
-    X = c[:, None, :] + ru
-    hinge = np.minimum((inverses[..., :2, :] @ X[..., None])[..., 0], 0.0)
-    return np.concatenate([plane, hinge.reshape(len(ru), 12)], axis=1), c, X
+def _residuals(ru, M):
+    """Residuals at scale 1, (..., n, 18): the 6 plane rows, then the 12
+    hinge rows min(alpha, 0), min(beta, 0) of each vertex's sector
+    coordinates; and the centers, (..., n, 3).  ru (..., n, 18) are the
+    flattened turned unit vertices of the rotations, M (..., 18, 21) the
+    maps of `_plane_system`, so one product serves both the rotation grid
+    against every assignment, (1, n, 18) @ (a, 18, 21), and each candidate
+    against its own, (K, 1, 18) @ (K, 18, 21)."""
+    out = ru @ M
+    np.minimum(out[..., 6:18], 0.0, out=out[..., 6:18])
+    return out[..., :18], out[..., 18:]
 
 
-def _jacobian(ru, A, pinv, proj, inverses, r):
+def _jacobian(ru, M, r):
     """d r / d w (K, 18, 3) for the left update R <- Q(w) R at w = 0.
 
-    d(R u_j) / d w_i = e_i x R u_j, so b_j = -A_j . R u_j moves by
-    (A_j x R u_j)_i, which reaches the plane rows through `proj` and the
-    center through `pinv`.  A hinge row H . X_j moves by
-    H . d c / d w_i + (R u_j x H)_i while it is active (r < 0)."""
-    G = _cross(A, ru)
-    rows = inverses[:, :, :2, :]
-    dh = rows @ (pinv @ G)[:, None] + _cross(ru[:, :, None, :], rows)
-    dh *= (r[:, 6:] < 0.0).reshape(-1, 6, 2, 1)
-    return np.concatenate([proj @ G, dh.reshape(len(ru), 12, 3)], axis=1)
+    d(R u_j) / d w_i = e_i x R u_j, which M takes to the rows; a hinge row
+    moves only while it is active (r < 0)."""
+    turn = _cross(np.eye(3)[:, None, :], ru[:, None])
+    J = (turn.reshape(-1, 3, 18) @ M[:, :, :18]).transpose(0, 2, 1)
+    J[:, 6:] *= (r[:, 6:] < 0.0)[..., None]
+    return J
 
 
 def _cross(a, b):
@@ -263,6 +272,13 @@ def _turn(w, R):
     return (cols + s * (u + _cross(v, u))).transpose(0, 2, 1)
 
 
+def _rows(R, M):
+    """The residuals (K, 18) and their Jacobian (K, 18, 3) at rotations R."""
+    ru = _turned_vertices(R)
+    r = _residuals(ru.reshape(-1, 1, 18), M)[0][:, 0]
+    return r, _jacobian(ru, M, r)
+
+
 @dataclass(frozen=True, eq=False)
 class BatchSolution:
     rotations: np.ndarray   # (K, 3, 3), in the order of the starts
@@ -271,33 +287,47 @@ class BatchSolution:
 
 # A candidate stops once its residual norm is below 1e-15 (the octahedron
 # has scale 1, so every span is at least 1), its step is below _STEP_FLOOR
-# radians, or its cost has not halved over the last _STALL evaluations.
+# radians, its cost has not halved over the last _STALL evaluations, or
+# |(J^T r)_i| <= _STATIONARY_COS * |J_:,i| * |r| for every column i.
 _COST_FLOOR = 1e-30
 _STEP_FLOOR = 1e-15
 _STALL = 10
+_STATIONARY_COS = 1e-3
 
 
-def least_squares(R, system, max_nfev: int) -> BatchSolution:
+def least_squares(R, M, max_nfev: int) -> BatchSolution:
     """Levenberg-Marquardt on K rotation problems at once, each with its
     own damping lam (Madsen, Nielsen and Tingleff, *Methods for
     Non-Linear Least Squares Problems*, 2004, algorithm 3.16, with
     Marquardt's diagonal scaling).
 
-    R (K, 3, 3) are the starting rotations and `system` the per-candidate
-    arrays of `_plane_system`.  The unknown is each candidate's rotation
-    update, re-centred after every accepted step (R <- Q(delta) R).  Every
-    live candidate solves its 3 x 3 system
+    R (K, 3, 3) are the starting rotations and M (K, 18, 21) the
+    per-candidate maps of `_plane_system`.  The unknown is each
+    candidate's rotation update, re-centred after every accepted step
+    (R <- Q(delta) R).  Every live candidate solves its 3 x 3 system
     (J^T J + lam diag(J^T J)) delta = -J^T r, and accepts or rejects its
     step on its own gain ratio.  A candidate is frozen, and leaves the
     batch, once its cost or its step is negligible, once its cost has not
-    at least halved over the last `_STALL` residual evaluations, or once
-    it has spent `max_nfev` of them, counting the one at its start.
+    at least halved over the last `_STALL` residual evaluations, once it
+    is stationary, or once it has spent `max_nfev` of them, counting the
+    one at its start.
+
+    Stationary means that every column of J is nearly orthogonal to r:
+    |(J^T r)_i| <= `_STATIONARY_COS` |J_:,i| |r| for each i.  This is the
+    small-gradient stop of Madsen, Nielsen and Tingleff (section 3.2) in
+    the per-column, scale-free form of MINPACK's gtol test (More, Garbow
+    and Hillstrom, *User Guide for MINPACK-1*, 1980), and it costs nothing
+    extra: J^T r and the diagonal of J^T J, the squared column norms, are
+    already formed for the step.  Over the 500 full searches of acceptance
+    criterion 5, every candidate that reaches a zero residual keeps a
+    cosine of at least 1.1e-2 while its cost is above 1e-20, 11 times the
+    threshold.
 
     Every live candidate has spent the same number of evaluations, so the
     stall test is a checkpoint of the whole batch every `_STALL`
     evaluations (Madsen, Nielsen and Tingleff, section 3.2, on stopping
-    criteria).  A frozen candidate keeps its best rotation, so the test
-    only ends refinement early, and it ends none that could still verify:
+    criteria).  A frozen candidate keeps its best rotation, so the tests
+    only end refinement early, and they end none that could still verify:
     near a zero-residual solution the Jacobian has full rank and LM
     converges superlinearly, so the cost falls by far more than half over
     `_STALL` evaluations, while a cost that stalls above `_COST_FLOOR`
@@ -308,9 +338,7 @@ def least_squares(R, system, max_nfev: int) -> BatchSolution:
     R = np.array(R, dtype=float)
     out = np.empty_like(R)
     todo = np.arange(len(R))
-    ru = _turned_vertices(R)
-    r = _residuals(ru, *system)[0]
-    J = _jacobian(ru, *system, r)
+    r, J = _rows(R, M)
     cost = np.einsum("ki,ki->k", r, r)
     lam = np.full(len(R), 1e-3)
     nu = np.full(len(R), 2.0)
@@ -319,21 +347,22 @@ def least_squares(R, system, max_nfev: int) -> BatchSolution:
     nfev = len(R)
     live = (cost > _COST_FLOOR) & (spent < max_nfev)
     while True:
-        if not live.all():
-            out[todo[~live]] = R[~live]
-            todo, R, r, J, cost, mark, lam, nu = (a[live] for a in (todo, R, r, J, cost, mark, lam, nu))
-            system = [a[live] for a in system]
-        if not len(todo):
-            return BatchSolution(out, nfev)
         Jt = J.transpose(0, 2, 1)
         JtJ = Jt @ J
         g = (Jt @ r[..., None])[..., 0]
+        # Stationary: |(J^T r)_i| <= _STATIONARY_COS |J_:,i| |r| for every i.
+        live &= (g * g > _STATIONARY_COS**2 * np.diagonal(JtJ, axis1=1, axis2=2) * cost[:, None]).any(axis=1)
+        if not live.all():
+            out[todo[~live]] = R[~live]
+            todo, R, r, J, cost, mark, lam, nu, JtJ, g, M = (
+                a[live] for a in (todo, R, r, J, cost, mark, lam, nu, JtJ, g, M)
+            )
+        if not len(todo):
+            return BatchSolution(out, nfev)
         d = lam[:, None] * np.maximum(np.diagonal(JtJ, axis1=1, axis2=2), 1e-300)
         step = np.linalg.solve(JtJ + d[:, :, None] * np.eye(3), -g[..., None])[..., 0]
         trial = _turn(step, R)
-        ru = _turned_vertices(trial)
-        r_try = _residuals(ru, *system)[0]
-        J_try = _jacobian(ru, *system, r_try)
+        r_try, J_try = _rows(trial, M)
         cost_try = np.einsum("ki,ki->k", r_try, r_try)
         spent += 1
         nfev += len(todo)

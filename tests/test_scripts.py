@@ -57,14 +57,21 @@ def test_survey_writes_and_compares_its_records(tmp_path):
     assert again.returncode == 0, again.stderr
     assert again.stdout.count("changed: 0 searches, 0 ladders, 0 flags; largest pose shift 0.00e+00") == 2
     assert again.stdout.count("1 of 1 records identical") == 2
-    # A drift in the pose's last bit and in the evaluation count, with the
-    # same search, ladder and flags, is listed and breaks bit identity.
+    # A change in the evaluation count alone is listed, breaks bit identity
+    # and exits 0.
     cube = records["stock/cube"]
-    cube["pose"]["center"][0] = math.nextafter(cube["pose"]["center"][0], math.inf)
     cube["evaluations"] += 1
     out.write_text(json.dumps(records))
+    saved = _run([*subset, "--compare", str(out)], tmp_path)
+    assert saved.returncode == 0, saved.stderr
+    assert "  stock/cube: evaluations changed;" in saved.stdout
+    assert saved.stdout.count("0 of 1 records identical") == 1
+    # A drift in the pose's last bit as well, with the same search, ladder
+    # and flags, is listed and exits 2.
+    cube["pose"]["center"][0] = math.nextafter(cube["pose"]["center"][0], math.inf)
+    out.write_text(json.dumps(records))
     drift = _run([*subset, "--compare", str(out)], tmp_path)
-    assert drift.returncode == 0, drift.stderr
+    assert drift.returncode == 2, drift.stderr
     assert "  stock/cube: evaluations, pose changed;" in drift.stdout
     assert "0 searches, 0 ladders, 0 flags" in drift.stdout
     assert drift.stdout.count("0 of 1 records identical") == 1
