@@ -11,15 +11,20 @@ Families:
   spiky       the 200 spiky point clouds (random_spiky_cloud, default_rng(5)).
 
 Per body it records: certified at 1e-7 * diameter or not, residual
-evaluations (calls of inscriber.residual), the initial search counts,
-the ladder steps, the flags and the final pose.  --out writes these as
+evaluations (calls of inscriber.residual) and how many of them were spent
+by solves that did not converge, the initial search counts, the ladder
+steps, the flags and the final pose.  Each family's summary and --compare
+line split the evaluations between the solves that converged and the
+others, the search cost that found nothing.  --out writes the records as
 JSON; --compare OLD lists every body whose record differs from OLD's in
 any field (search, ladder, flags, evaluations, pose, ...), with the pose
 shift pose_distance / diameter, and counts per family the records that are
 identical to the bit.  Exits 1 when a body is not certified; otherwise,
-with --compare, exits 2 when any record changed in a field other than
-evaluations (search, ladder, flags, pose, certification, error, ...), so a
-change meant to save work only can be checked by the exit code alone.
+with --compare, exits 2 when any record changed in a field other than the
+two evaluation counts (search, ladder, flags, pose, certification, error,
+...), so a change meant to save work only can be checked by the exit code
+alone.  To survey an older version of the package, run this script with
+PYTHONPATH pointing to that version's src.
 
     PYTHONPATH=src python3 scripts/inscription_survey.py --out survey.json
     PYTHONPATH=src python3 scripts/inscription_survey.py --compare survey.json
@@ -39,6 +44,7 @@ from octainscribe.polytope import build_from_vertices, cube, regular_octahedron,
 from octainscribe.pose import OctahedronPose, pose_distance
 
 CERTIFY_TOL_REL = 1e-7
+EVALUATION_FIELDS = ("evaluations", "unconverged_evaluations")
 
 
 def criterion3():
@@ -69,15 +75,16 @@ FAMILIES = {"criterion3": criterion3, "tangent": tangent, "stock": stock, "spiky
 
 
 def survey_body(body, counter):
-    """One body's record; counter[0] counts residual evaluations."""
-    counter[0] = 0
+    """One body's record; counter[0] counts residual evaluations and
+    counter[1] those of solves that did not converge."""
+    counter[:] = [0, 0]
     record = {"diameter": body.diameter}
     try:
         trace, final = continue_to_surface(body)
     except InscriptionFailed as exc:
         trace, final = exc.trace, None
         record["error"] = str(exc)
-    record["evaluations"] = counter[0]
+    record["evaluations"], record["unconverged_evaluations"] = counter
     record["initial_search"] = dict(trace.initial_search) if trace else {}
     record["ladder_steps"] = len(trace.steps) if trace else 0
     record["flags"] = list(trace.flags) if trace else []
@@ -91,14 +98,21 @@ def survey_body(body, counter):
 
 
 def run(families, limit):
-    counter = [0]
-    real = inscriber.residual
+    counter = [0, 0]
+    real, real_solve = inscriber.residual, inscriber._levenberg_marquardt
 
     def counted(body, pose):
         counter[0] += 1
         return real(body, pose)
 
-    inscriber.residual = counted
+    def attributed(*args, **kwargs):
+        before = counter[0]
+        rep = real_solve(*args, **kwargs)
+        if not rep.converged:
+            counter[1] += counter[0] - before
+        return rep
+
+    inscriber.residual, inscriber._levenberg_marquardt = counted, attributed
     records = {}
     try:
         for family in families:
@@ -111,15 +125,26 @@ def run(families, limit):
                 names.append(name)
             _summary(family, [records[n] for n in names], time.perf_counter() - t0)
     finally:
-        inscriber.residual = real
+        inscriber.residual, inscriber._levenberg_marquardt = real, real_solve
     return records
+
+
+def _split(recs):
+    """The residual evaluations of converged solves and of the others, as
+    text, or "?" for a survey written before they were told apart."""
+    if not all("unconverged_evaluations" in r for r in recs):
+        return "?", "?"
+    others = sum(r["unconverged_evaluations"] for r in recs)
+    return str(sum(r["evaluations"] for r in recs) - others), str(others)
 
 
 def _summary(family, recs, elapsed):
     ratios = [r["diameter_ratio"] for r in recs if "diameter_ratio" in r]
+    converged, others = _split(recs)
     print(
         f"{family}: {sum(r['certified'] for r in recs)}/{len(recs)} certified, "
-        f"{sum(r['evaluations'] for r in recs)} residual evaluations, "
+        f"{sum(r['evaluations'] for r in recs)} residual evaluations "
+        f"({converged} in converged solves, {others} in the others), "
         f"{sum(r['ladder_steps'] for r in recs)} ladder steps, "
         f"smallest diameter ratio {min(ratios, default=float('nan')):.4f}, {elapsed:.1f}s"
     )
@@ -131,7 +156,7 @@ def compare(old, new):
     searches, ladders and flags, the largest pose shift of any body and the
     records identical to the bit.  Fields compare as JSON text, so every
     float by its repr, which tells any two different floats apart.  Returns
-    whether any record changed in a field other than evaluations."""
+    whether any record changed in a field other than the evaluation counts."""
     labels = {"initial_search": "search", "ladder_steps": "ladder"}
     moved = False
     for family in FAMILIES:
@@ -143,9 +168,11 @@ def compare(old, new):
         largest = 0.0
         for name in names:
             a, b = old[name], new[name]
+            # A survey written before the split has no unconverged_evaluations.
+            keys = [k for k in dict.fromkeys([*a, *b]) if k in a or k != "unconverged_evaluations"]
             what = [
                 labels.get(k, k)
-                for k in dict.fromkeys([*a, *b])
+                for k in keys
                 if json.dumps(a.get(k), sort_keys=True) != json.dumps(b.get(k), sort_keys=True)
             ]
             shift = float("nan")
@@ -156,7 +183,7 @@ def compare(old, new):
             for label in changed:
                 changed[label] += label in what
             identical += not what
-            moved |= any(label != "evaluations" for label in what)
+            moved |= any(label not in EVALUATION_FIELDS for label in what)
             if what:
                 print(
                     f"  {name}: {', '.join(what)} changed; ladder {a['ladder_steps']} -> "
@@ -165,8 +192,10 @@ def compare(old, new):
                 )
         before = sum(old[n]["evaluations"] for n in names)
         after = sum(new[n]["evaluations"] for n in names)
+        (c0, u0), (c1, u1) = (_split([recs[n] for n in names]) for recs in (old, new))
         print(
-            f"{family}: residual evaluations {before} -> {after}; changed: "
+            f"{family}: residual evaluations {before} -> {after} "
+            f"(converged solves {c0} -> {c1}, others {u0} -> {u1}); changed: "
             f"{changed['search']} searches, {changed['ladder']} ladders, {changed['flags']} flags; "
             f"largest pose shift {largest:.2e}; {identical} of {len(names)} records identical"
         )

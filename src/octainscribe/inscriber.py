@@ -18,12 +18,18 @@ converges never passes that close to orthogonal on its way.  The test
 takes each column on its own because the columns mix units, lengths for
 the center and scale and radians for the rotation; one Frobenius norm over
 all seven would weigh them against each other and can stop a converging
-seed of a thin body.  The smoothing parameter is then halved repeatedly,
-each solution seeding the next, and the limit pose is polished directly
-against the polytope boundary.  The continuation needs
-one start, so the initial seed loop runs lazily: it stops at the first
-converged pose in seed order that has not collapsed to a point, and runs
-on, to at most _MAX_SOLUTIONS solutions, only if that track fails.
+seed of a thin body.  A solve that crawls along a valley without
+converging, its cost falling by a fraction of a percent per step, ends at
+a progress checkpoint every _PROGRESS_WINDOW iterations once the window
+has not cut its cost by the factor _PROGRESS_FACTOR (a window form of the
+small-reduction stop of the same sec. 3.2, MINPACK's ftol).  Neither stop
+moves a search, ladder, flag or pose of the survey families or the thin
+bodies; they only end failing solves sooner.  The smoothing parameter is
+then halved repeatedly, each solution seeding the next, and the limit pose
+is polished directly against the polytope boundary.  The continuation
+needs one start, so the initial seed loop runs lazily: it stops at the
+first converged pose in seed order that has not collapsed to a point, and
+runs on, to at most _MAX_SOLUTIONS solutions, only if that track fails.
 
 A ladder step that does not converge, or whose pose has collapsed, ends
 the track, and the next start is tracked.  An inner body that cannot be
@@ -93,7 +99,8 @@ class InscriptionFailed(RuntimeError):
 # rho scales lambda by max(1/3, 1 - (2 rho - 1)^3), down to a floor of
 # 1e-14, and resets nu to 2; a rejected step scales lambda by nu and
 # doubles nu, and the solve stops once lambda passes _LAMBDA_MAX.  It also
-# stops at a stationary point (_STATIONARY_COS, below).
+# stops at a stationary point (_STATIONARY_COS, below) and when it crawls
+# (_PROGRESS_WINDOW and _PROGRESS_FACTOR).
 _TOL_RES_REL = 1e-10      # convergence: max |residual| <= rel * diameter
 _MAX_ITER = 200
 _LAMBDA0 = 1e-3
@@ -106,6 +113,15 @@ _STEP_TOL_REL = 1e-15
 # Every solve that converges, over the survey families and 20 thin bodies,
 # keeps a cosine of at least 1.0e-2 until it converges: 34 times this.
 _STATIONARY_COS = 3e-4
+# The small-reduction stop (same sec. 3.2; MINPACK's ftol) over a window:
+# every _PROGRESS_WINDOW iterations a solve that has not converged stops
+# if its cost is above _PROGRESS_FACTOR times the cost at the previous
+# checkpoint (the first compares with the starting cost).  It cuts the
+# survey's residual evaluations from 539 to 499 on criterion 3 and from
+# 9,057 to 7,365 on the spiky bodies, and moves no record; a window of 10,
+# or a factor of 0.75 or 0.5, changes one spiky search.
+_PROGRESS_WINDOW = 20
+_PROGRESS_FACTOR = 0.9
 
 # Multistart seed grid.
 _N_ROTATIONS = 60
@@ -245,7 +261,7 @@ def _levenberg_marquardt(body, pose: OctahedronPose, max_iter: int = _MAX_ITER) 
     tol = _TOL_RES_REL * diam
     lam, nu = _LAMBDA0, 2.0
     res, J = residual(body, pose)
-    cost = float(res @ res)
+    cost = checkpoint = float(res @ res)
     g = J.T @ res
     iters = 0
     while iters < max_iter and np.abs(res).max() > tol:
@@ -253,6 +269,12 @@ def _levenberg_marquardt(body, pose: OctahedronPose, max_iter: int = _MAX_ITER) 
         # orthogonal to the residual, and no step can reach tol from here.
         if (np.abs(g) <= _STATIONARY_COS * np.sqrt(np.einsum("ij,ij->j", J, J) * cost)).all():
             break
+        # A crawl: the last _PROGRESS_WINDOW iterations cut the cost by
+        # less than a factor _PROGRESS_FACTOR.
+        if iters and iters % _PROGRESS_WINDOW == 0:
+            if cost > _PROGRESS_FACTOR * checkpoint:
+                break
+            checkpoint = cost
         iters += 1
         delta = _damped_step(J, res, lam)
         step = math.sqrt(delta @ delta)

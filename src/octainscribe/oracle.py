@@ -165,7 +165,7 @@ def direct_angle_search(
     sigmas = np.array(_ASSIGNMENTS)
     maps = _plane_system(normals[sigmas], inverses[sigmas])
     r = _residuals(RU.reshape(1, -1, 18), maps)[0]
-    starts = np.argsort(np.einsum("aki,aki->ak", r, r), axis=1, kind="stable")[:, :_REFINE_TOP]
+    starts = _smallest(np.einsum("aki,aki->ak", r, r), _REFINE_TOP)
     owner = np.repeat(np.arange(len(sigmas)), _REFINE_TOP)
     M = maps[owner]
     rotations = least_squares(mats[starts.ravel()], M, _MAX_NFEV).rotations
@@ -190,6 +190,19 @@ def direct_angle_search(
         if cfg.stop_at_first:
             return DirectSearchResult(found, _metadata(int(owner[k]) + 1, early=True))
     return DirectSearchResult(found, _metadata(len(_ASSIGNMENTS), early=False))
+
+
+def _smallest(scores, k: int):
+    """argsort(scores, axis=1, kind="stable")[:, :k], ties included, without
+    sorting whole rows: partition, then sort the k kept by (score, index).
+    A row whose k-th score is tied may have kept a later index than the
+    stable order would, and only such a row is sorted in full."""
+    kept = np.sort(np.argpartition(scores, k - 1, axis=1)[:, :k], axis=1)
+    values = np.take_along_axis(scores, kept, axis=1)
+    kept = np.take_along_axis(kept, np.argsort(values, axis=1, kind="stable"), axis=1)
+    tied = (scores <= values.max(axis=1, keepdims=True)).sum(axis=1) > k
+    kept[tied] = np.argsort(scores[tied], axis=1, kind="stable")[:, :k]
+    return kept
 
 
 def _metadata(tested: int, early: bool) -> dict:

@@ -228,18 +228,20 @@ def counting_residual(monkeypatch):
     return calls
 
 
-def test_criterion_3_takes_at_most_566_residual_evaluations(monkeypatch):
-    # About 1.05 x the 539 evaluations measured with the stationary exit
-    # (685 without it; 891 under a x3 / x0.33 damping schedule).
+def test_criterion_3_takes_at_most_524_residual_evaluations(monkeypatch):
+    # About 1.05 x the 499 evaluations measured with the progress stop (539
+    # without it, 685 without the stationary exit as well; 891 under a
+    # x3 / x0.33 damping schedule).
     calls = counting_residual(monkeypatch)
     for p in _criterion3_bodies():
         continue_to_surface(p)
-    assert len(calls) <= 566
+    assert len(calls) <= 524
 
 
 def test_every_spiky_body_certifies(monkeypatch):
-    # The survey also has a budget: about 1.05 x the 9,057 residual
-    # evaluations measured with the stationary exit (11,812 without it).
+    # The survey also has a budget: about 1.05 x the 7,365 residual
+    # evaluations measured with the progress stop (9,057 without it, 11,812
+    # without the stationary exit as well).
     calls = counting_residual(monkeypatch)
     rng = np.random.default_rng(5)
     for k in range(200):
@@ -247,7 +249,7 @@ def test_every_spiky_body_certifies(monkeypatch):
         trace, final = continue_to_surface(p)
         cert = certify(p, final.pose, 1e-7 * p.diameter)
         assert cert.ok, f"spiky body {k}: residual {cert.residuals.max():.3e}, flags {trace.flags}"
-    assert len(calls) <= 9510
+    assert len(calls) <= 7733
 
 
 def test_seed_at_a_positive_cost_minimum_stops_where_it_is_stationary(monkeypatch):
@@ -269,6 +271,25 @@ def test_seed_at_a_positive_cost_minimum_stops_where_it_is_stationary(monkeypatc
     assert spent <= 6 < spent_off
     assert not rep_off.converged and pose_distance(rep.pose, rep_off.pose) <= 1e-5 * p.diameter
     assert rep.max_residual() == pytest.approx(rep_off.max_residual(), rel=1e-9)
+
+
+def test_crawling_seed_stops_at_its_second_progress_checkpoint(monkeypatch):
+    # Seed 1 of criterion-3 body 9 crawls along a valley and fails: its cost
+    # falls by more than 10% over its first 20 iterations but not over the
+    # next 20, so the progress stop ends it after 41 residual evaluations;
+    # without the stop it runs to the 80-iteration cap.
+    p = _criterion3_bodies()[9]
+    s0 = SmoothedBody(p, 0.2 * p.inradius)
+    seed = list(islice(inscriber._seed_poses(s0, inscriber._N_ROTATIONS), 2))[1]
+    calls = counting_residual(monkeypatch)
+    spent = []
+    for window in (inscriber._PROGRESS_WINDOW, inscriber._MAX_ITER):
+        monkeypatch.setattr(inscriber, "_PROGRESS_WINDOW", window)
+        calls.clear()
+        rep = solve_at_epsilon(s0, seed, inscriber._SEED_MAX_ITER)
+        assert not rep.converged and rep.max_residual() > 1e-3 * p.diameter
+        spent.append(len(calls))
+    assert spent == [41, 81]
 
 
 def thin_bodies():
@@ -298,15 +319,29 @@ def continuation_record(p):
     return json.dumps([trace.to_dict(), final.to_dict()])
 
 
-def test_stationary_exit_changes_no_outcome(monkeypatch):
+@pytest.fixture(scope="module")
+def outcome_records():
+    """(name, body, continuation_record) of the 20 criterion-3 bodies and
+    the 20 thin bodies, with every stop of the solver enabled."""
+    bodies = [(f"criterion 3 #{k}", p) for k, p in enumerate(_criterion3_bodies())] + list(thin_bodies())
+    assert len(bodies) == 40
+    return [(name, p, continuation_record(p)) for name, p in bodies]
+
+
+def test_stationary_exit_changes_no_outcome(monkeypatch, outcome_records):
     # The exit only stops solves that fail anyway, so every search, ladder,
     # flag and pose is the same to the bit with it disabled; needle t=1e-3 #1
     # is the body a test of one Frobenius norm over all seven columns breaks.
-    bodies = [(f"criterion 3 #{k}", p) for k, p in enumerate(_criterion3_bodies())] + list(thin_bodies())
-    assert len(bodies) == 40
-    records = [continuation_record(p) for _, p in bodies]
     monkeypatch.setattr(inscriber, "_STATIONARY_COS", 0.0)
-    for (name, p), record in zip(bodies, records):
+    for name, p, record in outcome_records:
+        assert continuation_record(p) == record, name
+
+
+def test_progress_stop_changes_no_outcome(monkeypatch, outcome_records):
+    # The progress stop, too, ends only solves that fail anyway.  A window
+    # of _MAX_ITER is never reached, which disables it.
+    monkeypatch.setattr(inscriber, "_PROGRESS_WINDOW", inscriber._MAX_ITER)
+    for name, p, record in outcome_records:
         assert continuation_record(p) == record, name
 
 

@@ -178,6 +178,24 @@ def residuals_at(R, M):
     return r[:, 0], c[:, 0]
 
 
+def test_refinement_starts_keep_the_stable_order_of_ties():
+    # Ties decide which rotations refine, so the starts are exactly the
+    # first _REFINE_TOP of a stable argsort, also when the 4th and 5th
+    # smallest scores are equal and the partition may keep either.
+    smallest = octainscribe.oracle._smallest
+    tied = np.array([
+        [5.0, 1.0, 3.0, 3.0, 0.0, 3.0, 7.0, 3.0],
+        [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0],
+        [9.0, 4.0, 4.0, 1.0, 4.0, 0.0, 8.0, 4.0],
+        [6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 0.0],
+    ])
+    assert smallest(tied, 4).tolist() == [[4, 1, 2, 3], [0, 1, 2, 3], [5, 3, 1, 2], [6, 7, 5, 4]]
+    rng = np.random.default_rng(13)
+    for levels in (2, 5, 400):
+        scores = rng.integers(0, levels, size=(24, 400)).astype(float)
+        assert np.array_equal(smallest(scores, 4), np.argsort(scores, axis=1, kind="stable")[:, :4])
+
+
 def test_batched_residuals_match_per_vertex_reference():
     oracle = octainscribe.oracle
     per = 6

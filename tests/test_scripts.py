@@ -52,11 +52,13 @@ def test_survey_writes_and_compares_its_records(tmp_path):
     assert list(records) == ["stock/cube", "criterion3/0"]
     for r in records.values():
         assert r["certified"] and r["evaluations"] > 0 and r["ladder_steps"] >= 1
+        assert 0 <= r["unconverged_evaluations"] < r["evaluations"]
         assert set(r["pose"]) == {"center", "rotation", "scale"}
     again = _run([*subset, "--compare", str(out)], tmp_path)
     assert again.returncode == 0, again.stderr
     assert again.stdout.count("changed: 0 searches, 0 ladders, 0 flags; largest pose shift 0.00e+00") == 2
     assert again.stdout.count("1 of 1 records identical") == 2
+    assert "stock: residual evaluations 5 -> 5 (converged solves 5 -> 5, others 0 -> 0);" in again.stdout
     # A change in the evaluation count alone is listed, breaks bit identity
     # and exits 0.
     cube = records["stock/cube"]
