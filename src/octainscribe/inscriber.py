@@ -264,11 +264,15 @@ def _levenberg_marquardt(body, pose: OctahedronPose, max_iter: int = _MAX_ITER) 
     cost = checkpoint = float(res @ res)
     g = J.T @ res
     iters = 0
+    moved = True
     while iters < max_iter and np.abs(res).max() > tol:
         # A stationary point of positive cost: every column of J is nearly
         # orthogonal to the residual, and no step can reach tol from here.
-        if (np.abs(g) <= _STATIONARY_COS * np.sqrt(np.einsum("ij,ij->j", J, J) * cost)).all():
+        # A rejected step leaves J, g and cost as they were, and with them
+        # the test's outcome, so it runs only on new ones.
+        if moved and (np.abs(g) <= _STATIONARY_COS * np.sqrt(np.einsum("ij,ij->j", J, J) * cost)).all():
             break
+        moved = False
         # A crawl: the last _PROGRESS_WINDOW iterations cut the cost by
         # less than a factor _PROGRESS_FACTOR.
         if iters and iters % _PROGRESS_WINDOW == 0:
@@ -292,6 +296,7 @@ def _levenberg_marquardt(body, pose: OctahedronPose, max_iter: int = _MAX_ITER) 
             nu = 2.0
             pose, res, J, cost = cand, cand_res, cand_J, cand_cost
             g = J.T @ res
+            moved = True
         else:
             lam *= nu
             nu *= 2.0

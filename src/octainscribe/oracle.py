@@ -258,8 +258,15 @@ def _jacobian(ru, M, r):
     """d r / d w (K, 18, 3) for the left update R <- Q(w) R at w = 0.
 
     d(R u_j) / d w_i = e_i x R u_j, which M takes to the rows; a hinge row
-    moves only while it is active (r < 0)."""
-    turn = _cross(np.eye(3)[:, None, :], ru[:, None])
+    moves only while it is active (r < 0).  A cross product with a
+    coordinate axis is a signed permutation, e_0 x b = (0, -b_2, b_1) and so
+    on, so the components of R u_j go, with their signs, into a zeroed
+    array: exact, and cheaper than a cross product."""
+    turn = np.zeros((len(ru), 3, 6, 3))
+    neg = -ru
+    turn[:, 0, :, 1], turn[:, 0, :, 2] = neg[..., 2], ru[..., 1]
+    turn[:, 1, :, 0], turn[:, 1, :, 2] = ru[..., 2], neg[..., 0]
+    turn[:, 2, :, 0], turn[:, 2, :, 1] = neg[..., 1], ru[..., 0]
     J = (turn.reshape(-1, 3, 18) @ M[:, :, :18]).transpose(0, 2, 1)
     J[:, 6:] *= (r[:, 6:] < 0.0)[..., None]
     return J
@@ -268,10 +275,15 @@ def _jacobian(ru, M, r):
 def _cross(a, b):
     """Cross product over the last axis, with broadcasting.  On these
     small arrays np.cross spends more on its axis handling than on the
-    products, and the LM loop takes four per iteration."""
+    products, and the LM loop takes two per iteration (`_turn`)."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(c0.shape + (3,))
+    out[..., 0] = c0
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def _turn(w, R):
@@ -306,6 +318,7 @@ _COST_FLOOR = 1e-30
 _STEP_FLOOR = 1e-15
 _STALL = 10
 _STATIONARY_COS = 1e-3
+_EYE3 = np.eye(3)   # the damping's diagonal, built once
 
 
 def least_squares(R, M, max_nfev: int) -> BatchSolution:
@@ -373,7 +386,7 @@ def least_squares(R, M, max_nfev: int) -> BatchSolution:
         if not len(todo):
             return BatchSolution(out, nfev)
         d = lam[:, None] * np.maximum(np.diagonal(JtJ, axis1=1, axis2=2), 1e-300)
-        step = np.linalg.solve(JtJ + d[:, :, None] * np.eye(3), -g[..., None])[..., 0]
+        step = np.linalg.solve(JtJ + d[:, :, None] * _EYE3, -g[..., None])[..., 0]
         trial = _turn(step, R)
         r_try, J_try = _rows(trial, M)
         cost_try = np.einsum("ki,ki->k", r_try, r_try)

@@ -169,10 +169,15 @@ class ConvexPolytope:
         s = np.minimum(np.maximum(s, 0.0, out=s), L)
         return P + s[..., None] * U
 
-    def _blocks(self, X):
-        """Per block of _POINT_BLOCK points (one empty block for none): the kernel's output."""
-        for i in range(0, max(len(X), 1), _POINT_BLOCK):
-            yield self._nearest_in_block(X[i : i + _POINT_BLOCK])
+    @staticmethod
+    def _per_block(kernel, X):
+        """kernel(X) in blocks of _POINT_BLOCK points: one call when X fits
+        in a block (also when it is empty), else one per block, with each
+        output concatenated."""
+        if len(X) <= _POINT_BLOCK:
+            return kernel(X)
+        parts = [kernel(X[i : i + _POINT_BLOCK]) for i in range(0, len(X), _POINT_BLOCK)]
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def _nearest_in_block(self, X):
         """Band rule: proj is the first candidate (column col) within tol =
@@ -203,19 +208,21 @@ class ConvexPolytope:
         on = _norm3(proj[:, None, :] - self._segment_feet(proj)) <= tol
         on_edge, on_vertex = on[:, :n_e], on[:, n_e:]
         own_kind = (col >= n_f).astype(int) + (col >= n_f + n_e)
-        hit = [on_vertex.any(axis=1), on_edge.any(axis=1)]
-        kind = np.select(hit, [2, 1], own_kind)
         own_index = col - np.array([0, n_f, n_f + n_e])[own_kind]
-        index = np.select(hit, [on_vertex.argmax(axis=1), on_edge.argmax(axis=1)], own_index)
+        vertex, edge = on_vertex.any(axis=1), on_edge.any(axis=1)
+        kind = np.where(vertex, 2, np.where(edge, 1, own_kind))
+        index = np.where(vertex, on_vertex.argmax(axis=1), np.where(edge, on_edge.argmax(axis=1), own_index))
         return kind, index
 
     def nearest_boundary(self, points):
         """Nearest boundary point of each query point: (dist, proj, kind, index),
         proj by the band rule (`_nearest_in_block`) and (kind, index), kind
         0/1/2 for facet/edge/vertex, by the feature rule (`_features`)."""
-        X = np.atleast_2d(np.asarray(points, dtype=float))
-        parts = [(d, proj, *self._features(proj, col)) for d, proj, col, _ in self._blocks(X)]
-        return tuple(map(np.concatenate, zip(*parts)))
+        def block(Y):
+            d, proj, col, _ = self._nearest_in_block(Y)
+            return (d, proj, *self._features(proj, col))
+
+        return self._per_block(block, np.atleast_2d(np.asarray(points, dtype=float)))
 
     def signed_distance(self, points):
         """Signed distance to the boundary surface (negative inside) and its
@@ -225,7 +232,7 @@ class ConvexPolytope:
         gradient on a facet's interior, a subgradient elsewhere), else 0.
         It names no boundary feature."""
         X = np.atleast_2d(np.asarray(points, dtype=float))
-        d, proj, col, inside = map(np.concatenate, zip(*self._blocks(X)))
+        d, proj, col, inside = self._per_block(self._nearest_in_block, X)
         sign = np.where(inside, -1.0, 1.0)
         grad = (X - proj) / (sign * np.maximum(d, 1e-300))[:, None]
         if np.minimum.reduce(d, initial=np.inf) <= 1e-300:  # rare: a point on the boundary

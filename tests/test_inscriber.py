@@ -292,6 +292,75 @@ def test_crawling_seed_stops_at_its_second_progress_checkpoint(monkeypatch):
     assert spent == [41, 81]
 
 
+def reference_levenberg_marquardt(body, pose, max_iter):
+    """The solver loop with the stationary test on every iteration, also
+    after a rejected step; it also returns the number of rejected steps."""
+    exact = isinstance(body, ConvexPolytope)
+    diam = body.diameter if exact else body.base.diameter
+    tol = inscriber._TOL_RES_REL * diam
+    lam, nu = inscriber._LAMBDA0, 2.0
+    res, J = residual(body, pose)
+    cost = checkpoint = float(res @ res)
+    g = J.T @ res
+    iters = rejected = 0
+    while iters < max_iter and np.abs(res).max() > tol:
+        if (np.abs(g) <= inscriber._STATIONARY_COS * np.sqrt(np.einsum("ij,ij->j", J, J) * cost)).all():
+            break
+        if iters and iters % inscriber._PROGRESS_WINDOW == 0:
+            if cost > inscriber._PROGRESS_FACTOR * checkpoint:
+                break
+            checkpoint = cost
+        iters += 1
+        delta = _damped_step(J, res, lam)
+        if math.sqrt(delta @ delta) < inscriber._STEP_TOL_REL * diam:
+            break
+        cand = _apply_step(pose, delta)
+        cand_res, cand_J = residual(body, cand)
+        cand_cost = float(cand_res @ cand_res)
+        if cand_cost < cost:
+            rho = (cost - cand_cost) / (delta @ (lam * delta - g))
+            lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * min(max(rho, 0.0), 1.0) - 1.0) ** 3), 1e-14)
+            nu = 2.0
+            pose, res, J, cost = cand, cand_res, cand_J, cand_cost
+            g = J.T @ res
+        else:
+            rejected += 1
+            lam *= nu
+            nu *= 2.0
+            if lam > inscriber._LAMBDA_MAX:
+                break
+    converged = bool(np.abs(res).max() <= tol)
+    warnings = ()
+    if converged:
+        sv = np.linalg.svd(J, compute_uv=False)
+        if sv[-1] < 1e-7 * max(sv[0], 1e-300):
+            warnings = ("rank_deficient_jacobian",)
+    if exact:
+        return inscriber.SolveReport(pose, np.abs(res), iters, converged, 0.0, tol, warnings), rejected
+    return inscriber.SolveReport(pose, res, iters, converged, body.epsilon, tol, warnings), rejected
+
+
+def test_stationary_test_after_accepted_steps_only_keeps_every_report():
+    # A rejected step leaves J, g and the cost unchanged, so the solver
+    # skips the stationary test after one.  On the first 3 seeds of each
+    # criterion-3 body, with failing seeds and rejected steps among them,
+    # on the smoothed body and on the polytope itself, every report is
+    # byte-identical to the reference loop's.
+    failed = rejected = 0
+    for p in _criterion3_bodies():
+        s0 = SmoothedBody(p, 0.2 * p.inradius)
+        for seed in islice(inscriber._seed_poses(s0, inscriber._N_ROTATIONS), 3):
+            for body in (s0, p):
+                rep = inscriber._levenberg_marquardt(body, seed, inscriber._SEED_MAX_ITER)
+                want, skipped = reference_levenberg_marquardt(body, seed, inscriber._SEED_MAX_ITER)
+                assert json.dumps(rep.to_dict()) == json.dumps(want.to_dict())
+                assert _pose_bits(rep.pose) == _pose_bits(want.pose)
+                assert rep.residuals.tobytes() == want.residuals.tobytes()
+                failed += not rep.converged
+                rejected += skipped
+    assert failed > 0 and rejected > 0
+
+
 def thin_bodies():
     """Thin simple bodies built from vertices: the first 3 criterion-3
     bodies with z scaled by t ("squashed") or y and z by t ("needle"), and

@@ -234,6 +234,93 @@ def test_batched_jacobian_matches_central_differences():
     assert err.max() <= 1e-6
 
 
+def reference_cross(a, b):
+    """The oracle's cross product as it was built with np.stack."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def reference_jacobian(ru, M, r):
+    """The oracle's Jacobian with e_i x R u_j as cross products."""
+    turn = reference_cross(np.eye(3)[:, None, :], ru[:, None])
+    J = (turn.reshape(-1, 3, 18) @ M[:, :, :18]).transpose(0, 2, 1)
+    J[:, 6:] *= (r[:, 6:] < 0.0)[..., None]
+    return J
+
+
+def reference_least_squares(R, M, max_nfev):
+    """The batched LM loop as it was, with its boolean-mask compaction."""
+    oracle = octainscribe.oracle
+    R = np.array(R, dtype=float)
+    out = np.empty_like(R)
+    todo = np.arange(len(R))
+    r, J = oracle._rows(R, M)
+    cost = np.einsum("ki,ki->k", r, r)
+    lam, nu = np.full(len(R), 1e-3), np.full(len(R), 2.0)
+    mark = cost.copy()
+    spent, nfev = 1, len(R)
+    live = (cost > oracle._COST_FLOOR) & (spent < max_nfev)
+    while True:
+        Jt = J.transpose(0, 2, 1)
+        JtJ = Jt @ J
+        g = (Jt @ r[..., None])[..., 0]
+        live &= (g * g > oracle._STATIONARY_COS**2 * np.diagonal(JtJ, axis1=1, axis2=2) * cost[:, None]).any(axis=1)
+        if not live.all():
+            out[todo[~live]] = R[~live]
+            todo, R, r, J, cost, mark, lam, nu, JtJ, g, M = (
+                a[live] for a in (todo, R, r, J, cost, mark, lam, nu, JtJ, g, M)
+            )
+        if not len(todo):
+            return oracle.BatchSolution(out, nfev)
+        d = lam[:, None] * np.maximum(np.diagonal(JtJ, axis1=1, axis2=2), 1e-300)
+        step = np.linalg.solve(JtJ + d[:, :, None] * np.eye(3), -g[..., None])[..., 0]
+        trial = oracle._turn(step, R)
+        r_try, J_try = oracle._rows(trial, M)
+        cost_try = np.einsum("ki,ki->k", r_try, r_try)
+        spent += 1
+        nfev += len(todo)
+        rho = (cost - cost_try) / np.maximum(np.einsum("ki,ki->k", step, d * step - g), 1e-300)
+        good = cost_try < cost
+        R[good], r[good], J[good], cost[good] = trial[good], r_try[good], J_try[good], cost_try[good]
+        lam = np.where(good, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), lam * nu)
+        nu = np.where(good, 2.0, 2.0 * nu)
+        small = np.einsum("ki,ki->k", step, step) <= oracle._STEP_FLOOR**2
+        live = (cost > oracle._COST_FLOOR) & ~small & (spent < max_nfev)
+        if (spent - 1) % oracle._STALL == 0:
+            live &= cost <= 0.5 * mark
+            mark = cost.copy()
+
+
+def test_batched_solve_keeps_the_bits_of_the_reference_loop(monkeypatch):
+    # The solver's per-iteration arrays are built with fewer numpy calls
+    # than the reference loop and formulas above, and must keep their bits:
+    # on the 96 starts of three criterion-5 searches, byte-identical
+    # rotations and the same evaluation count.  Both run in this process,
+    # so the comparison holds on any numpy build.  Compacting J with `take`
+    # instead of a boolean mask makes it C-contiguous, which moves the bits
+    # of the stacked J^T J, and fails here.
+    oracle = octainscribe.oracle
+    solve = oracle.least_squares
+    calls = []
+
+    def spy(R, M, max_nfev):
+        calls.append((R, M, max_nfev))
+        return solve(R, M, max_nfev)
+
+    monkeypatch.setattr(oracle, "least_squares", spy)
+    tris = criterion_5_triangles(24)
+    found = [len(direct_angle_search(SolidAngle.from_triangle(tris[i])).poses) for i in (0, 7, 14)]
+    assert found == [FULL_SEARCH_POSES[i] for i in (0, 7, 14)] and len(calls) == 3
+    got = [solve(*call) for call in calls]
+    monkeypatch.setattr(oracle, "_jacobian", reference_jacobian)
+    monkeypatch.setattr(oracle, "_cross", reference_cross)
+    for (R, M, max_nfev), sol in zip(calls, got):
+        want = reference_least_squares(R, M, max_nfev)
+        assert len(R) == 96 and sol.rotations.tobytes() == want.rotations.tobytes()
+        assert sol.nfev == want.nfev
+
+
 def test_search_refines_in_one_batched_solve(monkeypatch):
     # The benchmark traces `oracle.least_squares` by name and reads `nfev`.
     calls = []

@@ -942,6 +942,27 @@ def test_signed_distance_labels_no_feature(monkeypatch):
         assert _same_bits(s.signed_distance(X), smoothed)
 
 
+@pytest.mark.parametrize("block", [None, 4])
+def test_distance_queries_keep_the_bits_of_their_blocks(monkeypatch, block):
+    # A query that fits in one block runs the kernel once without a
+    # concatenation; a larger one runs it per block.  Either way each output
+    # is, byte for byte, that of the query on each block concatenated.
+    if block is not None:
+        monkeypatch.setattr(polytope, "_POINT_BLOCK", block)
+    size = polytope._POINT_BLOCK
+    rng = np.random.default_rng(47)
+    p = random_simple_polytope(rng)
+    s = SmoothedBody(p, 0.2 * p.inradius)
+    for n in (1, 6, 2 * size + 5):
+        X = p.center + rng.normal(size=(n, 3)) * 0.5 * p.diameter
+        X[: min(n, len(p.vertices)) : 2] = p.vertices[: min(n, len(p.vertices)) : 2]
+        for query in (p.nearest_boundary, p.signed_distance, s.signed_distance):
+            parts = [query(X[i : i + size]) for i in range(0, n, size)]
+            want = tuple(map(np.concatenate, zip(*parts)))
+            got = query(X)
+            assert all(a.dtype == b.dtype for a, b in zip(got, want)) and _same_bits(got, want)
+
+
 def test_distance_queries_on_no_points():
     # Zero points run as one empty block: empty outputs of the usual dtypes.
     p = random_simple_polytope(np.random.default_rng(7))
