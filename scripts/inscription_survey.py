@@ -99,7 +99,7 @@ def survey_body(body, counter):
 
 def run(families, limit):
     counter = [0, 0]
-    real, real_solve = inscriber.residual, inscriber._levenberg_marquardt
+    real, real_solve = inscriber.residual, inscriber.solve_at_epsilon
 
     def counted(body, pose):
         counter[0] += 1
@@ -112,7 +112,7 @@ def run(families, limit):
             counter[1] += counter[0] - before
         return rep
 
-    inscriber.residual, inscriber._levenberg_marquardt = counted, attributed
+    inscriber.residual, inscriber.solve_at_epsilon = counted, attributed
     records = {}
     try:
         for family in families:
@@ -125,7 +125,7 @@ def run(families, limit):
                 names.append(name)
             _summary(family, [records[n] for n in names], time.perf_counter() - t0)
     finally:
-        inscriber.residual, inscriber._levenberg_marquardt = real, real_solve
+        inscriber.residual, inscriber.solve_at_epsilon = real, real_solve
     return records
 
 

@@ -183,7 +183,10 @@ class SolidAngle:
             raise InvalidSolidAngle(f"apex and edges must be points of 3 numbers ({exc})") from exc
         if not np.isfinite(apex).all():
             raise InvalidSolidAngle("apex coordinates must be finite")
-        E = _unit_rows(raw)
+        try:
+            E = _unit_rows(raw)
+        except GeometryError as exc:
+            raise InvalidSolidAngle(f"edges must be finite and nonzero ({exc})") from exc
         if len(E) < 3:
             raise InvalidSolidAngle("a solid angle needs at least 3 edges")
         mean = E.sum(axis=0)

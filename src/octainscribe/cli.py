@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EX_SOFTWARE
 

@@ -13,8 +13,8 @@ stationary point of positive cost, once every column of the Jacobian is
 nearly orthogonal to the residual (the small-gradient stop of Madsen,
 Nielsen and Tingleff 2004, sec. 3.2, in the per-column form of MINPACK's
 gtol test): seeds that run into a local minimum end there instead of
-spending evaluations until the damping overflows, and a solve that
-converges never passes that close to orthogonal on its way.  The test
+spending their iterations on rejected steps, and a solve that converges
+never passes that close to orthogonal on its way.  The test
 takes each column on its own because the columns mix units, lengths for
 the center and scale and radians for the rotation; one Frobenius norm over
 all seven would weigh them against each other and can stop a converging
@@ -92,19 +92,24 @@ class InscriptionFailed(RuntimeError):
 
 
 # Solver constants.  The only values a caller sets are eps0 and
-# n_rotations (continue_to_surface) and max_iter (solve_at_epsilon).
+# n_rotations (continue_to_surface).
 
 # Damped least squares.  The damping follows Nielsen's update (Madsen,
 # Nielsen and Tingleff 2004, alg. 3.16): an accepted step with gain ratio
 # rho scales lambda by max(1/3, 1 - (2 rho - 1)^3), down to a floor of
 # 1e-14, and resets nu to 2; a rejected step scales lambda by nu and
-# doubles nu, and the solve stops once lambda passes _LAMBDA_MAX.  It also
-# stops at a stationary point (_STATIONARY_COS, below) and when it crawls
-# (_PROGRESS_WINDOW and _PROGRESS_FACTOR).
+# doubles nu.  Every solve stops after _MAX_ITER iterations, a cap only
+# seeds reach (ladder steps take at most 60 and polishes 12, on bodies 1e-4
+# thin or 1e6 diameters off the origin), at a stationary point
+# (_STATIONARY_COS), when it crawls (_PROGRESS_WINDOW), and once its damped
+# step, at most |J| |r| / lambda long, is below _STEP_TOL_REL * diameter:
+# the step has vanished, relative to the body.  Lambda needs no cap: a run
+# of rejections ends at its second progress checkpoint, so holds at most 39
+# and raises lambda by nu < 2^40 a step, and the step floor keeps lambda
+# below 2^40 * |J| |r| / (_STEP_TOL_REL * diameter), far from overflow.
 _TOL_RES_REL = 1e-10      # convergence: max |residual| <= rel * diameter
-_MAX_ITER = 200
+_MAX_ITER = 80
 _LAMBDA0 = 1e-3
-_LAMBDA_MAX = 1e10
 _STEP_TOL_REL = 1e-15
 # The small-gradient stop (Madsen, Nielsen and Tingleff 2004, sec. 3.2) in
 # the per-column form of MINPACK's gtol test (More, Garbow and Hillstrom,
@@ -135,7 +140,6 @@ _MAX_SOLUTIONS = 12
 # is half the largest diameter an octahedron inside the body can have.
 _STOP_SCALE_REL = 0.05
 _DEDUP_TOL_REL = 1e-6
-_SEED_MAX_ITER = 80
 
 # Continuation.
 _COLLAPSE_THRESHOLD_REL = 1e-3
@@ -251,11 +255,12 @@ def _damped_step(J: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
     return J.T @ np.linalg.solve(damped, -r)
 
 
-def _levenberg_marquardt(body, pose: OctahedronPose, max_iter: int = _MAX_ITER) -> SolveReport:
+def solve_at_epsilon(body: SmoothedBody | ConvexPolytope, pose: OctahedronPose) -> SolveReport:
     """Every solve of the inscriber: drive the six residuals of `body`, a
     SmoothedBody or the polytope itself, to within _TOL_RES_REL * diameter
-    from `pose`.  On the polytope the residual is the signed distance to
-    its boundary, reported unsigned with epsilon 0."""
+    from `pose`.  On the polytope, the solve at epsilon 0, the residual is
+    the signed distance to its boundary, reported unsigned.  A report that
+    has not converged carries the last iterate and is never retried."""
     exact = isinstance(body, ConvexPolytope)
     diam = body.diameter if exact else body.base.diameter
     tol = _TOL_RES_REL * diam
@@ -265,7 +270,7 @@ def _levenberg_marquardt(body, pose: OctahedronPose, max_iter: int = _MAX_ITER) 
     g = J.T @ res
     iters = 0
     moved = True
-    while iters < max_iter and np.abs(res).max() > tol:
+    while iters < _MAX_ITER and np.abs(res).max() > tol:
         # A stationary point of positive cost: every column of J is nearly
         # orthogonal to the residual, and no step can reach tol from here.
         # A rejected step leaves J, g and cost as they were, and with them
@@ -300,8 +305,6 @@ def _levenberg_marquardt(body, pose: OctahedronPose, max_iter: int = _MAX_ITER) 
         else:
             lam *= nu
             nu *= 2.0
-            if lam > _LAMBDA_MAX:
-                break
     # res and J always belong to pose: a step is kept only with its own.
     converged = bool(np.abs(res).max() <= tol)
     warnings = ()
@@ -312,15 +315,6 @@ def _levenberg_marquardt(body, pose: OctahedronPose, max_iter: int = _MAX_ITER) 
     if exact:
         return SolveReport(pose, np.abs(res), iters, converged, 0.0, tol, warnings)
     return SolveReport(pose, res, iters, converged, body.epsilon, tol, warnings)
-
-
-def solve_at_epsilon(s: SmoothedBody, seed: OctahedronPose, max_iter: int = _MAX_ITER) -> SolveReport:
-    """Drive the six smoothed residuals to zero from a seed pose.
-
-    Success means the recomputed residual at the returned pose is within
-    tolerance; a non-converged report carries the best iterate and is
-    never retried internally."""
-    return _levenberg_marquardt(s, seed, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +346,7 @@ def _solutions(s: SmoothedBody, n_rotations: int, tally):
     stop_diameter = min(_STOP_SCALE_REL * diam, math.sqrt(3.0) * base.inradius)
     found = []
     for seed in _seed_poses(s, n_rotations):
-        rep = solve_at_epsilon(s, seed, _SEED_MAX_ITER)
+        rep = solve_at_epsilon(s, seed)
         tally["seeds"] += 1
         if not rep.converged:
             continue
@@ -517,7 +511,7 @@ def _track_from(p, start: SolveReport, s0: SmoothedBody):
     else:
         flags.append(f"FLAT_CONTACT at epsilon={s.epsilon:.6g}")
 
-    final = _levenberg_marquardt(p, pose)
+    final = solve_at_epsilon(p, pose)
     if not final.converged:
         flags.append(f"final polish residual {final.max_residual():.3e} exceeds {final.tol:.3e}")
     elif _collapsed(final.pose, diam):

@@ -79,11 +79,13 @@ def _norm3(d: np.ndarray) -> np.ndarray:
 
 
 def _as_unit(v) -> np.ndarray:
-    """Normalize to a unit vector, rejecting near-zero input."""
+    """Normalize to a unit vector; a non-finite or near-zero input or norm raises."""
     a = np.asarray(v, dtype=float).reshape(3)
+    if not all(map(math.isfinite, a.tolist())):
+        raise GeometryError("cannot normalize a non-finite 3-vector")
     n = math.sqrt(a @ a)
-    if n < 1e-14:
-        raise GeometryError("cannot normalize a near-zero 3-vector")
+    if not 1e-14 <= n < math.inf:
+        raise GeometryError("cannot normalize a near-zero 3-vector or one whose norm is not finite")
     a = a / n
     a.flags.writeable = False
     return a

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import octainscribe.angles
 import octainscribe.inscriber
 import octainscribe.polytope
 from octainscribe.generators import random_spiky_cloud
@@ -60,5 +61,26 @@ def inner_bodies_fail_below(monkeypatch):
                 super().__init__(base, epsilon)
 
         monkeypatch.setattr(octainscribe.inscriber, "SmoothedBody", Failing)
+
+    return patch
+
+
+@pytest.fixture
+def indeterminate_path_step(monkeypatch):
+    """Call with k: from then on, the k-th call of angles.placement_test
+    (counting from 0) classifies INDETERMINATE, with the margin it found."""
+
+    def patch(k):
+        real = octainscribe.angles.placement_test
+        calls = []
+
+        def spoiled(tri):
+            verdict = real(tri)
+            calls.append(tri)
+            if len(calls) - 1 != k:
+                return verdict
+            return octainscribe.angles.AngleClass(octainscribe.angles.ClassTag.INDETERMINATE, verdict.margin)
+
+        monkeypatch.setattr(octainscribe.angles, "placement_test", spoiled)
 
     return patch

@@ -16,6 +16,7 @@ from octainscribe.angles import (
     InvalidSolidAngle,
     NotNonSpecial,
     NotTrihedral,
+    PathVerificationFailed,
     SolidAngle,
     T0_AREA,
     T0_SIDE,
@@ -99,6 +100,13 @@ def test_solid_angle_rejects_non_finite_edge_or_apex(bad):
         SolidAngle((0, 0, 0), [E1, [bad, 1.0, 0.0], E3])
     with pytest.raises(InvalidSolidAngle, match="finite"):
         SolidAngle((0, bad, 0), [E1, E2, E3])
+
+
+@pytest.mark.parametrize("edge", [(0.0, 0.0, 0.0), (np.nan, 1.0, 0.0), (np.inf, 1.0, 0.0)], ids=["zero", "nan", "inf"])
+def test_solid_angle_rejects_a_zero_or_non_finite_edge_as_invalid(edge):
+    # The edge check raises InvalidSolidAngle, as the apex and polygon checks do.
+    with pytest.raises(InvalidSolidAngle, match="finite"):
+        SolidAngle((0, 0, 0), [E1, edge, E3])
 
 
 def test_solid_angle_rejects_nonextreme_edge():
@@ -658,3 +666,10 @@ def test_path_from_shrunk_T0():
 def test_path_rejects_special_input():
     with pytest.raises(NotNonSpecial):
         deformation_path(triangle_from_sides(0.3, 0.3, 0.3), steps=50)
+
+
+def test_path_raises_on_an_intermediate_step_that_is_not_non_special(indeterminate_path_step):
+    # Call 0 checks the input; call 5 checks path step 5 of 60, at f = 5/59.
+    indeterminate_path_step(5)
+    with pytest.raises(PathVerificationFailed, match=rf"at f={5 / 59:.4f} classified INDETERMINATE"):
+        deformation_path(triangle_from_sides(1.0, 1.0, 0.6), steps=60)

@@ -413,6 +413,15 @@ def test_path_special_exit_1(capsys):
     assert code == 1
 
 
+def test_path_verification_failure_exit_70(indeterminate_path_step, capsys):
+    indeterminate_path_step(5)
+    code = main(["path", "1.0", "1.0", "0.6"])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert "internal error: PathVerificationFailed(" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["classify", "--bogus"], [], ["path", "a", "b", "c"], ["inscribe", "cube.off", "--seed", "0"]],

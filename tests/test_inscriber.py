@@ -135,10 +135,11 @@ def test_solve_cube_face_center():
     assert "rank_deficient_jacobian" in rep.warnings  # symmetric solution
 
 
-def test_solve_reports_failure_honestly():
+def test_solve_reports_failure_honestly(monkeypatch):
     s = SmoothedBody(cube(), 0.1)
     # a hopeless seed far outside with a tiny iteration budget
-    rep = solve_at_epsilon(s, identity_pose(0.05, center=(50, 50, 50)), max_iter=3)
+    monkeypatch.setattr(inscriber, "_MAX_ITER", 3)
+    rep = solve_at_epsilon(s, identity_pose(0.05, center=(50, 50, 50)))
     assert not rep.converged
     assert rep.max_residual() > rep.tol
 
@@ -188,11 +189,12 @@ def _criterion3_bodies():
 
 def test_damping_rises_at_most_13_times_in_a_row(monkeypatch):
     # Nielsen's update scales lambda by nu on a rejection and doubles nu, so
-    # even from the 1e-14 floor lambda passes _LAMBDA_MAX = 1e10 after 13
-    # rejections in a row: 1e-14 * 2^(1 + 2 + ... + 13) > 1e10.  A factor
-    # of 3 per rejection takes up to 51.
+    # 13 rejections in a row raise it by 2^(1 + 2 + ... + 13) = 2^91.  The
+    # damping has no cap; the bound holds as measured on these bodies (at
+    # most 12 rises in a row, lambda at most 1.0).  A factor of 3 per
+    # rejection takes up to 51.
     solves = []
-    solve, step = inscriber._levenberg_marquardt, inscriber._damped_step
+    solve, step = inscriber.solve_at_epsilon, inscriber._damped_step
 
     def recording_solve(*args, **kwargs):
         solves.append([])
@@ -202,7 +204,7 @@ def test_damping_rises_at_most_13_times_in_a_row(monkeypatch):
         solves[-1].append(lam)
         return step(J, r, lam)
 
-    monkeypatch.setattr(inscriber, "_levenberg_marquardt", recording_solve)
+    monkeypatch.setattr(inscriber, "solve_at_epsilon", recording_solve)
     monkeypatch.setattr(inscriber, "_damped_step", recording_step)
     for p in _criterion3_bodies():
         continue_to_surface(p)
@@ -255,8 +257,8 @@ def test_every_spiky_body_certifies(monkeypatch):
 def test_seed_at_a_positive_cost_minimum_stops_where_it_is_stationary(monkeypatch):
     # Seed 1 of criterion-3 body 1 runs into a local minimum whose largest
     # residual is 5.3% of the diameter.  The stationary exit stops it after
-    # 6 residual evaluations; without it the damping climbs past
-    # _LAMBDA_MAX after 15, at the same minimum.
+    # 6 residual evaluations; without it the damping climbs until the step
+    # floor ends it after 15, at the same minimum.
     p = _criterion3_bodies()[1]
     s0 = SmoothedBody(p, 0.2 * p.inradius)
     seed = list(islice(inscriber._seed_poses(s0, inscriber._N_ROTATIONS), 2))[1]
@@ -265,7 +267,7 @@ def test_seed_at_a_positive_cost_minimum_stops_where_it_is_stationary(monkeypatc
     for cos in (inscriber._STATIONARY_COS, 0.0):
         monkeypatch.setattr(inscriber, "_STATIONARY_COS", cos)
         calls.clear()
-        reps.append((solve_at_epsilon(s0, seed, inscriber._SEED_MAX_ITER), len(calls)))
+        reps.append((solve_at_epsilon(s0, seed), len(calls)))
     (rep, spent), (rep_off, spent_off) = reps
     assert not rep.converged and rep.max_residual() > 1e-3 * p.diameter
     assert spent <= 6 < spent_off
@@ -286,13 +288,13 @@ def test_crawling_seed_stops_at_its_second_progress_checkpoint(monkeypatch):
     for window in (inscriber._PROGRESS_WINDOW, inscriber._MAX_ITER):
         monkeypatch.setattr(inscriber, "_PROGRESS_WINDOW", window)
         calls.clear()
-        rep = solve_at_epsilon(s0, seed, inscriber._SEED_MAX_ITER)
+        rep = solve_at_epsilon(s0, seed)
         assert not rep.converged and rep.max_residual() > 1e-3 * p.diameter
         spent.append(len(calls))
     assert spent == [41, 81]
 
 
-def reference_levenberg_marquardt(body, pose, max_iter):
+def reference_levenberg_marquardt(body, pose):
     """The solver loop with the stationary test on every iteration, also
     after a rejected step; it also returns the number of rejected steps."""
     exact = isinstance(body, ConvexPolytope)
@@ -303,7 +305,7 @@ def reference_levenberg_marquardt(body, pose, max_iter):
     cost = checkpoint = float(res @ res)
     g = J.T @ res
     iters = rejected = 0
-    while iters < max_iter and np.abs(res).max() > tol:
+    while iters < inscriber._MAX_ITER and np.abs(res).max() > tol:
         if (np.abs(g) <= inscriber._STATIONARY_COS * np.sqrt(np.einsum("ij,ij->j", J, J) * cost)).all():
             break
         if iters and iters % inscriber._PROGRESS_WINDOW == 0:
@@ -327,8 +329,6 @@ def reference_levenberg_marquardt(body, pose, max_iter):
             rejected += 1
             lam *= nu
             nu *= 2.0
-            if lam > inscriber._LAMBDA_MAX:
-                break
     converged = bool(np.abs(res).max() <= tol)
     warnings = ()
     if converged:
@@ -351,8 +351,8 @@ def test_stationary_test_after_accepted_steps_only_keeps_every_report():
         s0 = SmoothedBody(p, 0.2 * p.inradius)
         for seed in islice(inscriber._seed_poses(s0, inscriber._N_ROTATIONS), 3):
             for body in (s0, p):
-                rep = inscriber._levenberg_marquardt(body, seed, inscriber._SEED_MAX_ITER)
-                want, skipped = reference_levenberg_marquardt(body, seed, inscriber._SEED_MAX_ITER)
+                rep = solve_at_epsilon(body, seed)
+                want, skipped = reference_levenberg_marquardt(body, seed)
                 assert json.dumps(rep.to_dict()) == json.dumps(want.to_dict())
                 assert _pose_bits(rep.pose) == _pose_bits(want.pose)
                 assert rep.residuals.tobytes() == want.residuals.tobytes()
@@ -412,6 +412,24 @@ def test_progress_stop_changes_no_outcome(monkeypatch, outcome_records):
     monkeypatch.setattr(inscriber, "_PROGRESS_WINDOW", inscriber._MAX_ITER)
     for name, p, record in outcome_records:
         assert continuation_record(p) == record, name
+
+
+def test_ladder_steps_and_polishes_stay_far_below_the_iteration_cap(outcome_records):
+    # One _MAX_ITER caps every solve, and only seeds reach it: each ladder
+    # step after the start takes at most 12 iterations here and each final
+    # polish none (2 over the survey families), so both stay within half the
+    # cap.  needle t=1e-3 #2 fails, and its record holds no polish.
+    ladder, polish = [], []
+    for name, p, record in outcome_records:
+        trace, final = json.loads(record)
+        if isinstance(trace, str):  # InscriptionFailed: its message, then the last trace
+            trace, final = final or {"steps": []}, None
+        ladder += [(step["report"]["iterations"], name) for step in trace["steps"][1:]]
+        if final is not None:
+            polish.append((final["iterations"], name))
+    assert len(polish) >= 39 and len(ladder) > len(polish)
+    assert max(ladder)[0] <= inscriber._MAX_ITER // 2, max(ladder)
+    assert max(polish)[0] <= inscriber._MAX_ITER // 2, max(polish)
 
 
 # -- multistart -----------------------------------------------------------------
@@ -511,12 +529,15 @@ def test_needle_tetrahedron_keeps_positive_diameter():
 
 
 def _count_solves(monkeypatch, bound=None):
-    """Record the smoothing parameter of every solve_at_epsilon call; past
-    `bound` calls, fail at once."""
+    """Record the smoothing parameter of every solve_at_epsilon call on a
+    smoothed body, passing over the polishes on the polytope; past `bound`
+    such calls, fail at once."""
     epsilons = []
     real = inscriber.solve_at_epsilon
 
     def counted(s, *args, **kwargs):
+        if isinstance(s, ConvexPolytope):
+            return real(s, *args, **kwargs)
         epsilons.append(s.epsilon)
         if bound is not None and len(epsilons) > bound:
             raise AssertionError(f"more than {bound} solve_at_epsilon calls")
@@ -604,7 +625,7 @@ def test_failed_step_ends_the_track(monkeypatch, step, spoil, reason):
 
     def solve(s, *args, **kwargs):
         rep = real(s, *args, **kwargs)
-        if s.epsilon < eps0:
+        if not isinstance(s, ConvexPolytope) and s.epsilon < eps0:
             ladder.append(s.epsilon)
             if len(ladder) == step:
                 return spoil(rep)
@@ -815,16 +836,16 @@ def test_certify_rejects_a_collapsed_octahedron(at):
 
 
 def test_collapsed_polish_fails_the_track(monkeypatch):
-    solve = inscriber._levenberg_marquardt
+    solve = inscriber.solve_at_epsilon
 
-    def shrunk(body, seed, *args):
+    def shrunk(body, seed):
         # The polish is the one solve on the polytope itself.
-        rep = solve(body, seed, *args)
+        rep = solve(body, seed)
         if not isinstance(body, ConvexPolytope):
             return rep
         return replace(rep, pose=OctahedronPose(rep.pose.center, rep.pose.rotation, 1e-9))
 
-    monkeypatch.setattr(inscriber, "_levenberg_marquardt", shrunk)
+    monkeypatch.setattr(inscriber, "solve_at_epsilon", shrunk)
     with pytest.raises(InscriptionFailed) as failed:
         continue_to_surface(cube())
     # Every track fails.  The error carries the last track's trace: the

@@ -11,6 +11,7 @@ from octainscribe.sphere import (
     InvalidPolygon,
     SphPolygon,
     SphTriangle,
+    _as_unit,
     arc_distance,
     area,
     hemisphere_axis,
@@ -92,6 +93,27 @@ def test_arc_distance_symmetric(seed):
     rng = np.random.default_rng(seed)
     p, q = random_units(rng, 2)
     assert arc_distance(p, q) == pytest.approx(arc_distance(q, p), abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_unit_rejects_non_finite_input(bad):
+    # It used to come back as a NaN row, and arc_distance as NaN.
+    with pytest.raises(GeometryError, match="non-finite"):
+        _as_unit([bad, 0.0, 0.0])
+    with pytest.raises(GeometryError, match="non-finite"):
+        arc_distance([bad, 0.0, 0.0], E2)
+
+
+def test_as_unit_rejects_a_norm_that_overflows():
+    # |(1e200, 0, 0)|^2 overflows, and numpy warns of it: the vector used to
+    # normalize to zero, so two orthogonal directions lay 0 apart, not pi/2.
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(GeometryError, match="not finite"):
+        _as_unit([1e200, 0.0, 0.0])
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(GeometryError, match="not finite"):
+        arc_distance([1e200, 0.0, 0.0], [0.0, 1e200, 0.0])
+    assert arc_distance([1e150, 0.0, 0.0], [0.0, 1e150, 0.0]) == math.pi / 2
+    with pytest.raises(GeometryError, match="near-zero"):
+        _as_unit([1e-15, 0.0, 0.0])
 
 
 # -- vertex_angle and area --------------------------------------------------
