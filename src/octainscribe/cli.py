@@ -128,7 +128,7 @@ def cmd_inscribe(args) -> int:
             raise OSError(f"cannot write {out}: it is a directory or its directory does not exist")
     poly = oio.read_polytope(args.polytope)
     try:
-        trace, final = continue_to_surface(poly, eps0=args.eps0, n_rotations=args.seeds)
+        trace, final = continue_to_surface(poly)
     except InscriptionFailed as exc:
         print(f"inscription failed: {exc}", file=sys.stderr)
         return EX_FAILED
@@ -197,12 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", help="write the JSON report here instead of stdout")
     pc.set_defaults(func=cmd_classify)
 
-    # No prefix matching here, or the removed --seed would silently mean --seeds.
+    # No prefix matching: a removed flag stays a usage error (exit 64).
     pi = sub.add_parser("inscribe", help="find an inscribed regular octahedron", allow_abbrev=False)
     pi.add_argument("polytope", help="polytope file (OFF or JSON)")
     pi.add_argument("--tol", type=_tolerance, default=1e-8, help="certification tolerance, relative to diameter")
-    pi.add_argument("--eps0", type=float, default=None, help="initial smoothing (default 0.2 * inradius)")
-    pi.add_argument("--seeds", type=int, default=60, help="rotation seeds in the initial seed grid (1 to 10000)")
     pi.add_argument("--json", help="write the pose/trace JSON here instead of stdout")
     pi.add_argument("--obj", help="also export the octahedron as OBJ")
     pi.add_argument("--quiet", action="store_true")

@@ -54,7 +54,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Optional
 
 import numpy as np
 
@@ -91,8 +90,7 @@ class InscriptionFailed(RuntimeError):
         self.trace = trace
 
 
-# Solver constants.  The only values a caller sets are eps0 and
-# n_rotations (continue_to_surface).
+# Solver constants; a caller sets none of them.
 
 # Damped least squares.  The damping follows Nielsen's update (Madsen,
 # Nielsen and Tingleff 2004, alg. 3.16): an accepted step with gain ratio
@@ -128,8 +126,9 @@ _STATIONARY_COS = 3e-4
 _PROGRESS_WINDOW = 20
 _PROGRESS_FACTOR = 0.9
 
-# Multistart seed grid.
-_N_ROTATIONS = 60
+# Multistart seed grid: the identity, then 59 super-Fibonacci rotations.
+_SEED_ROTATIONS = np.vstack([[[1.0, 0.0, 0.0, 0.0]], super_fibonacci_rotations(59)])
+_SEED_ROTATIONS.flags.writeable = False
 _N_SCALES = 4
 _SCALE_MIN_REL = 0.01
 _SCALE_MAX_REL = 0.5
@@ -142,6 +141,7 @@ _STOP_SCALE_REL = 0.05
 _DEDUP_TOL_REL = 1e-6
 
 # Continuation.
+_EPS_START_REL = 0.2      # the ladder's first smoothing, relative to the inradius
 _COLLAPSE_THRESHOLD_REL = 1e-3
 _EXACT_SWITCH_REL = 1e-6
 _MAX_RESTARTS = 3
@@ -321,22 +321,21 @@ def solve_at_epsilon(body: SmoothedBody | ConvexPolytope, pose: OctahedronPose) 
 # Multistart.
 
 
-def _seed_poses(s: SmoothedBody, n_rotations: int):
+def _seed_poses(s: SmoothedBody):
     """Deterministic seed grid.  The identity rotation at the body center
     leads, so symmetric bodies converge to their symmetric solution first
     (the solver's minimum-norm steps preserve a symmetry of the seed)."""
     base = s.base
     diam = base.diameter
-    quats = np.vstack([[[1.0, 0.0, 0.0, 0.0]], super_fibonacci_rotations(n_rotations - 1)])
     centers = [base.center] + [v + _VERTEX_PULLBACK * (base.center - v) for v in base.vertices]
     scales = np.geomspace(_SCALE_MAX_REL * diam, _SCALE_MIN_REL * diam, _N_SCALES)
     for scale in scales:
         for center in centers:
-            for q in quats:
+            for q in _SEED_ROTATIONS:
                 yield OctahedronPose(center, q, float(scale))
 
 
-def _solutions(s: SmoothedBody, n_rotations: int, tally):
+def _solutions(s: SmoothedBody, tally):
     """Yield the distinct converged solutions of the seed grid in seed order,
     solving each seed only when the next solution is asked for.  `tally`
     (a Counter) counts the seeds solved, the converged solves and the
@@ -345,7 +344,7 @@ def _solutions(s: SmoothedBody, n_rotations: int, tally):
     diam = base.diameter
     stop_diameter = min(_STOP_SCALE_REL * diam, math.sqrt(3.0) * base.inradius)
     found = []
-    for seed in _seed_poses(s, n_rotations):
+    for seed in _seed_poses(s):
         rep = solve_at_epsilon(s, seed)
         tally["seeds"] += 1
         if not rep.converged:
@@ -369,7 +368,7 @@ def multistart(s: SmoothedBody) -> list:
     identical inputs give an identical list.  `continue_to_surface` runs
     the same seed loop lazily, for its starts.
     """
-    found = list(islice(_solutions(s, _N_ROTATIONS, Counter()), _MAX_SOLUTIONS))
+    found = list(islice(_solutions(s, Counter()), _MAX_SOLUTIONS))
     if not found:
         raise NoSolutionFound(f"no inscribed octahedron found at epsilon={s.epsilon:.6g}")
     return found
@@ -427,17 +426,10 @@ def _starts(solutions, diam: float, tally):
     yield from sorted((r for r in found if r is not start), key=lambda r: -r.pose.scale)
 
 
-def continue_to_surface(
-    p: ConvexPolytope, eps0: Optional[float] = None, n_rotations: int = _N_ROTATIONS
-):
+def continue_to_surface(p: ConvexPolytope):
     """Track inscribed octahedra of the smoothed body as the smoothing
     parameter is halved towards zero, until every contact is
     facet-interior, then polish against the polytope itself.
-
-    `eps0` is the initial smoothing (default 0.2 * inradius); `n_rotations`
-    is the number of seed rotations in the initial seed grid, from 1 to
-    10,000 (the identity leads the grid, so 0 would silently run the grid
-    of 1).
 
     A track that fails is abandoned and the next start is tracked, up to
     _MAX_RESTARTS times; each abandoned track's reason leads the returned
@@ -447,14 +439,9 @@ def continue_to_surface(
     epsilon 0 and unsigned vertex-to-boundary distances as residuals.
     """
     warnings = _precondition_warnings(p)
-    if eps0 is None:
-        eps0 = 0.2 * p.inradius
-    if not 1 <= n_rotations <= 10_000:
-        raise ValueError(f"n_rotations must lie in [1, 10000], got {n_rotations}")
-
-    s0 = SmoothedBody(p, eps0)
+    s0 = SmoothedBody(p, _EPS_START_REL * p.inradius)
     search = Counter(seeds=0, converged=0, solutions=0, collapsed_skipped=0)
-    starts = _starts(_solutions(s0, n_rotations, search), p.diameter, search)
+    starts = _starts(_solutions(s0, search), p.diameter, search)
     restarts = []
     trace = None
     for start in islice(starts, _MAX_RESTARTS + 1):
@@ -464,7 +451,7 @@ def continue_to_surface(
             return trace, final
         restarts.append(flags[-1])
     if trace is None:
-        raise InscriptionFailed(f"multistart found no inscribed octahedron at eps0={eps0:.6g}")
+        raise InscriptionFailed(f"the seed search found no inscribed octahedron at epsilon={s0.epsilon:.6g}")
     raise InscriptionFailed(
         f"all {len(restarts)} continuation starts failed (numerical failure of the search, "
         f"not a counterexample): {restarts[-1]}",

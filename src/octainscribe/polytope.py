@@ -302,9 +302,10 @@ def _hull_polytope(P, ball=None):
     polygonal facets, interior points dropped, each facet's vertices those
     of its simplices.  ball is the Chebyshev (center, inradius) if the
     caller knows it, else one LP on the hull planes."""
-    scale = float(_norm3(P - P.mean(axis=0)).max())
-    if scale < 1e-12:
-        raise Degenerate("points are coincident")
+    with np.errstate(over="ignore"):
+        scale = float(_norm3(P - P.mean(axis=0)).max())
+    if not 1e-12 <= scale < np.inf:
+        raise Degenerate("points are coincident" if scale < 1e-12 else "squared distances between the points overflow")
     try:
         hull = ConvexHull(P)
     except Exception as exc:
@@ -431,9 +432,10 @@ def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
         raise Degenerate("need at least 4 halfspaces (normal, offset)")
     if not np.isfinite(np.column_stack([N, D])).all():
         raise Degenerate("halfspace coefficients must be finite")
-    norms = np.linalg.norm(N, axis=1)
-    if norms.min() < 1e-14:
-        raise Degenerate("zero normal in halfspace list")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(N, axis=1)
+    if not (norms.min() >= 1e-14 and norms.max() < np.inf):
+        raise Degenerate("zero normal in halfspace list" if norms.min() < 1e-14 else "a normal's squared norm overflows")
     N = N / norms[:, None]
     D = D / norms
     _assert_bounded(N)

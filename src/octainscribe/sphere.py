@@ -25,6 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# Components below this in magnitude cannot overflow a squared norm; larger ones
+# are squared with numpy's overflow warning off.  A NaN gives a NaN norm either way.
+_SQUARE_SAFE = 1e150
 
 __all__ = [
     "DEFAULT_TOL",
@@ -81,11 +84,13 @@ def _norm3(d: np.ndarray) -> np.ndarray:
 def _as_unit(v) -> np.ndarray:
     """Normalize to a unit vector; a non-finite or near-zero input or norm raises."""
     a = np.asarray(v, dtype=float).reshape(3)
-    if not all(map(math.isfinite, a.tolist())):
-        raise GeometryError("cannot normalize a non-finite 3-vector")
-    n = math.sqrt(a @ a)
+    if max(map(abs, a.tolist())) < _SQUARE_SAFE:
+        n = math.sqrt(a @ a)
+    else:
+        with np.errstate(over="ignore"):
+            n = math.sqrt(a @ a)
     if not 1e-14 <= n < math.inf:
-        raise GeometryError("cannot normalize a near-zero 3-vector or one whose norm is not finite")
+        raise GeometryError("cannot normalize a near-zero or non-finite 3-vector, or one whose norm is not finite")
     a = a / n
     a.flags.writeable = False
     return a
@@ -95,8 +100,15 @@ def _unit_rows(points) -> np.ndarray:
     """The points as rows of an (n, 3) array, each normalized to unit
     length in one pass, rejecting non-finite and near-zero rows."""
     a = np.array(points, dtype=float).reshape(-1, 3)
-    n = _norm3(a)
-    if not ((n >= 1e-14) & (n < np.inf)).all():
+    # Both checks run on Python floats, cheaper than numpy on a few rows.
+    flat = a.ravel().tolist()
+    if flat and -_SQUARE_SAFE < min(flat) and max(flat) < _SQUARE_SAFE:
+        n = _norm3(a)
+    else:
+        with np.errstate(over="ignore"):
+            n = _norm3(a)
+    norms = n.tolist()
+    if norms and not (min(norms) >= 1e-14 and sum(norms) < math.inf):
         raise GeometryError("cannot normalize a near-zero or non-finite 3-vector")
     return a / n[:, None]
 

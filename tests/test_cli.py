@@ -170,51 +170,47 @@ def test_inscribe_rejects_output_path_before_solving(cube_off, tmp_path, capsys,
     assert code == 64
 
 
-def test_inscribe_eps0_sets_first_smoothing(cube_off, tmp_path, capsys):
-    pose_file = str(tmp_path / "pose.json")
-    assert main(["inscribe", cube_off, "--eps0", "0.1", "--json", pose_file]) == 0
-    capsys.readouterr()
-    doc = json.loads(open(pose_file).read())
-    assert doc["certified"] is True
-    assert doc["trace"]["steps"][0]["epsilon"] == 0.1
-
-
-def test_inscribe_seeds_sets_rotation_count(cube_off, tmp_path, capsys, monkeypatch):
-    counts = []
-    real = inscriber._seed_poses
-
-    def recorded(s, n_rotations):
-        counts.append(n_rotations)
-        return real(s, n_rotations)
-
-    monkeypatch.setattr(inscriber, "_seed_poses", recorded)
-    pose_file = str(tmp_path / "pose.json")
-    assert main(["inscribe", cube_off, "--seeds", "1", "--json", pose_file]) == 0
-    capsys.readouterr()
-    doc = json.loads(open(pose_file).read())
-    assert doc["certified"] is True
-    # one rotation x (center + 8 vertex centers) x 4 scales
-    assert 1 <= doc["trace"]["initial_search"]["seeds"] <= 36
-    assert counts and set(counts) == {1}
-
-
 @pytest.mark.parametrize(
     "option",
     [
-        ["--seeds", "0"],
-        ["--seeds", "-5"],
-        ["--seeds", "10001"],
-        ["--eps0", "5"],
         ["--tol", "-1"],
         ["--tol", "nan"],
         ["--tol", "inf"],
     ],
-    ids=["zero-seeds", "negative-seeds", "too-many-seeds", "eps0-beyond-inradius", "negative-tol", "nan-tol", "inf-tol"],
+    ids=["negative-tol", "nan-tol", "inf-tol"],
 )
 def test_inscribe_rejects_out_of_range_option(cube_off, option, capsys):
     code = main(["inscribe", cube_off, *option])
     assert "error:" in capsys.readouterr().err
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--seeds", "60"], ["--eps0", "0.1"]],
+    ids=["removed-seeds-flag-with-former-default", "removed-eps0-flag-with-formerly-valid-value"],
+)
+def test_inscribe_rejects_a_removed_option(cube_off, tmp_path, option, capsys, monkeypatch):
+    # The solver takes no options: a flag it once had, with a value it once
+    # accepted, is a usage error before any search, and writes no JSON.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inscribe solved despite a usage error")
+
+    monkeypatch.setattr(cli, "continue_to_surface", forbidden)
+    pose_file = tmp_path / "pose.json"
+    code = main(["inscribe", cube_off, *option, "--json", str(pose_file)])
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert code == 64
+    assert not pose_file.exists()
+
+
+def test_inscribe_empty_seed_search_exits_3(cube_off, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(inscriber, "_seed_poses", lambda s: iter(()))
+    pose_file = tmp_path / "pose.json"
+    code = main(["inscribe", cube_off, "--json", str(pose_file)])
+    assert "inscription failed: the seed search found no inscribed octahedron" in capsys.readouterr().err
+    assert code == 3
+    assert not pose_file.exists()
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-0.0001"])

@@ -30,6 +30,7 @@ from octainscribe.polytope import (
     regular_tetrahedron,
 )
 from octainscribe.pose import OctahedronPose, pose_distance
+from octainscribe.rotations import super_fibonacci_rotations
 
 AXES = np.vstack([np.eye(3), -np.eye(3)])
 IDENTITY = (1.0, 0.0, 0.0, 0.0)
@@ -261,7 +262,7 @@ def test_seed_at_a_positive_cost_minimum_stops_where_it_is_stationary(monkeypatc
     # floor ends it after 15, at the same minimum.
     p = _criterion3_bodies()[1]
     s0 = SmoothedBody(p, 0.2 * p.inradius)
-    seed = list(islice(inscriber._seed_poses(s0, inscriber._N_ROTATIONS), 2))[1]
+    seed = list(islice(inscriber._seed_poses(s0), 2))[1]
     calls = counting_residual(monkeypatch)
     reps = []
     for cos in (inscriber._STATIONARY_COS, 0.0):
@@ -282,7 +283,7 @@ def test_crawling_seed_stops_at_its_second_progress_checkpoint(monkeypatch):
     # without the stop it runs to the 80-iteration cap.
     p = _criterion3_bodies()[9]
     s0 = SmoothedBody(p, 0.2 * p.inradius)
-    seed = list(islice(inscriber._seed_poses(s0, inscriber._N_ROTATIONS), 2))[1]
+    seed = list(islice(inscriber._seed_poses(s0), 2))[1]
     calls = counting_residual(monkeypatch)
     spent = []
     for window in (inscriber._PROGRESS_WINDOW, inscriber._MAX_ITER):
@@ -349,7 +350,7 @@ def test_stationary_test_after_accepted_steps_only_keeps_every_report():
     failed = rejected = 0
     for p in _criterion3_bodies():
         s0 = SmoothedBody(p, 0.2 * p.inradius)
-        for seed in islice(inscriber._seed_poses(s0, inscriber._N_ROTATIONS), 3):
+        for seed in islice(inscriber._seed_poses(s0), 3):
             for body in (s0, p):
                 rep = solve_at_epsilon(body, seed)
                 want, skipped = reference_levenberg_marquardt(body, seed)
@@ -450,15 +451,29 @@ def test_multistart_cube_finds_face_center_first():
 
 def test_multistart_empty_seed_grid(monkeypatch):
     s = SmoothedBody(cube(), 0.1)
-    monkeypatch.setattr(inscriber, "_seed_poses", lambda s, n_rotations: iter(()))
+    monkeypatch.setattr(inscriber, "_seed_poses", lambda s: iter(()))
     with pytest.raises(NoSolutionFound):
         multistart(s)
 
 
-@pytest.mark.parametrize("n_rotations", [0, -5])
-def test_non_positive_rotation_count_rejected(n_rotations):
-    with pytest.raises(ValueError, match="n_rotations"):
-        continue_to_surface(cube(), n_rotations=n_rotations)
+def test_seed_rotations_are_one_read_only_array():
+    # The identity, then 59 super-Fibonacci rotations, built once at import.
+    rotations = inscriber._SEED_ROTATIONS
+    assert rotations.shape == (60, 4) and not rotations.flags.writeable
+    assert rotations[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert rotations[1:].tobytes() == super_fibonacci_rotations(59).tobytes()
+
+
+def test_empty_seed_search_fails_with_no_trace(monkeypatch):
+    # A seed grid that yields no converged pose leaves no track to trace.
+    c = cube()
+    monkeypatch.setattr(inscriber, "_seed_poses", lambda s: iter(()))
+    with pytest.raises(InscriptionFailed) as info:
+        continue_to_surface(c)
+    assert str(info.value) == (
+        f"the seed search found no inscribed octahedron at epsilon={0.2 * c.inradius:.6g}"
+    )
+    assert info.value.trace is None
 
 
 # -- continuation ----------------------------------------------------------------
@@ -633,7 +648,7 @@ def test_failed_step_ends_the_track(monkeypatch, step, spoil, reason):
 
     monkeypatch.setattr(inscriber, "solve_at_epsilon", solve)
     _forbid_multistart(monkeypatch)
-    trace, final = continue_to_surface(c, eps0)
+    trace, final = continue_to_surface(c)
     assert trace.flags[0] == f"{reason} at epsilon={ladder[step - 1]:.6g}"
     assert all(f.startswith("FLAT_CONTACT") for f in trace.flags[1:])
     assert trace.initial_search["solutions"] >= 2
@@ -762,7 +777,7 @@ def test_fallback_queue_draws_at_most_max_solutions(monkeypatch):
     rng = np.random.default_rng(1)
     p = [random_simple_polytope(rng, n) for n in range(6, 13)][-1]
     s0 = SmoothedBody(p, 0.2 * p.inradius)
-    everything = list(inscriber._solutions(s0, inscriber._N_ROTATIONS, Counter()))
+    everything = list(inscriber._solutions(s0, Counter()))
     assert len(everything) > inscriber._MAX_SOLUTIONS
     # multistart keeps the first _MAX_SOLUTIONS of them.
     capped = everything[: inscriber._MAX_SOLUTIONS]

@@ -93,6 +93,62 @@ def test_builders_reject_non_finite_input(bad):
         build_from_halfspaces(AXES, np.r_[np.ones(5), bad])
 
 
+def test_builders_reject_finite_input_whose_squares_overflow():
+    # Finite coordinates near 1e160 square past the largest float.  Both
+    # builders name the overflow, and numpy's warning, an error under the
+    # suite's filter, does not escape first.
+    with pytest.raises(Degenerate, match="overflow"):
+        build_from_vertices(cube().vertices * 1e160)
+    with pytest.raises(Degenerate, match="overflow"):
+        build_from_halfspaces(AXES * 1e160, np.full(6, 1e160))
+    # Rows scaled by 1e150 still normalize to the unit cube.
+    assert build_from_halfspaces(AXES * 1e150, np.full(6, 1e150)).normals.tolist() == cube().normals.tolist()
+
+
+_OCTANTS = np.array([[a, b, c] for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)])
+_SIX_AXIS_POINTS = [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "normals, offsets, facets, vertices, non_simple",
+    [
+        (np.vstack([AXES, AXES[:1]]), np.ones(7), 6, 8, []),
+        (np.vstack([AXES, [[1.0, 1.0, 1.0]]]), np.r_[np.ones(6), 3.0], 6, 8, []),
+        (np.vstack([AXES, [[1.0, 1.0, 0.0]]]), np.r_[np.ones(6), 2.0], 6, 8, []),
+        (_OCTANTS, np.ones(8), 8, 6, _SIX_AXIS_POINTS),
+        (
+            np.array([[0.0, 0.0, -1.0], [1.5, 0.0, 1.0], [-1.5, 0.0, 1.0], [0.0, 1.5, 1.0], [0.0, -1.5, 1.0]]),
+            np.array([0.0, 1.5, 1.5, 1.5, 1.5]),
+            5,
+            5,
+            [[0, 0, 1.5]],
+        ),
+    ],
+    ids=[
+        "duplicated-plane",
+        "redundant-plane-tight-at-a-vertex",
+        "redundant-plane-tight-along-an-edge",
+        "octahedron-four-planes-per-vertex",
+        "square-pyramid",
+    ],
+)
+def test_halfspace_build_of_degenerate_plane_sets(normals, offsets, facets, vertices, non_simple):
+    # A plane repeated, a plane that touches the body without bounding a
+    # facet, and four planes through one vertex.
+    p = build_from_halfspaces(normals, offsets)
+    assert (len(p.normals), len(p.vertices)) == (facets, vertices)
+    assert p.vertices[is_simple(p)[1]].tolist() == non_simple
+    if len(normals) == 8:
+        # The regular octahedron equals its vertex build, whose vertex
+        # array differs only in the signs of some zeros, and certifies.
+        o = regular_octahedron()
+        assert np.array_equal(p.vertices, o.vertices)
+        assert p.normals.tobytes() == o.normals.tobytes()
+        assert p.cycles.tobytes() == o.cycles.tobytes()
+        _, final = continue_to_surface(p)
+        assert certify(p, final.pose, 1e-7 * p.diameter).ok
+
+
 def _reference_facet_planes(P):
     """The per-plane loop that the keep-first matrix replaced: each hull plane
     is kept unless it matches an earlier kept one; then the facet sort."""

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octainscribe.angles import InvalidSolidAngle, SolidAngle
 from octainscribe.sphere import (
     DegenerateTriangle,
     GeometryError,
@@ -12,6 +14,8 @@ from octainscribe.sphere import (
     SphPolygon,
     SphTriangle,
     _as_unit,
+    _norm3,
+    _unit_rows,
     arc_distance,
     area,
     hemisphere_axis,
@@ -105,13 +109,27 @@ def test_as_unit_rejects_non_finite_input(bad):
 
 
 def test_as_unit_rejects_a_norm_that_overflows():
-    # |(1e200, 0, 0)|^2 overflows, and numpy warns of it: the vector used to
-    # normalize to zero, so two orthogonal directions lay 0 apart, not pi/2.
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(GeometryError, match="not finite"):
-        _as_unit([1e200, 0.0, 0.0])
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(GeometryError, match="not finite"):
-        arc_distance([1e200, 0.0, 0.0], [0.0, 1e200, 0.0])
-    assert arc_distance([1e150, 0.0, 0.0], [0.0, 1e150, 0.0]) == math.pi / 2
+    # |(1e200, 0, 0)|^2 overflows: the vector used to normalize to zero, so
+    # two orthogonal directions lay 0 apart, not pi/2.  Every normalizer
+    # raises its own error, and numpy's overflow warning does not escape
+    # first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="not finite"):
+            _as_unit([1e200, 0.0, 0.0])
+        with pytest.raises(GeometryError, match="not finite"):
+            arc_distance([1e200, 0.0, 0.0], [0.0, 1e200, 0.0])
+        with pytest.raises(GeometryError, match="non-finite"):
+            _unit_rows([[0.0, 0.0, 1.0], [-1e200, 0.0, 0.0]])
+        with pytest.raises(GeometryError, match="non-finite"):
+            SphTriangle([1e200, 0.0, 0.0], E2, E3)
+        with pytest.raises(InvalidSolidAngle, match="finite and nonzero"):
+            SolidAngle(np.zeros(3), [[1.0, 0.0, 1.0], [0.0, 1e200, 1.0], [-1.0, -1.0, 1.0]])
+        # Large vectors whose squared norm stays finite keep their bits.
+        assert arc_distance([1e150, 0.0, 0.0], [0.0, 1e150, 0.0]) == math.pi / 2
+        big = np.array([3e153, -4e153, 2e153])
+        assert _as_unit(big).tobytes() == (big / math.sqrt(big @ big)).tobytes()
+        assert _unit_rows([big]).tobytes() == (big / _norm3(big)).tobytes()
     with pytest.raises(GeometryError, match="near-zero"):
         _as_unit([1e-15, 0.0, 0.0])
 
