@@ -173,11 +173,15 @@ def test_inscribe_rejects_output_path_before_solving(cube_off, tmp_path, capsys,
 @pytest.mark.parametrize(
     "option",
     [
+        # --seeds is no longer an option, so any value of it is rejected.
+        ["--seeds", "0"],
+        ["--seeds", "-5"],
+        ["--seeds", "10001"],
         ["--tol", "-1"],
         ["--tol", "nan"],
         ["--tol", "inf"],
     ],
-    ids=["negative-tol", "nan-tol", "inf-tol"],
+    ids=["zero-seeds", "negative-seeds", "too-many-seeds", "negative-tol", "nan-tol", "inf-tol"],
 )
 def test_inscribe_rejects_out_of_range_option(cube_off, option, capsys):
     code = main(["inscribe", cube_off, *option])
