@@ -130,12 +130,9 @@ def run(families, limit):
 
 
 def _split(recs):
-    """The residual evaluations of converged solves and of the others, as
-    text, or "?" for a survey written before they were told apart."""
-    if not all("unconverged_evaluations" in r for r in recs):
-        return "?", "?"
+    """The residual evaluations of converged solves and of the others."""
     others = sum(r["unconverged_evaluations"] for r in recs)
-    return str(sum(r["evaluations"] for r in recs) - others), str(others)
+    return sum(r["evaluations"] for r in recs) - others, others
 
 
 def _summary(family, recs, elapsed):
@@ -168,11 +165,9 @@ def compare(old, new):
         largest = 0.0
         for name in names:
             a, b = old[name], new[name]
-            # A survey written before the split has no unconverged_evaluations.
-            keys = [k for k in dict.fromkeys([*a, *b]) if k in a or k != "unconverged_evaluations"]
             what = [
                 labels.get(k, k)
-                for k in keys
+                for k in dict.fromkeys([*a, *b])
                 if json.dumps(a.get(k), sort_keys=True) != json.dumps(b.get(k), sort_keys=True)
             ]
             shift = float("nan")

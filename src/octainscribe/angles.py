@@ -353,14 +353,14 @@ def placement_test(tri: SphTriangle) -> AngleClass:
     within _TIE of that best: mirror-image labelings tie exactly when the
     length term binds, and the last bit must not pick between them.
     """
-    return _placement_verdict(tri.sides, DEFAULT_TOL)
+    return _placement_verdict(tri.sides)
 
 
-def _placement_verdict(sides: np.ndarray, tol: float) -> AngleClass:
+def _placement_verdict(sides: np.ndarray) -> AngleClass:
     """`placement_test` from the sides (|v1 v2|, |v1 v3|, |v2 v3|)."""
     margin, p2, p3, margins3 = _placements(sides)
     best = float(margin.max())
-    if best > tol:
+    if best > DEFAULT_TOL:
         k = int(np.argmax(margin >= best - _TIE))
         cert = PlacementCertificate(
             labeling=_PERMS[k],
@@ -369,12 +369,12 @@ def _placement_verdict(sides: np.ndarray, tol: float) -> AngleClass:
             margins=margins3[k],
         )
         return AngleClass(ClassTag.SPECIAL, best, cert)
-    if best < -tol:
+    if best < -DEFAULT_TOL:
         return AngleClass(ClassTag.NON_SPECIAL, best, None)
     return AngleClass(ClassTag.INDETERMINATE, best, None)
 
 
-def classify_trihedral(angle: SolidAngle, tol: float = DEFAULT_TOL) -> AngleClass:
+def classify_trihedral(angle: SolidAngle) -> AngleClass:
     """Classify a trihedral angle, with a threshold fast path: any facet
     angle above pi/3 is not special, with margin T0_SIDE minus the largest
     facet angle; every other angle goes through the placement test and
@@ -390,9 +390,9 @@ def classify_trihedral(angle: SolidAngle, tol: float = DEFAULT_TOL) -> AngleClas
     # Facet angles (|E0 E1|, |E1 E2|, |E2 E0|) in triangle side order.
     sides = angle.facet_angles()[[0, 2, 1]]
     top = float(sides.max())
-    if top > T0_SIDE + tol:
+    if top > T0_SIDE + DEFAULT_TOL:
         return AngleClass(ClassTag.NON_SPECIAL, T0_SIDE - top, None)
-    return _placement_verdict(sides, tol)
+    return _placement_verdict(sides)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +536,7 @@ _T0_MAX_LIVE = 4096
 _CELL_CORNERS = np.array(list(product((-1.0, 1.0), repeat=3)))
 
 
-def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
+def fits_in_T0(poly: SphPolygon) -> T0FitResult:
     """Decide whether some rotation takes the convex polygon inside the
     regular spherical triangle T0 of side pi/3 (checked on its vertices).
 
@@ -545,9 +545,9 @@ def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
     that tile |w_i| <= pi (which covers SO(3)).  Every result carries the
     best centre margin seen and its rotation:
 
-    - FITS as soon as a cell centre's margin exceeds `tol`.
+    - FITS as soon as a cell centre's margin exceeds DEFAULT_TOL.
     - A cell of half-side h is discarded once its centre margin + sqrt(3) h
-      < -tol; every other cell is split into 8.  NO_FIT, when no cell is
+      < -DEFAULT_TOL; other cells are split into 8.  NO_FIT, when no cell is
       left, is certified: the margin is 1-Lipschitz in rotation angle, and
       the angle between R(a) and R(b) is at most |a - b| (Hartley and Kahl,
       Global Optimization through Rotation Space Search, IJCV 2009).
@@ -558,7 +558,7 @@ def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
     if total_area > T0_AREA + 1e-12:
         return T0FitResult(FitTag.NO_FIT, -(total_area - T0_AREA), None)
     diam = polygon_diameter(poly)
-    if diam > T0_SIDE + tol:
+    if diam > T0_SIDE + DEFAULT_TOL:
         return T0FitResult(FitTag.NO_FIT, -0.5 * (diam - T0_SIDE), None)
 
     h = math.pi / 4
@@ -570,9 +570,9 @@ def fits_in_T0(poly: SphPolygon, tol: float = DEFAULT_TOL) -> T0FitResult:
         k = int(np.argmax(margins))
         if margins[k] > best_margin:
             best_margin, best_rot = float(margins[k]), mats[k]
-        if best_margin > tol:
+        if best_margin > DEFAULT_TOL:
             return T0FitResult(FitTag.FITS, best_margin, matrix_to_quat(best_rot))
-        centres = centres[margins + math.sqrt(3.0) * h >= -tol]
+        centres = centres[margins + math.sqrt(3.0) * h >= -DEFAULT_TOL]
         if len(centres) == 0:
             return T0FitResult(FitTag.NO_FIT, best_margin, matrix_to_quat(best_rot))
         if h < _T0_MIN_HALF_SIDE or len(centres) > _T0_MAX_LIVE:
@@ -606,14 +606,14 @@ _NOT_IN_A0_NOTE = (
 )
 
 
-def classify_general(angle: SolidAngle, tol: float = DEFAULT_TOL) -> GeneralClassification:
+def classify_general(angle: SolidAngle) -> GeneralClassification:
     """Route trihedral angles to the exact classifier; for more edges,
     report whether the angle's polygon can be rotated into the regular
     pi/3 triangle (the cannot-be-placed angles are the benign ones for
     polytope-level existence)."""
     if angle.n_edges == 3:
-        return GeneralClassification(GeneralKind.TRIHEDRAL, trihedral=classify_trihedral(angle, tol))
-    fit = fits_in_T0(angle.polygon, tol)
+        return GeneralClassification(GeneralKind.TRIHEDRAL, trihedral=classify_trihedral(angle))
+    fit = fits_in_T0(angle.polygon)
     if fit.tag is FitTag.NO_FIT:
         return GeneralClassification(GeneralKind.IN_A0, fit=fit)
     if fit.tag is FitTag.FITS:

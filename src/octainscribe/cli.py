@@ -92,7 +92,7 @@ def _certificate_dict(cls: AngleClass):
 
 def cmd_classify(args) -> int:
     angle = _load_angle(args)
-    result = classify_general(angle, tol=args.tol)
+    result = classify_general(angle)
     doc = {
         "schema": oio.SCHEMA,
         "kind": result.kind.value,
@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("angle", nargs="?", help="angle JSON file: {apex: [...], edges: [[...], ...]}")
     pc.add_argument("--polytope", help="polytope file (OFF or JSON); classify one of its vertices")
     pc.add_argument("--vertex", type=int, help="vertex index used with --polytope")
-    pc.add_argument("--tol", type=_tolerance, default=1e-9, help="classification tolerance band (rad)")
     pc.add_argument("--out", help="write the JSON report here instead of stdout")
     pc.set_defaults(func=cmd_classify)
 

@@ -134,10 +134,6 @@ _SCALE_MIN_REL = 0.01
 _SCALE_MAX_REL = 0.5
 _VERTEX_PULLBACK = 0.25   # seed centers: vertex + pullback * (center - vertex)
 _MAX_SOLUTIONS = 12
-# Stop once _MAX_SOLUTIONS are in hand and one has diameter at least
-# min(_STOP_SCALE_REL * diameter, sqrt(3) * inradius): the second term
-# is half the largest diameter an octahedron inside the body can have.
-_STOP_SCALE_REL = 0.05
 _DEDUP_TOL_REL = 1e-6
 
 # Continuation.
@@ -342,7 +338,8 @@ def _solutions(s: SmoothedBody, tally):
     solutions yielded."""
     base = s.base
     diam = base.diameter
-    stop_diameter = min(_STOP_SCALE_REL * diam, math.sqrt(3.0) * base.inradius)
+    # Half the largest diameter an octahedron inside the body can have.
+    stop_diameter = math.sqrt(3.0) * base.inradius
     found = []
     for seed in _seed_poses(s):
         rep = solve_at_epsilon(s, seed)

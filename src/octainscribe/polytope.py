@@ -263,7 +263,8 @@ def _chebyshev(normals, offsets):
         method="highs",
     )
     if not res.success:
-        raise Degenerate("halfspace system is empty or unbounded")
+        far = " (HiGHS reads offsets of 1e20 or more as infinite)" if np.abs(offsets).max() >= 1e20 else ""
+        raise Degenerate("halfspace system is empty or unbounded" + far)
     return res.x[:3], float(res.x[3])
 
 
@@ -436,8 +437,11 @@ def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
         norms = np.linalg.norm(N, axis=1)
     if not (norms.min() >= 1e-14 and norms.max() < np.inf):
         raise Degenerate("zero normal in halfspace list" if norms.min() < 1e-14 else "a normal's squared norm overflows")
+    with np.errstate(over="ignore"):
+        D = D / norms
+    if not np.isfinite(D).all():
+        raise Degenerate("an offset over its normal's length overflows")
     N = N / norms[:, None]
-    D = D / norms
     _assert_bounded(N)
     interior, r = _chebyshev(N, D)
     if r <= 0:

@@ -220,6 +220,7 @@ def test_inscribe_empty_seed_search_exits_3(cube_off, tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-0.0001"])
 @pytest.mark.parametrize("command", ["classify", "certify"])
 def test_classify_and_certify_reject_out_of_range_tol(cube_off, tmp_path, command, tol, capsys):
+    # classify has no --tol, so it rejects every value of it.
     args = {
         "classify": ["classify", "--polytope", cube_off, "--vertex", "0"],
         "certify": ["certify", cube_off, str(tmp_path / "pose.json")],
@@ -229,9 +230,18 @@ def test_classify_and_certify_reject_out_of_range_tol(cube_off, tmp_path, comman
     assert code == 64
 
 
-def test_zero_tol_is_allowed(cube_off, capsys):
-    # The cube corner is NON_SPECIAL at any band.
-    assert main(["classify", "--polytope", cube_off, "--vertex", "0", "--tol", "0"]) == 1
+def test_classify_rejects_the_removed_tol_flag(cube_off, tmp_path, capsys, monkeypatch):
+    # The classification band is fixed: --tol with its former default is a
+    # usage error before any classification, and writes no report.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify ran despite a usage error")
+
+    monkeypatch.setattr(cli, "classify_general", forbidden)
+    out = tmp_path / "c.json"
+    code = main(["classify", "--polytope", cube_off, "--vertex", "0", "--tol", "1e-9", "--out", str(out)])
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert code == 64
+    assert not out.exists()
 
 
 def test_inscribe_then_certify_roundtrip(cube_off, tmp_path, capsys):

@@ -813,9 +813,10 @@ def test_initial_search_counts_seeds(monkeypatch):
 
 
 def test_thin_body_finishes_in_bounded_solves(monkeypatch):
-    # Inradius 0.0077 * diameter: no inscribed octahedron reaches the
-    # 0.05 * diameter stop scale, so a seed loop stopped by that scale
-    # alone runs its whole grid of about 4500 seeds.
+    # Inradius 0.0077 * diameter.  Neither search waits for an octahedron
+    # of some size: multistart keeps the first _MAX_SOLUTIONS solutions and
+    # the continuation tracks the first start that has not collapsed.  A
+    # seed loop that did wait could run its whole grid of about 4500 seeds.
     rng = np.random.default_rng(1)
     p = [random_simple_polytope(rng, n) for n in range(6, 13)][-1]
     assert p.inradius < 0.01 * p.diameter

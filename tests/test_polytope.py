@@ -103,6 +103,19 @@ def test_builders_reject_finite_input_whose_squares_overflow():
         build_from_halfspaces(AXES * 1e160, np.full(6, 1e160))
     # Rows scaled by 1e150 still normalize to the unit cube.
     assert build_from_halfspaces(AXES * 1e150, np.full(6, 1e150)).normals.tolist() == cube().normals.tolist()
+    # Finite offsets over normals of length 1e-13 overflow in the quotient.
+    with pytest.raises(Degenerate, match="overflow"):
+        build_from_halfspaces(AXES * 1e-13, np.full(6, 1e300))
+    # The LP reads offsets of 1e20 or more as infinite; the message says so.
+    with pytest.raises(Degenerate, match="1e20 or more"):
+        build_from_vertices(cube().vertices * 1e20)
+    with pytest.raises(Degenerate, match="1e20 or more"):
+        build_from_halfspaces(AXES, np.full(6, 1e20))
+    assert len(build_from_halfspaces(AXES, np.full(6, 9.99e19)).vertices) == 8
+    # A redundant plane that far off drops out of the LP, and the cube builds.
+    for far in (1e21, 1e300):
+        body = build_from_halfspaces(np.vstack([AXES, [[1.0, 1.0, 1.0]]]), np.r_[np.ones(6), far])
+        assert body.vertices.tolist() == cube().vertices.tolist()
 
 
 _OCTANTS = np.array([[a, b, c] for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)])
