@@ -67,7 +67,7 @@ class ConvexPolytope:
     The constructor takes the corner table as the facet cycles end to end
     (cycles) and each cycle's first corner (starts).  Precondition: every
     cycle runs counterclockwise seen from outside and starts at its lowest
-    vertex index.  The hull builder computes the cycles, and a closed-form
+    vertex index.  `_plane_polytope` computes the cycles, and a closed-form
     inner body inherits its base's.  On one slack matrix at 1e-9 * diameter
     the constructor checks that no vertex lies outside a plane, that every
     corner's vertex lies on its facet's plane, that each vertex and each
@@ -268,17 +268,6 @@ def _chebyshev(normals, offsets):
     return res.x[:3], float(res.x[3])
 
 
-def _assert_bounded(normals):
-    """{x : N x <= D} is bounded iff its unit normals positively span R^3,
-    that is iff the origin lies strictly inside their convex hull."""
-    try:
-        hull = ConvexHull(normals)
-    except QhullError as exc:
-        raise Degenerate("halfspace intersection is unbounded (coplanar normals)") from exc
-    if not hull.equations[:, 3].max() < -1e-9:
-        raise Degenerate("halfspace intersection is unbounded")
-
-
 def _keep_first(close):
     """Mask keeping item j unless close[i, j] for a kept item i < j."""
     close = np.triu(close, k=1)
@@ -289,20 +278,10 @@ def _keep_first(close):
     return keep
 
 
-def _vertices_of(N, D, interior):
-    """Vertices of {x : N x <= D} (unit normals) from the dual hull about a strictly
-    interior point, each kept unless within 1e-9 * scale of an earlier kept one."""
-    pts = HalfspaceIntersection(np.hstack([N, -D[:, None]]), interior).intersections
-    scale = float(_norm3(pts - pts.mean(axis=0)).max())
-    close = _norm3(pts[:, None, :] - pts) <= 1e-9 * scale
-    return pts[_keep_first(close)]
-
-
-def _hull_polytope(P, ball=None):
-    """Convex hull of the points: coplanar hull simplices merged into
-    polygonal facets, interior points dropped, each facet's vertices those
-    of its simplices.  ball is the Chebyshev (center, inradius) if the
-    caller knows it, else one LP on the hull planes."""
+def _hull_planes(P):
+    """The facet planes of the points' convex hull (unit normals, offsets):
+    each set of coplanar hull simplices gives its first plane, and the
+    planes are sorted as the builders sort facets."""
     with np.errstate(over="ignore"):
         scale = float(_norm3(P - P.mean(axis=0)).max())
     if not 1e-12 <= scale < np.inf:
@@ -313,27 +292,48 @@ def _hull_polytope(P, ball=None):
         raise Degenerate(f"convex hull failed (flat or degenerate input): {exc}") from exc
     if hull.volume < 1e-12 * scale**3:
         raise Degenerate("points do not span 3 dimensions")
-
-    rows = hull.vertices[np.lexsort(P[hull.vertices].T[::-1])]
-
-    # One facet per hull plane: the first of each set of coplanar simplices,
-    # which every simplex of its set joins.
     N = hull.equations[:, :3]
     N = N / np.sqrt(np.vecdot(N, N))[:, None]
     D = -hull.equations[:, 3]
-    same = (N @ N.T > 1.0 - 1e-9) & (np.abs(D[:, None] - D) < 1e-9 * scale)
-    keep = _keep_first(same)
-    incidence = np.zeros((len(P), keep.sum()), dtype=bool)
-    incidence[hull.simplices, np.argmax(same[keep], axis=0)[:, None]] = True
-    normals, offsets = N[keep], D[keep]
-    key = np.round(np.column_stack([normals, offsets / scale]), 9)
-    order = np.lexsort(key.T[::-1])
-    normals, offsets, incidence = normals[order], offsets[order], incidence[np.ix_(rows, order)]
+    keep = _keep_first((N @ N.T > 1.0 - 1e-9) & (np.abs(D[:, None] - D) < 1e-9 * scale))
+    order = np.lexsort(np.round(np.column_stack([N[keep], D[keep] / scale]), 9).T[::-1])
+    return N[keep][order], D[keep][order]
 
-    if ball is None:
-        ball = _chebyshev(normals, offsets)
-    V = P[rows]
-    return ConvexPolytope(normals, offsets, V, *_facet_cycles(V, normals, incidence), *ball)
+
+def _plane_polytope(N, D, ball):
+    """The polytope {x : N x <= D} (unit normals) with Chebyshev ball
+    (center, inradius), from one halfspace intersection about the center.
+    Points within 1e-9 * scale of an earlier kept one merge into it, and a
+    vertex lies on the planes of the dual facets of every point merged into
+    it.  The first plane of each vertex set of at least 3 is a facet, so a
+    repeated plane and one tight only at a vertex or along an edge drop out.
+    The region is bounded exactly when every dual facet's offset, which is
+    -1 / |x - center| at a vertex x, is negative."""
+    try:
+        # On an unbounded region scipy divides by a dual offset of zero.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hs = HalfspaceIntersection(np.hstack([N, -D[:, None]]), ball[0])
+    except QhullError as exc:
+        raise Degenerate("halfspace intersection is unbounded (coplanar normals)") from exc
+    if not hs.dual_equations[:, 3].max() < 0:
+        raise Degenerate("halfspace intersection is unbounded")
+    pts = hs.intersections
+    scale = float(_norm3(pts - pts.mean(axis=0)).max())
+    close = _norm3(pts[:, None, :] - pts) <= 1e-9 * scale
+    keep = _keep_first(close)
+    # Each point's vertex: the first kept point close to it.
+    owner = np.repeat(np.argmax(close[:, keep], axis=1), [len(f) for f in hs.dual_facets])
+    tight = np.zeros((len(N), keep.sum()), dtype=bool)
+    tight[np.concatenate(hs.dual_facets), owner] = True
+    # The first plane of each distinct vertex set, the sets compared as bytes.
+    packed = np.packbits(tight, axis=1)
+    _, first = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0], return_index=True)
+    facets = np.sort(first[tight[first].sum(axis=1) >= 3])
+    facets = facets[np.lexsort(np.round(np.column_stack([N[facets], D[facets] / scale]), 9).T[::-1])]
+    V = pts[keep]
+    rows = np.lexsort(V.T[::-1])
+    V, normals, incidence = V[rows], N[facets], tight[np.ix_(facets, rows)].T
+    return ConvexPolytope(normals, D[facets], V, *_facet_cycles(V, normals, incidence), *ball)
 
 
 def _facet_cycles(V, N, incidence):
@@ -401,29 +401,26 @@ def _check_vertex_cones(p: ConvexPolytope):
         )
 
 
-def _checked_hull(P, ball=None) -> ConvexPolytope:
-    """The hull polytope of outside input, with a valid solid angle at
-    every vertex (`_check_vertex_cones`)."""
-    p = _hull_polytope(P, ball)
-    _check_vertex_cones(p)
-    return p
-
-
 def build_from_vertices(points) -> ConvexPolytope:
-    """Vertex input: the convex hull, checked to be finite, full-dimensional
-    and to have a valid solid angle at every vertex."""
+    """Vertex input: the hull's facet planes, checked to be finite and
+    full-dimensional, one LP on them, then the polytope of those planes,
+    checked to have a valid solid angle at every vertex."""
     try:
         P = np.asarray(points, dtype=float)
     except (TypeError, ValueError) as exc:
         raise Degenerate(f"vertex coordinates must be numbers ({exc})") from exc
     if P.ndim != 2 or P.shape[1] != 3 or len(P) < 4 or not np.isfinite(P).all():
         raise Degenerate("need at least 4 points in R^3, all finite")
-    return _checked_hull(P)
+    N, D = _hull_planes(P)
+    p = _plane_polytope(N, D, _chebyshev(N, D))
+    _check_vertex_cones(p)
+    return p
 
 
 def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
-    """Halfspace input: checked to be finite and bounded with a nonempty interior
-    (one LP, whose ball the body keeps), then the vertices via the dual hull."""
+    """Halfspace input: checked to be finite with a nonempty interior (one
+    LP, whose ball the body keeps), then the rows' polytope, which checks
+    boundedness, checked to have a valid solid angle at every vertex."""
     try:
         N = np.asarray(normals, dtype=float)
         D = np.asarray(offsets, dtype=float).reshape(-1)
@@ -442,11 +439,12 @@ def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
     if not np.isfinite(D).all():
         raise Degenerate("an offset over its normal's length overflows")
     N = N / norms[:, None]
-    _assert_bounded(N)
     interior, r = _chebyshev(N, D)
     if r <= 0:
         raise Degenerate("halfspace intersection has empty interior")
-    return _checked_hull(_vertices_of(N, D, interior), (interior, r))
+    p = _plane_polytope(N, D, (interior, r))
+    _check_vertex_cones(p)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +502,8 @@ class SmoothedBody:
     Each edge keeps its direction, so each facet cycle keeps its order and
     orientation: the inner body keeps the base's vertex order and corner
     table (`cycles`, `starts`).  A non-simple base, and a rung where some
-    v(eps) fails the band, take the hull path: qhull's halfspace
-    intersection, then the convex hull."""
+    v(eps) fails the band, take the hull path: one halfspace intersection
+    of the shifted planes, whose dual facets give the incidence."""
 
     __slots__ = ("base", "epsilon", "inner_body")
 
@@ -519,8 +517,7 @@ class SmoothedBody:
         ball = (base.center, base.inradius - epsilon)
         self.inner_body = _closed_form_inner(base, epsilon, ball)
         if self.inner_body is None:
-            verts = _vertices_of(base.normals, base.offsets - epsilon, base.center)
-            self.inner_body = _hull_polytope(verts, ball)
+            self.inner_body = _plane_polytope(base.normals, base.offsets - epsilon, ball)
 
     def signed_distance(self, points):
         """r(x) = dist(x, inner body) - eps, whose zero set is exactly the

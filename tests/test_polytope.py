@@ -294,7 +294,8 @@ def test_corner_table_invariants(spiky_body, monkeypatch):
 def test_dented_cube_builds_and_inscribes():
     # One corner moved in by 2.5e-9: between 1e-9 * scale (1.7e-9) and
     # 1e-9 * diameter (3.5e-9), so a tightness test at the first tolerance
-    # drops the corner from its facet, while the facet's own triangles keep it.
+    # drops the corner from its facet, while the coplanar merge keeps one
+    # plane for the facet's triangles, and the corner is built on it.
     corners = cube().vertices.copy()
     corners[7, 0] -= 2.5e-9
     p = build_from_vertices(corners)
@@ -558,8 +559,24 @@ def _corner_cut(delta):
     return build_from_halfspaces(A, np.append(np.ones(6), np.sqrt(3) - delta) + A @ _FAR)
 
 
-@pytest.mark.parametrize("build", [_pyramid_on_top, _corner_cut])
-def test_cone_check_matches_reference_across_the_band(monkeypatch, build):
+def _roof_halfspaces(delta):
+    """The roof of `_roof` at height delta, built from its 7 halfspaces.
+    Its cone margins shrink with delta while its vertices stay apart."""
+    N = np.vstack([AXES[[0, 1, 3, 4, 5]], [[0, -delta, 1], [0, delta, 1]]])
+    return build_from_halfspaces(N, np.append(np.ones(5), [1 + delta, 1 + delta]))
+
+
+@pytest.mark.parametrize(
+    "build, facets",
+    [
+        (_pyramid_on_top, [9] * 6 + [None] * 5 + [6] * 2),
+        # The cut points merge into one vertex below 1e-9, which leaves the cube.
+        (_corner_cut, [7] * 7 + [6] * 6),
+        (_roof_halfspaces, [7] * 7 + [None] * 6),
+    ],
+    ids=["_pyramid_on_top", "_corner_cut", "_roof_halfspaces"],
+)
+def test_cone_check_matches_reference_across_the_band(monkeypatch, build, facets):
     checked = polytope._check_vertex_cones
     reference = []
 
@@ -568,17 +585,16 @@ def test_cone_check_matches_reference_across_the_band(monkeypatch, build):
         checked(p)
 
     monkeypatch.setattr(polytope, "_check_vertex_cones", both)
-    accepted = []
+    built = []
     for delta in 10.0 ** np.arange(-6, -12.5, -0.5):
         try:
-            build(delta)
-            accepted.append(True)
+            built.append(len(build(delta).normals))
         except InvalidSolidAngle as exc:
             assert re.match(r"vertex \d+: cone is not strictly convex at facet \d+", str(exc))
-            accepted.append(False)
-        assert accepted[-1] == reference[-1]
+            built.append(None)
+        assert (built[-1] is not None) == reference[-1]
     # Accepted above the band, rejected in it (margins of about delta).
-    assert accepted[0] and not accepted[8]
+    assert built == facets
 
 
 def _roof(h):
@@ -616,24 +632,23 @@ def test_cone_check_on_a_roof_across_the_band(h, message):
             polytope._check_vertex_cones(p)
 
 
-def test_spiky_rung_inside_the_cone_band_is_rejected(spiky_cloud):
+def test_spiky_rung_inside_the_cone_band_keeps_its_base_planes(spiky_cloud):
     # Draw 108 of the spiky family pushed in by 0.2 * inradius / 2**14
     # (1.55e-6 diameters).  Two vertices of its inner body lie 1.2e-9
-    # diameters apart, and the cone at vertex 27 has margin 5.2e-10 <
-    # DEFAULT_TOL against facet 11: a verdict at the stated tolerance,
-    # which the per-vertex SolidAngle check gives too.
+    # diameters apart.  An inner parallel body has the planes of its base:
+    # a hull of its vertices made a 21st facet, the sliver triangle of
+    # vertices 22, 23 and 27 on no base plane, which left the cone at vertex
+    # 27 a margin of 5.2e-10 < DEFAULT_TOL.  From the planes' own incidence
+    # every cone is valid, and the outside-input build accepts the body.
     p = build_from_vertices(spiky_cloud(108))
     eps = 0.2 * p.inradius / 2**14
     inner = SmoothedBody(p, eps).inner_body
     V = inner.vertices
     gaps = np.linalg.norm(V[:, None] - V[None], axis=2) + np.diag(np.full(len(V), np.inf))
     assert gaps.min() < 2e-9 * p.diameter
-    assert not _reference_accepts(inner)
-    with pytest.raises(
-        InvalidSolidAngle,
-        match=r"^vertex 27: cone is not strictly convex at facet 11 \(margin 5\.2e-10 ",
-    ):
-        build_from_halfspaces(p.normals, p.offsets - eps)
+    assert len(p.normals) == 20 and inner.normals.tobytes() == p.normals.tobytes()
+    assert _reference_accepts(inner)
+    assert len(build_from_halfspaces(p.normals, p.offsets - eps).normals) == 20
 
 
 def test_solid_angle_at_matches_edge_scan_reference(spiky_body):
@@ -647,8 +662,8 @@ def test_solid_angle_at_matches_edge_scan_reference(spiky_body):
 
 
 def test_halfspace_build_solves_one_lp(monkeypatch):
-    # The boundedness check is a hull of the normals; the one LP is the
-    # Chebyshev ball of the input, which the built body keeps.
+    # The one LP is the Chebyshev ball of the input, which the built body
+    # keeps; the halfspace intersection about its centre checks boundedness.
     import octainscribe.polytope as polytope
 
     calls = [0]
@@ -662,6 +677,54 @@ def test_halfspace_build_solves_one_lp(monkeypatch):
     normals = np.vstack([AXES, [[1, 1, 1] / np.sqrt(3)]])
     build_from_halfspaces(normals, np.concatenate([np.ones(6), [1.5]]))
     assert calls[0] == 1
+
+
+def _count_qhull(monkeypatch):
+    """Count the qhull calls through polytope's names from here on."""
+    calls = {"ConvexHull": 0, "HalfspaceIntersection": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(polytope, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(polytope, name, counted)
+    return calls
+
+
+def test_each_build_makes_one_halfspace_intersection(monkeypatch, spiky_body):
+    # The halfspace intersection's dual facets give the incidence and the
+    # boundedness check: no hull of the normals or of the vertices.
+    normals = np.vstack([AXES, [[1, 1, 1] / np.sqrt(3)]])
+    calls = _count_qhull(monkeypatch)
+    build_from_halfspaces(normals, np.concatenate([np.ones(6), [1.5]]))
+    assert calls == {"ConvexHull": 0, "HalfspaceIntersection": 1}
+    # A non-simple base's inner body takes the hull path.
+    calls.update(ConvexHull=0, HalfspaceIntersection=0)
+    SmoothedBody(spiky_body, 0.1 * spiky_body.inradius)
+    assert calls == {"ConvexHull": 0, "HalfspaceIntersection": 1}
+    # Vertex input first finds its hull planes.
+    calls.update(ConvexHull=0, HalfspaceIntersection=0)
+    build_from_vertices(spiky_body.vertices)
+    assert calls == {"ConvexHull": 1, "HalfspaceIntersection": 1}
+
+
+def test_builders_accept_bodies_far_from_the_origin():
+    # The criterion-3 bodies moved 1e6 diameters out.
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        p = random_simple_polytope(rng)
+        t = 1e6 * p.diameter * np.array([1.0, 0.3, -0.2])
+        for q in (build_from_halfspaces(p.normals, p.offsets + p.normals @ t), build_from_vertices(p.vertices + t)):
+            assert (len(q.vertices), len(q.normals)) == (len(p.vertices), len(p.normals))
+
+
+def test_halfspace_build_of_a_tiny_cube():
+    # No absolute floor on the spread of the vertices: a cube of half-side
+    # 1e-13 builds from its halfspaces.
+    p = build_from_halfspaces(AXES, np.full(6, 1e-13))
+    assert p.inradius == pytest.approx(1e-13, rel=1e-12)
+    assert p.vertices.tolist() == (cube().vertices * 1e-13).tolist()
 
 
 @pytest.mark.parametrize(
@@ -740,15 +803,16 @@ def _ladder(p):
 
 @pytest.fixture
 def hull_builds(monkeypatch):
-    """A list that gains one entry per inner body built by the hull path."""
+    """A list that gains one entry per polytope built from its planes: an
+    inner body built by the hull path, or a builder's output."""
     calls = []
-    vertices_of = polytope._vertices_of
+    plane_polytope = polytope._plane_polytope
 
     def spy(*args):
         calls.append(args)
-        return vertices_of(*args)
+        return plane_polytope(*args)
 
-    monkeypatch.setattr(polytope, "_vertices_of", spy)
+    monkeypatch.setattr(polytope, "_plane_polytope", spy)
     return calls
 
 
@@ -771,8 +835,7 @@ def test_closed_form_inner_body_matches_hull_build(hull_builds):
             names = ("cycles", "starts", "corner_facet", "following", "edge_array")
             for name in names:
                 assert np.array_equal(getattr(inner, name), getattr(p, name)), name
-            verts = polytope._vertices_of(p.normals, p.offsets - eps, p.center)
-            ref = polytope._hull_polytope(verts, (p.center, p.inradius - eps))
+            ref = polytope._plane_polytope(p.normals, p.offsets - eps, (p.center, p.inradius - eps))
             vertices, table = _lexsorted(inner)
             for name in ("cycles", "starts", "corner_facet", "edge_array"):
                 assert np.array_equal(table[name], getattr(ref, name)), name
@@ -817,7 +880,9 @@ def test_vanishing_facet_takes_the_hull_path(hull_builds):
 
 def test_non_simple_bases_take_the_hull_path(spiky_body, hull_builds):
     rungs = 0
-    for p in (regular_octahedron(), spiky_body):
+    bases = (regular_octahedron(), spiky_body)
+    hull_builds.clear()  # the base builds
+    for p in bases:
         assert not is_simple(p)[0]
         for eps in _ladder(p):
             SmoothedBody(p, eps)
