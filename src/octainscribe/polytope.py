@@ -15,7 +15,6 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 # Kept only because the benchmark tracer wraps it; no production path calls it.
 from scipy.optimize import linprog  # noqa: F401
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
@@ -43,6 +42,11 @@ _REL_TOL = 1e-9
 _POINT_BLOCK = 1024
 # Rows per block of the all-pairs distances; bounds their (rows x points) arrays.
 _PAIR_ROWS = 64
+# The Chebyshev simplex's floor on a rate, per unit length of its direction:
+# above the rounding of a direction off nearly dependent rows.
+_LP_TOL = 1e-10
+# Bound on the relative rounding of a slack, offset - (n . x + r).
+_LP_ROUNDING = 8 * np.finfo(float).eps
 
 
 class Degenerate(GeometryError):
@@ -259,22 +263,70 @@ class ConvexPolytope:
 # Construction.
 
 
-# The Chebyshev LP (Boyd and Vandenberghe 2004, section 8.5.1) in (center, radius):
-# maximize r subject to n . x + r <= offset for every unit normal n, r >= 0.
-_CHEBYSHEV_COST = np.array([0.0, 0.0, 0.0, -1.0])
-_CHEBYSHEV_BOUNDS = Bounds([-np.inf] * 3 + [0.0], np.inf)
-
-
 def _chebyshev(normals, offsets):
-    """The Chebyshev ball (center, radius) of {x : normals x <= offsets}, by
-    HiGHS through `milp`, which skips most of `linprog`'s input handling and
-    returns the same bits."""
-    rows = LinearConstraint(np.hstack([normals, np.ones((len(normals), 1))]), -np.inf, offsets)
-    res = milp(_CHEBYSHEV_COST, constraints=rows, bounds=_CHEBYSHEV_BOUNDS)
-    if not res.success:
-        far = " (HiGHS reads offsets of 1e20 or more as infinite)" if np.abs(offsets).max() >= 1e20 else ""
-        raise Degenerate("halfspace system is empty or unbounded" + far)
-    return res.x[:3], float(res.x[3])
+    """The Chebyshev ball (center, radius) of {x : normals x <= offsets} for
+    unit normals: max r s.t. n . x + r <= offset for every row (Boyd and
+    Vandenberghe 2004, section 8.5.1), by a primal simplex on z = (x, r).
+
+    z starts at (0, min offsets), which satisfies every row of any system,
+    so no first phase is needed and an empty or flat system ends with a
+    radius at or below 0.  z climbs along e_r projected off the tight rows
+    until four are tight, then pivots from vertex to vertex.  Each choice
+    is the steepest: the leaving row whose edge raises r fastest per unit
+    length, and of the rows that block first, the one met fastest; where
+    many rows are tight at once, as on a body tangent to its inscribed
+    sphere, that saves most pivots.  Only a step that leaves z in place can
+    bring a set of rows back; once one has, every choice takes the lowest
+    row index until z moves, which is Bland's rule (Bland 1977), under
+    which no set repeats, so the loop ends.  A rate counts above _LP_TOL
+    times the length of its direction; a slack within the rounding of its
+    terms counts as 0.  The centre is one solve of the final four rows, so
+    the walk's rounding does not reach it (only where the optimum is not a
+    point, as on a cylinder, can the loop end with fewer, and the centre is
+    the walk's point).  The radius is the least slack at the centre, so the
+    ball lies in every halfspace.  A ray that no row blocks raises
+    Degenerate."""
+    A = np.column_stack([normals, np.ones(len(normals))])
+    z = np.r_[0.0, 0.0, 0.0, offsets.min()]
+    basis, seen, bland = [], set(), False
+    while True:
+        k = len(basis)
+        if k < 4:
+            # e_r less its part in the span of the basis rows, Q[:, :k].
+            Q, R = np.linalg.qr(A[basis].T, mode="complete")
+            d = -Q[:, :k] @ Q[3, :k]
+            d[3] += 1.0
+        if k == 4 or not np.sqrt(d @ d) > _LP_TOL:
+            # e_r = A[basis].T @ P[3]: leaving basis row j moves along
+            # -P[:, j], on which r rises at the rate -P[3, j].
+            P = np.linalg.inv(A[basis]) if k == 4 else Q[:, :k] @ np.linalg.inv(R[:k]).T
+            length = np.sqrt(np.vecdot(P.T, P.T))
+            up = np.flatnonzero(P[3] < -_LP_TOL * length)
+            if up.size == 0:
+                break
+            key = tuple(sorted(basis))
+            bland = bland or key in seen
+            seen.add(key)
+            j = min(up, key=basis.__getitem__) if bland else up[np.argmin(P[3, up] / length[up])]
+            d = -P[:, j]
+            del basis[j]
+        rate = A @ d
+        rate[basis] = 0.0
+        rows = np.flatnonzero(rate > _LP_TOL * np.sqrt(d @ d))
+        if rows.size == 0:
+            raise Degenerate("halfspace system is unbounded (its normals lie in an open hemisphere)")
+        # A slack within the rounding of its terms counts as 0.
+        slack = offsets[rows] - A[rows] @ z
+        t = np.where(slack > _LP_ROUNDING * (np.abs(offsets[rows]) + np.abs(z).sum()), slack, 0.0) / rate[rows]
+        i = np.argmin(t) if bland else np.lexsort((-rate[rows], t))[0]
+        if t[i] > 0:
+            seen, bland = set(), False
+        z = z + t[i] * d
+        basis.append(int(rows[i]))
+    basis.sort()
+    if len(basis) == 4:
+        z = np.linalg.solve(A[basis], offsets[basis])
+    return z[:3], float((offsets - normals @ z[:3]).min())
 
 
 def _pair_squares(P):
@@ -461,8 +513,10 @@ def build_from_halfspaces(normals, offsets) -> ConvexPolytope:
         raise Degenerate("zero normal in halfspace list" if norms.min() < 1e-14 else "a normal's squared norm overflows")
     with np.errstate(over="ignore"):
         D = D / norms
-    if not np.isfinite(D).all():
-        raise Degenerate("an offset over its normal's length overflows")
+        if not np.isfinite(D).all():
+            raise Degenerate("an offset over its normal's length overflows")
+        if D.max() - D.min() == np.inf:
+            raise Degenerate("the offsets' spread overflows")
     N = N / norms[:, None]
     interior, r = _chebyshev(N, D)
     if r <= 0:

@@ -10,16 +10,21 @@ from octainscribe.generators import random_spiky_cloud
 
 @pytest.fixture
 def no_lp(monkeypatch):
-    """Fail the test if anything solves an LP: linprog or milp, looked up in
-    scipy.optimize at call time, or the names that polytope binds at import."""
+    """Fail the test if anything solves an LP: scipy's linprog or milp, looked
+    up in scipy.optimize at call time, linprog as polytope binds it, or
+    polytope's own Chebyshev simplex."""
 
-    for name in ("linprog", "milp"):
+    for owner, name in (
+        (scipy.optimize, "linprog"),
+        (scipy.optimize, "milp"),
+        (octainscribe.polytope, "linprog"),
+        (octainscribe.polytope, "_chebyshev"),
+    ):
 
-        def refuse(*args, _name=name, **kwargs):
-            raise AssertionError(f"scipy.optimize.{_name} was called")
+        def refuse(*args, _name=f"{owner.__name__}.{name}", **kwargs):
+            raise AssertionError(f"{_name} was called")
 
-        monkeypatch.setattr(scipy.optimize, name, refuse)
-        monkeypatch.setattr(octainscribe.polytope, name, refuse)
+        monkeypatch.setattr(owner, name, refuse)
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 import octainscribe.polytope as polytope
@@ -107,12 +109,15 @@ def test_builders_reject_finite_input_whose_squares_overflow():
     # Finite offsets over normals of length 1e-13 overflow in the quotient.
     with pytest.raises(Degenerate, match="overflow"):
         build_from_halfspaces(AXES * 1e-13, np.full(6, 1e300))
-    # The LP reads offsets of 1e20 or more as infinite; the message says so.
-    with pytest.raises(Degenerate, match="1e20 or more"):
-        build_from_vertices(cube().vertices * 1e20)
-    with pytest.raises(Degenerate, match="1e20 or more"):
-        build_from_halfspaces(AXES, np.full(6, 1e20))
-    assert len(build_from_halfspaces(AXES, np.full(6, 9.99e19)).vertices) == 8
+    # Offsets of opposite signs near the largest float: the LP's slacks
+    # would overflow.
+    with pytest.raises(Degenerate, match="spread overflows"):
+        build_from_halfspaces(AXES, np.r_[1e308, 1.0, 1.0, -1e308, 1.0, 1.0])
+    # The LP has no infinite bound: cubes of half-side 1e20 and beyond build
+    # from either side, with the half-side as inradius.
+    for h in (1e20, 1e25, 1e50):
+        assert build_from_vertices(cube().vertices * h).inradius == h
+        assert build_from_halfspaces(AXES, np.full(6, h)).inradius == h
     # A redundant plane that far off drops out of the LP, and the cube builds.
     for far in (1e21, 1e300):
         body = build_from_halfspaces(np.vstack([AXES, [[1.0, 1.0, 1.0]]]), np.r_[np.ones(6), far])
@@ -685,26 +690,27 @@ def test_solid_angle_at_matches_edge_scan_reference(spiky_body):
             assert got.apex.tobytes() == ref.apex.tobytes()
 
 
-def test_halfspace_build_solves_one_lp(monkeypatch):
+def test_halfspace_build_solves_one_lp(request, monkeypatch):
     # The one LP is the Chebyshev ball of the input, which the built body
     # keeps; the halfspace intersection about its centre checks boundedness.
-    # It goes through milp; linprog stays bound in polytope but is not called.
-    calls = {"milp": 0, "linprog": 0}
-    for name in calls:
+    # It is polytope's own simplex; scipy's linprog and milp are never called.
+    calls = []
+    real = polytope._chebyshev
+    request.getfixturevalue("no_lp")
 
-        def counted(*args, _name=name, _real=getattr(polytope, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def counted(normals, offsets):
+        calls.append(len(normals))
+        return real(normals, offsets)
 
-        monkeypatch.setattr(polytope, name, counted)
+    monkeypatch.setattr(polytope, "_chebyshev", counted)
     normals = np.vstack([AXES, [[1, 1, 1] / np.sqrt(3)]])
     build_from_halfspaces(normals, np.concatenate([np.ones(6), [1.5]]))
-    assert calls == {"milp": 1, "linprog": 0}
+    assert calls == [7]
 
 
 def _linprog_chebyshev(normals, offsets):
-    """The Chebyshev LP as `_chebyshev` solved it through linprog: (center,
-    radius), or None where HiGHS finds no optimum."""
+    """The Chebyshev LP through scipy's linprog (HiGHS): (center, radius), or
+    None where HiGHS finds no optimum."""
     res = scipy.optimize.linprog(
         c=[0.0, 0.0, 0.0, -1.0],
         A_ub=np.hstack([normals, np.ones((len(normals), 1))]),
@@ -715,10 +721,12 @@ def _linprog_chebyshev(normals, offsets):
     return (res.x[:3], float(res.x[3])) if res.success else None
 
 
-def test_chebyshev_keeps_the_bits_of_linprog(monkeypatch, spiky_cloud):
+def test_chebyshev_matches_linprog(monkeypatch, spiky_cloud):
     # Every LP that builds the 20 criterion-3 bodies, with the 2 unbounded
     # draws their generator rejects, the 4 tangent bodies and the 3 stock
-    # bodies; and the hull planes of the first 20 spiky clouds.
+    # bodies; and the hull planes of the first 20 spiky clouds.  The simplex
+    # fails where HiGHS does, and its ball is HiGHS's to 1e-13 of the
+    # largest offset, with no row violated by more.
     inputs = []
     real = polytope._chebyshev
 
@@ -743,8 +751,82 @@ def test_chebyshev_keeps_the_bits_of_linprog(monkeypatch, spiky_cloud):
         except Degenerate:
             assert ref is None
             continue
-        assert center.tobytes() == ref[0].tobytes()
-        assert np.float64(radius).tobytes() == np.float64(ref[1]).tobytes()
+        tol = 1e-13 * max(1.0, np.abs(offsets).max())
+        assert np.abs(center - ref[0]).max() <= tol
+        assert abs(radius - ref[1]) <= tol
+        assert (offsets - normals @ center - radius).min() >= -tol
+
+
+_LP_KINDS = ("bounded", "cylinder", "cone", "empty", "flat")
+_TETRAHEDRON_NORMALS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+
+
+def _lp_system(rng, kind):
+    """Unit normals and offsets of a random system about the origin, with
+    offsets in [0.5, 1.5] before the kind's own rows, rotated (a cylinder's
+    axes only permuted, which keeps its normals exactly in a plane) and
+    shuffled at random.  bounded: a tetrahedron's normals and up to 11
+    more, up to 2 rows repeated and one redundant row 10 to 1e6 out;
+    cylinder: normals around one plane; cone: normals in an open
+    hemisphere; empty and flat: a bounded system plus n . x <= -a and
+    -n . x <= -a, with a > 0 and a = 0."""
+    extra = int(rng.integers(0, 12))
+    if kind == "cylinder":
+        angle = rng.uniform(0, 2 * np.pi) + np.r_[0, 2 * np.pi / 3, 4 * np.pi / 3, rng.uniform(0, 2 * np.pi, extra)]
+        N = np.column_stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)])
+    elif kind == "cone":
+        N = np.column_stack([rng.normal(size=(extra + 3, 2)), rng.uniform(0.1, 1.0, extra + 3)])
+    else:
+        N = np.vstack([_TETRAHEDRON_NORMALS, rng.normal(size=(extra, 3))])
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    D = rng.uniform(0.5, 1.5, len(N))
+    if kind == "bounded":
+        twice = rng.integers(0, len(N), int(rng.integers(0, 3)))
+        far = rng.normal(size=3)
+        N = np.vstack([N, N[twice], far / np.linalg.norm(far)])
+        D = np.r_[D, D[twice], 10.0 ** rng.uniform(1, 6)]
+    elif kind in ("empty", "flat"):
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        a = rng.uniform(0.01, 1.0) if kind == "empty" else 0.0
+        N, D = np.vstack([N, n, -n]), np.r_[D, -a, -a]
+    if kind == "cylinder":
+        R = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
+    else:
+        R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    order = rng.permutation(len(N))
+    return N[order] @ R.T, D[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_LP_KINDS), st.integers(-13, 19), st.sampled_from([0.0, 1.0, 1e3, 1e6]), st.integers(0, 2**32 - 1))
+def test_chebyshev_matches_linprog_on_random_systems(kind, exponent, shift, seed):
+    # The system scaled by 10^exponent and moved about `shift` times its size
+    # against HiGHS on the system as drawn, whose tolerances are absolute.
+    # Repeated rows, rows tight at the start and flat systems make the
+    # degenerate pivots that Bland's rule is there for.
+    rng = np.random.default_rng(seed)
+    N, D = _lp_system(rng, kind)
+    t = shift * rng.normal(size=3) / np.sqrt(3)
+    scale = 10.0**exponent
+    offsets = scale * (D + N @ t)
+    ref = _linprog_chebyshev(N, D)
+    assert (ref is None) == (kind in ("cone", "empty"))
+    try:
+        center, radius = polytope._chebyshev(N, offsets)
+    except Degenerate as exc:
+        assert kind == "cone" and "unbounded" in str(exc)
+        return
+    assert kind != "cone"
+    # An empty or flat system, and only such a one, has no positive radius.
+    assert (radius <= 0) == (ref is None or ref[1] == 0)
+    tol = 1e-13 * np.abs(offsets).max()
+    assert (offsets - N @ center - radius).min() >= -tol
+    if kind in ("bounded", "cylinder"):
+        # A cylinder's centre slides along its axis; its radius does not.
+        assert abs(radius - scale * ref[1]) <= tol
+    if kind == "bounded":
+        assert np.abs(center - scale * (ref[0] + t)).max() <= tol
 
 
 def _count_qhull(monkeypatch):
